@@ -11,16 +11,25 @@ Only dominant-eigenvalue methods are used, never a general eigensolver:
   in closed form.  Raising to the ``p``-th power collapses a peripheral
   group ``lambda * exp(2*pi*i*k/p)`` onto the single eigenvalue
   ``lambda^p``, for which the iteration converges geometrically.
+* the second method for complex radii: the growth rate of ``||M^n x||``.
 
-The iteration aims for residual 1e-13 (with a stagnation guard) so that
-downstream second differences of the pressure keep enough accuracy; the
-contractual bound callers may rely on is ``RESIDUAL_CONTRACT``.
+Each method runs in lockstep over a stack of matrices of shape
+``(G, d, d)``: one batched matrix product (and, for the orthogonal
+iteration, one batched QR) per step advances every point of a parameter
+grid.  The stopping rules apply per point: each point keeps its own best
+residual, iteration count and stagnation counter, and leaves the batch when
+it converges, so a point's result does not depend on the rest of the batch.
+``perron_root`` and ``dominant_modulus`` are the single-matrix forms.
+
+The iteration aims for residual 1e-13 so that downstream second differences
+of the pressure keep enough accuracy; the contractual bound callers may rely
+on is ``RESIDUAL_CONTRACT``.  A point whose best residual has not improved
+for ``_STAGNATION_WINDOW`` steps stops there: it is accepted when within the
+contract and raises ``NumericalError`` otherwise.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,175 +54,184 @@ class PerronData:
     residual: float
 
 
-def _power_iterate(matrix: np.ndarray) -> tuple[float, np.ndarray, int, float]:
-    """Return (Perron root, right vector, iterations, residual) of a nonnegative matrix."""
-    dim = matrix.shape[0]
-    if dim == 0:
-        return 0.0, np.zeros(0), 0, 0.0
-    row_sums = matrix.sum(axis=1)
-    shift = float(row_sums.max(initial=0.0))
-    if shift == 0.0:
-        return 0.0, np.full(dim, 1.0 / dim), 0, 0.0
-    shifted = matrix + shift * np.eye(dim)
-    x = np.full(dim, 1.0 / dim)
-    best_res = math.inf
-    best: tuple[float, np.ndarray, int] = (0.0, x, 0)
-    since_improvement = 0
+class _BestSoFar:
+    """Per-point best iterate and stopping rule of a lockstep iteration.
+
+    Points flagged ``zero`` are done at once with value 0.  ``offer`` takes
+    one step's values and residuals for the ``live`` points and returns the
+    masks (over ``live``) of the points that improved and that keep going.
+    """
+
+    def __init__(self, method: str, zero: np.ndarray) -> None:
+        self.method = method
+        self.live = np.flatnonzero(~zero)
+        self.value = np.zeros(len(zero))
+        self.residual = np.where(zero, 0.0, np.inf)
+        self.iterations = np.zeros(len(zero), dtype=int)
+        self._since = np.zeros(len(zero), dtype=int)
+
+    def offer(self, iteration: int, value, residual) -> tuple[np.ndarray, np.ndarray]:
+        live = self.live
+        better = residual < self.residual[live]
+        won = live[better]
+        self.value[won] = value[better]
+        self.residual[won] = residual[better]
+        self.iterations[won] = iteration
+        self._since[live] = np.where(better, 0, self._since[live] + 1)
+        best = self.residual[live]
+        converged = best <= _RESIDUAL_TARGET
+        stalled = (self._since[live] >= _STAGNATION_WINDOW) | (iteration == _MAX_ITERATIONS)
+        failed = np.flatnonzero(stalled & (best > RESIDUAL_CONTRACT))
+        if len(failed):
+            at = live[failed[0]]
+            raise NumericalError(
+                f"{self.method} did not reach residual {RESIDUAL_CONTRACT:g} "
+                f"after {iteration} iterations (best residual "
+                f"{self.residual[at]:.3e} at iteration {self.iterations[at]})"
+            )
+        stay = ~(converged | stalled)
+        self.live = live[stay]
+        return better, stay
+
+
+def perron_batch(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Perron roots and right vectors of a stack ``(G, d, d)`` of nonnegative matrices.
+
+    Returns
+    -------
+    (values, vectors, iterations, residuals)
+        Shapes ``(G,)``, ``(G, d)``, ``(G,)``, ``(G,)``; vectors are
+        nonnegative with 1-norm one, residuals ``max|Mv - lam*v| / max|v|``.
+        A zero matrix has root 0 and the uniform vector.
+    """
+    m = np.asarray(stack, dtype=float)
+    count, dim = m.shape[0], m.shape[-1]
+    vectors = np.full((count, dim), 1.0 / max(dim, 1))
+    shift = m.sum(axis=2).max(axis=1, initial=0.0)
+    state = _BestSoFar("power iteration", shift == 0.0)
+    live = state.live
+    matrix = m[live]
+    shifted = matrix + shift[live, None, None] * np.eye(dim)
+    x = vectors[live]
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        y = shifted @ x
-        total = y.sum()
-        x = y / total
-        mx = matrix @ x
-        value = float(x @ mx) / float(x @ x)
-        residual = float(np.abs(mx - value * x).max()) / float(np.abs(x).max())
-        if residual < best_res:
-            best_res = residual
-            best = (value, x.copy(), iteration)
-            since_improvement = 0
-        else:
-            since_improvement += 1
-        if best_res <= _RESIDUAL_TARGET:
+        if not len(live):
             break
-        if since_improvement >= _STAGNATION_WINDOW and best_res <= RESIDUAL_CONTRACT:
-            break
-    value, x, iteration = best
-    if best_res > RESIDUAL_CONTRACT:
-        raise NumericalError(
-            f"power iteration did not reach residual {RESIDUAL_CONTRACT:g} "
-            f"after {iteration} iterations (best residual {best_res:.3e})"
-        )
-    return value, x, iteration, best_res
+        y = (shifted @ x[..., None])[..., 0]
+        x = y / y.sum(axis=1, keepdims=True)
+        mx = (matrix @ x[..., None])[..., 0]
+        # Rayleigh quotient x.Mx / x.x, row by row
+        value = (x[:, None] @ mx[..., None])[:, 0, 0] / (x[:, None] @ x[..., None])[:, 0, 0]
+        residual = np.abs(mx - value[:, None] * x).max(axis=1) / np.abs(x).max(axis=1)
+        better, stay = state.offer(iteration, value, residual)
+        vectors[live[better]] = x[better]
+        live, matrix, shifted, x = live[stay], matrix[stay], shifted[stay], x[stay]
+    return state.value, vectors, state.iterations, state.residual
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """``|z|`` by the C library's hypot; numpy's complex abs varies by CPU."""
+    return np.hypot(z.real, z.imag)
 
 
 def perron_root(matrix: np.ndarray) -> PerronData:
-    """Perron root and left/right vectors of a square nonnegative matrix.
+    """Perron root and left/right vectors of one square nonnegative matrix.
 
-    Parameters
-    ----------
-    matrix : ndarray
-        Square nonnegative real matrix.
-
-    Returns
-    -------
-    PerronData
-        Dominant eigenvalue, right and left eigenvectors (1-norm one,
-        nonnegative), iteration count, and achieved residual
-        ``max|Mv - lam*v| / max|v|``.
+    The left vector is the right vector of the transpose, solved in the same
+    batch; ``iterations`` adds up both solves and ``residual`` is the larger.
     """
-    value, right, iters_r, res_r = _power_iterate(np.asarray(matrix, dtype=float))
-    _, left, iters_l, res_l = _power_iterate(np.asarray(matrix, dtype=float).T)
+    m = np.asarray(matrix, dtype=float)
+    values, vectors, iterations, residuals = perron_batch(np.stack([m, m.T]))
     return PerronData(
-        value=value,
-        right=right,
-        left=left,
-        iterations=iters_r + iters_l,
-        residual=max(res_r, res_l),
+        value=float(values[0]),
+        right=vectors[0],
+        left=vectors[1],
+        iterations=int(iterations.sum()),
+        residual=float(residuals.max()),
     )
 
 
-def _eigenvalues_2x2(t: np.ndarray) -> tuple[complex, complex]:
-    """Closed-form eigenvalues of a 2x2 complex matrix."""
-    tr = t[0, 0] + t[1, 1]
-    det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
-    disc = cmath.sqrt(tr * tr / 4.0 - det)
-    return tr / 2.0 + disc, tr / 2.0 - disc
+def modulus_batch(
+    stack: np.ndarray, period_hint: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Largest eigenvalue moduli of a stack ``(G, d, d)`` of complex matrices.
 
-
-def dominant_modulus(matrix: np.ndarray, period_hint: int = 1) -> tuple[float, int, float]:
-    """Largest eigenvalue modulus of a complex matrix.
-
-    Parameters
-    ----------
-    matrix : ndarray
-        Square complex matrix.
-    period_hint : int
-        Period of the underlying nonnegative support; the iteration runs on
-        ``matrix**period_hint`` so peripheral eigenvalue groups coalesce.
+    ``period_hint`` is the period of the underlying nonnegative support; the
+    iteration runs on ``M**period_hint`` so peripheral eigenvalue groups
+    coalesce.
 
     Returns
     -------
-    (modulus, iterations, residual)
-        ``residual`` is the smaller of the single-vector residual
-        ``max|N q - mu q| / max|q|`` and the invariant-subspace residual,
-        both relative to ``max(1, |mu|)``.
+    (moduli, iterations, residuals)
+        Shapes ``(G,)``.  ``residual`` is the smaller of the single-vector
+        residual ``max|N q - mu q| / max|q|`` and the invariant-subspace
+        residual, both relative to ``max(1, |mu|)``.  ``M^p = 0`` gives 0.
     """
-    m = np.asarray(matrix, dtype=complex)
-    dim = m.shape[0]
-    if dim == 0:
-        return 0.0, 0, 0.0
+    m = np.asarray(stack, dtype=complex)
+    dim = m.shape[-1]
     p = max(1, int(period_hint))
     n = np.linalg.matrix_power(m, p) if p > 1 else m
-    if float(np.abs(n).max(initial=0.0)) == 0.0:
-        return 0.0, 0, 0.0
+    zero = np.abs(n).max(axis=(1, 2), initial=0.0) == 0.0
+    state = _BestSoFar("block orthogonal iteration", zero)
     block = min(dim, 2)
     rng = np.random.default_rng(_COMPLEX_SEED)
-    q = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
-    q, _ = np.linalg.qr(q)
-    best_res = math.inf
-    best_mu = 0.0
-    best_iter = 0
-    since_improvement = 0
+    q0 = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
+    live = state.live
+    n = n[live]
+    q = np.repeat(np.linalg.qr(q0)[0][None], len(live), axis=0)
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        z = n @ q
-        if float(np.abs(z).max()) == 0.0:
-            return 0.0, iteration, 0.0
-        q, _ = np.linalg.qr(z)
+        if not len(live):
+            break
+        q, _ = np.linalg.qr(n @ q)
         nq = n @ q
-        t = q.conj().T @ nq
-        q1 = q[:, 0]
-        lam1 = t[0, 0]
-        res1 = float(np.abs(nq[:, 0] - lam1 * q1).max())
-        res1 /= float(np.abs(q1).max()) * max(1.0, abs(lam1))
+        t = q.conj().transpose(0, 2, 1) @ nq
+        q1 = q[:, :, 0]
+        lam1 = t[:, 0, 0]
+        mu = _modulus(lam1)
+        res = np.abs(nq[:, :, 0] - lam1[:, None] * q1).max(axis=1)
+        res /= np.abs(q1).max(axis=1) * np.maximum(1.0, mu)
         if block == 2:
-            eig_a, eig_b = _eigenvalues_2x2(t)
-            mu_sub = max(abs(eig_a), abs(eig_b))
-            res2 = float(np.abs(nq - q @ t).max())
-            res2 /= float(np.abs(q).max()) * max(1.0, mu_sub)
-        else:
-            mu_sub = abs(lam1)
-            res2 = res1
-        if res1 <= res2:
-            mu, res = abs(lam1), res1
-        else:
-            mu, res = mu_sub, res2
-        if res < best_res:
-            best_res = res
-            best_mu = mu
-            best_iter = iteration
-            since_improvement = 0
-        else:
-            since_improvement += 1
-        if best_res <= _RESIDUAL_TARGET:
-            break
-        if since_improvement >= _STAGNATION_WINDOW and best_res <= RESIDUAL_CONTRACT:
-            break
-    if best_res > RESIDUAL_CONTRACT:
-        raise NumericalError(
-            f"block orthogonal iteration did not reach residual {RESIDUAL_CONTRACT:g} "
-            f"after {best_iter} iterations (best residual {best_res:.3e})"
-        )
-    return best_mu ** (1.0 / p), best_iter, best_res
+            # closed-form eigenvalues tr/2 +- disc of the projected 2x2 block
+            tr = t[:, 0, 0] + t[:, 1, 1]
+            det = t[:, 0, 0] * t[:, 1, 1] - t[:, 0, 1] * t[:, 1, 0]
+            disc = np.sqrt(tr * tr / 4.0 - det)
+            mu_sub = np.maximum(_modulus(tr / 2.0 + disc), _modulus(tr / 2.0 - disc))
+            res_sub = np.abs(nq - q @ t).max(axis=(1, 2))
+            res_sub /= np.abs(q).max(axis=(1, 2)) * np.maximum(1.0, mu_sub)
+            subspace = res_sub < res
+            mu = np.where(subspace, mu_sub, mu)
+            res = np.where(subspace, res_sub, res)
+        _, stay = state.offer(iteration, mu, res)
+        live, n, q = live[stay], n[stay], q[stay]
+    return state.value ** (1.0 / p), state.iterations, state.residual
 
 
-def power_growth_log(matrix: np.ndarray, steps: int = 200) -> float:
-    """Second method for the dominant modulus: ``log ||M^n x||_inf / n``.
+def dominant_modulus(matrix: np.ndarray, period_hint: int = 1) -> tuple[float, int, float]:
+    """``(modulus, iterations, residual)`` of one matrix; see ``modulus_batch``."""
+    moduli, iterations, residuals = modulus_batch(
+        np.asarray(matrix, dtype=complex)[None], period_hint
+    )
+    return float(moduli[0]), int(iterations[0]), float(residuals[0])
+
+
+def growth_log_batch(stack: np.ndarray, steps: int = 200) -> np.ndarray:
+    """Second method for dominant moduli: ``log ||M^n x||_inf / n`` per matrix.
 
     Coarse (error ``O(1/n)``) but structurally independent of the orthogonal
-    iteration; used to cross-validate near-tie spectral radii.
+    iteration; used to cross-validate near-tie spectral radii.  A matrix
+    whose iterate vanishes gets ``-inf``.
     """
-    m = np.asarray(matrix, dtype=complex)
-    dim = m.shape[0]
-    if dim == 0:
-        return -math.inf
+    m = np.asarray(stack, dtype=complex)
+    count, dim = m.shape[0], m.shape[-1]
     rng = np.random.default_rng(_COMPLEX_SEED + 1)
-    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    x /= float(np.abs(x).max())
-    log_norm = 0.0
+    x0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    x = np.repeat((x0 / np.abs(x0).max(initial=0.0))[None], count, axis=0)
+    log_norm = np.zeros(count)
+    alive = np.ones(count, dtype=bool)
     for _ in range(steps):
-        x = m @ x
-        scale = float(np.abs(x).max())
-        if scale == 0.0:
-            return -math.inf
-        x /= scale
-        log_norm += math.log(scale)
-    return log_norm / steps
+        x = (m @ x[..., None])[..., 0]
+        scale = np.abs(x).max(axis=1, initial=0.0)
+        alive &= scale > 0.0
+        scale[~alive] = 1.0
+        x /= scale[:, None]
+        log_norm += np.log(scale)
+    return np.where(alive, log_norm / steps, -np.inf)

@@ -24,8 +24,7 @@ Determinism
 Identical argv and input files produce identical output bytes: floats are
 printed with 17 significant digits, counts above 2**53 as decimal strings,
 keys in fixed insertion order.  Run metadata lives under the ``meta`` key
-(golden comparisons exclude it).  ``HYPSTAT_THREADS`` caps the thread pool
-used for frequency scans; results are byte-identical at any setting.
+(golden comparisons exclude it).
 """
 
 from __future__ import annotations
@@ -33,9 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
@@ -199,15 +196,6 @@ def _parse_cell(text: str) -> tuple[tuple, tuple]:
             except ValueError:
                 raise UsageError(f"malformed cell bound {p!r} in {text!r}")
     return (bounds[0], bounds[1]), (bounds[2], bounds[3])
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("HYPSTAT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"HYPSTAT_THREADS must be an integer, got {raw!r}")
-    return max(1, value)
 
 
 # ---------------------------------------------------------------------------
@@ -532,24 +520,7 @@ def cmd_scan_lattice(args) -> int:
     if not grid:
         raise UsageError("scan grid must contain positive frequencies")
     component = _component_of(args, decomposition)
-    threads = _thread_count()
-    if threads > 1 and len(grid) >= 2 * threads:
-        size = (len(grid) + threads - 1) // threads
-        chunks = [grid[i : i + size] for i in range(0, len(grid), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda ts: nonlattice_gap(
-                        coding, decomposition, weights, component, ts
-                    ),
-                    chunks,
-                )
-            )
-        points = [p for part in parts for p in part]
-    else:
-        points = list(
-            nonlattice_gap(coding, decomposition, weights, component, grid)
-        )
+    points = nonlattice_gap(coding, decomposition, weights, component, grid)
     scale = lattice_scale(weights)
     witness = None
     if scale is not None:

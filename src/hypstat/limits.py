@@ -50,7 +50,7 @@ from .errors import (
     NumericalError,
     PreconditionError,
 )
-from .spectral import LimitStatistics, nonlattice_gap, pressure
+from .spectral import LimitStatistics, nonlattice_gap, pressure_grid
 from .weights import WeightAssignment, lattice_scale
 
 #: spectral-gap threshold below which a frequency witnesses lattice weights
@@ -591,17 +591,20 @@ def ldt_rate(
     h = stats.entropy
     component = stats.component
 
-    def legendre(sign: float) -> tuple[float, float]:
+    pressures = pressure_grid(
+        coding, decomposition, weights, component, ts + [-t for t in ts]
+    )
+
+    def legendre(sign: float, tilted: Sequence[float]) -> tuple[float, float]:
         best = (-math.inf, ts[0])
-        for t in ts:
-            p = pressure(coding, decomposition, weights, component, sign * t)
-            value = t * epsilon - (p.pressure - h - sign * t * drift)
+        for t, p in zip(ts, tilted):
+            value = t * epsilon - (p - h - sign * t * drift)
             if value > best[0]:
                 best = (value, t)
         return best
 
-    rate_plus, t_plus = legendre(+1.0)
-    rate_minus, t_minus = legendre(-1.0)
+    rate_plus, t_plus = legendre(+1.0, pressures[: len(ts)])
+    rate_minus, t_minus = legendre(-1.0, pressures[len(ts) :])
 
     dists = distribution_sweep(coding, weights, grid)
     eps_f = Fraction(epsilon)

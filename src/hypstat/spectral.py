@@ -17,18 +17,25 @@ small orthogonal iteration that is always cross-validated against the
 directly measured growth rate of ``||M^n x||``.  Derivatives of the
 pressure are computed both by first-order perturbation theory and by
 central differences, and the two routes must agree.
+
+Grids are solved as one batch each: the gap frequencies, the Legendre grid
+of ``pressure_grid`` and the stencil of ``limit_statistics`` (with the
+transpose at ``s = 0`` for the left vector).  A component's 0/1 mask ``A``
+and weight stack ``W`` (``k x d x d``) are built once per call, ``M(s)``
+over the grid is the broadcast ``A * exp(sum_j s_j W_j)`` of shape
+``(G, d, d)``, and the ``_power`` kernels advance all points in lockstep
+with per-point stopping rules under ``RESIDUAL_CONTRACT``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._power import PerronData, dominant_modulus, perron_root, power_growth_log
+from ._power import growth_log_batch, modulus_batch, perron_batch, perron_root
 from .coding import ComponentDecomposition, MarkovCoding
 from .errors import InvalidArgumentError, NumericalError
 from .weights import WeightAssignment
@@ -168,6 +175,43 @@ def _normalize_parameter(s: object, dim: int) -> tuple[complex, ...]:
     return vec
 
 
+@dataclass(frozen=True, eq=False)
+class _ComponentArrays:
+    """One maximal component's masked vertex set, 0/1 mask and weight stack."""
+
+    vertices: tuple[str, ...]
+    mask: np.ndarray
+    weights: np.ndarray
+
+    def matrices(self, grid: np.ndarray) -> np.ndarray:
+        """``M(s)`` for every row ``s`` of a ``(G, k)`` grid, shape ``(G, d, d)``."""
+        exponent = np.einsum("gk,kij->gij", grid, self.weights)
+        # complex exp takes the C library's exp for the modulus; numpy's real
+        # exp is a SIMD variant whose last bit depends on the CPU, and the
+        # second differences of the pressure amplify that bit by 1/h^2
+        entries = np.exp(exponent.astype(complex))
+        return self.mask * (entries if np.iscomplexobj(grid) else entries.real)
+
+
+def _component_arrays(
+    coding: MarkovCoding,
+    decomposition: ComponentDecomposition,
+    weights: WeightAssignment,
+    component: int,
+) -> _ComponentArrays:
+    mask = decomposition.mask_for(component)
+    index = {v: j for j, v in enumerate(mask)}
+    size = len(mask)
+    adjacency = np.zeros((size, size))
+    stack = np.zeros((weights.dim, size, size))
+    for edge in coding.nonaugmentation_edges:
+        if edge.source in index and edge.target in index:
+            u, v = index[edge.source], index[edge.target]
+            adjacency[u, v] = 1.0
+            stack[:, u, v] = weights.edge_values[(edge.source, edge.target)]
+    return _ComponentArrays(vertices=mask, mask=adjacency, weights=stack)
+
+
 def transfer_matrix(
     coding: MarkovCoding,
     decomposition: ComponentDecomposition,
@@ -194,28 +238,16 @@ def transfer_matrix(
         At ``s = 0`` the matrix equals the 0/1 adjacency matrix of the
         masked vertex set.
     """
-    mask = decomposition.mask_for(component)
+    arrays = _component_arrays(coding, decomposition, weights, component)
     s_vec = _normalize_parameter(s, weights.dim)
     is_real = all(x.imag == 0.0 for x in s_vec)
-    index = {v: j for j, v in enumerate(mask)}
-    size = len(mask)
-    if is_real:
-        matrix = np.zeros((size, size))
-        reals = [x.real for x in s_vec]
-        for edge in coding.nonaugmentation_edges:
-            if edge.source in index and edge.target in index:
-                w = weights.edge_values[(edge.source, edge.target)]
-                exponent = sum(a * b for a, b in zip(reals, w))
-                matrix[index[edge.source], index[edge.target]] = math.exp(exponent)
-    else:
-        matrix = np.zeros((size, size), dtype=complex)
-        for edge in coding.nonaugmentation_edges:
-            if edge.source in index and edge.target in index:
-                w = weights.edge_values[(edge.source, edge.target)]
-                exponent = sum(a * b for a, b in zip(s_vec, w))
-                matrix[index[edge.source], index[edge.target]] = cmath.exp(exponent)
+    grid = np.array([[x.real for x in s_vec] if is_real else s_vec])
     return TransferMatrix(
-        component=component, s=s_vec, vertices=mask, matrix=matrix, is_real=is_real
+        component=component,
+        s=s_vec,
+        vertices=arrays.vertices,
+        matrix=arrays.matrices(grid)[0],
+        is_real=is_real,
     )
 
 
@@ -239,44 +271,30 @@ def spectral_radius(matrix: TransferMatrix | np.ndarray, period_hint: int = 1) -
     -------
     float
     """
-    if isinstance(matrix, TransferMatrix):
-        raw = matrix.matrix
-        is_real = matrix.is_real
-    else:
-        raw = np.asarray(matrix)
-        is_real = not np.iscomplexobj(raw)
-    if is_real:
-        if float(np.abs(raw).max(initial=0.0)) == 0.0:
-            return 0.0
-        return perron_root(np.asarray(raw, dtype=float)).value
-    modulus, _, _ = dominant_modulus(raw, period_hint=period_hint)
-    growth = power_growth_log(raw, steps=_GROWTH_VALIDATION_STEPS)
-    if modulus <= 1e-8:
-        if growth > math.log(1e-6):
+    raw = matrix.matrix if isinstance(matrix, TransferMatrix) else np.asarray(matrix)
+    stack = raw[None]
+    if not np.iscomplexobj(stack):
+        return float(perron_batch(stack)[0][0])
+    return _complex_radii(stack, period_hint)[0]
+
+
+def _complex_radii(stack: np.ndarray, period_hint: int) -> list[float]:
+    """Dominant moduli of a complex stack, each checked by the growth rate."""
+    moduli = modulus_batch(stack, period_hint)[0].tolist()
+    growths = growth_log_batch(stack, _GROWTH_VALIDATION_STEPS).tolist()
+    for modulus, growth in zip(moduli, growths):
+        if modulus <= 1e-8:
+            if growth > math.log(1e-6):
+                raise NumericalError(
+                    "complex spectral radius near zero contradicts the measured "
+                    f"growth rate exp({growth:.6f})"
+                )
+        elif abs(math.log(modulus) - growth) > _GROWTH_VALIDATION_TOL:
             raise NumericalError(
-                "complex spectral radius near zero contradicts the measured "
-                f"growth rate exp({growth:.6f})"
+                f"complex spectral radius {modulus!r} failed second-method "
+                f"validation: measured growth rate is exp({growth:.6f})"
             )
-        return modulus
-    if abs(math.log(modulus) - growth) > _GROWTH_VALIDATION_TOL:
-        raise NumericalError(
-            f"complex spectral radius {modulus!r} failed second-method "
-            f"validation: measured growth rate is exp({growth:.6f})"
-        )
-    return modulus
-
-
-def _component_perron(
-    coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
-    weights: WeightAssignment,
-    component: int,
-    s_vec: Sequence[float],
-) -> tuple[TransferMatrix, PerronData]:
-    tm = transfer_matrix(coding, decomposition, weights, component, tuple(s_vec))
-    if not tm.is_real:
-        raise InvalidArgumentError("pressure is defined for real parameters only")
-    return tm, perron_root(tm.matrix)
+    return moduli
 
 
 def pressure(
@@ -296,9 +314,8 @@ def pressure(
     s_vec = _normalize_parameter(s, weights.dim)
     if any(x.imag != 0.0 for x in s_vec):
         raise InvalidArgumentError("pressure is defined for real parameters only")
-    tm, data = _component_perron(
-        coding, decomposition, weights, component, [x.real for x in s_vec]
-    )
+    tm = transfer_matrix(coding, decomposition, weights, component, s_vec)
+    data = perron_root(tm.matrix)
     return PressureReport(
         component=component,
         s=tuple(x.real for x in s_vec),
@@ -312,6 +329,42 @@ def pressure(
     )
 
 
+def pressure_grid(
+    coding: MarkovCoding,
+    decomposition: ComponentDecomposition,
+    weights: WeightAssignment,
+    component: int,
+    s_grid: Sequence[object],
+) -> list[float]:
+    """Pressures ``P(s)`` at real parameters, solved as one batch.
+
+    Each value equals ``pressure(..., s).pressure``; no eigenvectors are kept.
+    """
+    arrays = _component_arrays(coding, decomposition, weights, component)
+    grid = np.array(s_grid, dtype=float).reshape(-1, weights.dim)
+    return [math.log(lam) for lam in perron_batch(arrays.matrices(grid))[0].tolist()]
+
+
+def _stencil_roots(
+    arrays: _ComponentArrays, points: Sequence[Sequence[float]]
+) -> tuple[float, list[float], dict[tuple[float, ...], float]]:
+    """Perron root and perturbation drift at ``s = 0``, and roots at ``points``.
+
+    One batch: the transpose at ``s = 0`` supplies the left vector ``u``,
+    and ``grad P(0) = u . (W_j v) / (lambda u . v)`` per coordinate, where
+    ``W_j`` is the derivative of ``M(s)`` in ``s_j`` at ``s = 0``.
+    """
+    zero = arrays.matrices(np.zeros((1, len(arrays.weights))))
+    stack = np.concatenate(
+        [zero, zero.transpose(0, 2, 1), arrays.matrices(np.array(points))]
+    )
+    values, vectors, _, _ = perron_batch(stack)
+    lam0, right, left = float(values[0]), vectors[0], vectors[1]
+    uv = float(left @ right)
+    drift = [float(left @ (w @ right)) / (lam0 * uv) for w in arrays.weights]
+    return lam0, drift, dict(zip(map(tuple, points), values[2:].tolist()))
+
+
 def _log_second_difference(
     lam_plus: float, lam_minus: float, lam_zero: float, h: float
 ) -> float:
@@ -320,49 +373,61 @@ def _log_second_difference(
     return math.log1p(ratio) / (h * h)
 
 
-def _perturbation_drift(
-    coding: MarkovCoding,
-    tm0: TransferMatrix,
-    weights: WeightAssignment,
-    data: PerronData,
-) -> list[float]:
-    """``grad P(0)`` via ``u . (M'_j(0) v) / (lambda u . v)`` per coordinate."""
-    index = {v: j for j, v in enumerate(tm0.vertices)}
-    u = data.left
-    v = data.right
-    lam = data.value
-    uv = float(u @ v)
-    out = []
-    for j in range(weights.dim):
-        deriv = np.zeros_like(tm0.matrix)
-        for edge in coding.nonaugmentation_edges:
-            if edge.source in index and edge.target in index:
-                w = weights.edge_values[(edge.source, edge.target)]
-                deriv[index[edge.source], index[edge.target]] = w[j]
-        out.append(float(u @ (deriv @ v)) / (lam * uv))
-    return out
-
-
 def drift_and_variance(
     coding: MarkovCoding,
     decomposition: ComponentDecomposition,
     weights: WeightAssignment,
     component: int | None = None,
 ) -> LimitStatistics:
-    """Drift and variance of a scalar weight on one maximal component.
+    """Drift and variance of a scalar weight; see ``limit_statistics``."""
+    if weights.dim != 1:
+        raise InvalidArgumentError(
+            f"weights have dimension {weights.dim}; use covariance_matrix "
+            "for vector weights"
+        )
+    return limit_statistics(coding, decomposition, weights, component)
 
-    The drift is computed by first-order perturbation theory and verified
+
+def covariance_matrix(
+    coding: MarkovCoding,
+    decomposition: ComponentDecomposition,
+    weights: WeightAssignment,
+    component: int | None = None,
+) -> LimitStatistics:
+    """Drift vector and covariance matrix of a vector weight; see ``limit_statistics``."""
+    if weights.dim < 2:
+        raise InvalidArgumentError(
+            "covariance_matrix requires vector weights; use drift_and_variance "
+            "for scalar weights"
+        )
+    return limit_statistics(coding, decomposition, weights, component)
+
+
+def limit_statistics(
+    coding: MarkovCoding,
+    decomposition: ComponentDecomposition,
+    weights: WeightAssignment,
+    component: int | None = None,
+) -> LimitStatistics:
+    """Drift, and variance or covariance, of a weight on one maximal component.
+
+    The drift is first-order perturbation theory per coordinate, verified
     against a central difference of the pressure (agreement within 1e-7 is
-    required).  The variance is a Richardson-extrapolated second difference
-    of the pressure in a cancellation-safe product form; values below the
-    degeneracy threshold are clamped to exactly 0.0 and flagged.
+    required).  The Hessian of the pressure comes from Richardson-
+    extrapolated second differences in a cancellation-safe product form
+    (diagonal) and four-point cross stencils (off-diagonal), symmetrized.
+    Every Perron root of the stencil comes from one batched solve.
+
+    Scalar weights get ``sigma2 = P''(0)``, clamped to exactly 0.0 and
+    flagged degenerate below the degeneracy threshold.  Vector weights get
+    ``covariance`` instead, with ``sigma2=None`` and ``degenerate`` meaning
+    "not positive definite" by leading principal minors.
 
     Parameters
     ----------
     coding : MarkovCoding
     decomposition : ComponentDecomposition
     weights : WeightAssignment
-        Scalar (``dim == 1``); vector weights go to ``covariance_matrix``.
     component : int, optional
         Defaults to the first maximal component.
 
@@ -375,86 +440,34 @@ def drift_and_variance(
     NumericalError
         If the two drift routes disagree.
     """
-    if weights.dim != 1:
-        raise InvalidArgumentError(
-            f"weights have dimension {weights.dim}; use covariance_matrix "
-            "for vector weights"
-        )
-    idx = decomposition.maximal_indices[0] if component is None else component
-    tm0, data0 = _component_perron(coding, decomposition, weights, idx, [0.0])
-    lam0 = data0.value
-
-    def lam_at(t: float) -> float:
-        return _component_perron(coding, decomposition, weights, idx, [t])[1].value
-
-    drift_pert = _perturbation_drift(coding, tm0, weights, data0)[0]
-    h = _DRIFT_STEP
-    drift_fd = (math.log(lam_at(h)) - math.log(lam_at(-h))) / (2.0 * h)
-    if abs(drift_pert - drift_fd) > DRIFT_ROUTE_TOL:
-        raise NumericalError(
-            f"drift routes disagree: perturbation {drift_pert!r} vs "
-            f"central difference {drift_fd!r}"
-        )
-    h2 = _VARIANCE_STEP
-    coarse = _log_second_difference(lam_at(h2), lam_at(-h2), lam0, h2)
-    fine = _log_second_difference(lam_at(h2 / 2), lam_at(-h2 / 2), lam0, h2 / 2)
-    sigma2_raw = (4.0 * fine - coarse) / 3.0
-    degenerate = sigma2_raw < DEGENERACY_CLAMP
-    return LimitStatistics(
-        component=idx,
-        drift=(drift_pert,),
-        sigma2=0.0 if degenerate else sigma2_raw,
-        covariance=None,
-        entropy=math.log(lam0),
-        lam=lam0,
-        degenerate=degenerate,
-        positive_definite=None,
-    )
-
-
-def covariance_matrix(
-    coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
-    weights: WeightAssignment,
-    component: int | None = None,
-) -> LimitStatistics:
-    """Drift vector and covariance matrix of a vector weight.
-
-    The drift is per-coordinate perturbation theory, cross-checked by
-    central differences; the covariance is the Hessian of the pressure by
-    Richardson-extrapolated second differences (diagonal) and four-point
-    cross stencils (off-diagonal), symmetrized.  Positive definiteness is
-    decided by leading principal minors.
-
-    Returns
-    -------
-    LimitStatistics
-        With ``covariance`` filled, ``sigma2=None``, and ``degenerate``
-        meaning "not positive definite".
-    """
-    if weights.dim < 2:
-        raise InvalidArgumentError(
-            "covariance_matrix requires vector weights; use drift_and_variance "
-            "for scalar weights"
-        )
     idx = decomposition.maximal_indices[0] if component is None else component
     k = weights.dim
-    tm0, data0 = _component_perron(coding, decomposition, weights, idx, [0.0] * k)
-    lam0 = data0.value
-
-    def lam_at(vec: Sequence[float]) -> float:
-        return _component_perron(coding, decomposition, weights, idx, vec)[1].value
-
-    def unit(j: int, scale: float) -> list[float]:
-        vec = [0.0] * k
-        vec[j] = scale
-        return vec
-
-    drift_pert = _perturbation_drift(coding, tm0, weights, data0)
     h = _DRIFT_STEP
+    h2 = _VARIANCE_STEP
+
+    def pair(j: int, l: int, sj: float, sl: float) -> tuple[float, ...]:
+        vec = [0.0] * k
+        vec[j] = sj
+        vec[l] = sl
+        return tuple(vec)
+
+    def unit(j: int, scale: float) -> tuple[float, ...]:
+        return pair(j, j, scale, scale)
+
+    points = []
+    for j in range(k):
+        for step in (h, h2 / 2, h2):
+            points += [unit(j, step), unit(j, -step)]
+        for l in range(j + 1, k):
+            for step in (h2 / 4, h2 / 2):
+                for sj, sl in ((1, 1), (1, -1), (-1, -1), (-1, 1)):
+                    points.append(pair(j, l, sj * step, sl * step))
+    arrays = _component_arrays(coding, decomposition, weights, idx)
+    lam0, drift_pert, lam_at = _stencil_roots(arrays, points)
+
     for j in range(k):
         fd = (
-            math.log(lam_at(unit(j, h))) - math.log(lam_at(unit(j, -h)))
+            math.log(lam_at[unit(j, h)]) - math.log(lam_at[unit(j, -h)])
         ) / (2.0 * h)
         if abs(drift_pert[j] - fd) > DRIFT_ROUTE_TOL:
             raise NumericalError(
@@ -464,22 +477,18 @@ def covariance_matrix(
 
     def diag_entry(j: int, step: float) -> float:
         return _log_second_difference(
-            lam_at(unit(j, step)), lam_at(unit(j, -step)), lam0, step
+            lam_at[unit(j, step)], lam_at[unit(j, -step)], lam0, step
         )
 
     def cross_entry(j: int, l: int, step: float) -> float:
         def at(sj: float, sl: float) -> float:
-            vec = [0.0] * k
-            vec[j] = sj
-            vec[l] = sl
-            return lam_at(vec)
+            return lam_at[pair(j, l, sj, sl)]
 
         ratio = (at(step, step) / at(step, -step)) * (
             at(-step, -step) / at(-step, step)
         ) - 1.0
         return math.log1p(ratio) / (4.0 * step * step)
 
-    h2 = _VARIANCE_STEP
     hess = np.zeros((k, k))
     for j in range(k):
         hess[j, j] = (4.0 * diag_entry(j, h2 / 2) - diag_entry(j, h2)) / 3.0
@@ -491,6 +500,19 @@ def covariance_matrix(
             ) / 3.0
             hess[j, l] = hess[l, j] = value
     hess = (hess + hess.T) / 2.0
+    common = dict(
+        component=idx, drift=tuple(drift_pert), entropy=math.log(lam0), lam=lam0
+    )
+    if k == 1:
+        sigma2 = float(hess[0, 0])
+        degenerate = sigma2 < DEGENERACY_CLAMP
+        return LimitStatistics(
+            sigma2=0.0 if degenerate else sigma2,
+            covariance=None,
+            degenerate=degenerate,
+            positive_definite=None,
+            **common,
+        )
 
     scale = max(1.0, float(hess.diagonal().max(initial=0.0)))
     positive_definite = True
@@ -500,27 +522,12 @@ def covariance_matrix(
             positive_definite = False
             break
     return LimitStatistics(
-        component=idx,
-        drift=tuple(drift_pert),
         sigma2=None,
         covariance=tuple(tuple(float(x) for x in row) for row in hess),
-        entropy=math.log(lam0),
-        lam=lam0,
         degenerate=not positive_definite,
         positive_definite=positive_definite,
+        **common,
     )
-
-
-def limit_statistics(
-    coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
-    weights: WeightAssignment,
-    component: int | None = None,
-) -> LimitStatistics:
-    """Dispatch to ``drift_and_variance`` or ``covariance_matrix`` by dimension."""
-    if weights.dim == 1:
-        return drift_and_variance(coding, decomposition, weights, component)
-    return covariance_matrix(coding, decomposition, weights, component)
 
 
 def component_consistency(
@@ -618,19 +625,19 @@ def nonlattice_gap(
     """
     if weights.dim != 1:
         raise InvalidArgumentError("the non-lattice gap is defined for scalar weights")
-    tm0, data0 = _component_perron(coding, decomposition, weights, component, [0.0])
-    radius0 = data0.value
+    arrays = _component_arrays(coding, decomposition, weights, component)
+    radius0 = float(perron_batch(arrays.matrices(np.zeros((1, 1))))[0][0])
     period = decomposition.components[component].period
     period_hint = period if period >= 1 else 1
+    ts = [float(t) for t in t_grid]
+    stack = arrays.matrices(1j * np.array(ts)[:, None])
     points = []
-    for t in t_grid:
-        tm = transfer_matrix(coding, decomposition, weights, component, complex(0.0, t))
-        radius = spectral_radius(tm, period_hint=period_hint)
+    for t, radius in zip(ts, _complex_radii(stack, period_hint)):
         gap = radius0 - radius
         if gap < -1e-9:
             raise NumericalError(
                 f"complex spectral radius {radius!r} at t={t!r} exceeds the "
                 f"Perron root {radius0!r}; the iteration did not converge"
             )
-        points.append(GapPoint(t=float(t), gap=gap, radius=radius))
+        points.append(GapPoint(t=t, gap=gap, radius=radius))
     return tuple(points)

@@ -61,15 +61,6 @@ class TestDeterminism:
         _code, second, _err = run_cli(capsys, argv)
         assert first == second
 
-    def test_threaded_scan_matches_serial(self, capsys, monkeypatch):
-        argv = ["scan-lattice", "--coding", "free:2", "--weights",
-                "hom:a=1,b=1", "--tgrid", "0.1:3:0.05"]
-        monkeypatch.setenv("HYPSTAT_THREADS", "3")
-        _code, threaded, _err = run_cli(capsys, argv)
-        monkeypatch.setenv("HYPSTAT_THREADS", "1")
-        _code, serial, _err = run_cli(capsys, argv)
-        assert threaded == serial
-
     def test_big_counts_survive_json(self, capsys):
         code, out, _err = run_cli(
             capsys,
@@ -299,16 +290,6 @@ class TestUsageErrors:
         )
         assert code == 3
         assert err != ""
-
-    def test_malformed_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYPSTAT_THREADS", "many")
-        code, _out, err = run_cli(
-            capsys,
-            ["scan-lattice", "--coding", "free:2", "--weights", "hom:a=1,b=0",
-             "--tgrid", "1:2:1"],
-        )
-        assert code == 2
-        assert "HYPSTAT_THREADS" in err
 
     def test_version_flag(self, capsys):
         code, out, _err = run_cli(capsys, ["--version"])

@@ -1,0 +1,285 @@
+"""Tests for the lockstep Perron and modulus kernels in ``hypstat._power``.
+
+The property tests check the kernels against numpy's general eigenvalue
+solver (the oracle of ``tests/oracles.py``) and against one-matrix loops of
+the same iterations, on random small irreducible matrices, periodic ones
+included, and check that a point's result in a mixed batch equals its solve
+on its own.
+"""
+
+import cmath
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hypstat import NumericalError
+from hypstat._power import (
+    _COMPLEX_SEED,
+    _RESIDUAL_TARGET,
+    _STAGNATION_WINDOW,
+    RESIDUAL_CONTRACT,
+    dominant_modulus,
+    modulus_batch,
+    perron_batch,
+    perron_root,
+)
+from oracles import eig_radius
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def graph_period(adjacency):
+    """gcd of level differences over the edges of a strongly connected graph."""
+    size = len(adjacency)
+    level = {0: 0}
+    frontier = [0]
+    while frontier:
+        u = frontier.pop()
+        for v in range(size):
+            if adjacency[u][v] and v not in level:
+                level[v] = level[u] + 1
+                frontier.append(v)
+    period = 0
+    for u in range(size):
+        for v in range(size):
+            if adjacency[u][v]:
+                period = math.gcd(period, level[u] + 1 - level[v])
+    return period
+
+
+@st.composite
+def components(draw):
+    """(0/1 mask, edge weights, period) of a random irreducible graph.
+
+    Vertices fall into ``p`` cyclic classes and edges only step to the next
+    class, so the period is a multiple of ``p``; the cycle through all
+    vertices keeps the graph strongly connected.
+    """
+    size = draw(st.integers(1, 5))
+    step = draw(st.sampled_from([p for p in (1, 2, 3) if size % p == 0]))
+    mask = np.zeros((size, size))
+    for u in range(size):
+        mask[u, (u + 1) % size] = 1.0
+        for v in range(size):
+            if v % step == (u + 1) % step:
+                mask[u, v] = max(mask[u, v], draw(st.sampled_from([0.0, 1.0])))
+    values = st.floats(-1.0, 1.0, allow_nan=False)
+    weights = np.array([[draw(values) for _ in range(size)] for _ in range(size)])
+    return mask, mask * weights, graph_period(mask.astype(bool))
+
+
+def eigen_condition(matrix, eigenvalue):
+    """Condition number ``|u| |v| / |u . v|`` of a simple eigenvalue."""
+    values, right = np.linalg.eig(matrix)
+    left_values, left = np.linalg.eig(matrix.T)
+    v = right[:, np.argmin(np.abs(values - eigenvalue))]
+    u = left[:, np.argmin(np.abs(left_values - eigenvalue))]
+    return np.linalg.norm(u) * np.linalg.norm(v) / abs(u @ v)
+
+
+def separated(matrix):
+    """Whether the third-largest modulus is below 0.9 of the largest.
+
+    Block-2 orthogonal iteration converges geometrically when it is (or
+    when the block spans the whole space).
+    """
+    moduli = np.sort(np.abs(np.linalg.eigvals(matrix)))[::-1]
+    return len(moduli) <= 2 or moduli[2] <= 0.9 * moduli[0]
+
+
+def twisted(mask, weights, t, period):
+    """``M(it)`` and the matrix power the orthogonal iteration runs on."""
+    matrix = mask * np.exp(1j * t * weights)
+    return matrix, np.linalg.matrix_power(matrix, period)
+
+
+def loop_power_iteration(matrix):
+    """Shifted power iteration on one matrix: (residual, root, vector, iterations)."""
+    size = len(matrix)
+    shifted = matrix + matrix.sum(axis=1).max() * np.eye(size)
+    x = np.full(size, 1.0 / size)
+    best, since = (math.inf, 0.0, x, 0), 0
+    for iteration in range(1, 100_000):
+        y = shifted @ x
+        x = y / y.sum()
+        mx = matrix @ x
+        value = float(x @ mx) / float(x @ x)
+        residual = float(np.abs(mx - value * x).max()) / float(np.abs(x).max())
+        if residual < best[0]:
+            best, since = (residual, value, x, iteration), 0
+        else:
+            since += 1
+        if best[0] <= _RESIDUAL_TARGET or since >= _STAGNATION_WINDOW:
+            return best
+    raise AssertionError("the reference loop did not stop")
+
+
+def loop_orthogonal_iteration(matrix, period):
+    """Block-2 orthogonal iteration on one ``M^p``: (residual, modulus, iterations)."""
+    n = np.linalg.matrix_power(matrix, period)
+    size = len(n)
+    block = min(size, 2)
+    rng = np.random.default_rng(_COMPLEX_SEED)
+    q = rng.standard_normal((size, block)) + 1j * rng.standard_normal((size, block))
+    q, _ = np.linalg.qr(q)
+    best, since = (math.inf, 0.0, 0), 0
+    for iteration in range(1, 100_000):
+        q, _ = np.linalg.qr(n @ q)
+        nq = n @ q
+        t = q.conj().T @ nq
+        mu = abs(t[0, 0])
+        res = float(np.abs(nq[:, 0] - t[0, 0] * q[:, 0]).max())
+        res /= float(np.abs(q[:, 0]).max()) * max(1.0, mu)
+        if block == 2:
+            tr = t[0, 0] + t[1, 1]
+            disc = cmath.sqrt(tr * tr / 4.0 - (t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]))
+            mu_sub = max(abs(tr / 2.0 + disc), abs(tr / 2.0 - disc))
+            res_sub = float(np.abs(nq - q @ t).max())
+            res_sub /= float(np.abs(q).max()) * max(1.0, mu_sub)
+            if res_sub < res:
+                mu, res = mu_sub, res_sub
+        if res < best[0]:
+            best, since = (res, mu ** (1.0 / period), iteration), 0
+        else:
+            since += 1
+        if best[0] <= _RESIDUAL_TARGET or since >= _STAGNATION_WINDOW:
+            return best
+    raise AssertionError("the reference loop did not stop")
+
+
+class TestStagnation:
+    def test_complex_stall_above_contract_fails_fast(self):
+        omega = np.exp(2j * np.pi / 3)
+        with pytest.raises(NumericalError) as info:
+            dominant_modulus(np.diag([1.0, omega, omega**2]), period_hint=1)
+        message = str(info.value)
+        stopped = int(re.search(r"after (\d+) iterations", message).group(1))
+        best = int(re.search(r"at iteration (\d+)", message).group(1))
+        assert stopped <= best + _STAGNATION_WINDOW
+
+    def test_real_stall_above_contract_fails_fast(self):
+        # a rotation is outside the nonnegative contract; its shifted
+        # iteration never settles, so it must stop after one window
+        rotation = np.array([[[0.0, -1.0], [1.0, 0.0]]])
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as info:
+            perron_batch(rotation)
+        message = str(info.value)
+        stopped = int(re.search(r"after (\d+) iterations", message).group(1))
+        best = int(re.search(r"at iteration (\d+)", message).group(1))
+        assert stopped <= best + _STAGNATION_WINDOW
+
+    def test_stall_in_one_point_fails_the_batch(self):
+        omega = np.exp(2j * np.pi / 3)
+        stack = np.stack([np.eye(3), np.diag([1.0, omega, omega**2]), 2.0 * np.eye(3)])
+        with pytest.raises(NumericalError):
+            modulus_batch(stack)
+
+
+class TestAgainstEigOracle:
+    @PROPERTY
+    @given(components(), st.floats(-2.0, 2.0, allow_nan=False))
+    def test_perron_root_real_tilt(self, component, s):
+        mask, weights, _period = component
+        matrix = mask * np.exp(s * weights)
+        data = perron_root(matrix)
+        expected = eig_radius(matrix)
+        size = len(matrix)
+        tol = 2 * math.sqrt(size) * eigen_condition(matrix, expected) * RESIDUAL_CONTRACT
+        assert data.residual <= RESIDUAL_CONTRACT
+        assert abs(data.value - expected) <= tol + 1e-14 * expected
+        assert np.all(data.right >= 0.0) and np.all(data.left >= 0.0)
+        assert data.right.sum() == pytest.approx(1.0, abs=1e-14)
+
+    @PROPERTY
+    @given(components(), st.floats(-4.0, 4.0, allow_nan=False))
+    def test_dominant_modulus_complex_tilt(self, component, t):
+        mask, weights, period = component
+        matrix, power = twisted(mask, weights, t, period)
+        assume(separated(power))
+        modulus, _iterations, residual = dominant_modulus(matrix, period_hint=period)
+        expected = eig_radius(power)
+        size = len(matrix)
+        kappa = eigen_condition(power, expected)
+        tol = 2 * math.sqrt(size) * kappa * RESIDUAL_CONTRACT * max(1.0, expected)
+        assert residual <= RESIDUAL_CONTRACT
+        assert abs(modulus**period - expected) <= tol + 1e-14 * expected
+
+
+class TestAgainstLoopReference:
+    @PROPERTY
+    @given(components(), st.floats(-2.0, 2.0, allow_nan=False))
+    def test_real_kernel_equals_loop(self, component, s):
+        # same arithmetic in the same order, so the results are identical
+        mask, weights, _period = component
+        matrix = mask * np.exp(s * weights)
+        residual, value, vector, iterations = loop_power_iteration(matrix)
+        values, vectors, counts, residuals = perron_batch(matrix[None])
+        assert values[0] == value
+        assert np.array_equal(vectors[0], vector)
+        assert counts[0] == iterations
+        assert residuals[0] == residual
+
+    @PROPERTY
+    @given(components(), st.floats(-4.0, 4.0, allow_nan=False))
+    def test_complex_kernel_matches_loop(self, component, t):
+        # batched complex products may round differently in the last bit,
+        # so the two runs agree to the residual contract
+        mask, weights, period = component
+        matrix, power = twisted(mask, weights, t, period)
+        assume(separated(power))
+        _residual, modulus, _iterations = loop_orthogonal_iteration(matrix, period)
+        moduli, _counts, residuals = modulus_batch(matrix[None], period)
+        assert residuals[0] <= RESIDUAL_CONTRACT
+        assert abs(moduli[0] - modulus) <= RESIDUAL_CONTRACT * max(1.0, modulus)
+
+
+class TestMixedBatches:
+    @PROPERTY
+    @given(
+        components(),
+        st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=1, max_size=4),
+        st.integers(0, 4),
+    )
+    def test_real_points_match_single_solves(self, component, tilts, at):
+        mask, weights, _period = component
+        stack = [mask * np.exp(s * weights) for s in tilts]
+        stack.insert(min(at, len(stack)), np.zeros_like(mask))
+        values, vectors, iterations, residuals = perron_batch(np.array(stack))
+        for g, matrix in enumerate(stack):
+            one = perron_batch(matrix[None])
+            assert values[g] == one[0][0]
+            assert np.array_equal(vectors[g], one[1][0])
+            assert iterations[g] == one[2][0]
+            assert residuals[g] == one[3][0]
+
+    @PROPERTY
+    @given(
+        components(),
+        st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=4),
+        st.integers(0, 4),
+        st.integers(0, 4),
+    )
+    def test_complex_points_match_single_solves(self, component, tilts, at_zero, at_nil):
+        mask, weights, period = component
+        stack = []
+        for t in tilts:
+            matrix, power = twisted(mask, weights, t, period)
+            assume(separated(power))
+            stack.append(matrix)
+        size = len(mask)
+        stack.insert(min(at_zero, len(stack)), np.zeros((size, size), dtype=complex))
+        nilpotent = np.diag(np.ones(size - 1), 1).astype(complex)
+        stack.insert(min(at_nil, len(stack)), nilpotent)
+        moduli, iterations, residuals = modulus_batch(np.array(stack), period)
+        for g, matrix in enumerate(stack):
+            one = modulus_batch(matrix[None], period)
+            assert moduli[g] == one[0][0]
+            assert iterations[g] == one[1][0]
+            assert residuals[g] == one[2][0]
+        for g, matrix in enumerate(stack):
+            if not matrix.any():
+                assert moduli[g] == 0.0 and iterations[g] == 0

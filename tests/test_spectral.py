@@ -45,6 +45,13 @@ class TestTransferMatrix:
         report = hs.pressure(free2, free2_decomp, aexp, comp, s)
         assert report.pressure == pytest.approx(expected, abs=1e-9)
 
+    def test_pressure_grid_equals_pointwise_pressure(self, free2, free2_decomp, aind):
+        comp = free2_decomp.maximal_indices[0]
+        grid = [-2.0, -0.3, 0.0, 0.5, 1.7]
+        batched = hs.spectral.pressure_grid(free2, free2_decomp, aind, comp, grid)
+        pointwise = [hs.pressure(free2, free2_decomp, aind, comp, s).pressure for s in grid]
+        assert batched == pointwise
+
     def test_pressure_indicator_weights(self, free2, free2_decomp, aind):
         comp = free2_decomp.maximal_indices[0]
         report = hs.pressure(free2, free2_decomp, aind, comp, 0.5)
@@ -160,6 +167,22 @@ class TestNonlatticeGap:
         assert len(points) == len(ts)
         assert all(p.gap > 0.0 for p in points)
         assert all(p.radius < 3.0 for p in points)
+
+    def test_batched_gap_matches_per_point_loop(self, free2, free2_decomp):
+        weights = hs.weights_from_homomorphism(free2, {"a": 1, "b": 1})
+        comp = free2_decomp.maximal_indices[0]
+        ts = [0.1 + 0.05 * k for k in range(59)]
+        points = hs.nonlattice_gap(free2, free2_decomp, weights, comp, ts)
+        radius0 = hs.spectral_radius(
+            hs.transfer_matrix(free2, free2_decomp, weights, comp, 0.0)
+        )
+        for t, point in zip(ts, points):
+            radius = hs.spectral_radius(
+                hs.transfer_matrix(free2, free2_decomp, weights, comp, 1j * t)
+            )
+            assert point.t == t
+            assert point.radius == pytest.approx(radius, rel=0.0, abs=1e-12)
+            assert point.gap == pytest.approx(radius0 - radius, rel=0.0, abs=1e-12)
 
     def test_integer_weights_vanish_at_two_pi(self, free2, free2_decomp, aexp):
         comp = free2_decomp.maximal_indices[0]
