@@ -38,4 +38,4 @@ class InconsistencyError(HypstatError):
 
 
 class ResourceError(HypstatError):
-    """An exact computation would exceed the documented state-space guard."""
+    """An exact computation would exceed its documented guard or byte budget."""

@@ -315,7 +315,10 @@ def scaled_integer_values(
         ints = []
         for x in vec:
             frac = Fraction(x) * scale
-            assert frac.denominator == 1
+            if frac.denominator != 1:
+                raise InvalidArgumentError(
+                    f"{x!r} on edge {key[0]}->{key[1]} is off the 1/{scale} lattice"
+                )
             ints.append(int(frac))
         out[key] = tuple(ints)
     return out

@@ -5,8 +5,14 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import settings
 
 import hypstat as hs
+
+# one hypothesis profile for every property test: reproducible examples and
+# no per-example deadline (exact enumeration times vary with the example)
+settings.register_profile("hypstat", derandomize=True, deadline=None)
+settings.load_profile("hypstat")
 
 ACCEPTANCE_RESULTS: dict[int, tuple[bool, str]] = {}
 

@@ -97,6 +97,33 @@ def mirror_scalar_histogram(n, table):
     return out
 
 
+def dict_lattice_counts(edges, start, ns):
+    """Vector lattice counts by the dict-per-vertex DP the packed engine replaced.
+
+    ``edges`` lists ``(source, target, value tuple)`` integer steps and
+    ``start`` names the start vertex.  Returns ``{n: {value tuple: count}}``
+    summed over the end vertices, for every radius in ``ns``.
+    """
+    dims = len(edges[0][2]) if edges else 1
+    state = {start: {(0,) * dims: 1}}
+    out = {}
+    for level in range(max(ns) + 1):
+        if level:
+            nxt = {}
+            for source, target, value in edges:
+                dst = nxt.setdefault(target, {})
+                for vec, count in state.get(source, {}).items():
+                    key = tuple(a + b for a, b in zip(vec, value))
+                    dst[key] = dst.get(key, 0) + count
+            state = nxt
+        if level in ns:
+            merged = Counter()
+            for per_vertex in state.values():
+                merged.update(per_vertex)
+            out[level] = dict(merged)
+    return out
+
+
 def eig_radius(matrix):
     """Spectral radius via numpy's general eigenvalue solver."""
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(matrix)))))

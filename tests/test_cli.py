@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -291,7 +296,38 @@ class TestUsageErrors:
         assert code == 3
         assert err != ""
 
+    def test_oversized_dist_exits_three_at_once(self, capsys):
+        # 22.6M slots of about 400-byte limbs: some 20 GB if it were allocated
+        start = time.perf_counter()
+        code, _out, err = run_cli(
+            capsys,
+            ["dist", "--coding", "free:2", "--weights",
+             "hom:a=1,b=1.4142135623730951", "--n", "2000", "--bin", "0.001"],
+        )
+        assert code == 3
+        assert "bytes" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_version_flag(self, capsys):
         code, out, _err = run_cli(capsys, ["--version"])
         assert code == 0
         assert hs.__version__ in out
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(hs.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        probe = (
+            "import sys, hypstat.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

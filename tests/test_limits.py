@@ -5,6 +5,7 @@ import math
 import pytest
 
 import hypstat as hs
+from hypstat.limits import _finalize
 
 # [DERIVED] scipy-ndtr Kolmogorov oracle values from tests/oracles.py
 KS_AEXP_N4 = 0.10185185185185186
@@ -31,6 +32,12 @@ class TestReportPlumbing:
         doc["checks"][0]["lhs"] = doc["checks"][0]["rhs"] + 1.0
         tampered = hs.report_from_json(doc)
         assert not hs.reverify(tampered)
+
+    def test_finalize_refuses_a_contradicted_verdict(self):
+        # an explicit error, not an assert, so it also holds under python -O
+        check = {"name": "x", "lhs": 2.0, "op": "<=", "rhs": 1.0, "passed": True}
+        with pytest.raises(hs.InconsistencyError, match="contradicts"):
+            _finalize("clt", {}, [1], [], {}, {}, [dict(check, detail="")])
 
     def test_rows_carry_standard_keys(self, free2, aexp, aexp_stats):
         report = hs.clt_distance(

@@ -29,7 +29,7 @@ from hypstat._power import (
 )
 from oracles import eig_radius
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+PROPERTY = settings(settings.get_profile("hypstat"), max_examples=60)
 
 
 def graph_period(adjacency):

@@ -126,6 +126,12 @@ class TestLatticeScale:
         assert ints[("a", "b")] == (1,)
         assert ints[("*", "B")] == (-1,)
 
+    def test_scale_that_misses_a_denominator_raises(self, free2):
+        # an explicit error, not an assert, so it also holds under python -O
+        w = hs.weights_from_homomorphism(free2, {"a": 0.5, "b": 0.25})
+        with pytest.raises(hs.InvalidArgumentError, match="1/2 lattice"):
+            hs.scaled_integer_values(w, 2)
+
 
 class TestInverseName:
     @pytest.mark.parametrize(
