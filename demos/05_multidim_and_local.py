@@ -24,7 +24,7 @@ sigma = abel_stats.covariance
 print("abelianization covariance Sigma:")
 for row in sigma:
     print("   ", "  ".join(f"{x:+.9f}" for x in row))
-print(f"positive definite: {abel_stats.positive_definite}")
+print(f"positive definite: {not abel_stats.degenerate}")
 
 mclt = hs.mclt_check(coding, decomposition, abel, abel_stats, (25, 50, 100))
 print(f"multidimensional CLT report passed: {mclt.passed}")
@@ -34,7 +34,7 @@ print()
 rank1 = hs.weights_from_homomorphism(coding, {"a": (1, 1), "b": (0, 0)})
 rank1_stats = hs.limit_statistics(coding, decomposition, rank1)
 degenerate = hs.mclt_check(coding, decomposition, rank1, rank1_stats, (16,))
-print(f"rank-one covariance positive definite: {rank1_stats.positive_definite}")
+print(f"rank-one covariance positive definite: {not rank1_stats.degenerate}")
 print(f"rank-one report passed (expected False): {degenerate.passed}")
 print()
 

@@ -36,6 +36,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from . import __version__
 from .coding import (
     MarkovCoding,
     build_free_group_coding,
@@ -68,8 +69,6 @@ from .weights import (
     weights_from_homomorphism,
     weights_word_length,
 )
-
-__version__ = "1.0.0"
 
 
 class UsageError(Exception):
@@ -421,18 +420,18 @@ def cmd_pressure(args) -> int:
 
 def cmd_stats(args) -> int:
     coding, decomposition, weights, stats = _pipeline(args)
+    # scalar weights print sigma2; vector weights their covariance matrix
+    scalar = weights.dim == 1
     doc = {
         "command": "stats",
         "component": stats.component,
         "drift": list(stats.drift),
-        "sigma2": stats.sigma2,
-        "covariance": None
-        if stats.covariance is None
-        else [list(row) for row in stats.covariance],
+        "sigma2": stats.sigma2 if scalar else None,
+        "covariance": None if scalar else [list(row) for row in stats.covariance],
         "entropy": stats.entropy,
         "lam": stats.lam,
         "degenerate": stats.degenerate,
-        "positive_definite": stats.positive_definite,
+        "positive_definite": None if scalar else not stats.degenerate,
         "meta": _meta(args),
     }
     _emit(doc, args, is_report=False)

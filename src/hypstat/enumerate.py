@@ -702,57 +702,6 @@ def log_weighted_sum_sweep(
     return [out[n] for n in order]
 
 
-def weighted_sum(
-    coding: MarkovCoding, weights: WeightAssignment, s: object, n: int
-) -> complex:
-    """``sum_{W_n} exp(<s, phi>)`` for a complex parameter ``s``.
-
-    Overflowing magnitudes come back as infinite; use
-    ``log_weighted_sum_sweep`` for large real exponents.
-    """
-    if isinstance(s, (int, float, complex)):
-        s_vec = (complex(s),)
-    else:
-        s_vec = tuple(complex(x) for x in s)
-    if len(s_vec) != weights.dim:
-        raise InvalidArgumentError(
-            f"parameter s has {len(s_vec)} coordinates, expected {weights.dim}"
-        )
-    if n < 0:
-        raise InvalidArgumentError(f"n must be >= 0, got {n}")
-    factors = {
-        key: complex(np.exp(sum(a * b for a, b in zip(s_vec, vec))))
-        for key, vec in weights.edge_values.items()
-    }
-    transitions = [
-        (e.source, e.target, factors[(e.source, e.target)])
-        for e in coding.nonaugmentation_edges
-    ]
-    state: dict[str, complex] = {START_VERTEX: 1.0 + 0.0j}
-    log_scale = 0.0
-    for _ in range(n):
-        nxt: dict[str, complex] = {}
-        for source, target, f in transitions:
-            a = state.get(source)
-            if a is not None:
-                nxt[target] = nxt.get(target, 0.0j) + a * f
-        peak = max((abs(a) for a in nxt.values()), default=0.0)
-        if peak == 0.0:
-            return 0.0j
-        if not (1e-100 < peak < 1e100):
-            for v in nxt:
-                nxt[v] /= peak
-            log_scale += math.log(peak)
-        state = nxt
-    total = sum(state.values())
-    if total == 0.0:
-        return 0.0j
-    magnitude = math.log(abs(total)) + log_scale
-    if magnitude > 700.0:
-        return complex(math.inf, math.inf)
-    return total * math.exp(log_scale)
-
-
 # ---------------------------------------------------------------------------
 # Two-dimensional float64 cell masses
 # ---------------------------------------------------------------------------

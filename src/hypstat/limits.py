@@ -318,8 +318,6 @@ def kolmogorov_distance(
 
 
 def _require_nondegenerate(stats: LimitStatistics, what: str) -> float:
-    if stats.sigma2 is None:
-        raise InvalidArgumentError(f"{what} requires scalar weights")
     if stats.degenerate or stats.sigma2 <= 0.0:
         raise PreconditionError(
             f"{what} requires sigma^2 > 0, but the variance is degenerate; "
@@ -908,15 +906,18 @@ def mclt_check(
     ------
     PreconditionError
         If ``weights.dim < 2``.
+    InvalidArgumentError
+        If ``stats`` has a dimension other than ``weights.dim``.
     """
     if weights.dim < 2:
         raise PreconditionError(
             "mclt_check requires vector weights (dim >= 2); scalar weights "
             "belong to clt_distance"
         )
-    if stats.covariance is None:
+    if len(stats.drift) != weights.dim:
         raise InvalidArgumentError(
-            "mclt_check needs statistics from covariance_matrix"
+            f"mclt_check got statistics of dimension {len(stats.drift)} for "
+            f"weights of dimension {weights.dim}"
         )
     grid = _sorted_grid(n_grid)
     sigma = np.array(stats.covariance)
@@ -952,7 +953,7 @@ def mclt_check(
         ),
         _check(
             "sigma-positive-definite",
-            1.0 if stats.positive_definite else 0.0,
+            0.0 if stats.degenerate else 1.0,
             ">=",
             1.0,
             "leading principal minors of Sigma are positive",
@@ -963,13 +964,13 @@ def mclt_check(
         "drift": list(stats.drift),
         "entropy": stats.entropy,
         "lam": stats.lam,
-        "positive_definite": bool(stats.positive_definite),
+        "positive_definite": not stats.degenerate,
     }
     cells = (
         [((None, 0.0), (None, 0.0))] if cell_grid is None else list(cell_grid)
     )
     cell_rows = []
-    if stats.positive_definite and cells:
+    if not stats.degenerate and cells:
         if k != 2:
             raise InvalidArgumentError(
                 "cell-probability checks support 2-d weights only"
@@ -1008,7 +1009,7 @@ def mclt_check(
                     "gaussian": gaussian,
                 }
             )
-    elif not stats.positive_definite:
+    elif stats.degenerate:
         if k == 2:
             theory["degenerate_direction"] = _degenerate_direction(sigma)
     theory["cells"] = cell_rows

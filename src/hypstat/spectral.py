@@ -1,4 +1,4 @@
-"""Transfer matrices and their spectral data: pressure, drift, variance.
+"""Transfer matrices and their spectral data: pressure, drift, covariance.
 
 For a maximal component ``C_i`` of a coding, the transfer matrix ``M_i(s)``
 lives on the component's mask (all core vertices except the other maximal
@@ -7,8 +7,9 @@ components) and has entry ``exp(<s, w(u, v)>)`` on each allowed edge, where
 data of this family:
 
 * pressure ``P(s) = log`` (Perron root of ``M_i(s)``) for real ``s``,
-* drift ``Lambda = grad P(0)`` and variance ``sigma^2 = P''(0)``
-  (covariance matrix ``Sigma = Hess P(0)`` for vector weights),
+* drift ``Lambda = grad P(0)`` and covariance ``Sigma = Hess P(0)``, one
+  record for every weight dimension ``k`` (``sigma^2 = P''(0)`` is the
+  case ``k = 1``),
 * the non-lattice gap ``e^h - rho(M_i(it))`` for the local limit theorem.
 
 No general-purpose eigensolver is used: real Perron roots come from shifted
@@ -29,6 +30,7 @@ with per-point stopping rules under ``RESIDUAL_CONTRACT``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,7 +44,8 @@ from .weights import WeightAssignment
 
 #: agreement required between perturbation-theory and finite-difference drift
 DRIFT_ROUTE_TOL = 1e-7
-#: clamped variance below this is reported as exactly degenerate
+#: a leading principal minor ``m`` of the covariance at or below this times
+#: ``max(1, max_j Sigma_jj)^m`` makes the statistics degenerate
 DEGENERACY_CLAMP = 1e-8
 #: step for drift central differences
 _DRIFT_STEP = 1e-4
@@ -100,37 +103,41 @@ class PressureReport:
 
 @dataclass(frozen=True)
 class LimitStatistics:
-    """Drift and fluctuation parameters of one weighted maximal component.
+    """Drift and covariance of one weighted maximal component, for any ``k``.
 
     Attributes
     ----------
     component : int
     drift : tuple of float
         ``Lambda = grad P(0)``, length ``k``.
-    sigma2 : float or None
-        ``P''(0)`` for scalar weights (clamped to 0.0 below the degeneracy
-        threshold); None for vector weights.
-    covariance : tuple of tuple of float, or None
-        ``Sigma = Hess P(0)`` for vector weights; None for scalar weights.
+    covariance : tuple of tuple of float
+        ``Sigma = Hess P(0)``, ``k x k``; a degenerate scalar variance is
+        stored as exactly 0.0.
     entropy : float
         ``h = P(0)``, the log of the component growth rate.
     lam : float
         The growth rate ``lambda = e^h``.
     degenerate : bool
-        Scalar: variance clamped to zero.  Vector: ``Sigma`` not positive
-        definite.
-    positive_definite : bool or None
-        Leading-principal-minor test of ``Sigma``; None for scalar weights.
+        ``Sigma`` fails the leading-principal-minor test for positive
+        definiteness.
     """
 
     component: int
     drift: tuple[float, ...]
-    sigma2: float | None
-    covariance: tuple[tuple[float, ...], ...] | None
+    covariance: tuple[tuple[float, ...], ...]
     entropy: float
     lam: float
     degenerate: bool
-    positive_definite: bool | None
+
+    @property
+    def sigma2(self) -> float:
+        """The variance ``P''(0)`` of a scalar weight (``k = 1`` only)."""
+        if len(self.drift) != 1:
+            raise InvalidArgumentError(
+                f"sigma2 is defined for scalar weights; these statistics have "
+                f"dimension {len(self.drift)}"
+            )
+        return self.covariance[0][0]
 
 
 @dataclass(frozen=True)
@@ -373,43 +380,13 @@ def _log_second_difference(
     return math.log1p(ratio) / (h * h)
 
 
-def drift_and_variance(
-    coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
-    weights: WeightAssignment,
-    component: int | None = None,
-) -> LimitStatistics:
-    """Drift and variance of a scalar weight; see ``limit_statistics``."""
-    if weights.dim != 1:
-        raise InvalidArgumentError(
-            f"weights have dimension {weights.dim}; use covariance_matrix "
-            "for vector weights"
-        )
-    return limit_statistics(coding, decomposition, weights, component)
-
-
-def covariance_matrix(
-    coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
-    weights: WeightAssignment,
-    component: int | None = None,
-) -> LimitStatistics:
-    """Drift vector and covariance matrix of a vector weight; see ``limit_statistics``."""
-    if weights.dim < 2:
-        raise InvalidArgumentError(
-            "covariance_matrix requires vector weights; use drift_and_variance "
-            "for scalar weights"
-        )
-    return limit_statistics(coding, decomposition, weights, component)
-
-
 def limit_statistics(
     coding: MarkovCoding,
     decomposition: ComponentDecomposition,
     weights: WeightAssignment,
     component: int | None = None,
 ) -> LimitStatistics:
-    """Drift, and variance or covariance, of a weight on one maximal component.
+    """Drift vector and covariance matrix of a weight on one maximal component.
 
     The drift is first-order perturbation theory per coordinate, verified
     against a central difference of the pressure (agreement within 1e-7 is
@@ -418,10 +395,11 @@ def limit_statistics(
     (diagonal) and four-point cross stencils (off-diagonal), symmetrized.
     Every Perron root of the stencil comes from one batched solve.
 
-    Scalar weights get ``sigma2 = P''(0)``, clamped to exactly 0.0 and
-    flagged degenerate below the degeneracy threshold.  Vector weights get
-    ``covariance`` instead, with ``sigma2=None`` and ``degenerate`` meaning
-    "not positive definite" by leading principal minors.
+    Scalar weights are the case ``k = 1``: ``covariance`` is the 1 x 1
+    matrix of ``P''(0)``, also read as ``sigma2``.  ``degenerate`` means
+    that a leading principal minor ``m`` of ``Sigma`` is at most
+    ``DEGENERACY_CLAMP * max(1, max_j Sigma_jj)^m``; a degenerate scalar
+    variance is stored as exactly 0.0.
 
     Parameters
     ----------
@@ -500,33 +478,20 @@ def limit_statistics(
             ) / 3.0
             hess[j, l] = hess[l, j] = value
     hess = (hess + hess.T) / 2.0
-    common = dict(
-        component=idx, drift=tuple(drift_pert), entropy=math.log(lam0), lam=lam0
-    )
-    if k == 1:
-        sigma2 = float(hess[0, 0])
-        degenerate = sigma2 < DEGENERACY_CLAMP
-        return LimitStatistics(
-            sigma2=0.0 if degenerate else sigma2,
-            covariance=None,
-            degenerate=degenerate,
-            positive_definite=None,
-            **common,
-        )
-
     scale = max(1.0, float(hess.diagonal().max(initial=0.0)))
-    positive_definite = True
-    for m in range(1, k + 1):
-        minor = float(np.linalg.det(hess[:m, :m]))
-        if minor <= DEGENERACY_CLAMP * scale**m:
-            positive_definite = False
-            break
+    degenerate = any(
+        float(np.linalg.det(hess[:m, :m])) <= DEGENERACY_CLAMP * scale**m
+        for m in range(1, k + 1)
+    )
+    if degenerate and k == 1:
+        hess[0, 0] = 0.0
     return LimitStatistics(
-        sigma2=None,
+        component=idx,
+        drift=tuple(drift_pert),
         covariance=tuple(tuple(float(x) for x in row) for row in hess),
-        degenerate=not positive_definite,
-        positive_definite=positive_definite,
-        **common,
+        entropy=math.log(lam0),
+        lam=lam0,
+        degenerate=degenerate,
     )
 
 
@@ -545,28 +510,20 @@ def component_consistency(
     stats = tuple(
         limit_statistics(coding, decomposition, weights, i) for i in indices
     )
-    drift_spread = 0.0
-    var_spread = 0.0
-    for a in range(len(stats)):
-        for b in range(a + 1, len(stats)):
-            drift_spread = max(
-                drift_spread,
-                max(
-                    abs(x - y)
-                    for x, y in zip(stats[a].drift, stats[b].drift)
-                ),
-            )
-            if stats[a].sigma2 is not None and stats[b].sigma2 is not None:
-                var_spread = max(var_spread, abs(stats[a].sigma2 - stats[b].sigma2))
-            elif stats[a].covariance is not None and stats[b].covariance is not None:
-                var_spread = max(
-                    var_spread,
-                    max(
-                        abs(x - y)
-                        for ra, rb in zip(stats[a].covariance, stats[b].covariance)
-                        for x, y in zip(ra, rb)
-                    ),
-                )
+    pairs = list(itertools.combinations(stats, 2))
+    drift_spread = max(
+        (abs(x - y) for p, q in pairs for x, y in zip(p.drift, q.drift)),
+        default=0.0,
+    )
+    var_spread = max(
+        (
+            abs(x - y)
+            for p, q in pairs
+            for rp, rq in zip(p.covariance, q.covariance)
+            for x, y in zip(rp, rq)
+        ),
+        default=0.0,
+    )
     consistent = drift_spread <= 1e-8 and var_spread <= 1e-8
     if len(indices) <= 1:
         diagnostic = "single maximal component; consistency is vacuous"

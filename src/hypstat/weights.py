@@ -25,11 +25,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import json
 
-from .coding import MarkovCoding, ZERO_VERTEX
+from .coding import MarkovCoding
 from .errors import InvalidArgumentError, ValidationError
 
 #: largest least-common-denominator for which weights count as lattice
@@ -49,9 +49,6 @@ class WeightAssignment:
     edge_values : dict
         ``(source, target) -> length-k tuple`` for every non-augmentation
         edge; edges into ``"0"`` implicitly weigh zero.
-    integer_valued : bool
-        True iff every component of every value is an integer (drives the
-        exact lattice dynamic programming).
     origin : str
         One of ``"homomorphism"``, ``"edge-table"``, ``"word-length"``,
         ``"recentered"``; informational.
@@ -59,14 +56,7 @@ class WeightAssignment:
 
     dim: int
     edge_values: dict[tuple[str, str], Vector]
-    integer_valued: bool
     origin: str
-
-    def value(self, source: str, target: str) -> Vector:
-        """Weight vector of an edge (zero vector on augmentation edges)."""
-        if target == ZERO_VERTEX:
-            return (0.0,) * self.dim
-        return self.edge_values[(source, target)]
 
 
 def _as_vector(raw: object, dim: int | None, context: str) -> tuple[Vector, int]:
@@ -84,10 +74,6 @@ def _as_vector(raw: object, dim: int | None, context: str) -> tuple[Vector, int]
             f"{context}: value has {len(vec)} coordinates, expected {dim}"
         )
     return vec, len(vec)
-
-
-def _is_integral(values: Iterable[Vector]) -> bool:
-    return all(float(x).is_integer() for vec in values for x in vec)
 
 
 def inverse_name(name: str) -> str | None:
@@ -183,7 +169,6 @@ def weights_from_homomorphism(
     return WeightAssignment(
         dim=dim,
         edge_values=edge_values,
-        integer_valued=_is_integral(edge_values.values()),
         origin="homomorphism",
     )
 
@@ -191,9 +176,7 @@ def weights_from_homomorphism(
 def weights_word_length(coding: MarkovCoding) -> WeightAssignment:
     """Scalar weight 1 on every non-augmentation edge; path sums equal word length."""
     edge_values = {(e.source, e.target): (1.0,) for e in coding.nonaugmentation_edges}
-    return WeightAssignment(
-        dim=1, edge_values=edge_values, integer_valued=True, origin="word-length"
-    )
+    return WeightAssignment(dim=1, edge_values=edge_values, origin="word-length")
 
 
 def weights_from_edge_table(
@@ -231,7 +214,6 @@ def weights_from_edge_table(
     return WeightAssignment(
         dim=dim if dim is not None else 1,
         edge_values=edge_values,
-        integer_valued=_is_integral(edge_values.values()),
         origin="edge-table",
     )
 
@@ -253,7 +235,7 @@ def recenter(weights: WeightAssignment, drift: object) -> WeightAssignment:
     Returns
     -------
     WeightAssignment
-        With ``origin="recentered"`` and ``integer_valued`` recomputed.
+        With ``origin="recentered"``.
     """
     if isinstance(drift, (int, float, Fraction)):
         drift_vec: tuple[object, ...] = (drift,)
@@ -283,7 +265,6 @@ def recenter(weights: WeightAssignment, drift: object) -> WeightAssignment:
     return WeightAssignment(
         dim=weights.dim,
         edge_values=edge_values,
-        integer_valued=_is_integral(edge_values.values()),
         origin="recentered",
     )
 
@@ -322,18 +303,6 @@ def scaled_integer_values(
             ints.append(int(frac))
         out[key] = tuple(ints)
     return out
-
-
-def path_sum(
-    coding: MarkovCoding, weights: WeightAssignment, vertices: Sequence[str]
-) -> Vector:
-    """Sum of edge weights along a vertex path (augmentation edges weigh zero)."""
-    total = [0.0] * weights.dim
-    for source, target in zip(vertices, vertices[1:]):
-        vec = weights.value(source, target)
-        for j in range(weights.dim):
-            total[j] += vec[j]
-    return tuple(total)
 
 
 def load_weights(source: dict | str | Path, coding: MarkovCoding) -> WeightAssignment:

@@ -237,7 +237,7 @@ def test_criterion_07_multidimensional_clt(free2, free2_decomp, abel, abel_stats
         and pd["passed"]
         and not degenerate.passed
         and not pd_bad["passed"]
-        and not rank1_stats.positive_definite
+        and rank1_stats.degenerate
     )
     record_criterion(
         7,
@@ -251,7 +251,7 @@ def test_criterion_07_multidimensional_clt(free2, free2_decomp, abel, abel_stats
     assert pd["passed"]
     assert not degenerate.passed
     assert not pd_bad["passed"]
-    assert not rank1_stats.positive_definite
+    assert rank1_stats.degenerate
 
 
 @criterion(8)

@@ -188,25 +188,14 @@ class TestMoments:
 
 
 class TestWeightedSums:
-    def test_matches_frozen_histogram(self, free2, aexp):
-        t = 0.37
-        value = hs.weighted_sum(free2, aexp, t, 4)
-        expected = sum(c * math.exp(t * v) for v, c in AEXP_HIST_N4.items())
-        assert value.real == pytest.approx(expected, rel=1e-12)
-        assert value.imag == 0.0
-
-    def test_zero_parameter_counts_words(self, free2, aexp):
-        assert hs.weighted_sum(free2, aexp, 0.0, 4) == pytest.approx(108.0)
-
-    def test_complex_parameter_is_bounded(self, free2, aexp):
-        value = hs.weighted_sum(free2, aexp, 1.3j, 6)
-        assert abs(value) <= 972.0 + 1e-9
-
     def test_log_sweep_matches_direct(self, free2, aexp):
         t = 0.8
         logs = hs.log_weighted_sum_sweep(free2, aexp, t, [2, 4, 6])
-        for log_value, n in zip(logs, [2, 4, 6]):
-            direct = hs.weighted_sum(free2, aexp, t, n).real
+        dists = hs.distribution_sweep(free2, aexp, [2, 4, 6])
+        for log_value, dist in zip(logs, dists):
+            direct = sum(
+                c * math.exp(t * v) for v, c in zip(dist.support, dist.counts)
+            )
             assert log_value == pytest.approx(math.log(direct), abs=1e-10)
 
 

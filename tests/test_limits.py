@@ -209,6 +209,12 @@ class TestMclt:
         with pytest.raises(hs.PreconditionError):
             hs.mclt_check(free2, free2_decomp, aexp, aexp_stats, [16])
 
+    def test_statistics_of_another_dimension_refused(
+        self, free2, free2_decomp, abel, aexp_stats
+    ):
+        with pytest.raises(hs.InvalidArgumentError, match="dimension 1"):
+            hs.mclt_check(free2, free2_decomp, abel, aexp_stats, [16])
+
     def test_explicit_cell(self, free2, free2_decomp, abel, abel_stats):
         cell = ((-3.0, 3.0), (-3.0, 3.0))
         report = hs.mclt_check(

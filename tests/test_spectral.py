@@ -89,7 +89,7 @@ class TestDriftAndVariance:
         assert aexp_stats.sigma2 == pytest.approx(1.0, abs=1e-6)
         assert not aexp_stats.degenerate
         assert aexp_stats.lam == pytest.approx(3.0, abs=1e-9)
-        assert aexp_stats.covariance is None
+        assert aexp_stats.covariance == ((aexp_stats.sigma2,),)
 
     def test_a_indicator(self, aind_stats):
         assert aind_stats.drift[0] == pytest.approx(0.25, abs=1e-7)
@@ -114,15 +114,14 @@ class TestCovarianceMatrix:
     def test_abelianization_identity(self, abel_stats):
         sigma = np.array(abel_stats.covariance)
         assert sigma == pytest.approx(np.eye(2), abs=1e-6)
-        assert abel_stats.positive_definite
         assert not abel_stats.degenerate
-        assert abel_stats.sigma2 is None
+        with pytest.raises(hs.InvalidArgumentError, match="scalar weights"):
+            abel_stats.sigma2
 
     def test_abelianization_drift_zero(self, abel_stats):
         assert abel_stats.drift == pytest.approx((0.0, 0.0), abs=1e-9)
 
     def test_rank_one_fails_positive_definite(self, rank1_stats):
-        assert not rank1_stats.positive_definite
         assert rank1_stats.degenerate
         sigma = np.array(rank1_stats.covariance)
         # all four entries are second derivatives of the same scalar curve,

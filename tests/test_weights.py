@@ -16,11 +16,7 @@ class TestHomomorphism:
         assert aexp.edge_values[("b", "a")] == (1,)
         assert aexp.edge_values[("b", "A")] == (-1,)
         assert aexp.edge_values[("a", "b")] == (0,)
-        assert aexp.integer_valued
-
-    def test_value_method_zeroes_augmentation(self, aexp):
-        assert aexp.value("b", "a") == (1,)
-        assert aexp.value("a", "0") == (0,)
+        assert hs.lattice_scale(aexp) == 1
 
     def test_uppercase_key_is_equivalent(self, free2, aexp):
         alt = hs.weights_from_homomorphism(free2, {"A": -1, "b": 0})
@@ -57,14 +53,14 @@ class TestWordLength:
         assert wordlen.dim == 1
         assert set(wordlen.edge_values.values()) == {(1.0,)}
         assert len(wordlen.edge_values) == len(free2.nonaugmentation_edges)
-        assert wordlen.integer_valued
+        assert hs.lattice_scale(wordlen) == 1
 
 
 class TestEdgeTable:
     def test_indicator_table(self, aind):
         assert aind.edge_values[("b", "a")] == (1,)
         assert aind.edge_values[("B", "A")] == (0,)
-        assert aind.integer_valued
+        assert hs.lattice_scale(aind) == 1
 
     def test_missing_edges_rejected(self, free2):
         with pytest.raises(hs.InvalidArgumentError, match="misses"):
@@ -77,22 +73,13 @@ class TestEdgeTable:
             hs.weights_from_edge_table(free2, table)
 
 
-class TestPathSum:
-    def test_matches_letter_sum(self, free2, aexp):
-        # the path * -> a -> a -> B spells "aaB" with a-exponent 2
-        assert hs.path_sum(free2, aexp, ["*", "a", "a", "B"]) == (2,)
-
-    def test_augmentation_edge_weighs_zero(self, free2, wordlen):
-        assert hs.path_sum(free2, wordlen, ["*", "a", "0", "0"]) == (1,)
-
-
 class TestRecenter:
     def test_exact_rational_shift(self, aind):
         shifted = hs.recenter(aind, Fraction(1, 4))
         assert shifted.edge_values[("b", "a")] == (0.75,)
         assert shifted.edge_values[("a", "b")] == (-0.25,)
         assert shifted.origin == "recentered"
-        assert not shifted.integer_valued
+        assert hs.lattice_scale(shifted) == 4
 
     def test_zero_drift_is_identity(self, aexp):
         assert hs.recenter(aexp, 0) is aexp
