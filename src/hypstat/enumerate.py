@@ -16,23 +16,28 @@ formed at report time.  Three value models are supported:
 * moment accumulation - first and second moments are computed by an exact
   sum recurrence without materializing the distribution.
 
-One packed engine enumerates every lattice, scalar or vector.  A vertex's
-count table is one big integer with one limb per slot, so a level is a few
-shifts and adds.  Vector values are flattened with strides, so no coordinate
-carries into the next; edges sharing a target and an offset are summed
-before one shift; limbs hold the largest sphere count so far plus a spare
-byte and widen geometrically by a numpy re-stride; ``interval_count_sweep``
-drops the slots that can reach no remaining window and counts ``#W_n`` from
-per-vertex path totals; and the peak live bytes are checked against
-``BYTE_BUDGET`` before the first level, so oversized requests raise
-``ResourceError`` instead of exhausting memory.
+One engine enumerates every lattice, scalar or vector.  A vertex's count
+table is a ``uint64`` array of 48-bit digits, one row per digit and one
+column per slot, so a level is a few numpy slice adds: an edge's offset is
+the start of a slice, and the 16 spare bits of each digit absorb the sums
+of the incoming edges, so carries are propagated only when they could
+overflow (every 10 levels on free:2).  Vector values are flattened with
+strides, so no coordinate carries into the next, and each axis is divided
+by the gcd of its offsets.  The digit count follows the largest sphere
+count so far; each target reuses two buffers sized before the first level;
+``interval_count_sweep`` keeps, as a slice view, only the slots that can
+still reach a remaining window and counts ``#W_n`` from per-vertex path
+totals; Python integers are built only for the wanted slots of the wanted
+levels; and the buffer bytes are checked against ``BYTE_BUDGET`` before
+they are allocated, so oversized requests raise ``ResourceError`` instead
+of exhausting memory.
 
 The one deliberate exception to exact counts is ``lattice_masses_2d``,
 which uses float64 accumulation for two-dimensional cell masses (exact
-below 2**53 paths, relative error about 1e-16 beyond); it exists only for
-cell-proportion checks where that error is negligible against the
-statistical tolerance, and at their radius (n = 200 on free:2) it takes
-about 0.3 s where the exact engine takes about 4 s.
+below 2**53 paths, relative error about 1e-16 per addition beyond); it
+exists only for cell-proportion checks where that error is negligible
+against the statistical tolerance, and at their radius (n = 200 on free:2)
+it takes about 0.2 s where the exact engine takes about 1 s.
 """
 
 from __future__ import annotations
@@ -55,13 +60,16 @@ from .coding import (
 from .errors import InvalidArgumentError, ResourceError
 from .weights import WeightAssignment, lattice_scale, scaled_integer_values
 
-#: cap on the bytes an exact lattice enumeration may hold live at its peak,
-#: checked before the first level (see the module docstring)
+#: cap on the bytes of the buffers an exact lattice enumeration allocates,
+#: checked before allocating them (see the module docstring)
 BYTE_BUDGET = 2**30
-#: prune a windowed level only once the slots outside its reach hull are at
-#: least 1/_PRUNE_SHARE of the state: a prune copies each packed state twice
-#: (shift and mask), while a level transition copies it about three times
-_PRUNE_SHARE = 8
+#: bits per digit of the exact engine: a uint64 holds one digit and leaves
+#: 16 bits for the sums of up to 65535 incoming edges between carries
+_DIGIT_BITS = 48
+_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
+#: carries are propagated before a level could push a digit past this (one
+#: carry pass then adds at most 2**16 - 1 to a digit without overflow)
+_DIGIT_CEILING = 2**64 - 2**16
 #: cap on total words enumerated by the brute-force oracle
 _BRUTE_FORCE_GUARD = 10**7
 #: denominator of the default bin width for real scalar weights
@@ -244,41 +252,41 @@ def _value_range(transitions: Sequence[tuple[str, str, tuple[int, ...]]], j: int
 
 
 # ---------------------------------------------------------------------------
-# Packed lattice engine
+# Digit-plane lattice engine
 # ---------------------------------------------------------------------------
 
 
 def _flatten(transitions: Sequence[tuple[str, str, tuple[int, ...]]], n_max: int):
-    """``(edges, step, value)`` of the value lattice flattened with strides.
+    """``(edges, step, value, axes)`` of the value lattice flattened with strides.
 
-    An edge's offset is ``sum_j (v_j - low_j) * stride_j``, where the strides
-    multiply the spans ``n_max * (high_j - low_j) + 1``; ``step`` bounds the
-    offsets, and ``value(level, slot)`` decodes a slot to its scaled value.
+    Axis ``j`` divides the offsets ``v_j - low_j`` by their gcd ``g_j``, so a
+    reachable value is ``L * low_j + g_j * k``.  An edge's offset is
+    ``sum_j (v_j - low_j) / g_j * stride_j``, where the strides multiply the
+    spans ``n_max * (high_j - low_j) / g_j + 1``; ``step`` bounds the
+    offsets, ``value(level, slot)`` decodes a slot to its scaled value, and
+    ``axes`` lists ``(low_j, g_j, stride_j, span_j)``.
     """
     axes, stride, step = [], 1, 0
     for j in range(len(transitions[0][2]) if transitions else 1):
         low, high = _value_range(transitions, j)
-        axes.append((low, stride, n_max * (high - low) + 1))
-        step += (high - low) * stride
-        stride *= axes[-1][2]
+        g = math.gcd(*(t[2][j] - low for t in transitions)) or 1
+        axes.append((low, g, stride, n_max * (high - low) // g + 1))
+        step += (high - low) // g * stride
+        stride *= axes[-1][3]
     edges = [
-        (source, target, sum((v - low) * s for v, (low, s, _) in zip(vec, axes)))
+        (
+            source,
+            target,
+            sum((v - low) // g * s for v, (low, g, s, _) in zip(vec, axes)),
+        )
         for source, target, vec in transitions
     ]
     if len(axes) == 1:
-        return edges, step, lambda level, i: level * axes[0][0] + i
+        low, g = axes[0][:2]
+        return edges, step, lambda level, i: level * low + g * i, axes
     return edges, step, lambda level, i: tuple(
-        level * low + (i // s) % span for low, s, span in axes
-    )
-
-
-def _restride(packed: int, old: int, new: int) -> int:
-    """Re-pack ``old``-byte limbs as zero-padded ``new``-byte limbs."""
-    slots = -(-packed.bit_length() // (8 * old))
-    rows = np.frombuffer(packed.to_bytes(slots * old, "little"), dtype=np.uint8)
-    wide = np.zeros((slots, new), dtype=np.uint8)
-    wide[:, :old] = rows.reshape(slots, old)
-    return int.from_bytes(wide.tobytes(), "little")
+        level * low + g * ((i // s) % span) for low, g, s, span in axes
+    ), axes
 
 
 def _check_budget(live: int, what: str) -> None:
@@ -289,57 +297,124 @@ def _check_budget(live: int, what: str) -> None:
         )
 
 
-def _packed_levels(
+def _carry(planes: np.ndarray) -> None:
+    """Propagate carries in place, so every digit but the top is below 2**48.
+
+    The top digit needs no mask: the planes have enough digits for every
+    count they hold, so nothing carries out of it.
+    """
+    for d in range(len(planes) - 1):
+        planes[d + 1] += planes[d] >> _DIGIT_BITS
+        planes[d] &= _DIGIT_MASK
+
+
+def _digit_levels(
     coding: MarkovCoding,
     edges: list[tuple[str, str, int]],
     step: int,
     n_max: int,
     keep: list[tuple[int, int]] | None = None,
-) -> Iterator[tuple[int, int, dict[str, int], int, int]]:
-    """Packed lattice DP; yields ``(level, first, state, limb_bytes, total)``.
+) -> Iterator[tuple[int, int, dict[str, np.ndarray], int]]:
+    """Digit-plane lattice DP; yields ``(level, first, state, total)``.
 
-    Limb ``i`` of ``state[v]`` counts the paths ending at ``v`` in slot
-    ``first + i`` (slot 0 is the level's least reachable value); ``total``
-    counts every path of the level, pruned or not.  ``keep[L]``, when given,
-    is the inclusive slot range still needed at level ``L``.
+    ``state[v]`` is a ``uint64`` array of shape ``(digits, slots)``: column
+    ``i`` counts the paths ending at ``v`` in slot ``first + i`` (slot 0 is
+    the level's least reachable value) as ``sum_d state[v][d, i] << 48 d``,
+    carries not yet propagated.  ``total`` counts every path of the level,
+    pruned or not.  ``keep[L]``, when given, is the inclusive slot range
+    still needed at level ``L``.  The arrays are views of two buffers per
+    target, reused every other level: read or copy them before advancing.
     """
-    counts = sphere_counts(coding, n_max)
-    widths = list(accumulate(((c.bit_length() + 15) // 8 for c in counts), max))
-    kept = n_max * step + 1
-    if keep is not None:
-        kept = max(min(b, L * step) - max(a, 0) + 1 for L, (a, b) in enumerate(keep))
-    factor = 2 * len(coding.core_vertices) + 2
-    _check_budget(max(kept, 0) * widths[-1] * factor, "the lattice enumeration")
-    groups: dict[tuple[str, int], list[str]] = {}
+    groups: dict[str, dict[int, list[str]]] = {}
     for source, target, offset in edges:
-        groups.setdefault((target, offset), []).append(source)
-    limb, first, top = widths[0], 0, 0
-    state, paths = {START_VERTEX: 1}, {START_VERTEX: 1}
+        groups.setdefault(target, {}).setdefault(offset, []).append(source)
+    indegree = max((sum(map(len, g.values())) for g in groups.values()), default=1)
+    if indegree >= 2**16:
+        raise ResourceError(
+            f"a vertex with {indegree} incoming edges could overflow a 64-bit "
+            "digit in one level; the exact engine takes in-degrees below 65536"
+        )
+    counts = sphere_counts(coding, n_max)
+    bits = (c.bit_length() for c in counts)
+    digits = list(accumulate((-(-b // _DIGIT_BITS) for b in bits), max))
+    # the kept range (first, top) and the unpruned width of every level
+    first, top, spans = 0, 0, []
     for level in range(n_max + 1):
         if level:
-            if widths[level] > limb:
-                wider = min(widths[-1], max(widths[level], 2 * limb))
-                state = {v: _restride(p, limb, wider) for v, p in state.items()}
-                limb = wider
-            nxt, nxt_paths = {}, {}
-            for (target, offset), sources in groups.items():
-                count = sum(paths.get(s, 0) for s in sources)
-                nxt_paths[target] = nxt_paths.get(target, 0) + count
-                present = [state[s] for s in sources if s in state]
-                if present:
-                    shifted = sum(present[1:], present[0]) << (8 * limb * offset)
-                    nxt[target] = nxt[target] + shifted if target in nxt else shifted
-            state, paths, top = nxt, nxt_paths, top + step
+            top += step
+        width = top - first + 1
         if keep is not None:
-            lo, hi = keep[level]
-            drop = max(0, lo - first)
-            if _PRUNE_SHARE * (drop + max(0, top - hi)) > top - first:
-                first += drop
-                top = max(first - 1, min(top, hi))
-                mask = (1 << (8 * limb * (top - first + 1))) - 1
-                state = {v: (p >> (8 * limb * drop)) & mask for v, p in state.items()}
-                state = {v: p for v, p in state.items() if p}
-        yield level, first, state, limb, sum(paths.values())
+            first = max(first, keep[level][0])
+            top = max(first - 1, min(top, keep[level][1]))
+        spans.append((first, top, width))
+    size = max((digits[L] * spans[L][2] for L in range(1, n_max + 1)), default=0)
+    _check_budget(2 * len(groups) * size * 8, "the lattice enumeration")
+    buffers = {
+        t: (np.empty(size, np.uint64), np.empty(size, np.uint64)) for t in groups
+    }
+    state = {START_VERTEX: np.ones((1, 1), np.uint64)}
+    paths, bound = {START_VERTEX: 1}, 1
+    for level, (first, top, width) in enumerate(spans):
+        if level:
+            if bound * indegree > _DIGIT_CEILING:
+                for planes in state.values():
+                    _carry(planes)
+                bound = _DIGIT_MASK
+            rows, nxt, nxt_paths = digits[level], {}, {}
+            for target, parts in groups.items():
+                sources = [s for p in parts.values() for s in p]
+                nxt_paths[target] = sum(paths.get(s, 0) for s in sources)
+                live = [
+                    (off, srcs)
+                    for off, sources in parts.items()
+                    if (srcs := [state[s] for s in sources if s in state])
+                ]
+                if not live:
+                    continue
+                dst = buffers[target][level % 2][: rows * width].reshape(rows, width)
+                # the first offset group writes its region and the rest of
+                # dst is zeroed: one pass fewer than zeroing it all first
+                (off, srcs), *others = live
+                height, w = srcs[0].shape
+                dst[:, :off] = 0
+                dst[:, off + w :] = 0
+                dst[height:, off : off + w] = 0
+                region = dst[:height, off : off + w]
+                if len(srcs) == 1:
+                    np.copyto(region, srcs[0])
+                else:
+                    np.add(srcs[0], srcs[1], out=region)
+                for off, more in [(off, srcs[2:]), *others]:
+                    region = dst[:height, off : off + w]
+                    for src in more:
+                        region += src
+                nxt[target] = dst
+            state, paths, bound = nxt, nxt_paths, bound * indegree
+        if keep is not None:
+            drop = first - spans[level - 1][0] if level else first
+            state = {v: p[:, drop : drop + top - first + 1] for v, p in state.items()}
+        yield level, first, state, sum(paths.values())
+
+
+def _slot_counts(
+    state: dict[str, np.ndarray], a: int, b: int
+) -> tuple[list[int], list[int]]:
+    """Columns ``a..b`` summed over the vertices: nonzero columns and counts."""
+    planes = list(state.values())
+    b = min(b, planes[0].shape[1] - 1) if planes else -1
+    if b < a:
+        return [], []
+    acc = np.zeros((planes[0].shape[0], b - a + 1), np.uint64)
+    for plane in planes:
+        part = plane[:, a : b + 1].copy()
+        _carry(part)
+        acc += part
+        _carry(acc)
+    columns = np.flatnonzero(acc.any(axis=0))
+    counts = [0] * len(columns)
+    for row in acc[::-1, columns].tolist():
+        counts = [(c << _DIGIT_BITS) + d for c, d in zip(counts, row)]
+    return columns.tolist(), counts
 
 
 # ---------------------------------------------------------------------------
@@ -404,39 +479,31 @@ def _sweep(
     else:
         table = _quantized_values(weights, width)
     transitions = _transitions(coding, table, _allowed_vertices(coding, avoiding))
-    edges, step, value = _flatten(transitions, n_max)
-    low, high = _value_range(transitions, 0)
-    keep = None
+    edges, step, value, axes = _flatten(transitions, n_max)
+    keep = slots = None
     if windows is not None:
-        # the hull of the slots of level L that can still reach a window
+        # each window in slots of its level, then the hull of the slots of
+        # level L that can still reach a window
+        low, g = axes[0][:2]
+        slots = {
+            n: (-((n * low - lo) // g), (hi - n * low) // g)
+            for n, (lo, hi) in windows.items()
+        }
         keep = []
         for L in range(n_max + 1):
-            ends = [
-                (lo - (n - L) * high - L * low, hi - (n - L) * low - L * low)
-                for n, (lo, hi) in windows.items()
-                if n >= L
-            ]
+            ends = [(a - (n - L) * step, b) for n, (a, b) in slots.items() if n >= L]
             keep.append((min(e[0] for e in ends), max(e[1] for e in ends)))
     out, wanted = [], set(order)
-    for level, first, state, limb, total in _packed_levels(
-        coding, edges, step, n_max, keep
-    ):
+    for level, first, state, total in _digit_levels(coding, edges, step, n_max, keep):
         if level not in wanted:
             continue
-        packed = sum(state.values())
-        if windows is not None:
+        a, b = 0, level * step
+        if slots is not None:
             # cut this level's own window out of the reach hull
-            lo, hi = (q - level * low - first for q in windows[level])
-            lo = max(lo, 0)
-            mask = (1 << (8 * limb * (hi - lo + 1))) - 1 if hi >= lo else 0
-            packed, first = (packed >> (8 * limb * lo)) & mask, first + lo
-        slots = -(-packed.bit_length() // (8 * limb))
-        view = memoryview(packed.to_bytes(slots * limb, "little"))
-        raw = {}
-        for i in range(slots):
-            count = int.from_bytes(view[i * limb : (i + 1) * limb], "little")
-            if count:
-                raw[value(level, first + i)] = count
+            a, b = slots[level]
+        a = max(a - first, 0)
+        columns, counts = _slot_counts(state, a, b - first)
+        raw = {value(level, first + a + i): c for i, c in zip(columns, counts)}
         support = tuple(sorted(raw))
         counts = tuple(raw[q] for q in support)
         dist = (level, weights.dim, kind, support, counts, total, scale, width, 0)
@@ -730,11 +797,10 @@ def lattice_masses_2d(
     q2 = _value_range(transitions, 1)
     r1 = n * (q1[1] - q1[0]) + 1
     r2 = n * (q2[1] - q2[0]) + 1
-    _check_budget(
-        r1 * r2 * 8 * (2 * len(coding.core_vertices) + 2), "the 2-d cell masses"
-    )
-    state = {START_VERTEX: np.zeros((1, 1))}
-    state[START_VERTEX][0, 0] = 1.0
+    targets = dict.fromkeys(t for _s, t, _v in transitions)
+    _check_budget(r1 * r2 * 8 * (2 * len(targets) + 1), "the 2-d cell masses")
+    buffers = {t: (np.empty(r1 * r2), np.empty(r1 * r2)) for t in targets}
+    state = {START_VERTEX: np.ones((1, 1))}
     for level in range(1, n + 1):
         rows = level * (q1[1] - q1[0]) + 1
         cols = level * (q2[1] - q2[0]) + 1
@@ -745,7 +811,9 @@ def lattice_masses_2d(
                 continue
             dst = nxt.get(target)
             if dst is None:
-                dst = nxt[target] = np.zeros((rows, cols))
+                dst = buffers[target][level % 2][: rows * cols].reshape(rows, cols)
+                dst.fill(0.0)
+                nxt[target] = dst
             i = value[0] - q1[0]
             j = value[1] - q2[0]
             dst[i : i + src.shape[0], j : j + src.shape[1]] += src

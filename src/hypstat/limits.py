@@ -900,14 +900,16 @@ def mclt_check(
     are two-dimensional lattice, each requested cell's exact proportion is
     compared with the Gaussian rectangle mass (absolute tolerance 0.01,
     continuity-corrected on cell boundaries).  Cells use ``None`` for an
-    infinite bound.
+    infinite bound; the default is the lower quadrant for 2-d weights and
+    no cell otherwise.
 
     Raises
     ------
     PreconditionError
         If ``weights.dim < 2``.
     InvalidArgumentError
-        If ``stats`` has a dimension other than ``weights.dim``.
+        If ``stats`` has a dimension other than ``weights.dim``, or cells
+        are given for weights that are not 2-d.
     """
     if weights.dim < 2:
         raise PreconditionError(
@@ -966,9 +968,11 @@ def mclt_check(
         "lam": stats.lam,
         "positive_definite": not stats.degenerate,
     }
-    cells = (
-        [((None, 0.0), (None, 0.0))] if cell_grid is None else list(cell_grid)
-    )
+    if cell_grid is not None:
+        cells = list(cell_grid)
+    else:
+        # the lower quadrant by default; cells exist for 2-d weights only
+        cells = [((None, 0.0), (None, 0.0))] if k == 2 else []
     cell_rows = []
     if not stats.degenerate and cells:
         if k != 2:

@@ -154,6 +154,20 @@ class TestPipelines:
         doc = json.loads(out)
         assert doc["passed"] is False
 
+    def test_three_dimensional_mclt_checks_covariance_only(self, capsys):
+        argv = ["mclt", "--coding", "free:3", "--weights",
+                "hom:a=1|0|0,b=0|1|0,c=0|0|1", "--ngrid", "10,20"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["params"]["cell_grid"] == []
+        assert [c["name"] for c in doc["checks"]] == [
+            "covariance-agreement", "sigma-positive-definite"]
+        # an explicit cell still needs 2-d weights
+        code, _out, err = run_cli(capsys, argv + ["--cell=-inf,0,-inf,0"])
+        assert code == 3
+        assert "2-d" in err
+
     def test_lattice_llt_exits_three(self, capsys):
         code, _out, err = run_cli(
             capsys,
@@ -297,7 +311,8 @@ class TestUsageErrors:
         assert err != ""
 
     def test_oversized_dist_exits_three_at_once(self, capsys):
-        # 22.6M slots of about 400-byte limbs: some 20 GB if it were allocated
+        # the offsets share a factor 2, which leaves 2.83M slots of 67 48-bit
+        # digits in eight ping-pong buffers: 12 GB if it were allocated
         start = time.perf_counter()
         code, _out, err = run_cli(
             capsys,

@@ -1,16 +1,18 @@
-"""Property tests for the packed lattice engine of ``hypstat.enumerate``.
+"""Property tests for the digit-plane lattice engine of ``hypstat.enumerate``.
 
 Random integer and dyadic-rational edge tables of dimension 1 to 3 on
 free:1, free:2, the mirror fixture and a Z/2*Z/3 coding are enumerated by
 the engine and compared with the brute-force word walk (n <= 8), with the
-dict-per-vertex DP the engine replaced (``oracles.dict_lattice_counts``,
-n <= 40, which crosses several limb widths), and, for interval windows,
-with the full distribution restricted to each window.
+dict-per-vertex DP (``oracles.dict_lattice_counts``, n <= 40), and, for
+interval windows, with the full distribution restricted to each window.
+Fixed cases cover counts of several 48-bit digits with deferred carries,
+offsets with a common factor, and the float 2-d masses.
 """
 
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,12 @@ from hypothesis import strategies as st
 import hypstat as hs
 import oracles
 from conftest import build_mirror_coding
-from hypstat.enumerate import _packed_levels, interval_count_sweep
+from hypstat.enumerate import (
+    _digit_levels,
+    _flatten,
+    _transitions,
+    interval_count_sweep,
+)
 
 # Z/2 * Z/3: s has order 2, t and T = t^-1 generate the order-3 factor, so
 # reduced words alternate s with t or T; the one component has period 2
@@ -64,6 +71,43 @@ def histogram(dist):
     return dict(zip(dist.support_scaled, dist.counts))
 
 
+def flattened(coding, weights, n_max):
+    """The engine's ``(edges, step, value, axes)`` for a lattice weight."""
+    table = hs.scaled_integer_values(weights, hs.lattice_scale(weights))
+    return _flatten(_transitions(coding, table, set(coding.core_vertices)), n_max)
+
+
+def assert_equal_to_dict_oracle(coding, weights, ns):
+    """The engine's distributions equal ``oracles.dict_lattice_counts``."""
+    table = hs.scaled_integer_values(weights, hs.lattice_scale(weights))
+    edges = [
+        (e.source, e.target, table[(e.source, e.target)])
+        for e in coding.nonaugmentation_edges
+    ]
+    expected = oracles.dict_lattice_counts(edges, hs.START_VERTEX, ns)
+    dists = hs.distribution_sweep(coding, weights, ns)
+    for dist in dists:
+        keyed = {
+            (q if dist.dim > 1 else (q,)): c
+            for q, c in zip(dist.support_scaled, dist.counts)
+        }
+        assert keyed == expected[dist.n]
+        assert dist.total == sum(expected[dist.n].values())
+    return dists
+
+
+def offsets_with_common_factor(coding, g, dim):
+    """An edge table whose offsets from the least value share the factor g
+    on the first axis (and 5 - g on the second), off a nonzero base."""
+    table = {}
+    for i, e in enumerate(coding.nonaugmentation_edges):
+        first = 1 + g * (i % 4 - 1)
+        table[(e.source, e.target)] = (
+            first if dim == 1 else (first, -2 + (5 - g) * (i % 3))
+        )
+    return hs.weights_from_edge_table(coding, table)
+
+
 class TestAgainstOracles:
     @EXAMPLES
     @given(weight_cases(), st.integers(0, 8))
@@ -86,31 +130,55 @@ class TestAgainstOracles:
     def test_equals_retired_dict_dp(self, data):
         coding, weights = data.draw(weight_cases())
         n = data.draw(st.integers(0, 40 if weights.dim == 1 else 12))
-        ns = {n // 3, n}
-        dists = hs.distribution_sweep(coding, weights, ns)
-        table = hs.scaled_integer_values(weights, dists[0].scale)
-        edges = [
-            (e.source, e.target, table[(e.source, e.target)])
-            for e in coding.nonaugmentation_edges
-        ]
-        expected = oracles.dict_lattice_counts(edges, hs.START_VERTEX, ns)
-        for dist in dists:
-            keyed = {
-                (q if dist.dim > 1 else (q,)): c
-                for q, c in zip(dist.support_scaled, dist.counts)
-            }
-            assert keyed == expected[dist.n]
-            assert dist.total == sum(expected[dist.n].values())
+        assert_equal_to_dict_oracle(coding, weights, {n // 3, n})
 
 
-class TestLimbWidths:
-    def test_free2_to_forty_crosses_three_widths(self):
-        coding = CODINGS["free2"]
-        edges = [(e.source, e.target, 0) for e in coding.nonaugmentation_edges]
-        widths = [limb for _l, _f, _s, limb, _t in _packed_levels(coding, edges, 0, 40)]
-        # 2 bytes at the start, 9 at #W_40 = 4 * 3^39 (63 bits plus a spare byte)
-        assert sorted(set(widths)) == [2, 4, 8, 9]
-        assert widths == sorted(widths)
+class TestDigitPlanes:
+    def test_free5_carries_every_five_levels_to_forty(self):
+        # in-degree 9, so carries are propagated every 5 levels (9**5 digit
+        # sums fit in 64 bits, 9**6 do not); #W_40 = 10 * 9**39 has 127 bits
+        coding = hs.build_free_group_coding(5)
+        weights = hs.weights_from_homomorphism(
+            coding, {"a": 1, "b": 2, "c": 0, "d": -1, "e": 3}
+        )
+        dists = assert_equal_to_dict_oracle(coding, weights, {7, 23, 40})
+        assert max(dists[-1].counts).bit_length() > 2 * 48
+        edges, step, _value, _axes = flattened(coding, weights, 40)
+        levels = _digit_levels(coding, edges, step, 40)
+        top = max(int(p.max()) for *_, state, _t in levels for p in state.values())
+        # deferred carries leave digits above 2**48 between propagations
+        assert top >= 2**48
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_common_factor_of_the_offsets(self, free2, g, dim):
+        weights = offsets_with_common_factor(free2, g, dim)
+        _edges, _step, _value, axes = flattened(free2, weights, 20)
+        assert [axis[1] for axis in axes] == [g, 5 - g][:dim]
+        assert_equal_to_dict_oracle(free2, weights, {0, 1, 6, 20})
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_windows_on_a_common_factor(self, free2, g):
+        weights = offsets_with_common_factor(free2, g, 1)
+        ns = [4, 9, 15]
+        full = hs.distribution_sweep(free2, weights, ns)
+        for lo, hi in [(0, 0), (1, 1), (-5, 6), (-3, -2), (2, 2 + g)]:
+            cut = interval_count_sweep(free2, weights, ns, None, [lo] * 3, [hi] * 3)
+            for whole, part in zip(full, cut):
+                assert histogram(part) == {
+                    q: c for q, c in histogram(whole).items() if lo <= q <= hi
+                }
+                assert part.total == whole.total
+
+    def test_masses_2d_match_exact_counts(self, free2, abel):
+        base1, base2, _scale, masses = hs.lattice_masses_2d(free2, abel, 40)
+        exact = hs.distribution(free2, abel, 40)
+        expected = np.zeros_like(masses)
+        for (x, y), c in zip(exact.support_scaled, exact.counts):
+            expected[x - base1, y - base2] = float(c)
+        # counts pass 2**53, so the float sums round
+        assert max(exact.counts) > 2**53
+        assert np.allclose(masses, expected, rtol=1e-15, atol=0.0)
 
 
 class TestWindows:

@@ -215,6 +215,25 @@ class TestMclt:
         with pytest.raises(hs.InvalidArgumentError, match="dimension 1"):
             hs.mclt_check(free2, free2_decomp, abel, aexp_stats, [16])
 
+    def test_three_dimensional_weights_check_covariance_only(self):
+        free3 = hs.build_free_group_coding(3)
+        decomp = hs.decompose_components(free3)
+        weights = hs.weights_from_homomorphism(
+            free3, {"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1)}
+        )
+        stats = hs.limit_statistics(free3, decomp, weights)
+        report = hs.mclt_check(free3, decomp, weights, stats, [10, 20])
+        assert report.passed
+        assert [c["name"] for c in report.checks] == [
+            "covariance-agreement",
+            "sigma-positive-definite",
+        ]
+        assert report.params["cell_grid"] == []
+        assert report.theory["cells"] == []
+        cell = ((None, 0.0), (None, 0.0))
+        with pytest.raises(hs.InvalidArgumentError, match="2-d"):
+            hs.mclt_check(free3, decomp, weights, stats, [10], cell_grid=[cell])
+
     def test_explicit_cell(self, free2, free2_decomp, abel, abel_stats):
         cell = ((-3.0, 3.0), (-3.0, 3.0))
         report = hs.mclt_check(
