@@ -87,10 +87,6 @@ class MarkovCoding:
     augmented: bool
 
     @cached_property
-    def vertex_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.vertices)}
-
-    @cached_property
     def core_vertices(self) -> tuple[str, ...]:
         """Vertices of ``B``: everything except ``"*"`` and ``"0"``."""
         return tuple(v for v in self.vertices if v not in (START_VERTEX, ZERO_VERTEX))

@@ -21,23 +21,21 @@ table is a ``uint64`` array of 48-bit digits, one row per digit and one
 column per slot, so a level is a few numpy slice adds: an edge's offset is
 the start of a slice, and the 16 spare bits of each digit absorb the sums
 of the incoming edges, so carries are propagated only when they could
-overflow (every 10 levels on free:2).  Vector values are flattened with
-strides, so no coordinate carries into the next, and each axis is divided
-by the gcd of its offsets.  The digit count follows the largest sphere
-count so far; each target reuses two buffers sized before the first level;
-``interval_count_sweep`` keeps, as a slice view, only the slots that can
-still reach a remaining window and counts ``#W_n`` from per-vertex path
-totals; Python integers are built only for the wanted slots of the wanted
-levels; and the buffer bytes are checked against ``BYTE_BUDGET`` before
-they are allocated, so oversized requests raise ``ResourceError`` instead
-of exhausting memory.
+overflow (every 10 levels on free:2).  Values are enumerated in a reduced
+basis of the lattice their offsets span (an echelon basis, pairwise
+Lagrange-Gauss reduced, then changed while a move lowers the slots of a
+level; for scalar weights it is the gcd of the offsets), and coordinates
+in that basis are flattened with strides, so no coordinate carries into
+the next and the abelianization of free:2 fills its box exactly.  Every
+change of basis is integer and unimodular, so the counts stay exact.
 
-The one deliberate exception to exact counts is ``lattice_masses_2d``,
-which uses float64 accumulation for two-dimensional cell masses (exact
-below 2**53 paths, relative error about 1e-16 per addition beyond); it
-exists only for cell-proportion checks where that error is negligible
-against the statistical tolerance, and at their radius (n = 200 on free:2)
-it takes about 0.2 s where the exact engine takes about 1 s.
+The digit count follows the largest sphere count so far; each target
+reuses two buffers sized before the first level; ``interval_count_sweep``
+keeps, as a slice view, only the slots that can still reach a remaining
+window and counts ``#W_n`` from per-vertex path totals; Python integers are
+built only for the wanted slots of the wanted levels; and the buffer bytes
+are checked against ``BYTE_BUDGET`` before they are allocated, so
+oversized requests raise ``ResourceError`` instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, permutations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -171,32 +169,18 @@ class WordDistribution:
     def moments(self) -> MomentData:
         """Exact moment sums computed from the support and counts."""
         k = self.dim
-        if k == 1:
-            rows = [((q,), c) for q, c in zip(self.support_scaled, self.counts)]
-        else:
-            rows = list(zip(self.support_scaled, self.counts))
-        first_raw = [0] * k
-        second_raw = [[0] * k for _ in range(k)]
-        for vec, c in rows:
-            for j in range(k):
-                first_raw[j] += c * vec[j]
-                for l in range(k):
-                    second_raw[j][l] += c * vec[j] * vec[l]
+        vecs = self.support_scaled if k > 1 else [(q,) for q in self.support_scaled]
+        rows = list(zip(vecs, self.counts))
+        first = [sum(c * v[j] for v, c in rows) for j in range(k)]
+        second = [[sum(c * v[j] * v[l] for v, c in rows) for l in range(k)] for j in range(k)]
         if self.kind == "exact-lattice":
-            denom1, denom2 = self.scale, self.scale**2
-            first = tuple(_exact_div(x, denom1) for x in first_raw)
-            second = tuple(
-                tuple(_exact_div(x, denom2) for x in row) for row in second_raw
-            )
+            first = [_exact_div(x, self.scale) for x in first]
+            second = [[_exact_div(x, self.scale**2) for x in row] for row in second]
         else:
             width = self.bin_width
-            first = tuple(float(x) * width for x in first_raw)
-            second = tuple(
-                tuple(float(x) * width * width for x in row) for row in second_raw
-            )
-        return MomentData(
-            n=self.n, dim=k, count=self.total, first=first, second=second
-        )
+            first = [float(x) * width for x in first]
+            second = [[float(x) * width * width for x in row] for row in second]
+        return MomentData(self.n, k, self.total, tuple(first), tuple(map(tuple, second)))
 
     def proportions(self) -> tuple[float, ...]:
         """Counts over total as correctly rounded floats."""
@@ -246,47 +230,131 @@ def _transitions(
     return out
 
 
-def _value_range(transitions: Sequence[tuple[str, str, tuple[int, ...]]], j: int):
-    values = [t[2][j] for t in transitions]
-    return (min(values), max(values)) if values else (0, 0)
-
-
 # ---------------------------------------------------------------------------
 # Digit-plane lattice engine
 # ---------------------------------------------------------------------------
 
 
-def _flatten(transitions: Sequence[tuple[str, str, tuple[int, ...]]], n_max: int):
-    """``(edges, step, value, axes)`` of the value lattice flattened with strides.
+def _dot(u: Sequence, v: Sequence):
+    return sum(x * y for x, y in zip(u, v))
 
-    Axis ``j`` divides the offsets ``v_j - low_j`` by their gcd ``g_j``, so a
-    reachable value is ``L * low_j + g_j * k``.  An edge's offset is
-    ``sum_j (v_j - low_j) / g_j * stride_j``, where the strides multiply the
-    spans ``n_max * (high_j - low_j) / g_j + 1``; ``step`` bounds the
-    offsets, ``value(level, slot)`` decodes a slot to its scaled value, and
-    ``axes`` lists ``(low_j, g_j, stride_j, span_j)``.
+
+def _echelon(diffs: list[list[int]], k: int):
+    """``(basis, coords)``: an echelon basis of the lattice the diffs span.
+
+    Integer row reduction column by column (the Hermite normal form without
+    its reduction above the pivots); ``coords[e]`` are the integer
+    coordinates of ``diffs[e]``, read off the pivots by forward substitution.
     """
+    rows, basis, pivots = [list(v) for v in diffs], [], []
+    for col in range(k):
+        live = [r for r in rows if r[col]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not pivot:
+                    q = r[col] // pivot[col]
+                    r[:] = [a - q * b for a, b in zip(r, pivot)]
+            live = [r for r in live if r[col]]
+        if live:
+            rows = [r for r in rows if r is not live[0]]
+            basis.append(live[0])
+            pivots.append(col)
+    coords = []
+    for d in diffs:
+        c = []
+        for b, p in zip(basis, pivots):
+            c.append(d[p] // b[p])
+            d = [x - c[-1] * y for x, y in zip(d, b)]
+        coords.append(c)
+    return basis, coords
+
+
+def _reduced_basis(diffs: list[list[int]], k: int, n_max: int):
+    """``(basis, coords)`` of the lattice spanned by ``diffs``, small box.
+
+    Every change is a move ``b_i -= q b_j``, ``c_j += q c_i``, which keeps
+    each diff the same vector.  The echelon basis is pairwise reduced
+    (Lagrange-Gauss: ``q`` rounds ``<b_i, b_j> / <b_j, b_j>``), then moves
+    with ``q = +-1`` are made, the best first, while one lowers the slots
+    of a level, ``prod_i (n_max * range_i + 1)`` with ``range_i`` the
+    spread of ``c_i`` over the diffs.  Each basis vector's first nonzero
+    entry is positive, so a scalar lattice gets ``(gcd of the diffs,)``.
+    """
+    basis, coords = _echelon(diffs, k)
+    pairs = list(permutations(range(len(basis)), 2))
+
+    def move(i: int, j: int, q: int) -> None:
+        basis[i] = [x - q * y for x, y in zip(basis[i], basis[j])]
+        for c in coords:
+            c[j] += q * c[i]
+
+    def slots(i: int, j: int, q: int) -> int:
+        columns = [list(x) for x in zip(*coords)]
+        if q:
+            columns[j] = [a + q * b for a, b in zip(columns[j], columns[i])]
+        return math.prod(n_max * (max(x) - min(x)) + 1 for x in columns)
+
+    reduced = False
+    while not reduced:
+        reduced = True
+        for i, j in pairs:
+            q = round(Fraction(_dot(basis[i], basis[j]), _dot(basis[j], basis[j])))
+            if q:
+                move(i, j, q)
+                reduced = False
+    while pairs:
+        fewest, i, j, q = min((slots(i, j, q), i, j, q) for i, j in pairs for q in (1, -1))
+        if fewest >= slots(0, 0, 0):
+            break
+        move(i, j, q)
+    for j, b in enumerate(basis):
+        if next(x for x in b if x) < 0:
+            basis[j] = [-x for x in b]
+            for c in coords:
+                c[j] = -c[j]
+    return basis, coords
+
+
+def _flatten(transitions: Sequence[tuple[str, str, tuple[int, ...]]], n_max: int):
+    """``(edges, step, value, origin, basis)`` of the flattened value lattice.
+
+    The offsets ``v_e - v_0`` from the first edge's value have coordinates
+    ``c_e`` in the basis ``b_i`` of ``_reduced_basis`` (rank ``r``, so the
+    box is ``r``-dimensional).  A value at level ``L`` is ``L * origin +
+    sum_i k_i b_i``, ``origin = v_0 + sum_i low_i b_i``, ``low_i = min_e
+    c_ei``, ``0 <= k_i <= L * (high_i - low_i)``.  An edge's offset is
+    ``sum_i (c_ei - low_i) * stride_i``, the strides multiplying the spans
+    ``n_max * (high_i - low_i) + 1``; ``step`` bounds the offsets, and
+    ``value(level, slots)`` decodes slots to exact scaled values.
+    """
+    k = len(transitions[0][2]) if transitions else 1
+    v0 = transitions[0][2] if transitions else (0,) * k
+    diffs = [[a - b for a, b in zip(vec, v0)] for *_, vec in transitions]
+    basis, coords = _reduced_basis(diffs, k, n_max)
     axes, stride, step = [], 1, 0
-    for j in range(len(transitions[0][2]) if transitions else 1):
-        low, high = _value_range(transitions, j)
-        g = math.gcd(*(t[2][j] - low for t in transitions)) or 1
-        axes.append((low, g, stride, n_max * (high - low) // g + 1))
-        step += (high - low) // g * stride
-        stride *= axes[-1][3]
-    edges = [
-        (
-            source,
-            target,
-            sum((v - low) // g * s for v, (low, g, s, _) in zip(vec, axes)),
-        )
-        for source, target, vec in transitions
+    for i in range(len(basis)):
+        low, high = min(c[i] for c in coords), max(c[i] for c in coords)
+        axes.append((low, stride, n_max * (high - low) + 1))
+        step += (high - low) * stride
+        stride *= axes[-1][2]
+    origin = [
+        v0[t] + sum(low * b[t] for (low, *_), b in zip(axes, basis)) for t in range(k)
     ]
-    if len(axes) == 1:
-        low, g = axes[0][:2]
-        return edges, step, lambda level, i: level * low + g * i, axes
-    return edges, step, lambda level, i: tuple(
-        level * low + g * ((i // s) % span) for low, g, s, span in axes
-    ), axes
+    edges = [
+        (source, target, sum((x - low) * s for x, (low, s, _) in zip(c, axes)))
+        for (source, target, _vec), c in zip(transitions, coords)
+    ]
+
+    def value(level: int, slots: np.ndarray) -> list:
+        vec = [np.full(len(slots), level * o, dtype=object) for o in origin]
+        for (_low, s, span), b in zip(axes, basis):
+            ks = ((slots // s) % span).astype(object)
+            for t in range(k):
+                vec[t] += ks * b[t]
+        return vec[0].tolist() if k == 1 else list(zip(*(v.tolist() for v in vec)))
+
+    return edges, step, value, origin, basis
 
 
 def _check_budget(live: int, what: str) -> None:
@@ -398,12 +466,12 @@ def _digit_levels(
 
 def _slot_counts(
     state: dict[str, np.ndarray], a: int, b: int
-) -> tuple[list[int], list[int]]:
+) -> tuple[np.ndarray, list[int]]:
     """Columns ``a..b`` summed over the vertices: nonzero columns and counts."""
     planes = list(state.values())
     b = min(b, planes[0].shape[1] - 1) if planes else -1
     if b < a:
-        return [], []
+        return np.zeros(0, np.int64), []
     acc = np.zeros((planes[0].shape[0], b - a + 1), np.uint64)
     for plane in planes:
         part = plane[:, a : b + 1].copy()
@@ -414,7 +482,7 @@ def _slot_counts(
     counts = [0] * len(columns)
     for row in acc[::-1, columns].tolist():
         counts = [(c << _DIGIT_BITS) + d for c, d in zip(counts, row)]
-    return columns.tolist(), counts
+    return columns, counts
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +547,12 @@ def _sweep(
     else:
         table = _quantized_values(weights, width)
     transitions = _transitions(coding, table, _allowed_vertices(coding, avoiding))
-    edges, step, value, axes = _flatten(transitions, n_max)
+    edges, step, value, origin, basis = _flatten(transitions, n_max)
     keep = slots = None
     if windows is not None:
         # each window in slots of its level, then the hull of the slots of
         # level L that can still reach a window
-        low, g = axes[0][:2]
+        low, g = origin[0], basis[0][0] if basis else 1
         slots = {
             n: (-((n * low - lo) // g), (hi - n * low) // g)
             for n, (lo, hi) in windows.items()
@@ -503,7 +571,7 @@ def _sweep(
             a, b = slots[level]
         a = max(a - first, 0)
         columns, counts = _slot_counts(state, a, b - first)
-        raw = {value(level, first + a + i): c for i, c in zip(columns, counts)}
+        raw = dict(zip(value(level, columns + first + a), counts))
         support = tuple(sorted(raw))
         counts = tuple(raw[q] for q in support)
         dist = (level, weights.dim, kind, support, counts, total, scale, width, 0)
@@ -634,78 +702,56 @@ def moment_sweep(
     """Exact moment sums at several radii by one accumulation pass.
 
     Lattice weights use integer arithmetic end-to-end (results are ints or
-    ``Fraction``); real weights accumulate in floats.
+    ``Fraction``); real weights accumulate in floats.  Each vertex carries
+    its path count, ``sum phi`` and ``sum phi phi^T``.
     """
     order = sorted(set(ns))
     if not order:
         return []
     if order[0] < 0:
         raise InvalidArgumentError("sphere radius must be >= 0")
-    n_max = order[-1]
     scale = lattice_scale(weights)
     if scale is not None:
         table: dict = scaled_integer_values(weights, scale)
     else:
         table = dict(weights.edge_values)
-    k = weights.dim
+    k, zero = weights.dim, 0 if scale is not None else 0.0
     transitions = _transitions(coding, table, set(coding.core_vertices))
-    zero1 = [0] * k if scale is not None else [0.0] * k
-    zero2 = [[x * 0 for x in zero1] for _ in range(k)]
 
-    def fresh() -> list:
-        return [0, [x for x in zero1], [list(row) for row in zero2]]
+    def fresh(count: int) -> list:
+        return [count, [zero] * k, [[zero] * k for _ in range(k)]]
 
-    state: dict[str, list] = {START_VERTEX: fresh()}
-    state[START_VERTEX][0] = 1
-    results: list[MomentData] = []
-    wanted = set(order)
-
-    def snapshot(n: int) -> MomentData:
-        count = 0
-        first_raw = list(zero1)
-        second_raw = [list(row) for row in zero2]
-        for c, s1, s2 in state.values():
-            count += c
-            for j in range(k):
-                first_raw[j] += s1[j]
-                for l in range(k):
-                    second_raw[j][l] += s2[j][l]
-        if scale is not None:
-            first = tuple(_exact_div(x, scale) for x in first_raw)
-            second = tuple(
-                tuple(_exact_div(x, scale**2) for x in row) for row in second_raw
-            )
-        else:
-            first = tuple(float(x) for x in first_raw)
-            second = tuple(tuple(float(x) for x in row) for row in second_raw)
-        return MomentData(n=n, dim=k, count=count, first=first, second=second)
-
-    if 0 in wanted:
-        results.append(snapshot(0))
-    for level in range(1, n_max + 1):
-        nxt: dict[str, list] = {}
-        for source, target, value in transitions:
-            src = state.get(source)
-            if src is None:
-                continue
-            c_u, s1_u, s2_u = src
-            dst = nxt.get(target)
-            if dst is None:
-                dst = nxt[target] = fresh()
-            dst[0] += c_u
-            d1, d2 = dst[1], dst[2]
-            for j in range(k):
-                d1[j] += s1_u[j] + c_u * value[j]
-                for l in range(k):
-                    d2[j][l] += (
-                        s2_u[j][l]
-                        + value[j] * s1_u[l]
-                        + value[l] * s1_u[j]
-                        + c_u * value[j] * value[l]
-                    )
-        state = nxt
+    state, results, wanted = {START_VERTEX: fresh(1)}, [], set(order)
+    for level in range(order[-1] + 1):
+        if level:
+            nxt: dict[str, list] = {}
+            for source, target, v in transitions:
+                if source not in state:
+                    continue
+                c, s1, s2 = state[source]
+                if target not in nxt:
+                    nxt[target] = fresh(0)
+                dst = nxt[target]
+                dst[0] += c
+                d1, d2 = dst[1], dst[2]
+                for j in range(k):
+                    d1[j] += s1[j] + c * v[j]
+                    for l in range(k):
+                        d2[j][l] += s2[j][l] + v[j] * s1[l] + v[l] * s1[j] + c * v[j] * v[l]
+            state = nxt
         if level in wanted:
-            results.append(snapshot(level))
+            count, first, second = fresh(0)
+            for c, s1, s2 in state.values():
+                count += c
+                for j in range(k):
+                    first[j] += s1[j]
+                    for l in range(k):
+                        second[j][l] += s2[j][l]
+            if scale is not None:
+                first = [_exact_div(x, scale) for x in first]
+                second = [[_exact_div(x, scale**2) for x in row] for row in second]
+            second = tuple(map(tuple, second))
+            results.append(MomentData(level, k, count, tuple(first), second))
     return results
 
 
@@ -767,61 +813,6 @@ def log_weighted_sum_sweep(
         if level in wanted:
             out[level] = math.log(sum(state.values())) + log_scale
     return [out[n] for n in order]
-
-
-# ---------------------------------------------------------------------------
-# Two-dimensional float64 cell masses
-# ---------------------------------------------------------------------------
-
-
-def lattice_masses_2d(
-    coding: MarkovCoding, weights: WeightAssignment, n: int
-) -> tuple[int, int, int, np.ndarray]:
-    """Float64 path-count masses on the 2-d value lattice at radius ``n``.
-
-    Returns ``(base1, base2, scale, masses)`` where ``masses[i, j]`` counts
-    paths with scaled value ``(base1 + i, base2 + j)``.  Exact for counts
-    below 2**53; beyond that the relative error is about 1e-16, which is
-    the documented boundary of this helper (cell proportions only).
-    """
-    if weights.dim != 2:
-        raise InvalidArgumentError("lattice_masses_2d requires 2-d weights")
-    scale = lattice_scale(weights)
-    if scale is None:
-        raise InvalidArgumentError("lattice_masses_2d requires lattice weights")
-    if n < 0:
-        raise InvalidArgumentError(f"n must be >= 0, got {n}")
-    table = scaled_integer_values(weights, scale)
-    transitions = _transitions(coding, table, set(coding.core_vertices))
-    q1 = _value_range(transitions, 0)
-    q2 = _value_range(transitions, 1)
-    r1 = n * (q1[1] - q1[0]) + 1
-    r2 = n * (q2[1] - q2[0]) + 1
-    targets = dict.fromkeys(t for _s, t, _v in transitions)
-    _check_budget(r1 * r2 * 8 * (2 * len(targets) + 1), "the 2-d cell masses")
-    buffers = {t: (np.empty(r1 * r2), np.empty(r1 * r2)) for t in targets}
-    state = {START_VERTEX: np.ones((1, 1))}
-    for level in range(1, n + 1):
-        rows = level * (q1[1] - q1[0]) + 1
-        cols = level * (q2[1] - q2[0]) + 1
-        nxt: dict[str, np.ndarray] = {}
-        for source, target, value in transitions:
-            src = state.get(source)
-            if src is None:
-                continue
-            dst = nxt.get(target)
-            if dst is None:
-                dst = buffers[target][level % 2][: rows * cols].reshape(rows, cols)
-                dst.fill(0.0)
-                nxt[target] = dst
-            i = value[0] - q1[0]
-            j = value[1] - q2[0]
-            dst[i : i + src.shape[0], j : j + src.shape[1]] += src
-        state = nxt
-    masses = np.zeros((r1, r2))
-    for arr in state.values():
-        masses[: arr.shape[0], : arr.shape[1]] += arr
-    return n * q1[0], n * q2[0], scale, masses
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,16 @@ Conventions shared by the checkers:
   than fitted slopes, which is robust to the bounded oscillations the
   limit theorems allow;
 * Gaussian integrals use ``math.erf`` (correctly rounded to double
-  precision) and adaptive quadrature; two-dimensional rectangles are
-  reduced to one-dimensional quadrature by conditioning on the first
-  coordinate, which is deterministic and accurate to quadrature tolerance.
+  precision) and ``quad``, a numpy adaptive Gauss-Legendre rule with
+  bisection; two-dimensional rectangles are reduced to one-dimensional
+  quadrature by conditioning on the first coordinate, which is
+  deterministic and accurate to quadrature tolerance.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median
@@ -37,10 +39,10 @@ from .coding import ComponentDecomposition, MarkovCoding
 from .enumerate import (
     MomentData,
     WordDistribution,
+    distribution,
     distribution_overcounted,
     distribution_sweep,
     interval_count_sweep,
-    lattice_masses_2d,
     log_weighted_sum_sweep,
     moment_sweep,
 )
@@ -99,18 +101,15 @@ class LimitLawReport:
     passed: bool
 
 
+_OPERATORS = {
+    "<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt, "==": operator.eq
+}
+
+
 def _compare(op: str, lhs: float, rhs: float) -> bool:
-    if op == "<=":
-        return lhs <= rhs
-    if op == "<":
-        return lhs < rhs
-    if op == ">=":
-        return lhs >= rhs
-    if op == ">":
-        return lhs > rhs
-    if op == "==":
-        return lhs == rhs
-    raise InvalidArgumentError(f"unknown check operator {op!r}")
+    if op not in _OPERATORS:
+        raise InvalidArgumentError(f"unknown check operator {op!r}")
+    return _OPERATORS[op](lhs, rhs)
 
 
 def _check(name: str, lhs: float, op: str, rhs: float, detail: str = "") -> dict:
@@ -419,11 +418,30 @@ def clt_distance(
 # ---------------------------------------------------------------------------
 
 
-def quad(*args, **kwargs):
-    """scipy's ``quad``, imported on first call: scipy is slow to import."""
-    from scipy.integrate import quad as scipy_quad
+def quad(fn, a: float, b: float, limit: int = 200) -> tuple[float, float]:
+    """``(value, abserr)`` of the integral of ``fn`` over a finite ``[a, b]``.
 
-    return scipy_quad(*args, **kwargs)
+    Globally adaptive 10-point Gauss-Legendre: the interval with the
+    largest error estimate is bisected, each half then carries half of
+    ``|rule(whole) - rule(left) - rule(right)|``, until the estimates sum
+    to at most ``1e-13 * max(1, |value|)`` or ``limit`` intervals are used.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+
+    def rule(lo: float, hi: float) -> float:
+        half, mid = (hi - lo) / 2.0, (hi + lo) / 2.0
+        return half * float(weights @ np.array([fn(mid + half * x) for x in nodes]))
+
+    parts = [(math.inf, a, b, rule(a, b))]
+    while len(parts) < limit:
+        value, abserr = (math.fsum(p[i] for p in parts) for i in (3, 0))
+        if abserr <= 1e-13 * max(1.0, abs(value)):
+            break
+        _err, lo, hi, whole = parts.pop(parts.index(max(parts)))
+        left, right = rule(lo, (lo + hi) / 2.0), rule((lo + hi) / 2.0, hi)
+        err = abs(whole - left - right) / 2.0
+        parts += [(err, lo, (lo + hi) / 2.0, left), (err, (lo + hi) / 2.0, hi, right)]
+    return math.fsum(p[3] for p in parts), math.fsum(p[0] for p in parts)
 
 
 def _quadrature(fn, lo: float, hi: float, what: str) -> float:
@@ -833,8 +851,9 @@ def _gaussian_rectangle(
         )
     w = math.sqrt(1.0 - rho * rho)
     (a1, b1), (a2, b2) = cell
-    lo1 = -math.inf if a1 is None else a1 / s1
-    hi1 = math.inf if b1 is None else b1 / s1
+    # the density is exactly 0.0 in float64 beyond 40 standard deviations
+    lo1 = -40.0 if a1 is None else min(max(a1 / s1, -40.0), 40.0)
+    hi1 = 40.0 if b1 is None else min(max(b1 / s1, -40.0), 40.0)
     lo2 = -math.inf if a2 is None else a2 / s2
     hi2 = math.inf if b2 is None else b2 / s2
 
@@ -847,30 +866,19 @@ def _gaussian_rectangle(
     return _quadrature(integrand, lo1, hi1, "the Gaussian rectangle mass")
 
 
-def _axis_weights(
-    size: int, base: int, scale: int, n: int, drift_j: float, lo, hi
-) -> np.ndarray:
-    """Cell-membership weights per lattice index, half on the boundary.
+def _doubled_membership(value: int, scale: int, n: int, drift_j: float, lo, hi) -> int:
+    """Twice the cell-membership weight of one scaled coordinate: 2, 1 or 0.
 
     Lattice masses are compared to a continuous integral, so boundary
     lattice points carry weight 1/2 (continuity correction); without it the
     closed cell systematically overshoots the Gaussian by half the boundary
     mass, which at n = 200 exceeds the tolerance.
     """
-    root = math.sqrt(n)
-    out = np.zeros(size)
+    x = (value / scale - n * drift_j) / math.sqrt(n)
     fuzz = 1e-9
-    for i in range(size):
-        x = ((base + i) / scale - n * drift_j) / root
-        inside_lo = True if lo is None else x > lo + fuzz
-        inside_hi = True if hi is None else x < hi - fuzz
-        on_lo = lo is not None and abs(x - lo) <= fuzz
-        on_hi = hi is not None and abs(x - hi) <= fuzz
-        if on_lo or on_hi:
-            out[i] = 0.5
-        elif inside_lo and inside_hi:
-            out[i] = 1.0
-    return out
+    if any(end is not None and abs(x - end) <= fuzz for end in (lo, hi)):
+        return 1
+    return 2 if (lo is None or x > lo + fuzz) and (hi is None or x < hi - fuzz) else 0
 
 
 def _degenerate_direction(sigma: np.ndarray) -> list[float]:
@@ -984,17 +992,21 @@ def mclt_check(
                 "cell-probability checks need lattice weights"
             )
         n_last = grid[-1]
-        base1, base2, scale, masses = lattice_masses_2d(coding, weights, n_last)
-        total = float(masses.sum())
+        dist = distribution(coding, weights, n_last)
         for idx, cell in enumerate(cells):
-            (a1, b1), (a2, b2) = cell
-            w1 = _axis_weights(
-                masses.shape[0], base1, scale, n_last, stats.drift[0], a1, b1
+            # twice the membership weight of each distinct coordinate, so
+            # the proportion is one exact integer ratio rounded once
+            w1, w2 = (
+                {
+                    q: _doubled_membership(q, dist.scale, n_last, drift, *ends)
+                    for q in set(qs)
+                }
+                for qs, drift, ends in zip(zip(*dist.support_scaled), stats.drift, cell)
             )
-            w2 = _axis_weights(
-                masses.shape[1], base2, scale, n_last, stats.drift[1], a2, b2
+            inside = sum(
+                w1[x] * w2[y] * c for (x, y), c in zip(dist.support_scaled, dist.counts)
             )
-            empirical = float(w1 @ masses @ w2) / total
+            empirical = inside / (4 * dist.total)
             gaussian = _gaussian_rectangle(sigma, cell)
             checks.append(
                 _check(

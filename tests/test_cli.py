@@ -331,11 +331,24 @@ class TestUsageErrors:
 
 class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
+        # mclt's cells and the Berry-Esseen bound both integrate numerically
         src = str(Path(hs.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        probe = (
-            "import sys, hypstat.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        probe = "\n".join(
+            [
+                "import contextlib, io, sys",
+                "import hypstat as hs, hypstat.cli",
+                "with contextlib.redirect_stdout(io.StringIO()):",
+                "    code = hypstat.cli.main(['mclt', '--coding', 'free:2',",
+                "        '--weights', 'hom:a=1|0,b=0|1', '--ngrid', '20,40'])",
+                "assert code == 0, code",
+                "c = hs.build_free_group_coding(2)",
+                "d = hs.decompose_components(c)",
+                "w = hs.weights_from_homomorphism(c, {'a': 1, 'b': 0})",
+                "s = hs.limit_statistics(c, d, w)",
+                "assert hs.berry_esseen_report(c, d, w, s, 25, 2.5).passed",
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            ]
         )
         done = subprocess.run(
             [sys.executable, "-c", probe],

@@ -199,22 +199,6 @@ class TestWeightedSums:
             assert log_value == pytest.approx(math.log(direct), abs=1e-10)
 
 
-class TestLatticeMasses2d:
-    def test_matches_vector_histogram(self, free2, abel):
-        base1, base2, scale, masses = hs.lattice_masses_2d(free2, abel, 3)
-        assert scale == 1
-        seen = {}
-        for i in range(masses.shape[0]):
-            for j in range(masses.shape[1]):
-                if masses[i, j]:
-                    seen[(base1 + i, base2 + j)] = int(masses[i, j])
-        assert seen == ABEL_HIST_N3
-
-    def test_scalar_weights_rejected(self, free2, aexp):
-        with pytest.raises(hs.InvalidArgumentError):
-            hs.lattice_masses_2d(free2, aexp, 3)
-
-
 class TestBruteForce:
     def test_lengths_and_values(self, free2, aexp):
         triples = hs.brute_force_oracle(free2, aexp, 4)

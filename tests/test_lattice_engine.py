@@ -6,13 +6,14 @@ the engine and compared with the brute-force word walk (n <= 8), with the
 dict-per-vertex DP (``oracles.dict_lattice_counts``, n <= 40), and, for
 interval windows, with the full distribution restricted to each window.
 Fixed cases cover counts of several 48-bit digits with deferred carries,
-offsets with a common factor, and the float 2-d masses.
+offsets with a common factor, and vector lattices whose reduced basis is
+not the coordinate axes.
 """
 
 import math
+import time
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,7 +73,7 @@ def histogram(dist):
 
 
 def flattened(coding, weights, n_max):
-    """The engine's ``(edges, step, value, axes)`` for a lattice weight."""
+    """The engine's ``(edges, step, value, origin, basis)`` for a lattice weight."""
     table = hs.scaled_integer_values(weights, hs.lattice_scale(weights))
     return _flatten(_transitions(coding, table, set(coding.core_vertices)), n_max)
 
@@ -143,7 +144,7 @@ class TestDigitPlanes:
         )
         dists = assert_equal_to_dict_oracle(coding, weights, {7, 23, 40})
         assert max(dists[-1].counts).bit_length() > 2 * 48
-        edges, step, _value, _axes = flattened(coding, weights, 40)
+        edges, step, *_ = flattened(coding, weights, 40)
         levels = _digit_levels(coding, edges, step, 40)
         top = max(int(p.max()) for *_, state, _t in levels for p in state.values())
         # deferred carries leave digits above 2**48 between propagations
@@ -153,8 +154,10 @@ class TestDigitPlanes:
     @pytest.mark.parametrize("g", [2, 3])
     def test_common_factor_of_the_offsets(self, free2, g, dim):
         weights = offsets_with_common_factor(free2, g, dim)
-        _edges, _step, _value, axes = flattened(free2, weights, 20)
-        assert [axis[1] for axis in axes] == [g, 5 - g][:dim]
+        basis = flattened(free2, weights, 20)[-1]
+        # the reduced basis of a rectangular lattice is its axes, so each
+        # axis is divided by the gcd of its offsets as a scalar one is
+        assert sorted(basis) == sorted([[g, 0], [0, 5 - g]] if dim == 2 else [[g]])
         assert_equal_to_dict_oracle(free2, weights, {0, 1, 6, 20})
 
     @pytest.mark.parametrize("g", [2, 3])
@@ -170,15 +173,36 @@ class TestDigitPlanes:
                 }
                 assert part.total == whole.total
 
-    def test_masses_2d_match_exact_counts(self, free2, abel):
-        base1, base2, _scale, masses = hs.lattice_masses_2d(free2, abel, 40)
-        exact = hs.distribution(free2, abel, 40)
-        expected = np.zeros_like(masses)
-        for (x, y), c in zip(exact.support_scaled, exact.counts):
-            expected[x - base1, y - base2] = float(c)
-        # counts pass 2**53, so the float sums round
-        assert max(exact.counts) > 2**53
-        assert np.allclose(masses, expected, rtol=1e-15, atol=0.0)
+    @pytest.mark.parametrize(
+        "table, n, rank, box",
+        [
+            # the diamond |x| + |y| <= n of one parity fills its box
+            ({"a": (1, 0), "b": (0, 1)}, 40, 2, 41**2),
+            # multiples -2n..2n of (1, 2): one axis of 4n + 1 slots
+            ({"a": (1, 2), "b": (2, 4)}, 40, 1, 161),
+            # the octahedron of one parity in a cube of (n + 1)**3 slots
+            ({"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1)}, 14, 3, 15**3),
+        ],
+        ids=["abelianization", "rank-one", "free3-abelianization"],
+    )
+    def test_vector_lattices_match_the_dict_oracle(self, table, n, rank, box):
+        coding = hs.build_free_group_coding(len(table))
+        weights = hs.weights_from_homomorphism(coding, table)
+        dists = assert_equal_to_dict_oracle(coding, weights, {n // 3, n})
+        # a rank-r lattice gets an r-dimensional box
+        _edges, step, _value, _origin, basis = flattened(coding, weights, n)
+        assert len(basis) == rank
+        assert n * step + 1 == box
+        if len(table) == 2:
+            # the box holds exactly the reachable values, and the counts
+            # pass 2**53, so no float sum could hold them exactly
+            assert len(dists[-1].counts) == box
+            assert max(dists[-1].counts) > 2**53
+
+    def test_abelianization_fills_its_box_at_two_hundred(self, free2, abel):
+        _edges, step, _value, _origin, basis = flattened(free2, abel, 200)
+        assert 200 * step + 1 == 201**2 == 40401
+        assert sorted(map(abs, basis[0])) == sorted(map(abs, basis[1])) == [1, 1]
 
 
 class TestWindows:
@@ -240,5 +264,8 @@ class TestWindows:
 
 class TestByteBudget:
     def test_oversized_masses_are_refused_before_allocating(self, free2, abel):
+        # 2001**2 slots of 67 digits for each of four targets, about 17 GB
+        start = time.perf_counter()
         with pytest.raises(hs.ResourceError, match="bytes"):
-            hs.lattice_masses_2d(free2, abel, 2000)
+            hs.distribution(free2, abel, 2000)
+        assert time.perf_counter() - start < 1.0

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import hypstat as hs
-from hypstat.limits import _finalize
+import oracles
+from hypstat.limits import _finalize, _gaussian_rectangle, _quadrature
 
 # [DERIVED] scipy-ndtr Kolmogorov oracle values from tests/oracles.py
 KS_AEXP_N4 = 0.10185185185185186
@@ -131,6 +133,27 @@ class TestBerryEsseen:
         assert report.passed
 
 
+class TestQuadrature:
+    @pytest.mark.parametrize("rho", [0.3 / math.sqrt(2), -0.6])
+    def test_lower_quadrant_matches_closed_form(self, rho):
+        s1, s2 = 0.7, 1.9
+        sigma = np.array([[s1 * s1, rho * s1 * s2], [rho * s1 * s2, s2 * s2]])
+        mass = _gaussian_rectangle(sigma, ((None, 0.0), (None, 0.0)))
+        assert mass == pytest.approx(0.25 + math.asin(rho) / (2 * math.pi), abs=1e-13)
+
+    def test_bounded_cell_of_independent_coordinates(self):
+        # with rho = 0 the mass is a product of two ndtr differences
+        cell = ((-0.4, 1.3), (0.2, None))
+        mass = _gaussian_rectangle(np.diag([4.0, 0.25]), cell)
+        first = oracles.norm_cdf(1.3 / 2) - oracles.norm_cdf(-0.4 / 2)
+        second = 1.0 - oracles.norm_cdf(0.2 / 0.5)
+        assert mass == pytest.approx(first * second, abs=1e-13)
+
+    def test_divergent_integrand_raises(self):
+        with pytest.raises(hs.NumericalError, match="1/t"):
+            _quadrature(lambda t: 1.0 / t, 0.0, 1.0, "1/t")
+
+
 class TestLdt:
     def test_rate_matches_legendre_oracle(
         self, free2, free2_decomp, aexp, aexp_stats
@@ -195,6 +218,7 @@ class TestMclt:
         # the default cell is the lower quadrant; by symmetry its mass is
         # exactly centered, so the continuity-corrected proportion is 1/4
         assert names["cell-agreement-0"]["lhs"] <= 1e-9
+        assert report.theory["cells"][0]["empirical"] == 0.25
 
     def test_rank_one_fails_positive_definite(
         self, free2, free2_decomp, rank1, rank1_stats
