@@ -199,6 +199,36 @@ class TestWeightedSums:
             assert log_value == pytest.approx(math.log(direct), abs=1e-10)
 
 
+class TestLatticeMasses2d:
+    # mclt's cell proportions read the 2-d lattice masses off the exact
+    # vector distribution at the largest n
+    def test_matches_vector_histogram(
+        self, free2, free2_decomp, abel, abel_stats
+    ):
+        hist: dict[tuple[int, int], int] = {}
+        for length, _word, value in hs.brute_force_oracle(free2, abel, 3):
+            if length == 3:
+                key = (round(value[0]), round(value[1]))
+                hist[key] = hist.get(key, 0) + 1
+        assert hist == ABEL_HIST_N3
+        dist = hs.distribution(free2, abel, 3)
+        assert dist.scale == 1
+        assert dict(zip(dist.support_scaled, dist.counts)) == hist
+        # lower quadrant: boundary points weigh 1/2 on each axis
+        doubled = {q: 2 if q < 0 else 1 if q == 0 else 0 for q in range(-3, 4)}
+        inside = sum(doubled[x] * doubled[y] * c for (x, y), c in hist.items())
+        expected = float(Fraction(inside, 4 * sum(hist.values())))
+        report = hs.mclt_check(free2, free2_decomp, abel, abel_stats, [3])
+        assert report.theory["cells"][0]["empirical"] == expected
+
+    def test_scalar_weights_rejected(self, free2, free2_decomp, aexp, aexp_stats):
+        cell = ((None, 0.0), (None, 0.0))
+        with pytest.raises(hs.PreconditionError):
+            hs.mclt_check(
+                free2, free2_decomp, aexp, aexp_stats, [3], cell_grid=[cell]
+            )
+
+
 class TestBruteForce:
     def test_lengths_and_values(self, free2, aexp):
         triples = hs.brute_force_oracle(free2, aexp, 4)
