@@ -36,15 +36,22 @@ window and counts ``#W_n`` from per-vertex path totals; Python integers are
 built only for the wanted slots of the wanted levels; and the buffer bytes
 are checked against ``BYTE_BUDGET`` before they are allocated, so
 oversized requests raise ``ResourceError`` instead of exhausting memory.
+
+``weighted_counts`` (the cell masses of ``mclt``) builds no distribution
+at all: it sums the vertex planes of the last level once, carries them,
+weights every slot by a product of per-axis integer weights, and dots each
+digit row with those weights in ``uint64`` chunks; Python integers are
+built only for the per-digit sums.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, permutations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -317,7 +324,7 @@ def _reduced_basis(diffs: list[list[int]], k: int, n_max: int):
 
 
 def _flatten(transitions: Sequence[tuple[str, str, tuple[int, ...]]], n_max: int):
-    """``(edges, step, value, origin, basis)`` of the flattened value lattice.
+    """``(edges, step, decode, origin, basis)`` of the flattened value lattice.
 
     The offsets ``v_e - v_0`` from the first edge's value have coordinates
     ``c_e`` in the basis ``b_i`` of ``_reduced_basis`` (rank ``r``, so the
@@ -326,7 +333,9 @@ def _flatten(transitions: Sequence[tuple[str, str, tuple[int, ...]]], n_max: int
     c_ei``, ``0 <= k_i <= L * (high_i - low_i)``.  An edge's offset is
     ``sum_i (c_ei - low_i) * stride_i``, the strides multiplying the spans
     ``n_max * (high_i - low_i) + 1``; ``step`` bounds the offsets, and
-    ``value(level, slots)`` decodes slots to exact scaled values.
+    ``decode(level, slots)`` decodes slots to one array of exact scaled
+    values per axis: ``int64`` when no value of the level can overflow it,
+    Python ints otherwise.
     """
     k = len(transitions[0][2]) if transitions else 1
     v0 = transitions[0][2] if transitions else (0,) * k
@@ -346,15 +355,21 @@ def _flatten(transitions: Sequence[tuple[str, str, tuple[int, ...]]], n_max: int
         for (source, target, _vec), c in zip(transitions, coords)
     ]
 
-    def value(level: int, slots: np.ndarray) -> list:
-        vec = [np.full(len(slots), level * o, dtype=object) for o in origin]
+    def decode(level: int, slots: np.ndarray) -> list[np.ndarray]:
+        # the largest |value| the level can hold on any axis
+        bound = max(
+            level * abs(o) + sum(span * abs(b[t]) for (*_, span), b in zip(axes, basis))
+            for t, o in enumerate(origin)
+        )
+        dtype = np.int64 if bound < 2**63 else object
+        vec = [np.full(len(slots), level * o, dtype=dtype) for o in origin]
         for (_low, s, span), b in zip(axes, basis):
-            ks = ((slots // s) % span).astype(object)
+            ks = ((slots // s) % span).astype(dtype)
             for t in range(k):
                 vec[t] += ks * b[t]
-        return vec[0].tolist() if k == 1 else list(zip(*(v.tolist() for v in vec)))
+        return vec
 
-    return edges, step, value, origin, basis
+    return edges, step, decode, origin, basis
 
 
 def _check_budget(live: int, what: str) -> None:
@@ -464,25 +479,97 @@ def _digit_levels(
         yield level, first, state, sum(paths.values())
 
 
-def _slot_counts(
-    state: dict[str, np.ndarray], a: int, b: int
-) -> tuple[np.ndarray, list[int]]:
-    """Columns ``a..b`` summed over the vertices: nonzero columns and counts."""
+def _summed_planes(state: dict[str, np.ndarray], a: int, b: int) -> np.ndarray:
+    """Columns ``a..b`` summed over the vertices, carried: ``(digits, columns)``.
+
+    Every digit of the result is below ``2**48``: each column counts at
+    most the level's paths, which fit the level's digits.
+    """
     planes = list(state.values())
     b = min(b, planes[0].shape[1] - 1) if planes else -1
     if b < a:
-        return np.zeros(0, np.int64), []
+        return np.zeros((1, 0), np.uint64)
     acc = np.zeros((planes[0].shape[0], b - a + 1), np.uint64)
     for plane in planes:
         part = plane[:, a : b + 1].copy()
         _carry(part)
         acc += part
         _carry(acc)
+    return acc
+
+
+def _slot_counts(
+    state: dict[str, np.ndarray], a: int, b: int
+) -> tuple[np.ndarray, list[int]]:
+    """Columns ``a..b`` summed over the vertices: nonzero columns and counts."""
+    acc = _summed_planes(state, a, b)
     columns = np.flatnonzero(acc.any(axis=0))
     counts = [0] * len(columns)
     for row in acc[::-1, columns].tolist():
         counts = [(c << _DIGIT_BITS) + d for c, d in zip(counts, row)]
     return columns, counts
+
+
+def weighted_counts(
+    coding: MarkovCoding,
+    weights: WeightAssignment,
+    n: int,
+    axis_weights: Sequence[Callable[[int, int], int]],
+) -> tuple[list[int], int]:
+    """Exact ``sum_x prod_j w(j, x_j) count(x)`` over ``W_n``, one per ``w``.
+
+    ``x`` runs over the scaled values of a lattice weight at radius ``n``
+    (the ``support_scaled`` of ``distribution``) and ``count(x)`` is its
+    exact count.  Each ``w`` in ``axis_weights`` maps an axis ``j`` and a
+    scaled coordinate to a nonnegative integer; it is called once per
+    distinct coordinate of each axis.  Each digit row of the carried planes
+    is dotted with the slot weights in ``uint64`` chunks short enough that
+    no chunk sum reaches ``2**64``; a slot weight too large for even one
+    product raises ``ResourceError``.  Returns ``(sums, total)``, ``total``
+    the path count.
+    """
+    if n < 0:
+        raise InvalidArgumentError("sphere radius must be >= 0")
+    scale = lattice_scale(weights)
+    if scale is None:
+        raise InvalidArgumentError("weighted counts need lattice weights")
+    table = scaled_integer_values(weights, scale)
+    transitions = _transitions(coding, table, set(coding.core_vertices))
+    edges, step, decode, *_ = _flatten(transitions, n)
+    for _level, _first, state, total in _digit_levels(coding, edges, step, n):
+        pass  # only the last level is read
+    acc = _summed_planes(state, 0, n * step)
+    width = acc.shape[1]
+    if not width:
+        return [0] * len(axis_weights), total
+    # each axis's distinct coordinates, and every slot's index among them
+    axes = [np.unique(q, return_inverse=True) for q in decode(n, np.arange(width))]
+    top = int(acc.max())
+    sums = []
+    for w in axis_weights:
+        values = [
+            [operator.index(w(j, q)) for q in distinct.tolist()]
+            for j, (distinct, _inverse) in enumerate(axes)
+        ]
+        if min(map(min, values)) < 0:
+            raise InvalidArgumentError("axis weights must be nonnegative integers")
+        # a chunk sums at most `chunk` products of a slot weight and a digit
+        largest = math.prod(map(max, values))
+        chunk = (2**64 - 1) // max(largest * top, 1)
+        if chunk < 1:
+            raise ResourceError(
+                f"a slot weight of {largest} times a digit of {top} could "
+                "overflow a 64-bit sum; use smaller axis weights"
+            )
+        slot_weight = np.ones(width, np.uint64)
+        for v, (_distinct, inverse) in zip(values, axes):
+            slot_weight *= np.array(v, np.uint64)[inverse]
+        starts = np.arange(0, width, min(chunk, width))
+        parts = np.add.reduceat(acc * slot_weight, starts, axis=1)
+        sums.append(
+            sum(sum(row) << (_DIGIT_BITS * d) for d, row in enumerate(parts.tolist()))
+        )
+    return sums, total
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +634,7 @@ def _sweep(
     else:
         table = _quantized_values(weights, width)
     transitions = _transitions(coding, table, _allowed_vertices(coding, avoiding))
-    edges, step, value, origin, basis = _flatten(transitions, n_max)
+    edges, step, decode, origin, basis = _flatten(transitions, n_max)
     keep = slots = None
     if windows is not None:
         # each window in slots of its level, then the hull of the slots of
@@ -571,7 +658,8 @@ def _sweep(
             a, b = slots[level]
         a = max(a - first, 0)
         columns, counts = _slot_counts(state, a, b - first)
-        raw = dict(zip(value(level, columns + first + a), counts))
+        vec = [q.tolist() for q in decode(level, columns + first + a)]
+        raw = dict(zip(vec[0] if len(vec) == 1 else zip(*vec), counts))
         support = tuple(sorted(raw))
         counts = tuple(raw[q] for q in support)
         dist = (level, weights.dim, kind, support, counts, total, scale, width, 0)

@@ -39,12 +39,12 @@ from .coding import ComponentDecomposition, MarkovCoding
 from .enumerate import (
     MomentData,
     WordDistribution,
-    distribution,
     distribution_overcounted,
     distribution_sweep,
     interval_count_sweep,
     log_weighted_sum_sweep,
     moment_sweep,
+    weighted_counts,
 )
 from .errors import (
     InconsistencyError,
@@ -907,9 +907,12 @@ def mclt_check(
     leading-minor positive-definiteness test; if it does and the weights
     are two-dimensional lattice, each requested cell's exact proportion is
     compared with the Gaussian rectangle mass (absolute tolerance 0.01,
-    continuity-corrected on cell boundaries).  Cells use ``None`` for an
-    infinite bound; the default is the lower quadrant for 2-d weights and
-    no cell otherwise.
+    continuity-corrected on cell boundaries).  The cell masses at the
+    largest ``n`` are summed on the engine's carried digit planes by
+    ``weighted_counts``, one pass for every cell; Python integers are built
+    only for the final per-digit sums, not for the distribution.  Cells use
+    ``None`` for an infinite bound; the default is the lower quadrant for
+    2-d weights and no cell otherwise.
 
     Raises
     ------
@@ -987,26 +990,24 @@ def mclt_check(
             raise InvalidArgumentError(
                 "cell-probability checks support 2-d weights only"
             )
-        if lattice_scale(weights) is None:
+        n_last, scale = grid[-1], lattice_scale(weights)
+        if scale is None:
             raise InvalidArgumentError(
                 "cell-probability checks need lattice weights"
             )
-        n_last = grid[-1]
-        dist = distribution(coding, weights, n_last)
-        for idx, cell in enumerate(cells):
-            # twice the membership weight of each distinct coordinate, so
-            # the proportion is one exact integer ratio rounded once
-            w1, w2 = (
-                {
-                    q: _doubled_membership(q, dist.scale, n_last, drift, *ends)
-                    for q in set(qs)
-                }
-                for qs, drift, ends in zip(zip(*dist.support_scaled), stats.drift, cell)
+
+        def doubled(cell):
+            return lambda j, q: _doubled_membership(
+                q, scale, n_last, stats.drift[j], *cell[j]
             )
-            inside = sum(
-                w1[x] * w2[y] * c for (x, y), c in zip(dist.support_scaled, dist.counts)
-            )
-            empirical = inside / (4 * dist.total)
+
+        # twice the membership weight of each distinct coordinate, so each
+        # proportion is one exact integer ratio rounded once
+        insides, total = weighted_counts(
+            coding, weights, n_last, [doubled(cell) for cell in cells]
+        )
+        for idx, (cell, inside) in enumerate(zip(cells, insides)):
+            empirical = inside / (4 * total)
             gaussian = _gaussian_rectangle(sigma, cell)
             checks.append(
                 _check(
@@ -1079,10 +1080,11 @@ def llt_check(
     sphere masses concentrate on an arithmetic progression, where interval
     counts oscillate instead of settling to the continuous profile.
 
-    Per ``n``: ``q_n = sqrt(n) * count(phi in [a, b]) / #W_n`` from the
-    binned enumeration (bin at most ``(b - a)/50``), against the target
-    ``L = (b - a) / (sqrt(2 pi) sigma)``; the interval is taken at the
-    center of the distribution (drift 0 in the shipped examples).  Checks:
+    Per ``n``: ``q_n = sqrt(n) * count(phi in [a + n tau, b + n tau]) /
+    #W_n`` from the binned enumeration (bin at most ``(b - a)/50``), against
+    the target ``L = (b - a) / (sqrt(2 pi) sigma)``; the interval is
+    recentred by ``n`` times the drift ``tau``, so it follows the center of
+    the distribution (with drift 0 it does not move).  Checks:
     ``|q_n / L - 1| <= 0.1`` at the largest ``n`` and the deviation trends
     downward; a zero-length interval checks ``q_n`` against one bin's mass.
 
@@ -1143,21 +1145,24 @@ def llt_check(
     if not width > 0.0:
         raise InvalidArgumentError(f"bin width must be positive, got {width!r}")
 
-    # count a window one slot wider; the float test below decides each slot
-    fuzz = 1e-12 * max(1.0, abs(a), abs(b))
+    # the interval recentred by n * drift at each n, counted on a window one
+    # slot wider; the float test below decides each slot
+    drift = stats.drift[0]
+    intervals = []
+    for n in grid:
+        lo_n, hi_n = a + n * drift, b + n * drift
+        intervals.append((lo_n, hi_n, 1e-12 * max(1.0, abs(lo_n), abs(hi_n))))
     unit = width if scale is None else 1.0 / scale
-    lo = math.floor((a - fuzz) / unit) - 1
-    hi = math.ceil((b + fuzz) / unit) + 1
-    dists = interval_count_sweep(
-        coding, weights, grid, width, [lo] * len(grid), [hi] * len(grid)
-    )
+    lo = [math.floor((x - fuzz) / unit) - 1 for x, _, fuzz in intervals]
+    hi = [math.ceil((y + fuzz) / unit) + 1 for _, y, fuzz in intervals]
+    dists = interval_count_sweep(coding, weights, grid, width, lo, hi)
     target = (b - a) / (math.sqrt(2.0 * math.pi) * sigma)
     rows = []
     q_values = []
-    for dist in dists:
+    for dist, (lo_n, hi_n, fuzz) in zip(dists, intervals):
         count = 0
         for value, c in zip(dist.support, dist.counts):
-            if a - fuzz <= value <= b + fuzz:
+            if lo_n - fuzz <= value <= hi_n + fuzz:
                 count += c
         q_n = math.sqrt(dist.n) * (count / dist.total)
         q_values.append(q_n)
@@ -1219,7 +1224,7 @@ def llt_check(
             "target": target,
             "sigma2": stats.sigma2,
             "sigma": sigma,
-            "drift": stats.drift[0],
+            "drift": drift,
             "entropy": stats.entropy,
         },
         tolerances={"rel": 0.1, "gap_witness": LATTICE_WITNESS_GAP},

@@ -177,6 +177,27 @@ class TestPipelines:
         assert code == 3
         assert "lattice" in err
 
+    def test_drifting_llt_passes(self, capsys, tmp_path, free2):
+        # target-letter weights a = b = 1, A = sqrt 2, B = 1/2 drift by 0.9786
+        # per letter; the interval follows the drift, so the counts are not 0
+        letters = {"a": 1.0, "b": 1.0, "A": math.sqrt(2), "B": 0.5}
+        table = {
+            (e.source, e.target): letters[e.label]
+            for e in free2.nonaugmentation_edges
+        }
+        weights_path = tmp_path / "drifting.json"
+        weights_path.write_text(
+            json.dumps(hs.dump_weights(hs.weights_from_edge_table(free2, table))),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys,
+            ["llt", "--coding", "free:2", "--weights", f"edges:@{weights_path}",
+             "--interval=-1,1", "--ngrid", "100:300:100", "--format", "text"],
+        )
+        assert (code, err) == (0, "")
+        assert "PASS" in out and "FAIL" not in out
+
     def test_vector_weight_spec(self, capsys):
         code, out, _err = run_cli(
             capsys,

@@ -5,6 +5,8 @@ free:1, free:2, the mirror fixture and a Z/2*Z/3 coding are enumerated by
 the engine and compared with the brute-force word walk (n <= 8), with the
 dict-per-vertex DP (``oracles.dict_lattice_counts``, n <= 40), and, for
 interval windows, with the full distribution restricted to each window.
+Weighted counts (``weighted_counts``, the cell sums of ``mclt``) are
+compared with the same sums over the distribution and the word walk.
 Fixed cases cover counts of several 48-bit digits with deferred carries,
 offsets with a common factor, and vector lattices whose reduced basis is
 not the coordinate axes.
@@ -26,6 +28,7 @@ from hypstat.enumerate import (
     _flatten,
     _transitions,
     interval_count_sweep,
+    weighted_counts,
 )
 
 # Z/2 * Z/3: s has order 2, t and T = t^-1 generate the order-3 factor, so
@@ -46,6 +49,7 @@ Z2Z3 = {
 CODINGS = {
     "free1": hs.build_free_group_coding(1),
     "free2": hs.build_free_group_coding(2),
+    "free3": hs.build_free_group_coding(3),
     "mirror": build_mirror_coding(),
     "z2z3": hs.load_coding(Z2Z3),
 }
@@ -53,10 +57,12 @@ EXAMPLES = settings(settings.get_profile("hypstat"), max_examples=30)
 
 
 @st.composite
-def weight_cases(draw, dims=(1, 2, 3), real=False):
+def weight_cases(
+    draw, dims=(1, 2, 3), real=False, codings=("free1", "free2", "mirror", "z2z3")
+):
     """A coding and an edge table: integers, dyadic rationals or (scalar,
     with ``real``) irrational reals."""
-    coding = CODINGS[draw(st.sampled_from(sorted(CODINGS)))]
+    coding = CODINGS[draw(st.sampled_from(codings))]
     dim = draw(st.sampled_from(dims))
     if real and draw(st.booleans()):
         entry = st.integers(-2, 2).map(lambda k: k * math.sqrt(2) / 2)
@@ -72,8 +78,25 @@ def histogram(dist):
     return dict(zip(dist.support_scaled, dist.counts))
 
 
+@st.composite
+def axis_weights(draw, dim, values=(0, 1, 2)):
+    """A per-axis weight ``w(j, q)``: a drawn table indexed by ``q`` modulo
+    its length, one table per axis."""
+    period = draw(st.integers(1, 5))
+    entry = st.sampled_from(values)
+    table = st.lists(entry, min_size=period, max_size=period)
+    tables = [draw(table) for _ in range(dim)]
+    return lambda j, q: tables[j][q % period]
+
+
+def weighted_sum(histogram, w):
+    """``sum_x prod_j w(j, x_j) count(x)`` over a histogram of scaled values."""
+    vectors = ((x if isinstance(x, tuple) else (x,), c) for x, c in histogram.items())
+    return sum(math.prod(w(j, q) for j, q in enumerate(x)) * c for x, c in vectors)
+
+
 def flattened(coding, weights, n_max):
-    """The engine's ``(edges, step, value, origin, basis)`` for a lattice weight."""
+    """The engine's ``(edges, step, decode, origin, basis)`` for a lattice weight."""
     table = hs.scaled_integer_values(weights, hs.lattice_scale(weights))
     return _flatten(_transitions(coding, table, set(coding.core_vertices)), n_max)
 
@@ -190,7 +213,7 @@ class TestDigitPlanes:
         weights = hs.weights_from_homomorphism(coding, table)
         dists = assert_equal_to_dict_oracle(coding, weights, {n // 3, n})
         # a rank-r lattice gets an r-dimensional box
-        _edges, step, _value, _origin, basis = flattened(coding, weights, n)
+        _edges, step, _decode, _origin, basis = flattened(coding, weights, n)
         assert len(basis) == rank
         assert n * step + 1 == box
         if len(table) == 2:
@@ -200,7 +223,7 @@ class TestDigitPlanes:
             assert max(dists[-1].counts) > 2**53
 
     def test_abelianization_fills_its_box_at_two_hundred(self, free2, abel):
-        _edges, step, _value, _origin, basis = flattened(free2, abel, 200)
+        _edges, step, _decode, _origin, basis = flattened(free2, abel, 200)
         assert 200 * step + 1 == 201**2 == 40401
         assert sorted(map(abs, basis[0])) == sorted(map(abs, basis[1])) == [1, 1]
 
@@ -260,6 +283,68 @@ class TestWindows:
             interval_count_sweep(free2, abel, [3], None, [0], [1])
         with pytest.raises(hs.InvalidArgumentError):
             interval_count_sweep(free2, proj, [3, 4], 0.1, [0], [1])
+
+
+class TestWeightedCounts:
+    @EXAMPLES
+    @given(st.data())
+    def test_equal_sums_over_the_distribution_and_the_words(self, data):
+        codings = ("free2", "free3", "mirror", "z2z3")
+        coding, weights = data.draw(weight_cases(dims=(2,), codings=codings))
+        n = data.draw(st.integers(0, 12))
+        ws = [data.draw(axis_weights(2)) for _ in range(data.draw(st.integers(1, 3)))]
+        calls = Counter()
+
+        def counted(w):
+            def call(j, q):
+                calls[w, j, q] += 1
+                return w(j, q)
+
+            return call
+
+        sums, total = weighted_counts(coding, weights, n, [counted(w) for w in ws])
+        # each weight is evaluated once per distinct coordinate of each axis
+        assert set(calls.values()) <= {1}
+        dist = hs.distribution(coding, weights, n)
+        assert total == dist.total
+        assert sums == [weighted_sum(histogram(dist), w) for w in ws]
+        if n <= 8:
+            scale = dist.scale
+            words = Counter(
+                tuple(round(x * scale) for x in value)
+                for length, _word, value in hs.brute_force_oracle(coding, weights, n)
+                if length == n
+            )
+            assert sums == [weighted_sum(words, w) for w in ws]
+
+    def test_largest_weight_on_five_digit_counts(self):
+        # #W_40 on free:5 has 127 bits, so the sums run over three digits;
+        # a weight of 2**16 times a digit near 2**48 leaves no room for a
+        # second product in a 64-bit chunk sum
+        coding = hs.build_free_group_coding(5)
+        weights = hs.weights_from_homomorphism(
+            coding, {"a": 1, "b": 2, "c": 0, "d": -1, "e": 3}
+        )
+        dist = hs.distribution(coding, weights, 40)
+        assert max(dist.counts).bit_length() > 2 * 48
+        ws = [
+            lambda j, q: 2**16,
+            lambda j, q: 2**16 - q % 3,
+            lambda j, q: 2**16 * (q % 2),
+        ]
+        sums, total = weighted_counts(coding, weights, 40, ws)
+        assert total == dist.total
+        assert sums == [weighted_sum(histogram(dist), w) for w in ws]
+        assert sums[0] == 2**16 * dist.total
+
+    def test_refuses_weights_it_cannot_sum(self, free2, abel, proj):
+        with pytest.raises(hs.InvalidArgumentError, match="nonnegative"):
+            weighted_counts(free2, abel, 6, [lambda j, q: q])
+        with pytest.raises(hs.InvalidArgumentError, match="lattice"):
+            weighted_counts(free2, proj, 6, [lambda j, q: 1])
+        # digits of #W_60 = 4 * 3**59 reach past 2**24
+        with pytest.raises(hs.ResourceError, match="64-bit"):
+            weighted_counts(free2, abel, 60, [lambda j, q: 2**40])
 
 
 class TestByteBudget:

@@ -7,7 +7,13 @@ import pytest
 
 import hypstat as hs
 import oracles
-from hypstat.limits import _finalize, _gaussian_rectangle, _quadrature
+from hypstat import enumerate as engine
+from hypstat.limits import (
+    _doubled_membership,
+    _finalize,
+    _gaussian_rectangle,
+    _quadrature,
+)
 
 # [DERIVED] scipy-ndtr Kolmogorov oracle values from tests/oracles.py
 KS_AEXP_N4 = 0.10185185185185186
@@ -15,6 +21,17 @@ KS_AEXP_N8 = 0.06923315393185508
 # [DERIVED] Legendre-transform oracle (scipy bounded minimization)
 LDT_RATE_04 = 0.08608334308874455
 LLT_TARGET = 0.23032943298089034  # 1 / sqrt(6 pi), exact to double precision
+
+
+@pytest.fixture(scope="module")
+def drifting(free2):
+    """free:2 weighted by the edge's target letter: a = b = 1, A = sqrt 2,
+    B = 1/2; drift 0.9786 and sigma^2 = 0.1315."""
+    letters = {"a": 1.0, "b": 1.0, "A": math.sqrt(2), "B": 0.5}
+    table = {
+        (e.source, e.target): letters[e.label] for e in free2.nonaugmentation_edges
+    }
+    return hs.weights_from_edge_table(free2, table)
 
 
 class TestReportPlumbing:
@@ -258,6 +275,37 @@ class TestMclt:
         with pytest.raises(hs.InvalidArgumentError, match="2-d"):
             hs.mclt_check(free3, decomp, weights, stats, [10], cell_grid=[cell])
 
+    def test_cells_build_no_python_int_distribution(
+        self, free2, free2_decomp, abel, abel_stats, rank1, rank1_stats, monkeypatch
+    ):
+        cells = [((None, 0.0), (None, 0.0)), ((-3.0, 3.0), (-3.0, 3.0))]
+        # the cell proportions from the exact distribution, before patching
+        dist = hs.distribution(free2, abel, 200)
+        expected = []
+        for cell in cells:
+            inside = 0
+            for (x, y), c in zip(dist.support_scaled, dist.counts):
+                w1, w2 = (
+                    _doubled_membership(q, dist.scale, 200, drift, *ends)
+                    for q, drift, ends in zip((x, y), abel_stats.drift, cell)
+                )
+                inside += w1 * w2 * c
+            expected.append(inside / (4 * dist.total))
+        rank1_report = hs.mclt_check(free2, free2_decomp, rank1, rank1_stats, [100])
+
+        def refuse(*_args):
+            raise AssertionError("mclt_check built a Python-int distribution")
+
+        monkeypatch.setattr(engine, "_slot_counts", refuse)
+        report = hs.mclt_check(
+            free2, free2_decomp, abel, abel_stats, [200], cell_grid=cells
+        )
+        assert [c["empirical"] for c in report.theory["cells"]] == expected
+        assert expected[0] == 0.25
+        assert report.passed
+        again = hs.mclt_check(free2, free2_decomp, rank1, rank1_stats, [100])
+        assert hs.report_to_json(again) == hs.report_to_json(rank1_report)
+
     def test_explicit_cell(self, free2, free2_decomp, abel, abel_stats):
         cell = ((-3.0, 3.0), (-3.0, 3.0))
         report = hs.mclt_check(
@@ -289,6 +337,33 @@ class TestLlt:
             10.0 * mass / dist.total, rel=1e-12
         )
         assert row["predicted"] == pytest.approx(LLT_TARGET, abs=1e-7)
+
+    def test_drifting_weight_counts_the_recentred_interval(
+        self, free2, free2_decomp, drifting
+    ):
+        stats = hs.limit_statistics(free2, free2_decomp, drifting)
+        drift = stats.drift[0]
+        assert drift == pytest.approx(0.97855339, abs=1e-8)
+        report = hs.llt_check(
+            free2, free2_decomp, drifting, stats, -1.0, 1.0, [100, 200, 300]
+        )
+        # [a, b] is moved to [a + n drift, b + n drift], where the mass is
+        assert report.passed
+        assert report.theory["drift"] == drift
+        width = report.params["bin_width"]
+        for row in report.rows:
+            n = row["n"]
+            dist = hs.distribution(free2, drifting, n, bin_width=width)
+            lo, hi = -1.0 + n * drift, 1.0 + n * drift
+            fuzz = 1e-12 * max(1.0, abs(lo), abs(hi))
+            count = sum(
+                c
+                for value, c in zip(dist.support, dist.counts)
+                if lo - fuzz <= value <= hi + fuzz
+            )
+            assert int(row["count"]) == count > 0
+        deviations = [abs(r["observed"] / r["predicted"] - 1.0) for r in report.rows]
+        assert deviations == pytest.approx([0.017, 0.011, 0.013], abs=1e-3)
 
     def test_gate_refuses_lattice_weights(
         self, free2, free2_decomp, aexp, aexp_stats
