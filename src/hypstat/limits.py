@@ -26,6 +26,7 @@ Conventions shared by the checkers:
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -570,6 +571,20 @@ def _log_sum_exp(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
+def _tail_counts(dist: WordDistribution, lo: Fraction, hi: Fraction) -> tuple[int, int]:
+    """Exact counts of the values above ``hi`` and below ``lo`` (``lo < hi``).
+
+    Each value is ``q * unit``, with ``unit > 0`` the lattice step or the bin
+    width, so it lies above ``hi`` iff ``q > floor(hi / unit)`` and below
+    ``lo`` iff ``q < ceil(lo / unit)``; the sorted support is cut at those
+    two integers.
+    """
+    unit = dist.exact_value(1)
+    above = bisect.bisect_right(dist.support_scaled, math.floor(hi / unit))
+    below = bisect.bisect_left(dist.support_scaled, math.ceil(lo / unit))
+    return sum(dist.counts[above:]), sum(dist.counts[:below])
+
+
 def ldt_rate(
     coding: MarkovCoding,
     decomposition: ComponentDecomposition,
@@ -637,16 +652,9 @@ def ldt_rate(
     minus_mass = False
     tails: list[tuple[int, int, int, int]] = []
     for dist in dists:
-        hi = dist.n * (drift_f + eps_f)
-        lo = dist.n * (drift_f - eps_f)
-        plus = 0
-        minus = 0
-        for q, c in zip(dist.support_scaled, dist.counts):
-            value = dist.exact_value(q)
-            if value > hi:
-                plus += c
-            elif value < lo:
-                minus += c
+        plus, minus = _tail_counts(
+            dist, dist.n * (drift_f - eps_f), dist.n * (drift_f + eps_f)
+        )
         plus_mass = plus_mass or plus > 0
         minus_mass = minus_mass or minus > 0
         tails.append((dist.n, plus, minus, dist.total))

@@ -63,6 +63,27 @@ def build_mirror_coding() -> hs.MarkovCoding:
     return hs.load_coding(doc)
 
 
+def build_z2z3_coding() -> hs.MarkovCoding:
+    """Z/2 * Z/3: ``s`` has order 2, ``t`` and ``T = t^-1`` generate the
+    order-3 factor, so reduced words alternate ``s`` with ``t`` or ``T``; the
+    one component has period 2."""
+    edges = [
+        ("*", "s"), ("*", "t"), ("*", "T"), ("s", "t"), ("s", "T"), ("t", "s"), ("T", "s")
+    ]
+    doc = {
+        "generators": ["s", "t", "T"],
+        "vertices": ["*", "s", "t", "T"],
+        "edges": [{"from": u, "to": v, "label": v} for u, v in edges],
+    }
+    return hs.load_coding(doc)
+
+
+def target_letter_weights(coding: hs.MarkovCoding, letters: dict) -> hs.WeightAssignment:
+    """Each edge weighted by ``letters`` at the label of its target letter."""
+    table = {(e.source, e.target): letters[e.label] for e in coding.nonaugmentation_edges}
+    return hs.weights_from_edge_table(coding, table)
+
+
 @pytest.fixture(scope="session")
 def free2():
     return hs.build_free_group_coding(2)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import hypstat as hs
 import oracles
-from conftest import build_mirror_coding
+from conftest import build_mirror_coding, build_z2z3_coding
 from hypstat.enumerate import (
     _digit_levels,
     _flatten,
@@ -31,27 +31,12 @@ from hypstat.enumerate import (
     weighted_counts,
 )
 
-# Z/2 * Z/3: s has order 2, t and T = t^-1 generate the order-3 factor, so
-# reduced words alternate s with t or T; the one component has period 2
-Z2Z3 = {
-    "generators": ["s", "t", "T"],
-    "vertices": ["*", "s", "t", "T"],
-    "edges": [
-        {"from": "*", "to": "s", "label": "s"},
-        {"from": "*", "to": "t", "label": "t"},
-        {"from": "*", "to": "T", "label": "T"},
-        {"from": "s", "to": "t", "label": "t"},
-        {"from": "s", "to": "T", "label": "T"},
-        {"from": "t", "to": "s", "label": "s"},
-        {"from": "T", "to": "s", "label": "s"},
-    ],
-}
 CODINGS = {
     "free1": hs.build_free_group_coding(1),
     "free2": hs.build_free_group_coding(2),
     "free3": hs.build_free_group_coding(3),
     "mirror": build_mirror_coding(),
-    "z2z3": hs.load_coding(Z2Z3),
+    "z2z3": build_z2z3_coding(),
 }
 EXAMPLES = settings(settings.get_profile("hypstat"), max_examples=30)
 

@@ -2,9 +2,11 @@
 
 The property tests check the kernels against numpy's general eigenvalue
 solver (the oracle of ``tests/oracles.py``) and against one-matrix loops of
-the same iterations, on random small irreducible matrices, periodic ones
-included, and check that a point's result in a mixed batch equals its solve
-on its own.
+the plain iterations (the modulus kernel squares its iteration matrix; the
+loop does not, and the two agree to the residual contract), on random small
+irreducible matrices, periodic ones included, and check that a point's
+result in a mixed batch equals its solve on its own.  Fixed cases pin the
+step counts of the frequency-scan stacks.
 """
 
 import cmath
@@ -16,6 +18,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hypstat as hs
+from conftest import build_z2z3_coding, target_letter_weights
 from hypstat import NumericalError
 from hypstat._power import (
     _COMPLEX_SEED,
@@ -23,10 +27,13 @@ from hypstat._power import (
     _STAGNATION_WINDOW,
     RESIDUAL_CONTRACT,
     dominant_modulus,
+    growth_log_batch,
     modulus_batch,
     perron_batch,
     perron_root,
 )
+from hypstat.limits import _default_gate_grid
+from hypstat.spectral import _component_arrays
 from oracles import eig_radius
 
 PROPERTY = settings(settings.get_profile("hypstat"), max_examples=60)
@@ -151,11 +158,47 @@ def loop_orthogonal_iteration(matrix, period):
     raise AssertionError("the reference loop did not stop")
 
 
+# the 3-cycle permutation: eigenvalues 1, w, w^2 (w^3 = 1) tie in modulus, so
+# a block of two never spans an invariant subspace; its powers are
+# permutations, exact in floating point, so squaring cannot break the tie
+CYCLE3 = np.roll(np.eye(3), 1, axis=1).astype(complex)
+
+
+def loop_growth_log(matrix, steps=200):
+    """``log ||M^n x||_inf / n`` by ``n`` normalized products with one matrix."""
+    size = len(matrix)
+    rng = np.random.default_rng(_COMPLEX_SEED + 1)
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    x /= np.abs(x).max()
+    log_norm = 0.0
+    for _ in range(steps):
+        x = matrix @ x
+        scale = float(np.abs(x).max())
+        if scale == 0.0:
+            return -math.inf
+        x /= scale
+        log_norm += math.log(scale)
+    return log_norm / steps
+
+
+def scan_stack(coding, weights):
+    """The default llt gate grid's stack ``M(it)`` and the component period."""
+    decomposition = hs.decompose_components(coding)
+    arrays = _component_arrays(coding, decomposition, weights, 0)
+    ts = np.array(_default_gate_grid())
+    return arrays.matrices(1j * ts[:, None]), decomposition.components[0].period
+
+
+def z2z3_scan_stack():
+    """``scan_stack`` of Z/2*Z/3 weighted by the target letter (s 0, t 1, T -1)."""
+    coding = build_z2z3_coding()
+    return scan_stack(coding, target_letter_weights(coding, {"s": 0, "t": 1, "T": -1}))
+
+
 class TestStagnation:
     def test_complex_stall_above_contract_fails_fast(self):
-        omega = np.exp(2j * np.pi / 3)
         with pytest.raises(NumericalError) as info:
-            dominant_modulus(np.diag([1.0, omega, omega**2]), period_hint=1)
+            dominant_modulus(CYCLE3, period_hint=1)
         message = str(info.value)
         stopped = int(re.search(r"after (\d+) iterations", message).group(1))
         best = int(re.search(r"at iteration (\d+)", message).group(1))
@@ -173,10 +216,61 @@ class TestStagnation:
         assert stopped <= best + _STAGNATION_WINDOW
 
     def test_stall_in_one_point_fails_the_batch(self):
-        omega = np.exp(2j * np.pi / 3)
-        stack = np.stack([np.eye(3), np.diag([1.0, omega, omega**2]), 2.0 * np.eye(3)])
+        stack = np.stack([np.eye(3), CYCLE3, 2.0 * np.eye(3)])
         with pytest.raises(NumericalError):
             modulus_batch(stack)
+
+
+class TestScanStacks:
+    def test_period_two_stack_converges_at_the_first_step(self):
+        # M(it)^2 has rank two here, so the first block is its dominant
+        # invariant subspace; the first step multiplies by M^2 itself, so
+        # these radii do not depend on the squaring
+        stack, period = z2z3_scan_stack()
+        assert period == 2 and len(stack) == 399
+        _moduli, iterations, residuals = modulus_batch(stack, period)
+        assert np.all(iterations == 1)
+        assert np.all(residuals <= _RESIDUAL_TARGET)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the closed form tr/2 +- sqrt(tr^2/4 - det) cancels on the "
+        "double eigenvalue of M(it)^2 and keeps about half the digits",
+    )
+    def test_period_two_radii_match_the_eigenvalues(self):
+        stack, period = z2z3_scan_stack()
+        moduli = modulus_batch(stack, period)[0]
+        expected = np.abs(np.linalg.eigvals(stack)).max(axis=1)
+        assert np.abs(moduli - expected).max() <= 1e-12 * expected.max()
+
+    def test_gate_stack_converges_in_few_steps(self, free2):
+        weights = hs.weights_from_homomorphism(free2, {"a": 1, "b": 1 / math.sqrt(3)})
+        stack, period = scan_stack(free2, weights)
+        moduli, iterations, residuals = modulus_batch(stack, period)
+        assert iterations.max() <= 12
+        assert np.all(residuals <= _RESIDUAL_TARGET)
+        expected = np.abs(np.linalg.eigvals(stack)).max(axis=1)
+        assert np.abs(moduli - expected).max() <= 1e-12 * expected.max()
+
+
+class TestGrowthLog:
+    @PROPERTY
+    @given(components(), st.floats(-4.0, 4.0, allow_nan=False))
+    def test_binary_powering_equals_loop(self, component, t):
+        mask, weights, _period = component
+        matrix = mask * np.exp(1j * t * weights)
+        growth = growth_log_batch(matrix[None])[0]
+        assert abs(growth - loop_growth_log(matrix)) <= 1e-12
+
+    def test_vanishing_iterates_give_minus_infinity(self):
+        size = 4
+        zero = np.zeros((size, size), dtype=complex)
+        nilpotent = np.diag(np.ones(size - 1), 1).astype(complex)
+        stack = np.stack([zero, nilpotent, np.eye(size, dtype=complex)])
+        growths = growth_log_batch(stack)
+        assert growths[0] == growths[1] == -math.inf
+        assert loop_growth_log(nilpotent) == -math.inf
+        assert growths[2] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestAgainstEigOracle:
