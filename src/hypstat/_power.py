@@ -6,18 +6,11 @@ Only dominant-eigenvalue methods are used, never a general eigensolver:
   ``c = max row sum``.  The shift makes the iteration converge even when the
   matrix is periodic (the Perron root of a nonnegative matrix shifts by
   exactly ``c``, while the other peripheral eigenvalues lose their tie).
-* complex matrices: block orthogonal iteration (block size 2) on
-  ``N = M^p`` where ``p`` is a period hint; the projected 2x2 eigenvalues
-  are evaluated in closed form.  Raising to the ``p``-th power collapses a
-  peripheral group ``lambda * exp(2*pi*i*k/p)`` onto the single eigenvalue
-  ``lambda^p``.  The iteration matrix is squared between steps (step ``k``
-  multiplies the block by ``N^(2^(k-1))``, kept divided by its max-abs
-  entry), so after ``k`` steps the block has seen ``N^(2^k - 1)`` and an
-  error that the plain iteration shrinks like ``r^k`` shrinks like
-  ``r^(2^k)``: about eight steps on the frequency scans instead of about
-  eighty.  The Rayleigh quotient and the residuals are taken with ``N``
-  itself, so the stopping rules and the residual contract do not depend
-  on the squaring.
+* complex matrices: block orthogonal iteration (block size 2) on ``M^p``
+  where ``p`` is a period hint; the projected 2x2 eigenvalues are evaluated
+  in closed form.  Raising to the ``p``-th power collapses a peripheral
+  group ``lambda * exp(2*pi*i*k/p)`` onto the single eigenvalue
+  ``lambda^p``, for which the iteration converges geometrically.
 * the second method for complex radii: the growth rate of ``||M^n x||``,
   with ``M^n x`` formed by binary powering.
 
@@ -164,11 +157,8 @@ def modulus_batch(
     """Largest eigenvalue moduli of a stack ``(G, d, d)`` of complex matrices.
 
     ``period_hint`` is the period of the underlying nonnegative support; the
-    iteration runs on ``N = M**period_hint`` so peripheral eigenvalue groups
-    coalesce.  Step 1 multiplies the block by ``N``; each later step by the
-    previous step's matrix squared and divided by its max-abs entry (a
-    matrix whose square is exactly zero is kept).  Each step's estimate and
-    residuals are taken with ``N``.
+    iteration runs on ``M**period_hint`` so peripheral eigenvalue groups
+    coalesce.
 
     Returns
     -------
@@ -188,12 +178,11 @@ def modulus_batch(
     q0 = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
     live = state.live
     n = n[live]
-    power = n
     q = np.repeat(np.linalg.qr(q0)[0][None], len(live), axis=0)
     for iteration in range(1, _MAX_ITERATIONS + 1):
         if not len(live):
             break
-        q, _ = np.linalg.qr(power @ q)
+        q, _ = np.linalg.qr(n @ q)
         nq = n @ q
         t = q.conj().transpose(0, 2, 1) @ nq
         q1 = q[:, :, 0]
@@ -213,9 +202,7 @@ def modulus_batch(
             mu = np.where(subspace, mu_sub, mu)
             res = np.where(subspace, res_sub, res)
         _, stay = state.offer(iteration, mu, res)
-        live, n, q, power = live[stay], n[stay], q[stay], power[stay]
-        square, scale = _normalized_squares(power)
-        power = np.where((scale > 0.0)[:, None, None], square, power)
+        live, n, q = live[stay], n[stay], q[stay]
     return state.value ** (1.0 / p), state.iterations, state.residual
 
 

@@ -263,10 +263,9 @@ def spectral_radius(matrix: TransferMatrix | np.ndarray, period_hint: int = 1) -
 
     Real nonnegative matrices use shifted power iteration (Perron root).
     Complex matrices use orthogonal iteration on ``M^p`` with ``p`` the
-    period hint, squaring the iteration matrix between steps, and the
-    result is always cross-validated against the growth rate of
-    ``||M^200 x||`` (formed by binary powering); disagreement beyond the
-    log-scale tolerance raises ``NumericalError``.
+    period hint, and the result is always cross-validated against the
+    growth rate of ``||M^200 x||`` (formed by binary powering);
+    disagreement beyond the log-scale tolerance raises ``NumericalError``.
 
     Parameters
     ----------
