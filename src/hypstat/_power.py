@@ -179,10 +179,12 @@ def modulus_batch(
     live = state.live
     n = n[live]
     q = np.repeat(np.linalg.qr(q0)[0][None], len(live), axis=0)
+    # each step's N q is the next step's block before orthonormalisation
+    nq = n @ q
     for iteration in range(1, _MAX_ITERATIONS + 1):
         if not len(live):
             break
-        q, _ = np.linalg.qr(n @ q)
+        q, _ = np.linalg.qr(nq)
         nq = n @ q
         t = q.conj().transpose(0, 2, 1) @ nq
         q1 = q[:, :, 0]
@@ -202,20 +204,8 @@ def modulus_batch(
             mu = np.where(subspace, mu_sub, mu)
             res = np.where(subspace, res_sub, res)
         _, stay = state.offer(iteration, mu, res)
-        live, n, q = live[stay], n[stay], q[stay]
+        live, n, nq = live[stay], n[stay], nq[stay]
     return state.value ** (1.0 / p), state.iterations, state.residual
-
-
-def _normalized_squares(power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each matrix of a stack squared and divided by its max-abs entry.
-
-    Returns ``(squares, scales)``; ``scales`` holds the max-abs entries, and a
-    square that is exactly zero has scale 0 and is returned as zero.
-    """
-    square = power @ power
-    scale = np.abs(square).max(axis=(1, 2), initial=0.0)
-    square /= np.where(scale > 0.0, scale, 1.0)[:, None, None]
-    return square, scale
 
 
 def dominant_modulus(matrix: np.ndarray, period_hint: int = 1) -> tuple[float, int, float]:
@@ -255,6 +245,8 @@ def growth_log_batch(stack: np.ndarray, steps: int = 200) -> np.ndarray:
             bits >>= 1
             if not bits:
                 break
-            power, scale = _normalized_squares(power)
+            power = power @ power
+            scale = np.abs(power).max(axis=(1, 2), initial=0.0)
+            power /= np.where(scale > 0.0, scale, 1.0)[:, None, None]
             log_scale = 2.0 * log_scale + np.log(scale)
     return log_norm / steps
