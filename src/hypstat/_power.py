@@ -11,8 +11,8 @@ Only dominant-eigenvalue methods are used, never a general eigensolver:
   in closed form.  Raising to the ``p``-th power collapses a peripheral
   group ``lambda * exp(2*pi*i*k/p)`` onto the single eigenvalue
   ``lambda^p``, for which the iteration converges geometrically.
-* the second method for complex radii: the growth rate of ``||M^n x||``,
-  with ``M^n x`` formed by binary powering.
+* the second method for complex radii: the growth rate of ``||M^200 x||``,
+  with ``M^200 x`` formed by binary powering.
 
 Each method runs in lockstep over a stack of matrices of shape
 ``(G, d, d)``: a few batched matrix products (and, for the orthogonal
@@ -20,7 +20,7 @@ iteration, one batched QR) per step advance every point of a parameter
 grid.  The stopping rules apply per point: each point keeps its own best
 residual, iteration count and stagnation counter, and leaves the batch when
 it converges, so a point's result does not depend on the rest of the batch.
-``perron_root`` and ``dominant_modulus`` are the single-matrix forms.
+A single matrix is a batch of one.
 
 The iteration aims for residual 1e-13 so that downstream second differences
 of the pressure keep enough accuracy; the contractual bound callers may rely
@@ -31,8 +31,6 @@ contract and raises ``NumericalError`` otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError
@@ -42,17 +40,7 @@ _RESIDUAL_TARGET = 1e-13
 _MAX_ITERATIONS = 1_000_000
 _STAGNATION_WINDOW = 64
 _COMPLEX_SEED = 20240817
-
-
-@dataclass(frozen=True)
-class PerronData:
-    """Dominant-eigenvalue data of a nonnegative matrix."""
-
-    value: float
-    right: np.ndarray
-    left: np.ndarray
-    iterations: int
-    residual: float
+_GROWTH_STEPS = 200
 
 
 class _BestSoFar:
@@ -134,23 +122,6 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def perron_root(matrix: np.ndarray) -> PerronData:
-    """Perron root and left/right vectors of one square nonnegative matrix.
-
-    The left vector is the right vector of the transpose, solved in the same
-    batch; ``iterations`` adds up both solves and ``residual`` is the larger.
-    """
-    m = np.asarray(matrix, dtype=float)
-    values, vectors, iterations, residuals = perron_batch(np.stack([m, m.T]))
-    return PerronData(
-        value=float(values[0]),
-        right=vectors[0],
-        left=vectors[1],
-        iterations=int(iterations.sum()),
-        residual=float(residuals.max()),
-    )
-
-
 def modulus_batch(
     stack: np.ndarray, period_hint: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,16 +179,8 @@ def modulus_batch(
     return state.value ** (1.0 / p), state.iterations, state.residual
 
 
-def dominant_modulus(matrix: np.ndarray, period_hint: int = 1) -> tuple[float, int, float]:
-    """``(modulus, iterations, residual)`` of one matrix; see ``modulus_batch``."""
-    moduli, iterations, residuals = modulus_batch(
-        np.asarray(matrix, dtype=complex)[None], period_hint
-    )
-    return float(moduli[0]), int(iterations[0]), float(residuals[0])
-
-
-def growth_log_batch(stack: np.ndarray, steps: int = 200) -> np.ndarray:
-    """Second method for dominant moduli: ``log ||M^n x||_inf / n`` per matrix.
+def growth_log_batch(stack: np.ndarray) -> np.ndarray:
+    """Second method for dominant moduli: ``log ||M^n x||_inf / n``, ``n = 200``.
 
     Coarse (error ``O(1/n)``) but structurally independent of the orthogonal
     iteration; used to cross-validate near-tie spectral radii.  ``M^n x`` is
@@ -234,7 +197,7 @@ def growth_log_batch(stack: np.ndarray, steps: int = 200) -> np.ndarray:
     log_norm = np.zeros(count)
     # M^(2^j) = exp(log_scale) * power, row by row
     power, log_scale = m, np.zeros(count)
-    bits = steps
+    bits = _GROWTH_STEPS
     with np.errstate(divide="ignore"):
         while True:
             if bits & 1:
@@ -249,4 +212,4 @@ def growth_log_batch(stack: np.ndarray, steps: int = 200) -> np.ndarray:
             scale = np.abs(power).max(axis=(1, 2), initial=0.0)
             power /= np.where(scale > 0.0, scale, 1.0)[:, None, None]
             log_scale = 2.0 * log_scale + np.log(scale)
-    return log_norm / steps
+    return log_norm / _GROWTH_STEPS

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._power import perron_root
+from ._power import perron_batch
 from .errors import (
     InconsistencyError,
     InvalidArgumentError,
@@ -614,11 +614,7 @@ def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
         comp = sorted(raw_components[ci], key=lambda v: vertex_pos[v])
         ordered.append(comp)
         idx = [core_index[v] for v in comp]
-        sub = b[np.ix_(idx, idx)]
-        if float(sub.max()) == 0.0:
-            radii.append(0.0)
-        else:
-            radii.append(perron_root(sub).value)
+        radii.append(float(perron_batch(b[np.ix_(idx, idx)][None])[0][0]))
         periods.append(_component_period(comp, succ))
 
     if not ordered:

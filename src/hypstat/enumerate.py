@@ -29,10 +29,10 @@ in that basis are flattened with strides, so no coordinate carries into
 the next and the abelianization of free:2 fills its box exactly.  Every
 change of basis is integer and unimodular, so the counts stay exact.
 
-The digit count follows the largest sphere count so far; each target
-reuses two buffers sized before the first level; ``interval_count_sweep``
-keeps, as a slice view, only the slots that can still reach a remaining
-window and counts ``#W_n`` from per-vertex path totals; Python integers are
+Per-vertex path counts give every level's total (``#W_n``) before the
+first level, and the digit count follows the largest total so far; each
+target reuses two buffers; ``interval_count_sweep`` keeps, as a slice view,
+only the slots that can still reach a remaining window; Python integers are
 built only for the wanted slots of the wanted levels; and the buffer bytes
 are checked against ``BYTE_BUDGET`` before they are allocated, so
 oversized requests raise ``ResourceError`` instead of exhausting memory.
@@ -392,7 +392,6 @@ def _carry(planes: np.ndarray) -> None:
 
 
 def _digit_levels(
-    coding: MarkovCoding,
     edges: list[tuple[str, str, int]],
     step: int,
     n_max: int,
@@ -403,22 +402,26 @@ def _digit_levels(
     ``state[v]`` is a ``uint64`` array of shape ``(digits, slots)``: column
     ``i`` counts the paths ending at ``v`` in slot ``first + i`` (slot 0 is
     the level's least reachable value) as ``sum_d state[v][d, i] << 48 d``,
-    carries not yet propagated.  ``total`` counts every path of the level,
-    pruned or not.  ``keep[L]``, when given, is the inclusive slot range
-    still needed at level ``L``.  The arrays are views of two buffers per
+    carries not yet propagated.  ``total`` counts every path of the level
+    along ``edges``, pruned or not.  ``keep[L]``, when given, is the
+    inclusive slot range still needed at level ``L``.  The arrays are views of two buffers per
     target, reused every other level: read or copy them before advancing.
     """
     groups: dict[str, dict[int, list[str]]] = {}
     for source, target, offset in edges:
         groups.setdefault(target, {}).setdefault(offset, []).append(source)
-    indegree = max((sum(map(len, g.values())) for g in groups.values()), default=1)
+    preds = {t: [s for p in g.values() for s in p] for t, g in groups.items()}
+    indegree = max(map(len, preds.values()), default=1)
     if indegree >= 2**16:
         raise ResourceError(
             f"a vertex with {indegree} incoming edges could overflow a 64-bit "
             "digit in one level; the exact engine takes in-degrees below 65536"
         )
-    counts = sphere_counts(coding, n_max)
-    bits = (c.bit_length() for c in counts)
+    paths, totals = {START_VERTEX: 1}, [1]
+    for _level in range(n_max):
+        paths = {t: sum(paths.get(s, 0) for s in vs) for t, vs in preds.items()}
+        totals.append(sum(paths.values()))
+    bits = (c.bit_length() for c in totals)
     digits = list(accumulate((-(-b // _DIGIT_BITS) for b in bits), max))
     # the kept range (first, top) and the unpruned width of every level
     first, top, spans = 0, 0, []
@@ -436,17 +439,15 @@ def _digit_levels(
         t: (np.empty(size, np.uint64), np.empty(size, np.uint64)) for t in groups
     }
     state = {START_VERTEX: np.ones((1, 1), np.uint64)}
-    paths, bound = {START_VERTEX: 1}, 1
+    bound = 1
     for level, (first, top, width) in enumerate(spans):
         if level:
             if bound * indegree > _DIGIT_CEILING:
                 for planes in state.values():
                     _carry(planes)
                 bound = _DIGIT_MASK
-            rows, nxt, nxt_paths = digits[level], {}, {}
+            rows, nxt = digits[level], {}
             for target, parts in groups.items():
-                sources = [s for p in parts.values() for s in p]
-                nxt_paths[target] = sum(paths.get(s, 0) for s in sources)
                 live = [
                     (off, srcs)
                     for off, sources in parts.items()
@@ -472,11 +473,11 @@ def _digit_levels(
                     for src in more:
                         region += src
                 nxt[target] = dst
-            state, paths, bound = nxt, nxt_paths, bound * indegree
+            state, bound = nxt, bound * indegree
         if keep is not None:
             drop = first - spans[level - 1][0] if level else first
             state = {v: p[:, drop : drop + top - first + 1] for v, p in state.items()}
-        yield level, first, state, sum(paths.values())
+        yield level, first, state, totals[level]
 
 
 def _summed_planes(state: dict[str, np.ndarray], a: int, b: int) -> np.ndarray:
@@ -536,7 +537,7 @@ def weighted_counts(
     table = scaled_integer_values(weights, scale)
     transitions = _transitions(coding, table, set(coding.core_vertices))
     edges, step, decode, *_ = _flatten(transitions, n)
-    for _level, _first, state, total in _digit_levels(coding, edges, step, n):
+    for _level, _first, state, total in _digit_levels(edges, step, n):
         pass  # only the last level is read
     acc = _summed_planes(state, 0, n * step)
     width = acc.shape[1]
@@ -649,7 +650,7 @@ def _sweep(
             ends = [(a - (n - L) * step, b) for n, (a, b) in slots.items() if n >= L]
             keep.append((min(e[0] for e in ends), max(e[1] for e in ends)))
     out, wanted = [], set(order)
-    for level, first, state, total in _digit_levels(coding, edges, step, n_max, keep):
+    for level, first, state, total in _digit_levels(edges, step, n_max, keep):
         if level not in wanted:
             continue
         a, b = 0, level * step

@@ -419,13 +419,13 @@ def clt_distance(
 # ---------------------------------------------------------------------------
 
 
-def quad(fn, a: float, b: float, limit: int = 200) -> tuple[float, float]:
+def quad(fn, a: float, b: float) -> tuple[float, float]:
     """``(value, abserr)`` of the integral of ``fn`` over a finite ``[a, b]``.
 
     Globally adaptive 10-point Gauss-Legendre: the interval with the
     largest error estimate is bisected, each half then carries half of
     ``|rule(whole) - rule(left) - rule(right)|``, until the estimates sum
-    to at most ``1e-13 * max(1, |value|)`` or ``limit`` intervals are used.
+    to at most ``1e-13 * max(1, |value|)`` or 200 intervals are used.
     """
     nodes, weights = np.polynomial.legendre.leggauss(10)
 
@@ -434,7 +434,7 @@ def quad(fn, a: float, b: float, limit: int = 200) -> tuple[float, float]:
         return half * float(weights @ np.array([fn(mid + half * x) for x in nodes]))
 
     parts = [(math.inf, a, b, rule(a, b))]
-    while len(parts) < limit:
+    while len(parts) < 200:
         value, abserr = (math.fsum(p[i] for p in parts) for i in (3, 0))
         if abserr <= 1e-13 * max(1.0, abs(value)):
             break
@@ -446,7 +446,7 @@ def quad(fn, a: float, b: float, limit: int = 200) -> tuple[float, float]:
 
 
 def _quadrature(fn, lo: float, hi: float, what: str) -> float:
-    value, abserr = quad(fn, lo, hi, limit=200)
+    value, abserr = quad(fn, lo, hi)
     if not math.isfinite(value) or abserr > max(1e-7, 1e-4 * abs(value)):
         raise NumericalError(
             f"adaptive quadrature failed for {what}: value {value!r}, "
@@ -486,6 +486,18 @@ def berry_esseen_bound(
     -------
     float
     """
+    return _bound_and_law(coding, decomposition, weights, stats, n, T)[0]
+
+
+def _bound_and_law(
+    coding: MarkovCoding,
+    decomposition: ComponentDecomposition,
+    weights: WeightAssignment,
+    stats: LimitStatistics,
+    n: int,
+    T: float,
+) -> tuple[float, WordDistribution]:
+    """``berry_esseen_bound`` and the overcounted law it is computed from."""
     _require_scalar(weights, "berry_esseen_bound")
     sigma = _require_nondegenerate(stats, "berry_esseen_bound")
     if not T > 0.0:
@@ -508,7 +520,7 @@ def berry_esseen_bound(
     integral = _quadrature(integrand, 0.0, T, "the characteristic-function term")
     peak = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     K = max(1.0 / math.pi, 24.0 * peak / math.pi)
-    return K * (2.0 * integral + 1.0 / T + abs(shift) * math.exp(abs(shift) * T))
+    return K * (2.0 * integral + 1.0 / T + abs(shift) * math.exp(abs(shift) * T)), dist
 
 
 def berry_esseen_report(
@@ -520,9 +532,8 @@ def berry_esseen_report(
     T: float,
 ) -> LimitLawReport:
     """Soundness report: the explicit bound against the exact sup distance."""
-    bound = berry_esseen_bound(coding, decomposition, weights, stats, n, T)
+    bound, dist = _bound_and_law(coding, decomposition, weights, stats, n, T)
     sigma = math.sqrt(stats.sigma2)
-    dist = distribution_overcounted(coding, decomposition, weights, n)
     observed = kolmogorov_distance(dist, stats.drift[0], sigma)
     rows = [
         {
@@ -1058,12 +1069,8 @@ def mclt_check(
 
 
 def _default_gate_grid() -> list[float]:
-    grid = []
-    t = 0.1
-    while t <= 20.0 + 1e-9:
-        grid.append(round(t, 10))
-        t += 0.05
-    return grid
+    """``0.1 + k * 0.05`` up to 20, as the CLI parses ``0.1:20:0.05``."""
+    return [0.1 + k * 0.05 for k in range(399)]
 
 
 def llt_check(

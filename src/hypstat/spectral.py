@@ -15,17 +15,18 @@ data of this family:
 No general-purpose eigensolver is used: real Perron roots come from shifted
 power iteration with deterministic starts, complex spectral radii from a
 small orthogonal iteration that is always cross-validated against the
-directly measured growth rate of ``||M^n x||``.  Derivatives of the
+directly measured growth rate of ``||M^200 x||``.  Derivatives of the
 pressure are computed both by first-order perturbation theory and by
 central differences, and the two routes must agree.
 
-Grids are solved as one batch each: the gap frequencies, the Legendre grid
-of ``pressure_grid`` and the stencil of ``limit_statistics`` (with the
-transpose at ``s = 0`` for the left vector).  A component's 0/1 mask ``A``
-and weight stack ``W`` (``k x d x d``) are built once per call, ``M(s)``
-over the grid is the broadcast ``A * exp(sum_j s_j W_j)`` of shape
-``(G, d, d)``, and the ``_power`` kernels advance all points in lockstep
-with per-point stopping rules under ``RESIDUAL_CONTRACT``.
+Each call solves one batch of a ``_power`` kernel: the gap frequencies,
+the grid of ``pressure_grid``, or ``M(s)`` of ``pressure`` or the stencil
+of ``limit_statistics`` with a transpose at one point for the left vector.
+A component's 0/1 mask ``A`` and weight stack ``W`` (``k x d x d``) are
+built once per call, ``M(s)`` over the grid is the broadcast
+``A * exp(sum_j s_j W_j)`` of shape ``(G, d, d)``, and the kernels advance
+all points in lockstep with per-point stopping rules under
+``RESIDUAL_CONTRACT``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._power import growth_log_batch, modulus_batch, perron_batch, perron_root
+from ._power import growth_log_batch, modulus_batch, perron_batch
 from .coding import ComponentDecomposition, MarkovCoding
 from .errors import InvalidArgumentError, NumericalError
 from .weights import WeightAssignment
@@ -53,32 +54,6 @@ _DRIFT_STEP = 1e-4
 _VARIANCE_STEP = 1e-2
 #: log-scale agreement required between the two complex-radius methods
 _GROWTH_VALIDATION_TOL = 0.06
-_GROWTH_VALIDATION_STEPS = 200
-
-
-@dataclass(frozen=True, eq=False)
-class TransferMatrix:
-    """The matrix ``M_i(s)`` of one maximal component at one parameter.
-
-    Attributes
-    ----------
-    component : int
-        Index of the maximal component in the decomposition.
-    s : tuple of complex
-        The parameter, one entry per weight coordinate.
-    vertices : tuple of str
-        Masked vertex set indexing the rows and columns.
-    matrix : numpy.ndarray
-        Real float64 when ``s`` is real, complex128 otherwise; entry
-        ``(u, v)`` is ``exp(<s, w(u, v)>)`` on edges, 0 elsewhere.
-    is_real : bool
-    """
-
-    component: int
-    s: tuple[complex, ...]
-    vertices: tuple[str, ...]
-    matrix: np.ndarray
-    is_real: bool
 
 
 @dataclass(frozen=True)
@@ -168,7 +143,7 @@ class ComponentConsistencyReport:
     diagnostic: str
 
 
-def _normalize_parameter(s: object, dim: int) -> tuple[complex, ...]:
+def _real_parameter(s: object, dim: int) -> tuple[float, ...]:
     if isinstance(s, (int, float, complex)):
         vec = (complex(s),)
     elif isinstance(s, Sequence) and not isinstance(s, (str, bytes)):
@@ -179,7 +154,9 @@ def _normalize_parameter(s: object, dim: int) -> tuple[complex, ...]:
         raise InvalidArgumentError(
             f"parameter s has {len(vec)} coordinates, expected {dim}"
         )
-    return vec
+    if any(x.imag != 0.0 for x in vec):
+        raise InvalidArgumentError("pressure is defined for real parameters only")
+    return tuple(x.real for x in vec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,76 +196,10 @@ def _component_arrays(
     return _ComponentArrays(vertices=mask, mask=adjacency, weights=stack)
 
 
-def transfer_matrix(
-    coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
-    weights: WeightAssignment,
-    component: int,
-    s: object = 0.0,
-) -> TransferMatrix:
-    """Build ``M_i(s)`` for a maximal component.
-
-    Parameters
-    ----------
-    coding : MarkovCoding
-    decomposition : ComponentDecomposition
-    weights : WeightAssignment
-        Must match the coding's edges.
-    component : int
-        Index of a maximal component (others are rejected).
-    s : number or sequence, optional
-        Real or complex, length ``weights.dim``.
-
-    Returns
-    -------
-    TransferMatrix
-        At ``s = 0`` the matrix equals the 0/1 adjacency matrix of the
-        masked vertex set.
-    """
-    arrays = _component_arrays(coding, decomposition, weights, component)
-    s_vec = _normalize_parameter(s, weights.dim)
-    is_real = all(x.imag == 0.0 for x in s_vec)
-    grid = np.array([[x.real for x in s_vec] if is_real else s_vec])
-    return TransferMatrix(
-        component=component,
-        s=s_vec,
-        vertices=arrays.vertices,
-        matrix=arrays.matrices(grid)[0],
-        is_real=is_real,
-    )
-
-
-def spectral_radius(matrix: TransferMatrix | np.ndarray, period_hint: int = 1) -> float:
-    """Spectral radius of a transfer matrix (or raw square matrix).
-
-    Real nonnegative matrices use shifted power iteration (Perron root).
-    Complex matrices use orthogonal iteration on ``M^p`` with ``p`` the
-    period hint, and the result is always cross-validated against the
-    growth rate of ``||M^200 x||`` (formed by binary powering);
-    disagreement beyond the log-scale tolerance raises ``NumericalError``.
-
-    Parameters
-    ----------
-    matrix : TransferMatrix or numpy.ndarray
-    period_hint : int, optional
-        Period of the underlying component; collapses peripheral spectrum
-        so the iteration converges on periodic codings.
-
-    Returns
-    -------
-    float
-    """
-    raw = matrix.matrix if isinstance(matrix, TransferMatrix) else np.asarray(matrix)
-    stack = raw[None]
-    if not np.iscomplexobj(stack):
-        return float(perron_batch(stack)[0][0])
-    return _complex_radii(stack, period_hint)[0]
-
-
 def _complex_radii(stack: np.ndarray, period_hint: int) -> list[float]:
     """Dominant moduli of a complex stack, each checked by the growth rate."""
     moduli = modulus_batch(stack, period_hint)[0].tolist()
-    growths = growth_log_batch(stack, _GROWTH_VALIDATION_STEPS).tolist()
+    growths = growth_log_batch(stack).tolist()
     for modulus, growth in zip(moduli, growths):
         if modulus <= 1e-8:
             if growth > math.log(1e-6):
@@ -316,23 +227,24 @@ def pressure(
     Returns
     -------
     PressureReport
-        With the Perron root, both eigenvectors, and the certified residual.
+        With the Perron root, both eigenvectors (the left one solved as the
+        right one of the transpose, in the same batch), and the certified
+        residual: the larger of the two; ``iterations`` adds up both.
     """
-    s_vec = _normalize_parameter(s, weights.dim)
-    if any(x.imag != 0.0 for x in s_vec):
-        raise InvalidArgumentError("pressure is defined for real parameters only")
-    tm = transfer_matrix(coding, decomposition, weights, component, s_vec)
-    data = perron_root(tm.matrix)
+    real = _real_parameter(s, weights.dim)
+    arrays = _component_arrays(coding, decomposition, weights, component)
+    m = arrays.matrices(np.array([real]))[0]
+    values, vectors, iterations, residuals = perron_batch(np.stack([m, m.T]))
     return PressureReport(
         component=component,
-        s=tuple(x.real for x in s_vec),
-        value=data.value,
-        pressure=math.log(data.value),
-        vertices=tm.vertices,
-        right=tuple(float(x) for x in data.right),
-        left=tuple(float(x) for x in data.left),
-        iterations=data.iterations,
-        residual=data.residual,
+        s=real,
+        value=float(values[0]),
+        pressure=math.log(values[0]),
+        vertices=arrays.vertices,
+        right=tuple(vectors[0].tolist()),
+        left=tuple(vectors[1].tolist()),
+        iterations=int(iterations.sum()),
+        residual=float(residuals.max()),
     )
 
 
@@ -585,11 +497,10 @@ def nonlattice_gap(
     arrays = _component_arrays(coding, decomposition, weights, component)
     radius0 = float(perron_batch(arrays.matrices(np.zeros((1, 1))))[0][0])
     period = decomposition.components[component].period
-    period_hint = period if period >= 1 else 1
     ts = [float(t) for t in t_grid]
     stack = arrays.matrices(1j * np.array(ts)[:, None])
     points = []
-    for t, radius in zip(ts, _complex_radii(stack, period_hint)):
+    for t, radius in zip(ts, _complex_radii(stack, period)):
         gap = radius0 - radius
         if gap < -1e-9:
             raise NumericalError(

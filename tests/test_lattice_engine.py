@@ -153,7 +153,7 @@ class TestDigitPlanes:
         dists = assert_equal_to_dict_oracle(coding, weights, {7, 23, 40})
         assert max(dists[-1].counts).bit_length() > 2 * 48
         edges, step, *_ = flattened(coding, weights, 40)
-        levels = _digit_levels(coding, edges, step, 40)
+        levels = _digit_levels(edges, step, 40)
         top = max(int(p.max()) for *_, state, _t in levels for p in state.values())
         # deferred carries leave digits above 2**48 between propagations
         assert top >= 2**48

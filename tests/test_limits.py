@@ -9,8 +9,10 @@ import pytest
 import hypstat as hs
 import oracles
 from conftest import build_z2z3_coding, target_letter_weights
+from hypstat import cli
 from hypstat import enumerate as engine
 from hypstat.limits import (
+    _default_gate_grid,
     _doubled_membership,
     _finalize,
     _gaussian_rectangle,
@@ -163,6 +165,20 @@ class TestBerryEsseen:
             mirror, mirror_decomp, mirror_hom, mirror_stats, 8, 1.5
         )
         assert report.passed
+
+    def test_report_builds_the_law_once(
+        self, free2, free2_decomp, aexp, aexp_stats, monkeypatch
+    ):
+        radii = []
+
+        def counted(coding, decomposition, weights, n):
+            radii.append(n)
+            return hs.distribution_overcounted(coding, decomposition, weights, n)
+
+        monkeypatch.setattr("hypstat.limits.distribution_overcounted", counted)
+        report = hs.berry_esseen_report(free2, free2_decomp, aexp, aexp_stats, 16, 2.0)
+        assert report.passed
+        assert radii == [16]
 
 
 class TestQuadrature:
@@ -355,6 +371,15 @@ class TestMclt:
 
 
 class TestLlt:
+    def test_default_gate_grid_is_the_cli_default(self):
+        parser = cli._build_parser()
+        pair = ["--coding", "free:2", "--weights", "wordlen"]
+        gate = parser.parse_args(["llt", *pair, "--interval=0,1"]).gate_grid
+        scan = parser.parse_args(["scan-lattice", *pair]).tgrid
+        grid = _default_gate_grid()
+        assert grid == cli._parse_float_grid(gate) == cli._parse_float_grid(scan)
+        assert len(grid) == 399
+
     def test_row_matches_manual_binned_mass(
         self, free2, free2_decomp, proj, proj_stats
     ):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import hypstat as hs
+from hypstat._power import perron_batch
+from hypstat.spectral import _complex_radii, _component_arrays
 
 # [DERIVED] eigenvalue-solver oracle values from tests/oracles.py
 PRESSURE_AEXP_03 = 1.1420500092669588
@@ -15,18 +17,25 @@ COMPLEX_RADIUS_AEXP = 2.381049726375522  # at s = 0.4 + 1.3j
 AIND_SIGMA2 = 0.28125  # Richardson-extrapolated oracle: 0.28125000022842056
 
 
+def transfer_matrices(coding, decomposition, weights, component, grid):
+    """``M(s)`` of a component at each row ``s`` of ``grid``, shape ``(G, d, d)``."""
+    arrays = _component_arrays(coding, decomposition, weights, component)
+    return arrays.matrices(np.array(grid))
+
+
 class TestTransferMatrix:
     def test_adjacency_radius(self, free2, free2_decomp, aexp):
         comp = free2_decomp.maximal_indices[0]
-        matrix = hs.transfer_matrix(free2, free2_decomp, aexp, comp, 0.0)
-        assert hs.spectral_radius(matrix) == pytest.approx(3.0, abs=1e-9)
+        stack = transfer_matrices(free2, free2_decomp, aexp, comp, [[0.0]])
+        assert perron_batch(stack)[0][0] == pytest.approx(3.0, abs=1e-9)
 
     def test_mask_excludes_other_maximal(self, mirror, mirror_decomp, mirror_hom):
         first = mirror_decomp.maximal_indices[0]
-        matrix = hs.transfer_matrix(mirror, mirror_decomp, mirror_hom, first, 0.0)
+        arrays = _component_arrays(mirror, mirror_decomp, mirror_hom, first)
+        vertices = arrays.vertices
         excluded = set(mirror_decomp.components[mirror_decomp.maximal_indices[1]].vertices)
-        assert excluded.isdisjoint(matrix.vertices)
-        assert {"t1", "t2"} <= set(matrix.vertices)
+        assert excluded.isdisjoint(vertices)
+        assert {"t1", "t2"} <= set(vertices)
 
     def test_pressure_at_zero_is_entropy(self, free2, free2_decomp, aexp):
         comp = free2_decomp.maximal_indices[0]
@@ -59,28 +68,26 @@ class TestTransferMatrix:
 
     def test_complex_radius_matches_oracle(self, free2, free2_decomp, aexp):
         comp = free2_decomp.maximal_indices[0]
-        matrix = hs.transfer_matrix(free2, free2_decomp, aexp, comp, 0.4 + 1.3j)
-        radius = hs.spectral_radius(matrix)
+        stack = transfer_matrices(free2, free2_decomp, aexp, comp, [[0.4 + 1.3j]])
+        (radius,) = _complex_radii(stack, 1)
         assert radius == pytest.approx(COMPLEX_RADIUS_AEXP, abs=1e-6)
 
     def test_lattice_frequency_restores_radius(self, free2, free2_decomp, aexp):
         # integer weights at t = 2 pi: entries all return to their s = 0
         # values, so the twisted radius equals the growth rate
         comp = free2_decomp.maximal_indices[0]
-        matrix = hs.transfer_matrix(
-            free2, free2_decomp, aexp, comp, 2j * math.pi
-        )
-        assert hs.spectral_radius(matrix) == pytest.approx(3.0, abs=1e-9)
+        stack = transfer_matrices(free2, free2_decomp, aexp, comp, [[2j * math.pi]])
+        assert _complex_radii(stack, 1)[0] == pytest.approx(3.0, abs=1e-9)
 
 
 class TestSpectralRadiusOnArrays:
     def test_periodic_matrix(self):
         swap = np.array([[0.0, 2.0], [2.0, 0.0]])
-        assert hs.spectral_radius(swap, period_hint=2) == pytest.approx(2.0, abs=1e-9)
+        assert perron_batch(swap[None])[0][0] == pytest.approx(2.0, abs=1e-9)
 
     def test_rank_one_matrix(self):
         ones = np.ones((3, 3))
-        assert hs.spectral_radius(ones) == pytest.approx(3.0, abs=1e-9)
+        assert perron_batch(ones[None])[0][0] == pytest.approx(3.0, abs=1e-9)
 
 
 class TestDriftAndVariance:
@@ -172,13 +179,11 @@ class TestNonlatticeGap:
         comp = free2_decomp.maximal_indices[0]
         ts = [0.1 + 0.05 * k for k in range(59)]
         points = hs.nonlattice_gap(free2, free2_decomp, weights, comp, ts)
-        radius0 = hs.spectral_radius(
-            hs.transfer_matrix(free2, free2_decomp, weights, comp, 0.0)
-        )
+        zero = transfer_matrices(free2, free2_decomp, weights, comp, [[0.0]])
+        radius0 = perron_batch(zero)[0][0]
         for t, point in zip(ts, points):
-            radius = hs.spectral_radius(
-                hs.transfer_matrix(free2, free2_decomp, weights, comp, 1j * t)
-            )
+            stack = transfer_matrices(free2, free2_decomp, weights, comp, [[1j * t]])
+            (radius,) = _complex_radii(stack, 1)
             assert point.t == t
             assert point.radius == pytest.approx(radius, rel=0.0, abs=1e-12)
             assert point.gap == pytest.approx(radius0 - radius, rel=0.0, abs=1e-12)
