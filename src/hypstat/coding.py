@@ -16,7 +16,14 @@ The working matrices are
 and the structural analysis decomposes ``B`` into strongly connected
 components, flags the components of maximal spectral radius (growth-rate
 components), computes their periods, and exposes the per-component vertex
-masks used by the transfer matrices.
+masks used by the transfer matrices.  Every graph question it asks
+(reachability from ``"*"``, the components, their order, whether one
+maximal component reaches another) is read off one Boolean reachability
+closure of the ``"*"``-plus-core adjacency, built by Warshall's algorithm
+in O(V^3) for V core vertices.  Components are listed sinks first: the
+reverse of the topological order that always takes the ready component
+with the smallest first vertex.  All exact path counts from ``"*"`` come
+from one big-integer DP, ``_path_totals``.
 """
 
 from __future__ import annotations
@@ -373,34 +380,17 @@ def dump_coding(coding: MarkovCoding) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def free_group_word_counts(rank: int, depth: int) -> list[int]:
-    """Independently derived reduced-word counts ``[#W_0, ..., #W_depth]``."""
-    counts = [1]
-    if depth >= 1:
-        counts.append(2 * rank)
-    for _ in range(2, depth + 1):
-        counts.append(counts[-1] * (2 * rank - 1))
-    return counts[: depth + 1]
-
-
-def validate_coding(
-    coding: MarkovCoding,
-    depth: int,
-    expected_counts: list[int] | None = None,
-) -> CodingValidationReport:
+def validate_coding(coding: MarkovCoding, depth: int) -> CodingValidationReport:
     """Check that distinct paths from ``"*"`` spell distinct words.
 
     Enumerates every label path from the start vertex up to ``depth`` and
-    verifies injectivity of the path-to-word map; when ``expected_counts``
-    is given (index = length), path counts are compared against it.
+    verifies injectivity of the path-to-word map.
 
     Parameters
     ----------
     coding : MarkovCoding
     depth : int
         Maximum path length to enumerate; total paths are guarded at 1e7.
-    expected_counts : list of int, optional
-        Independently derived word counts per length.
 
     Returns
     -------
@@ -435,12 +425,6 @@ def validate_coding(
                 seen[labels] = path
         counts.append(len(nxt))
         frontier = nxt
-    if expected_counts is not None:
-        for n, expected in enumerate(expected_counts[: depth + 1]):
-            if counts[n] != expected:
-                failures.append(
-                    f"depth {n}: {counts[n]} paths but {expected} words expected"
-                )
     return CodingValidationReport(
         ok=not failures,
         depth=depth,
@@ -452,79 +436,6 @@ def validate_coding(
 # ---------------------------------------------------------------------------
 # Component structure
 # ---------------------------------------------------------------------------
-
-
-def core_matrix(coding: MarkovCoding) -> np.ndarray:
-    """The 0/1 matrix ``B`` over ``coding.core_vertices`` (row = source)."""
-    core = coding.core_vertices
-    index = {v: i for i, v in enumerate(core)}
-    b = np.zeros((len(core), len(core)))
-    for edge in coding.edges:
-        if edge.source in index and edge.target in index:
-            b[index[edge.source], index[edge.target]] = 1.0
-    return b
-
-
-def _reachable_core(coding: MarkovCoding) -> list[str]:
-    """Core vertices reachable from ``"*"`` without entering ``"0"``."""
-    seen: set[str] = set()
-    stack = [START_VERTEX]
-    while stack:
-        v = stack.pop()
-        for edge in coding.out_edges[v]:
-            w = edge.target
-            if w == ZERO_VERTEX or w in seen or w == START_VERTEX:
-                continue
-            seen.add(w)
-            stack.append(w)
-    return [v for v in coding.core_vertices if v in seen]
-
-
-def _strongly_connected(vertices: list[str], succ: dict[str, list[str]]) -> list[list[str]]:
-    """Iterative Tarjan; returns the strongly connected components."""
-    index_of: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
-    counter = 0
-    for root in vertices:
-        if root in index_of:
-            continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            v, edge_pos = work[-1]
-            if edge_pos == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            for pos in range(edge_pos, len(succ[v])):
-                w = succ[v][pos]
-                if w not in index_of:
-                    work[-1] = (v, pos + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index_of[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return components
 
 
 def _component_period(vertices: list[str], succ: dict[str, list[str]]) -> int:
@@ -550,77 +461,77 @@ def _component_period(vertices: list[str], succ: dict[str, list[str]]) -> int:
 def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
     """Strongly connected components of ``B``, maximality flags, periods, masks.
 
-    Components cover exactly the core vertices reachable from ``"*"``; they
-    are listed in reverse topological order of the condensation with ties
-    broken by smallest contained vertex index.  A component is maximal iff
-    its spectral radius is within relative tolerance ``MAXIMALITY_RTOL`` of
-    the growth rate ``lambda``; maximal components must be pairwise
-    unreachable from each other.
+    One Boolean reachability closure answers every graph question.  Over
+    ``("*", *core_vertices)``, Warshall's algorithm turns the 0/1 adjacency
+    plus the identity into ``reach``; its ``"*"`` row is the reachable core,
+    and the classes of ``reach & reach.T`` on that core are the components,
+    each named by its first vertex in vertex order.  The closure costs
+    O(V^3) in the V core vertices.
+
+    Components cover exactly the core vertices reachable from ``"*"``.  They
+    are listed in reverse of the topological order of the condensation that
+    always takes the ready component with the smallest first vertex (sink
+    components first).  A component is maximal iff its spectral radius is
+    within relative tolerance ``MAXIMALITY_RTOL`` of the growth rate
+    ``lambda``; maximal components must be pairwise unreachable from each
+    other.
 
     Raises
     ------
     StructureError
-        If no component carries a directed cycle (degenerate coding), or if
-        one maximal component can reach another (impossible for a strongly
-        Markov coding of a group).
+        If no core vertex is reachable from ``"*"``, if no component carries
+        a directed cycle (degenerate coding), or if one maximal component
+        can reach another (impossible for a strongly Markov coding of a
+        group).
     """
     check_coding(coding)
-    reachable = _reachable_core(coding)
-    members = set(reachable)
-    succ = {
-        v: [e.target for e in coding.out_edges[v] if e.target in members]
-        for v in reachable
-    }
-    raw_components = _strongly_connected(reachable, succ)
-
-    # canonical order: reverse topological (sinks first), heap-free Kahn with
-    # smallest-vertex-index tie-break on the condensation
-    comp_id = {}
-    for ci, comp in enumerate(raw_components):
-        for v in comp:
-            comp_id[v] = ci
-    n_comp = len(raw_components)
-    successors: list[set[int]] = [set() for _ in range(n_comp)]
-    indegree = [0] * n_comp
-    for v in reachable:
-        for w in succ[v]:
-            a, b = comp_id[v], comp_id[w]
-            if a != b and b not in successors[a]:
-                successors[a].add(b)
-                indegree[b] += 1
-    vertex_pos = {v: i for i, v in enumerate(coding.vertices)}
-    comp_key = [min(vertex_pos[v] for v in comp) for comp in raw_components]
-    ready = sorted((ci for ci in range(n_comp) if indegree[ci] == 0), key=lambda c: comp_key[c])
-    topo: list[int] = []
-    while ready:
-        ci = ready.pop(0)
-        topo.append(ci)
-        changed = False
-        for cj in successors[ci]:
-            indegree[cj] -= 1
-            if indegree[cj] == 0:
-                ready.append(cj)
-                changed = True
-        if changed:
-            ready.sort(key=lambda c: comp_key[c])
-    order = list(reversed(topo))
-
-    b = core_matrix(coding)
-    core_index = {v: i for i, v in enumerate(coding.core_vertices)}
-    radii: list[float] = []
-    periods: list[int] = []
-    ordered: list[list[str]] = []
-    for ci in order:
-        comp = sorted(raw_components[ci], key=lambda v: vertex_pos[v])
-        ordered.append(comp)
-        idx = [core_index[v] for v in comp]
-        radii.append(float(perron_batch(b[np.ix_(idx, idx)][None])[0][0]))
-        periods.append(_component_period(comp, succ))
-
-    if not ordered:
+    names = (START_VERTEX, *coding.core_vertices)
+    index = {v: i for i, v in enumerate(names)}
+    adjacency = np.zeros((len(names), len(names)), bool)
+    for edge in coding.edges:
+        if edge.source in index and edge.target in index:
+            adjacency[index[edge.source], index[edge.target]] = True
+    reach = adjacency | np.eye(len(names), dtype=bool)
+    for k in range(len(names)):
+        reach |= np.outer(reach[:, k], reach[k])
+    live = np.flatnonzero(reach[0, 1:]) + 1
+    if live.size == 0:
         raise StructureError(
             "degenerate coding: no core vertex is reachable from the start vertex"
         )
+    sub = reach[np.ix_(live, live)]
+    label = live[(sub & sub.T).argmax(axis=1)]
+    firsts = live[label == live]
+
+    # Kahn on the closure: a component is ready once no unplaced component
+    # reaches it; always placing the smallest ready one fixes the order
+    above = reach[np.ix_(firsts, firsts)]
+    np.fill_diagonal(above, False)
+    pending = above.sum(axis=0)
+    topo: list[int] = []
+    for _ in firsts:
+        c = int(np.flatnonzero(pending == 0)[0])
+        topo.append(c)
+        pending -= above[c]
+        pending[c] = -1
+    order = firsts[topo[::-1]]
+
+    members = {names[i] for i in live}
+    succ = {
+        v: [e.target for e in coding.out_edges[v] if e.target in members]
+        for v in members
+    }
+    b = adjacency.astype(float)
+    radii: list[float] = []
+    periods: list[int] = []
+    ordered: list[list[str]] = []
+    for first in order:
+        idx = live[label == first]
+        comp = [names[i] for i in idx]
+        ordered.append(comp)
+        radii.append(float(perron_batch(b[np.ix_(idx, idx)][None])[0][0]))
+        periods.append(_component_period(comp, succ))
+
     lam = max(radii)
     if lam <= 0.0:
         raise StructureError(
@@ -638,30 +549,14 @@ def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
         for i, comp in enumerate(ordered)
     )
     maximal_indices = tuple(i for i, f in enumerate(maximal_flags) if f)
-
-    # pairwise unreachability of maximal components on the condensation
-    cond_succ: dict[int, set[int]] = {i: set() for i in range(n_comp)}
-    new_pos = {tuple(sorted(comp)): i for i, comp in enumerate(ordered)}
-    remap = [new_pos[tuple(sorted(raw_components[ci]))] for ci in range(n_comp)]
-    for ci in range(n_comp):
-        for cj in successors[ci]:
-            cond_succ[remap[ci]].add(remap[cj])
-    maximal_set = set(maximal_indices)
-    for start in maximal_indices:
-        stack = list(cond_succ[start])
-        seen_c: set[int] = set()
-        while stack:
-            cj = stack.pop()
-            if cj in seen_c:
-                continue
-            seen_c.add(cj)
-            if cj in maximal_set:
+    for i in maximal_indices:
+        for j in maximal_indices:
+            if i != j and reach[order[i], order[j]]:
                 raise StructureError(
                     "two maximal-growth components are connected by a directed "
                     "path; a strongly Markov coding of a group cannot do this "
-                    f"(components {start} and {cj})"
+                    f"(components {i} and {j})"
                 )
-            stack.extend(cond_succ[cj])
 
     masks = []
     for i in maximal_indices:
@@ -696,22 +591,30 @@ def component_period(decomposition: ComponentDecomposition, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _path_totals(pairs: list[tuple[str, str]], n_max: int) -> list[int]:
+    """Exact numbers of paths from ``"*"`` of length ``0..n_max`` along the
+    ``(source, target)`` edge ``pairs``, by big-integer dynamic programming."""
+    succ: dict[str, list[str]] = {}
+    for source, target in pairs:
+        succ.setdefault(source, []).append(target)
+    paths, totals = {START_VERTEX: 1}, [1]
+    for _ in range(n_max):
+        nxt: dict[str, int] = {}
+        for v, c in paths.items():
+            for w in succ.get(v, ()):
+                nxt[w] = nxt.get(w, 0) + c
+        totals.append(sum(nxt.values()))
+        paths = nxt
+    return totals
+
+
 def sphere_counts(coding: MarkovCoding, n_max: int) -> list[int]:
     """Exact ``[#W_0, ..., #W_{n_max}]`` by big-integer dynamic programming."""
     if n_max < 0:
         raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
-    state: dict[str, int] = {START_VERTEX: 1}
-    counts = [1]
-    for _ in range(n_max):
-        nxt: dict[str, int] = {}
-        for v, c in state.items():
-            for edge in coding.out_edges[v]:
-                if edge.target == ZERO_VERTEX:
-                    continue
-                nxt[edge.target] = nxt.get(edge.target, 0) + c
-        counts.append(sum(nxt.values()))
-        state = nxt
-    return counts
+    return _path_totals(
+        [(e.source, e.target) for e in coding.nonaugmentation_edges], n_max
+    )
 
 
 def count_words(coding: MarkovCoding, n: int) -> int:

@@ -60,6 +60,7 @@ from .coding import (
     ZERO_VERTEX,
     ComponentDecomposition,
     MarkovCoding,
+    _path_totals,
     sphere_counts,
 )
 from .errors import InvalidArgumentError, ResourceError
@@ -410,17 +411,13 @@ def _digit_levels(
     groups: dict[str, dict[int, list[str]]] = {}
     for source, target, offset in edges:
         groups.setdefault(target, {}).setdefault(offset, []).append(source)
-    preds = {t: [s for p in g.values() for s in p] for t, g in groups.items()}
-    indegree = max(map(len, preds.values()), default=1)
+    indegree = max((sum(map(len, g.values())) for g in groups.values()), default=1)
     if indegree >= 2**16:
         raise ResourceError(
             f"a vertex with {indegree} incoming edges could overflow a 64-bit "
             "digit in one level; the exact engine takes in-degrees below 65536"
         )
-    paths, totals = {START_VERTEX: 1}, [1]
-    for _level in range(n_max):
-        paths = {t: sum(paths.get(s, 0) for s in vs) for t, vs in preds.items()}
-        totals.append(sum(paths.values()))
+    totals = _path_totals([(s, t) for s, t, _ in edges], n_max)
     bits = (c.bit_length() for c in totals)
     digits = list(accumulate((-(-b // _DIGIT_BITS) for b in bits), max))
     # the kept range (first, top) and the unpruned width of every level
@@ -736,16 +733,10 @@ def count_avoiding_maximal(
     if n < 0:
         raise InvalidArgumentError(f"n must be >= 0, got {n}")
     allowed = _allowed_vertices(coding, decomposition)
-    state: dict[str, int] = {START_VERTEX: 1}
-    for _ in range(n):
-        nxt: dict[str, int] = {}
-        for v, c in state.items():
-            for edge in coding.out_edges[v]:
-                if edge.target == ZERO_VERTEX or edge.target not in allowed:
-                    continue
-                nxt[edge.target] = nxt.get(edge.target, 0) + c
-        state = nxt
-    return sum(state.values())
+    pairs = [
+        (e.source, e.target) for e in coding.nonaugmentation_edges if e.target in allowed
+    ]
+    return _path_totals(pairs, n)[n]
 
 
 def distribution_overcounted(

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import hypstat as hs
+from conftest import build_z2z3_coding
 
 # [DERIVED] brute-force reduced-word counts from tests/oracles.py
 FREE2_COUNTS = [1, 4, 12, 36, 108, 324, 972, 2916, 8748]
@@ -40,9 +41,6 @@ class TestFreeCoding:
     def test_invalid_rank(self):
         with pytest.raises(hs.InvalidArgumentError):
             hs.build_free_group_coding(0)
-
-    def test_free_group_word_counts_helper(self):
-        assert hs.free_group_word_counts(2, 4) == [1, 4, 12, 36, 108]
 
 
 class TestLoadAndDump:
@@ -115,12 +113,6 @@ class TestValidateCoding:
         assert report.ok
         assert report.failures == ()
         assert list(report.paths_per_depth) == FREE2_COUNTS[:7]
-
-    def test_expected_counts_mismatch_reported(self, free2):
-        wrong = [1, 4, 11]
-        report = hs.validate_coding(free2, 2, expected_counts=wrong)
-        assert not report.ok
-        assert any("11" in failure for failure in report.failures)
 
     def test_mirror_is_not_injective_on_words(self, mirror):
         # two copies spell every reduced word twice, so the word map is not
@@ -205,6 +197,40 @@ class TestDecomposition:
         by_vertices = {comp.vertices: comp for comp in decomp.components}
         assert by_vertices[("p",)].period == 0
         assert by_vertices[("q",)].period == 1
+
+    def test_z2z3_single_component_period_two(self):
+        coding = build_z2z3_coding()
+        decomp = hs.decompose_components(coding)
+        (comp,) = decomp.components
+        assert comp.vertices == ("s", "t", "T")
+        assert comp.maximal and comp.period == 2
+        assert decomp.lam == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        expected = [1] + [
+            3 * 2 ** ((n - 1) // 2) if n % 2 else 2 ** (n // 2 + 1) for n in range(1, 31)
+        ]
+        assert hs.sphere_counts(coding, 30) == expected
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([], "no core vertex is reachable"),
+            ([("*", "p"), ("p", "q")], "every reachable component is transient"),
+            (
+                [("*", "p"), ("p", "p"), ("p", "q"), ("q", "q")],
+                r"two maximal-growth components are connected .*\(components 1 and 0\)",
+            ),
+        ],
+        ids=["unreachable-core", "all-transient", "joined-maximal"],
+    )
+    def test_structure_errors(self, edges, message):
+        doc = {
+            "generators": ["a"],
+            "vertices": ["*", "p", "q"],
+            "edges": [{"from": u, "to": v, "label": "a"} for u, v in edges],
+        }
+        coding = hs.load_coding(doc)
+        with pytest.raises(hs.StructureError, match=message):
+            hs.decompose_components(coding)
 
 
 class TestGrowth:

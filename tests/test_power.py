@@ -96,7 +96,11 @@ def eigen_condition(matrix, eigenvalue):
     left_values, left = np.linalg.eig(matrix.T)
     v = right[:, np.argmin(np.abs(values - eigenvalue))]
     u = left[:, np.argmin(np.abs(left_values - eigenvalue))]
-    return np.linalg.norm(u) * np.linalg.norm(v) / abs(u @ v)
+    overlap = abs(u @ v)
+    if overlap == 0.0:
+        # a defective eigenvalue: its left and right vectors are orthogonal
+        return math.inf
+    return np.linalg.norm(u) * np.linalg.norm(v) / overlap
 
 
 def separated(matrix):
@@ -279,6 +283,9 @@ class TestGrowthLog:
 
 
 class TestAgainstEigOracle:
+    def test_eigen_condition_of_defective_eigenvalue_is_infinite(self):
+        assert eigen_condition(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0) == math.inf
+
     @PROPERTY
     @seed(REAL_TILT_SEED)
     @given(components(), st.floats(-2.0, 2.0, allow_nan=False))
