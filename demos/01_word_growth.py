@@ -20,9 +20,10 @@ print()
 
 # Exact sphere counts from the DP against the closed form.
 print(" n   #W_n (DP)   4*3^(n-1)")
+counts = hs.sphere_counts(coding, 12)
 for n in range(1, 13):
     closed = 4 * 3 ** (n - 1)
-    counted = hs.count_words(coding, n)
+    counted = counts[n]
     marker = "" if counted == closed else "  <-- MISMATCH"
     print(f"{n:2d}  {counted:10d}  {closed:10d}{marker}")
 print()

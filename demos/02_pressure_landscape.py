@@ -39,7 +39,7 @@ indicator = hs.weights_from_edge_table(
     coding,
     {
         (e.source, e.target): 1 if e.label == "a" else 0
-        for e in coding.nonaugmentation_edges
+        for e in coding.edges
     },
 )
 ind_stats = hs.limit_statistics(coding, decomposition, indicator)

@@ -51,9 +51,10 @@ from .enumerate import (
     distribution_overcounted,
     distribution_to_json,
 )
-from .errors import HypstatError
+from .errors import HypstatError, PreconditionError
 from .limits import (
     LimitLawReport,
+    _rational_lattice_witness,
     averaging_table,
     clt_distance,
     degeneracy_check,
@@ -62,7 +63,7 @@ from .limits import (
     mclt_check,
     report_to_json,
 )
-from .spectral import limit_statistics, nonlattice_gap, pressure
+from .spectral import component_consistency, limit_statistics, nonlattice_gap, pressure
 from .weights import (
     lattice_scale,
     load_weights,
@@ -371,10 +372,19 @@ def _component_of(args, decomposition) -> int:
 
 def _pipeline(args):
     coding, decomposition, weights = _load_pair(args)
-    stats = limit_statistics(
-        coding, decomposition, weights, getattr(args, "component", None)
-    )
-    return coding, decomposition, weights, stats
+    component = getattr(args, "component", None)
+    if component is not None or len(decomposition.maximal_indices) < 2:
+        stats = limit_statistics(coding, decomposition, weights, component)
+        return coding, decomposition, weights, stats
+    # no component named: the maximal components must agree to speak for all
+    report = component_consistency(coding, decomposition, weights)
+    if not report.consistent:
+        raise PreconditionError(
+            "maximal components disagree (drift spread "
+            f"{report.max_drift_spread:.3e}, covariance spread "
+            f"{report.max_variance_spread:.3e}); pick one with --component"
+        )
+    return coding, decomposition, weights, report.statistics[0]
 
 
 def cmd_growth(args) -> int:
@@ -521,12 +531,9 @@ def cmd_scan_lattice(args) -> int:
     component = _component_of(args, decomposition)
     points = nonlattice_gap(coding, decomposition, weights, component, grid)
     scale = lattice_scale(weights)
+    exact = _rational_lattice_witness(coding, decomposition, weights, component, scale)
     witness = None
-    if scale is not None:
-        t_w = 2.0 * math.pi * scale
-        exact = nonlattice_gap(
-            coding, decomposition, weights, component, [t_w]
-        )[0]
+    if exact is not None:
         witness = {"t": exact.t, "gap": exact.gap, "radius": exact.radius}
     low = min(points, key=lambda p: p.gap)
     doc = {
@@ -577,7 +584,7 @@ def _add_common(parser, weights: bool = True) -> None:
             "--component",
             type=int,
             default=None,
-            help="maximal component index (default: first in canonical order)",
+            help="maximal component index (default: the first, if all agree)",
         )
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument(

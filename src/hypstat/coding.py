@@ -3,27 +3,20 @@
 A coding is a finite directed graph with a distinguished start vertex ``"*"``
 (no in-edges) whose edges carry generator labels; reading the labels along
 the paths that start at ``"*"`` enumerates each group element exactly once,
-and path length equals word length.  The augmented form adds an absorbing
-vertex ``"0"`` with an identity-labeled (empty-string) edge from every
-non-start vertex and a self-loop, so that every finite path extends to an
-infinite one.
+and path length equals word length.  Every edge consumes one generator.
 
-The working matrices are
-
-* ``A`` - the full 0/1 transition matrix of the augmented graph, and
-* ``B`` - ``A`` with the ``"*"`` and ``"0"`` rows and columns removed,
-
-and the structural analysis decomposes ``B`` into strongly connected
-components, flags the components of maximal spectral radius (growth-rate
-components), computes their periods, and exposes the per-component vertex
-masks used by the transfer matrices.  Every graph question it asks
-(reachability from ``"*"``, the components, their order, whether one
-maximal component reaches another) is read off one Boolean reachability
-closure of the ``"*"``-plus-core adjacency, built by Warshall's algorithm
-in O(V^3) for V core vertices.  Components are listed sinks first: the
-reverse of the topological order that always takes the ready component
-with the smallest first vertex.  All exact path counts from ``"*"`` come
-from one big-integer DP, ``_path_totals``.
+The working matrix is ``B``, the 0/1 transition matrix of the graph with
+the ``"*"`` row and column removed.  The structural analysis decomposes
+``B`` into strongly connected components, flags the components of maximal
+spectral radius (growth-rate components), computes their periods, and
+exposes the per-component vertex masks used by the transfer matrices.
+Every graph question it asks (reachability from ``"*"``, the components,
+their order, whether one maximal component reaches another) is read off
+one Boolean reachability closure of the ``"*"``-plus-core adjacency, built
+by Warshall's algorithm in O(V^3) for V core vertices.  Components are
+listed sinks first: the reverse of the topological order that always takes
+the ready component with the smallest first vertex.  All exact path counts
+from ``"*"`` come from one big-integer DP, ``_path_totals``.
 """
 
 from __future__ import annotations
@@ -46,8 +39,6 @@ from .errors import (
 )
 
 START_VERTEX = "*"
-ZERO_VERTEX = "0"
-IDENTITY_LABEL = ""
 
 #: a component counts as maximal iff its radius is >= lambda * (1 - this)
 MAXIMALITY_RTOL = 1e-9
@@ -63,7 +54,7 @@ _PATH_GUARD = 10**7
 
 @dataclass(frozen=True)
 class CodingEdge:
-    """One labeled edge; ``label == ""`` marks an augmentation edge."""
+    """One edge, labeled by the generator it consumes."""
 
     source: str
     target: str
@@ -80,23 +71,20 @@ class MarkovCoding:
         The label alphabet (for symmetric generating sets this includes the
         formal inverses, e.g. ``("a", "A", "b", "B")``).
     vertices : tuple of str
-        All vertex names; must contain ``"*"`` and, when augmented, ``"0"``.
+        All vertex names; must contain ``"*"``.
     edges : tuple of CodingEdge
         Labeled edges; ``(source, target)`` pairs are unique, so the
         transition matrix is 0/1.
-    augmented : bool
-        Whether the absorbing ``"0"`` vertex and its in-edges are present.
     """
 
     generators: tuple[str, ...]
     vertices: tuple[str, ...]
     edges: tuple[CodingEdge, ...]
-    augmented: bool
 
     @cached_property
     def core_vertices(self) -> tuple[str, ...]:
-        """Vertices of ``B``: everything except ``"*"`` and ``"0"``."""
-        return tuple(v for v in self.vertices if v not in (START_VERTEX, ZERO_VERTEX))
+        """Vertices of ``B``: everything except ``"*"``."""
+        return tuple(v for v in self.vertices if v != START_VERTEX)
 
     @cached_property
     def out_edges(self) -> dict[str, tuple[CodingEdge, ...]]:
@@ -104,11 +92,6 @@ class MarkovCoding:
         for edge in self.edges:
             table[edge.source].append(edge)
         return {v: tuple(es) for v, es in table.items()}
-
-    @cached_property
-    def nonaugmentation_edges(self) -> tuple[CodingEdge, ...]:
-        """Edges that consume a generator (everything not entering ``"0"``)."""
-        return tuple(e for e in self.edges if e.target != ZERO_VERTEX)
 
 
 @dataclass(frozen=True)
@@ -192,7 +175,7 @@ def build_free_group_coding(rank: int) -> MarkovCoding:
     One vertex per letter ``x`` in the symmetric generating set, an edge
     ``x -> y`` labeled ``y`` whenever ``y`` is not the inverse of ``x``, and
     an edge ``* -> x`` labeled ``x`` for every letter; paths from ``*`` spell
-    exactly the reduced words.  The result is augmented.
+    exactly the reduced words.
 
     Parameters
     ----------
@@ -216,28 +199,10 @@ def build_free_group_coding(rank: int) -> MarkovCoding:
     edges += [
         CodingEdge(x, y, y) for x in letters for y in letters if y != inverse[x]
     ]
-    coding = MarkovCoding(
-        generators=tuple(letters),
-        vertices=(START_VERTEX, ZERO_VERTEX, *letters),
-        edges=tuple(edges),
-        augmented=False,
-    )
-    return _augment(coding, zero_listed=True)
-
-
-def _augment(coding: MarkovCoding, zero_listed: bool = False) -> MarkovCoding:
-    """Add the absorbing ``"0"`` vertex, its self-loop, and its in-edges."""
-    vertices = coding.vertices if zero_listed else (*coding.vertices, ZERO_VERTEX)
-    extra = [
-        CodingEdge(v, ZERO_VERTEX, IDENTITY_LABEL)
-        for v in vertices
-        if v != START_VERTEX
-    ]
     return MarkovCoding(
-        generators=coding.generators,
-        vertices=vertices,
-        edges=(*coding.edges, *extra),
-        augmented=True,
+        generators=tuple(letters),
+        vertices=(START_VERTEX, *letters),
+        edges=tuple(edges),
     )
 
 
@@ -250,10 +215,6 @@ def check_coding(coding: MarkovCoding) -> None:
         seen.add(v)
     if START_VERTEX not in seen:
         raise ValidationError('missing start vertex "*"')
-    if coding.augmented and ZERO_VERTEX not in seen:
-        raise ValidationError('augmented coding is missing the "0" vertex')
-    if not coding.augmented and ZERO_VERTEX in seen:
-        raise ValidationError('vertex name "0" is reserved for the augmentation vertex')
     generators = set(coding.generators)
     pairs = set()
     for edge in coding.edges:
@@ -269,31 +230,8 @@ def check_coding(coding: MarkovCoding) -> None:
                 "the transition matrix must be 0/1"
             )
         pairs.add((edge.source, edge.target))
-        if edge.target == ZERO_VERTEX:
-            if edge.label != IDENTITY_LABEL:
-                raise ValidationError(
-                    f"augmentation edge {edge.source!r} -> \"0\" must carry the identity label"
-                )
-        else:
-            if edge.label == IDENTITY_LABEL:
-                raise ValidationError(
-                    f"edge {edge.source!r} -> {edge.target!r} carries the identity label "
-                    "but does not enter the augmentation vertex"
-                )
-            if edge.label not in generators:
-                raise ValidationError(
-                    f"edge label {edge.label!r} is not a listed generator"
-                )
-    if coding.augmented:
-        for v in coding.vertices:
-            count = sum(1 for e in coding.out_edges[v] if e.target == ZERO_VERTEX)
-            if v == START_VERTEX:
-                if count != 0:
-                    raise ValidationError('start vertex must have no edge into "0"')
-            elif count != 1:
-                raise ValidationError(
-                    f"vertex {v!r} must have exactly one edge into \"0\", found {count}"
-                )
+        if edge.label not in generators:
+            raise ValidationError(f"edge label {edge.label!r} is not a listed generator")
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +244,16 @@ def load_coding(source: dict | str | Path) -> MarkovCoding:
 
     The document has fields ``generators`` (array of strings), ``vertices``
     (array of strings, must include ``"*"``), ``edges`` (array of
-    ``{"from", "to", "label"}`` objects) and optional ``augmented`` (bool,
-    default false).  When ``augmented`` is false the loader adds the ``"0"``
-    vertex, its self-loop, and identity-labeled edges from every non-start
-    vertex.  ``"*"`` and ``"0"`` are reserved vertex names.
+    ``{"from", "to", "label"}`` objects); ``"*"`` is the one reserved vertex
+    name.  A document with ``"augmented": true`` is the legacy form, which
+    also lists an absorbing vertex ``"0"`` and an empty-labeled edge into it
+    from every other vertex: the loader drops that vertex and those edges,
+    so any other edge touching ``"0"`` fails as an unknown vertex.
 
     Returns
     -------
     MarkovCoding
-        The augmented, fully validated coding.
+        The fully validated coding.
     """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
@@ -351,27 +290,24 @@ def load_coding(source: dict | str | Path) -> MarkovCoding:
     augmented = document.get("augmented", False)
     if not isinstance(augmented, bool):
         raise ValidationError("field 'augmented' must be a boolean")
+    if augmented:
+        vertices = [v for v in vertices if v != "0"]
+        edges = [e for e in edges if not (e.target == "0" and e.label == "")]
     coding = MarkovCoding(
-        generators=tuple(generators),
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        augmented=augmented,
+        generators=tuple(generators), vertices=tuple(vertices), edges=tuple(edges)
     )
-    if not augmented:
-        coding = _augment(coding)
     check_coding(coding)
     return coding
 
 
 def dump_coding(coding: MarkovCoding) -> dict:
-    """Inverse of ``load_coding``: a JSON-ready document (always augmented form)."""
+    """Inverse of ``load_coding``: a JSON-ready document."""
     return {
         "generators": list(coding.generators),
         "vertices": list(coding.vertices),
         "edges": [
             {"from": e.source, "to": e.target, "label": e.label} for e in coding.edges
         ],
-        "augmented": coding.augmented,
     }
 
 
@@ -406,8 +342,6 @@ def validate_coding(coding: MarkovCoding, depth: int) -> CodingValidationReport:
         nxt: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
         for path, labels in frontier:
             for edge in coding.out_edges[path[-1]]:
-                if edge.target == ZERO_VERTEX:
-                    continue
                 nxt.append(((*path, edge.target), (*labels, edge.label)))
         total += len(nxt)
         if total > _PATH_GUARD:
@@ -489,8 +423,7 @@ def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
     index = {v: i for i, v in enumerate(names)}
     adjacency = np.zeros((len(names), len(names)), bool)
     for edge in coding.edges:
-        if edge.source in index and edge.target in index:
-            adjacency[index[edge.source], index[edge.target]] = True
+        adjacency[index[edge.source], index[edge.target]] = True
     reach = adjacency | np.eye(len(names), dtype=bool)
     for k in range(len(names)):
         reach |= np.outer(reach[:, k], reach[k])
@@ -574,18 +507,6 @@ def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
     )
 
 
-def component_period(decomposition: ComponentDecomposition, index: int) -> int:
-    """Period of the indexed component; errors when the component has no cycle."""
-    if not 0 <= index < len(decomposition.components):
-        raise InvalidArgumentError(f"component index {index} out of range")
-    period = decomposition.components[index].period
-    if period == 0:
-        raise StructureError(
-            f"component {index} has no directed cycle, so its period is undefined"
-        )
-    return period
-
-
 # ---------------------------------------------------------------------------
 # Counting and growth
 # ---------------------------------------------------------------------------
@@ -612,16 +533,7 @@ def sphere_counts(coding: MarkovCoding, n_max: int) -> list[int]:
     """Exact ``[#W_0, ..., #W_{n_max}]`` by big-integer dynamic programming."""
     if n_max < 0:
         raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
-    return _path_totals(
-        [(e.source, e.target) for e in coding.nonaugmentation_edges], n_max
-    )
-
-
-def count_words(coding: MarkovCoding, n: int) -> int:
-    """Exact number of group elements of word length ``n`` (``#W_n``)."""
-    if n < 0:
-        raise InvalidArgumentError(f"n must be >= 0, got {n}")
-    return sphere_counts(coding, n)[n]
+    return _path_totals([(e.source, e.target) for e in coding.edges], n_max)
 
 
 def growth_rate(coding: MarkovCoding, horizon: int) -> GrowthReport:

@@ -57,7 +57,6 @@ import numpy as np
 
 from .coding import (
     START_VERTEX,
-    ZERO_VERTEX,
     ComponentDecomposition,
     MarkovCoding,
     _path_totals,
@@ -190,10 +189,6 @@ class WordDistribution:
             second = [[float(x) * width * width for x in row] for row in second]
         return MomentData(self.n, k, self.total, tuple(first), tuple(map(tuple, second)))
 
-    def proportions(self) -> tuple[float, ...]:
-        """Counts over total as correctly rounded floats."""
-        return tuple(c / self.total for c in self.counts)
-
 
 # ---------------------------------------------------------------------------
 # Shift tables and engine scaffolding
@@ -227,9 +222,9 @@ def _transitions(
     table: dict[tuple[str, str], tuple[int, ...]],
     allowed: set[str],
 ) -> list[tuple[str, str, tuple[int, ...]]]:
-    """(source, target, value) for every usable non-augmentation edge."""
+    """(source, target, value) for every usable edge."""
     out = []
-    for edge in coding.nonaugmentation_edges:
+    for edge in coding.edges:
         if edge.target not in allowed:
             continue
         if edge.source != START_VERTEX and edge.source not in allowed:
@@ -733,9 +728,7 @@ def count_avoiding_maximal(
     if n < 0:
         raise InvalidArgumentError(f"n must be >= 0, got {n}")
     allowed = _allowed_vertices(coding, decomposition)
-    pairs = [
-        (e.source, e.target) for e in coding.nonaugmentation_edges if e.target in allowed
-    ]
+    pairs = [(e.source, e.target) for e in coding.edges if e.target in allowed]
     return _path_totals(pairs, n)[n]
 
 
@@ -835,11 +828,6 @@ def moment_sweep(
     return results
 
 
-def moments(coding: MarkovCoding, weights: WeightAssignment, n: int) -> MomentData:
-    """Exact moment sums over the sphere of radius ``n``."""
-    return moment_sweep(coding, weights, [n])[0]
-
-
 # ---------------------------------------------------------------------------
 # Weighted sums (partition functions)
 # ---------------------------------------------------------------------------
@@ -864,8 +852,7 @@ def log_weighted_sum_sweep(
         key: math.exp(t * vec[0]) for key, vec in weights.edge_values.items()
     }
     transitions = [
-        (e.source, e.target, factors[(e.source, e.target)])
-        for e in coding.nonaugmentation_edges
+        (e.source, e.target, factors[(e.source, e.target)]) for e in coding.edges
     ]
     state: dict[str, float] = {START_VERTEX: 1.0}
     log_scale = 0.0
@@ -930,8 +917,6 @@ def brute_force_oracle(
         if length == n_cap:
             continue
         for edge in coding.out_edges[vertex]:
-            if edge.target == ZERO_VERTEX:
-                continue
             w = weights.edge_values[(edge.source, edge.target)]
             nxt = tuple(a + b for a, b in zip(value, w))
             stack.append((edge.target, length + 1, word + edge.label, nxt))

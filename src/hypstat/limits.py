@@ -53,7 +53,7 @@ from .errors import (
     NumericalError,
     PreconditionError,
 )
-from .spectral import LimitStatistics, nonlattice_gap, pressure_grid
+from .spectral import GapPoint, LimitStatistics, nonlattice_gap, pressure_grid
 from .weights import WeightAssignment, lattice_scale
 
 #: spectral-gap threshold below which a frequency witnesses lattice weights
@@ -1073,6 +1073,22 @@ def _default_gate_grid() -> list[float]:
     return [0.1 + k * 0.05 for k in range(399)]
 
 
+def _rational_lattice_witness(
+    coding: MarkovCoding,
+    decomposition: ComponentDecomposition,
+    weights: WeightAssignment,
+    component: int,
+    scale: int | None,
+) -> GapPoint | None:
+    """The gap at ``t = 2 pi scale``, where the complex transfer matrix of
+    weights on the ``1/scale`` lattice equals the real one entrywise;
+    ``None`` for non-lattice weights (``scale is None``)."""
+    if scale is None:
+        return None
+    t_w = 2.0 * math.pi * scale
+    return nonlattice_gap(coding, decomposition, weights, component, [t_w])[0]
+
+
 def llt_check(
     coding: MarkovCoding,
     decomposition: ComponentDecomposition,
@@ -1118,13 +1134,11 @@ def llt_check(
 
     scale = lattice_scale(weights)
     witness: tuple[float, float] | None = None
-    if scale is not None:
-        t_w = 2.0 * math.pi * scale
-        point = nonlattice_gap(
-            coding, decomposition, weights, stats.component, [t_w]
-        )[0]
-        if point.gap <= LATTICE_WITNESS_GAP:
-            witness = (point.t, point.gap)
+    point = _rational_lattice_witness(
+        coding, decomposition, weights, stats.component, scale
+    )
+    if point is not None and point.gap <= LATTICE_WITNESS_GAP:
+        witness = (point.t, point.gap)
     gate_points = None
     if witness is None:
         gate = (

@@ -188,7 +188,7 @@ def _component_arrays(
     size = len(mask)
     adjacency = np.zeros((size, size))
     stack = np.zeros((weights.dim, size, size))
-    for edge in coding.nonaugmentation_edges:
+    for edge in coding.edges:
         if edge.source in index and edge.target in index:
             u, v = index[edge.source], index[edge.target]
             adjacency[u, v] = 1.0

@@ -1,15 +1,10 @@
 """Edge-combable weight functions: vector-valued edge weights on a coding.
 
-A weight assignment puts a length-``k`` real vector on every
-non-augmentation edge of a coding; the value of a group element is the sum
-of the vectors along its coding path.  Homomorphisms (values on generators,
-extended by letter sums), the word-length function (weight 1 everywhere),
-and arbitrary edge tables are the supported constructions, plus recentering
-(subtracting a drift vector from every edge).
-
-Augmentation edges (those entering the ``"0"`` vertex, including its
-self-loop) implicitly carry the zero vector and are never listed in
-``edge_values``.
+A weight assignment puts a length-``k`` real vector on every edge of a
+coding; the value of a group element is the sum of the vectors along its
+coding path.  Homomorphisms (values on generators, extended by letter
+sums), the word-length function (weight 1 everywhere), and arbitrary edge
+tables are the supported constructions.
 
 Only the exact path-sum case is implemented: a weight assignment determines
 the function exactly, with no bounded-error slack.  Bi-Lipschitz regularity
@@ -40,23 +35,18 @@ Vector = tuple[float, ...]
 
 @dataclass(frozen=True)
 class WeightAssignment:
-    """Vector-valued weights on the non-augmentation edges of a coding.
+    """Vector-valued weights on the edges of a coding.
 
     Attributes
     ----------
     dim : int
         Number of coordinates ``k`` (1 for scalar weights).
     edge_values : dict
-        ``(source, target) -> length-k tuple`` for every non-augmentation
-        edge; edges into ``"0"`` implicitly weigh zero.
-    origin : str
-        One of ``"homomorphism"``, ``"edge-table"``, ``"word-length"``,
-        ``"recentered"``; informational.
+        ``(source, target) -> length-k tuple`` for every edge.
     """
 
     dim: int
     edge_values: dict[tuple[str, str], Vector]
-    origin: str
 
 
 def _as_vector(raw: object, dim: int | None, context: str) -> tuple[Vector, int]:
@@ -163,20 +153,14 @@ def weights_from_homomorphism(
             raise InvalidArgumentError(
                 f"missing generator {gen!r} in homomorphism values"
             )
-    edge_values = {
-        (e.source, e.target): table[e.label] for e in coding.nonaugmentation_edges
-    }
-    return WeightAssignment(
-        dim=dim,
-        edge_values=edge_values,
-        origin="homomorphism",
-    )
+    edge_values = {(e.source, e.target): table[e.label] for e in coding.edges}
+    return WeightAssignment(dim=dim, edge_values=edge_values)
 
 
 def weights_word_length(coding: MarkovCoding) -> WeightAssignment:
-    """Scalar weight 1 on every non-augmentation edge; path sums equal word length."""
-    edge_values = {(e.source, e.target): (1.0,) for e in coding.nonaugmentation_edges}
-    return WeightAssignment(dim=1, edge_values=edge_values, origin="word-length")
+    """Scalar weight 1 on every edge; path sums equal word length."""
+    edge_values = {(e.source, e.target): (1.0,) for e in coding.edges}
+    return WeightAssignment(dim=1, edge_values=edge_values)
 
 
 def weights_from_edge_table(
@@ -184,8 +168,8 @@ def weights_from_edge_table(
 ) -> WeightAssignment:
     """Arbitrary edge-combable weights from an explicit edge table.
 
-    The table must cover every non-augmentation edge of the coding exactly;
-    missing edges are reported together, unknown edges are rejected.
+    The table must cover every edge of the coding exactly; missing edges
+    are reported together, unknown edges are rejected.
 
     Parameters
     ----------
@@ -197,7 +181,7 @@ def weights_from_edge_table(
     -------
     WeightAssignment
     """
-    edge_keys = {(e.source, e.target) for e in coding.nonaugmentation_edges}
+    edge_keys = {(e.source, e.target) for e in coding.edges}
     unknown = sorted(set(table) - edge_keys)
     if unknown:
         listing = ", ".join(f"{s}->{t}" for s, t in unknown)
@@ -211,62 +195,7 @@ def weights_from_edge_table(
     for key in sorted(edge_keys):
         vec, dim = _as_vector(table[key], dim, f"value for edge {key[0]}->{key[1]}")
         edge_values[key] = vec
-    return WeightAssignment(
-        dim=dim if dim is not None else 1,
-        edge_values=edge_values,
-        origin="edge-table",
-    )
-
-
-def recenter(weights: WeightAssignment, drift: object) -> WeightAssignment:
-    """Subtract a drift vector from every non-augmentation edge value.
-
-    Path sums of the result equal ``phi(g) - |g| * drift``.  Passing exact
-    rationals (``int`` or ``Fraction`` entries) keeps integer-valued weights
-    exactly rational; float drifts subtract in one correctly rounded
-    operation per entry.
-
-    Parameters
-    ----------
-    weights : WeightAssignment
-    drift : number or length-k sequence
-        Must match ``weights.dim``.
-
-    Returns
-    -------
-    WeightAssignment
-        With ``origin="recentered"``.
-    """
-    if isinstance(drift, (int, float, Fraction)):
-        drift_vec: tuple[object, ...] = (drift,)
-    elif isinstance(drift, Sequence) and not isinstance(drift, (str, bytes)):
-        drift_vec = tuple(drift)
-    else:
-        raise InvalidArgumentError("drift must be a number or a sequence")
-    if len(drift_vec) != weights.dim:
-        raise InvalidArgumentError(
-            f"drift has {len(drift_vec)} coordinates, expected {weights.dim}"
-        )
-    for d in drift_vec:
-        if not math.isfinite(float(d)):
-            raise InvalidArgumentError("drift must be finite")
-    if all(float(d) == 0.0 for d in drift_vec):
-        return weights
-
-    def shift(x: float, d: object) -> float:
-        if isinstance(d, (int, Fraction)):
-            return float(Fraction(x) - Fraction(d))
-        return x - float(d)
-
-    edge_values = {
-        key: tuple(shift(x, d) for x, d in zip(vec, drift_vec))
-        for key, vec in weights.edge_values.items()
-    }
-    return WeightAssignment(
-        dim=weights.dim,
-        edge_values=edge_values,
-        origin="recentered",
-    )
+    return WeightAssignment(dim=dim if dim is not None else 1, edge_values=edge_values)
 
 
 def lattice_scale(weights: WeightAssignment) -> int | None:

@@ -80,7 +80,7 @@ def build_z2z3_coding() -> hs.MarkovCoding:
 
 def target_letter_weights(coding: hs.MarkovCoding, letters: dict) -> hs.WeightAssignment:
     """Each edge weighted by ``letters`` at the label of its target letter."""
-    table = {(e.source, e.target): letters[e.label] for e in coding.nonaugmentation_edges}
+    table = {(e.source, e.target): letters[e.label] for e in coding.edges}
     return hs.weights_from_edge_table(coding, table)
 
 
@@ -123,7 +123,7 @@ def aexp(free2):
 def aind(free2):
     table = {
         (e.source, e.target): 1 if e.label == "a" else 0
-        for e in free2.nonaugmentation_edges
+        for e in free2.edges
     }
     return hs.weights_from_edge_table(free2, table)
 

@@ -52,7 +52,7 @@ def criterion(number):
 def test_criterion_01_sphere_growth(free2, wordlen):
     """#W_n = 4*3^(n-1) for n <= 12, lambda = 3 and h = log 3 to 1e-9."""
     expected = [4 * 3 ** (n - 1) for n in range(1, 13)]
-    dp = [hs.count_words(free2, n) for n in range(1, 13)]
+    dp = hs.sphere_counts(free2, 12)[1:]
     lengths = Counter(l for l, _, _ in hs.brute_force_oracle(free2, wordlen, 12))
     brute = [lengths[n] for n in range(1, 13)]
     report = hs.growth_rate(free2, 12)
@@ -98,7 +98,7 @@ def test_criterion_02_averaging(free2, aexp, aind, aind_stats):
 def test_criterion_03_variance(free2, free2_decomp, aexp, aexp_stats):
     """sigma^2 = 1 to 1e-6; empirical Var/n in [0.95, 1.05]; drift routes agree."""
     sigma_err = abs(aexp_stats.sigma2 - 1.0)
-    md = hs.moments(free2, aexp, 200)
+    md = hs.moment_sweep(free2, aexp, [200])[0]
     var_over_n = float(Fraction(md.second[0][0], md.count)) / 200.0
     comp = free2_decomp.maximal_indices[0]
 

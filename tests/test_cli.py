@@ -183,7 +183,7 @@ class TestPipelines:
         letters = {"a": 1.0, "b": 1.0, "A": math.sqrt(2), "B": 0.5}
         table = {
             (e.source, e.target): letters[e.label]
-            for e in free2.nonaugmentation_edges
+            for e in free2.edges
         }
         weights_path = tmp_path / "drifting.json"
         weights_path.write_text(
@@ -245,6 +245,37 @@ class TestFileInputs:
         )
         assert code == 3
         assert err != ""
+
+
+class TestDisagreeingComponents:
+    # the mirror coding with +1 on edges into a1, -1 on edges into A1 and 0
+    # elsewhere: component 2 (the copy-1 letters) varies, component 1 does not
+    @pytest.fixture
+    def sources(self, tmp_path, mirror):
+        values = {"a1": 1, "A1": -1}
+        table = {(e.source, e.target): values.get(e.target, 0) for e in mirror.edges}
+        coding_path = tmp_path / "mirror.json"
+        coding_path.write_text(json.dumps(hs.dump_coding(mirror)), encoding="utf-8")
+        weights_path = tmp_path / "skew.json"
+        weights_path.write_text(
+            json.dumps(hs.dump_weights(hs.weights_from_edge_table(mirror, table))),
+            encoding="utf-8",
+        )
+        return ["--coding", str(coding_path), "--weights", f"edges:@{weights_path}"]
+
+    @pytest.mark.parametrize("command", ["stats", "averaging", "degeneracy"])
+    def test_default_component_is_refused(self, capsys, sources, command):
+        code, out, err = run_cli(capsys, [command, *sources])
+        assert (code, out) == (3, "")
+        assert "maximal components disagree" in err
+        assert "covariance spread 1.000e+00" in err and "--component" in err
+
+    def test_named_component_runs(self, capsys, sources):
+        code, out, err = run_cli(capsys, ["stats", *sources, "--component", "2"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["component"] == 2
+        assert not doc["degenerate"]
 
 
 class TestScanLattice:
@@ -370,6 +401,23 @@ class TestImports:
                 "assert hs.berry_esseen_report(c, d, w, s, 25, 2.5).passed",
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
             ]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_test_dependency(self):
+        src = str(Path(hs.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        probe = (
+            "import sys, hypstat.cli; "
+            "print(sorted({'scipy', 'hypothesis', 'pytest'} & set(sys.modules)))"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe],

@@ -1,11 +1,16 @@
 """Tests for coding graphs: construction, validation, decomposition, growth."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 import hypstat as hs
-from conftest import build_z2z3_coding
+from conftest import build_mirror_coding, build_z2z3_coding
+
+# dump_coding(build_free_group_coding(2)) as written before codings dropped
+# the absorbing "0" vertex: the legacy "augmented" document form
+LEGACY_FREE2 = Path(__file__).parent / "data" / "free2_augmented.json"
 
 # [DERIVED] brute-force reduced-word counts from tests/oracles.py
 FREE2_COUNTS = [1, 4, 12, 36, 108, 324, 972, 2916, 8748]
@@ -14,18 +19,16 @@ FREE2_COUNTS = [1, 4, 12, 36, 108, 324, 972, 2916, 8748]
 class TestFreeCoding:
     def test_generators_and_vertices(self, free2):
         assert free2.generators == ("a", "A", "b", "B")
-        assert set(free2.vertices) == {"*", "0", "a", "A", "b", "B"}
-        assert free2.augmented
+        assert set(free2.vertices) == {"*", "a", "A", "b", "B"}
         assert set(free2.core_vertices) == {"a", "A", "b", "B"}
 
     def test_edge_structure(self, free2):
         by_source = {v: len(free2.out_edges[v]) for v in free2.vertices}
         # star reaches the four letters; each letter has three reduced
-        # continuations plus its absorbing edge; "0" only loops
+        # continuations
         assert by_source["*"] == 4
-        assert by_source["a"] == 4
-        assert by_source["0"] == 1
-        labels = {e.label for e in free2.nonaugmentation_edges}
+        assert by_source["a"] == 3
+        labels = {e.label for e in free2.edges}
         assert labels == {"a", "A", "b", "B"}
 
     @pytest.mark.parametrize("n", range(9))
@@ -33,7 +36,7 @@ class TestFreeCoding:
         assert hs.sphere_counts(free2, n)[n] == FREE2_COUNTS[n]
 
     def test_count_words_formula(self, free2):
-        assert hs.count_words(free2, 12) == 4 * 3**11
+        assert hs.sphere_counts(free2, 12)[12] == 4 * 3**11
 
     def test_rank_one_counts(self, free1):
         assert hs.sphere_counts(free1, 5) == [1, 2, 2, 2, 2, 2]
@@ -61,14 +64,47 @@ class TestLoadAndDump:
         again = hs.load_coding(target)
         assert hs.sphere_counts(again, 4) == FREE2_COUNTS[:5]
 
-    def test_zero_vertex_must_not_be_listed(self):
+    @pytest.mark.parametrize(
+        "name", ["free:1", "free:2", "free:3", "free:5", "mirror", "z2z3"]
+    )
+    def test_dump_load_is_identity(self, name):
+        if name.startswith("free:"):
+            coding = hs.build_free_group_coding(int(name[len("free:") :]))
+        else:
+            coding = {"mirror": build_mirror_coding, "z2z3": build_z2z3_coding}[name]()
+        doc = hs.dump_coding(coding)
+        assert "augmented" not in doc
+        assert hs.load_coding(doc) == coding
+
+    def test_legacy_augmented_document_loads(self, free2):
+        assert hs.load_coding(LEGACY_FREE2) == free2
+
+    def test_legacy_labelled_edge_into_zero_rejected(self):
         doc = {
             "generators": ["a"],
             "vertices": ["*", "0", "p"],
-            "edges": [{"from": "*", "to": "p", "label": "a"}],
+            "edges": [
+                {"from": "*", "to": "p", "label": "a"},
+                {"from": "p", "to": "0", "label": "a"},
+            ],
+            "augmented": True,
         }
-        with pytest.raises(hs.ValidationError):
+        with pytest.raises(hs.ValidationError, match="unknown target vertex '0'"):
             hs.load_coding(doc)
+
+    def test_zero_is_an_ordinary_vertex_name(self):
+        doc = {
+            "generators": ["a"],
+            "vertices": ["*", "0", "p"],
+            "edges": [
+                {"from": "*", "to": "0", "label": "a"},
+                {"from": "0", "to": "p", "label": "a"},
+                {"from": "p", "to": "0", "label": "a"},
+            ],
+        }
+        coding = hs.load_coding(doc)
+        assert coding.core_vertices == ("0", "p")
+        assert hs.sphere_counts(coding, 4) == [1, 1, 1, 1, 1]
 
     def test_duplicate_vertex_rejected(self):
         doc = {
@@ -177,7 +213,7 @@ class TestDecomposition:
         comp = decomp.components[t_index[0]]
         assert not comp.maximal
         assert comp.spectral_radius == pytest.approx(1.0, abs=1e-9)
-        assert hs.component_period(decomp, t_index[0]) == 2
+        assert comp.period == 2
 
     def test_rank_one_elementary(self, free1_decomp):
         assert free1_decomp.elementary

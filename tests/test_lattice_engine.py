@@ -55,7 +55,7 @@ def weight_cases(
         den = draw(st.sampled_from([1, 2, 4]))
         entry = st.integers(-2, 2).map(lambda k: k / den)
     value = st.tuples(*[entry] * dim) if dim > 1 else entry
-    table = {(e.source, e.target): draw(value) for e in coding.nonaugmentation_edges}
+    table = {(e.source, e.target): draw(value) for e in coding.edges}
     return coding, hs.weights_from_edge_table(coding, table)
 
 
@@ -91,7 +91,7 @@ def assert_equal_to_dict_oracle(coding, weights, ns):
     table = hs.scaled_integer_values(weights, hs.lattice_scale(weights))
     edges = [
         (e.source, e.target, table[(e.source, e.target)])
-        for e in coding.nonaugmentation_edges
+        for e in coding.edges
     ]
     expected = oracles.dict_lattice_counts(edges, hs.START_VERTEX, ns)
     dists = hs.distribution_sweep(coding, weights, ns)
@@ -109,7 +109,7 @@ def offsets_with_common_factor(coding, g, dim):
     """An edge table whose offsets from the least value share the factor g
     on the first axis (and 5 - g on the second), off a nonzero base."""
     table = {}
-    for i, e in enumerate(coding.nonaugmentation_edges):
+    for i, e in enumerate(coding.edges):
         first = 1 + g * (i % 4 - 1)
         table[(e.source, e.target)] = (
             first if dim == 1 else (first, -2 + (5 - g) * (i % 3))

@@ -34,7 +34,7 @@ def drifting(free2):
     B = 1/2; drift 0.9786 and sigma^2 = 0.1315."""
     letters = {"a": 1.0, "b": 1.0, "A": math.sqrt(2), "B": 0.5}
     table = {
-        (e.source, e.target): letters[e.label] for e in free2.nonaugmentation_edges
+        (e.source, e.target): letters[e.label] for e in free2.edges
     }
     return hs.weights_from_edge_table(free2, table)
 
@@ -510,7 +510,7 @@ class TestDegeneracy:
     def test_constant_real_weights_degenerate(self, free2, free2_decomp):
         table = {
             (e.source, e.target): math.sqrt(2)
-            for e in free2.nonaugmentation_edges
+            for e in free2.edges
         }
         weights = hs.weights_from_edge_table(free2, table)
         stats = hs.limit_statistics(free2, free2_decomp, weights)

@@ -155,7 +155,7 @@ class TestComponentConsistency:
         # carry different drifts, which the report must flag, not hide
         table = {
             (e.source, e.target): 1 if e.label == "a" and e.target.endswith("1") else 0
-            for e in mirror.nonaugmentation_edges
+            for e in mirror.edges
         }
         weights = hs.weights_from_edge_table(mirror, table)
         decomp = hs.decompose_components(mirror)

@@ -1,8 +1,6 @@
 """Tests for weight assignments: constructors, lattice detection, serialization."""
 
 import json
-import math
-from fractions import Fraction
 
 import pytest
 
@@ -52,7 +50,7 @@ class TestWordLength:
     def test_all_edges_weigh_one(self, free2, wordlen):
         assert wordlen.dim == 1
         assert set(wordlen.edge_values.values()) == {(1.0,)}
-        assert len(wordlen.edge_values) == len(free2.nonaugmentation_edges)
+        assert len(wordlen.edge_values) == len(free2.edges)
         assert hs.lattice_scale(wordlen) == 1
 
 
@@ -71,26 +69,6 @@ class TestEdgeTable:
         table[("a", "A")] = 7
         with pytest.raises(hs.InvalidArgumentError, match="unknown"):
             hs.weights_from_edge_table(free2, table)
-
-
-class TestRecenter:
-    def test_exact_rational_shift(self, aind):
-        shifted = hs.recenter(aind, Fraction(1, 4))
-        assert shifted.edge_values[("b", "a")] == (0.75,)
-        assert shifted.edge_values[("a", "b")] == (-0.25,)
-        assert shifted.origin == "recentered"
-        assert hs.lattice_scale(shifted) == 4
-
-    def test_zero_drift_is_identity(self, aexp):
-        assert hs.recenter(aexp, 0) is aexp
-
-    def test_dimension_mismatch_rejected(self, abel):
-        with pytest.raises(hs.InvalidArgumentError):
-            hs.recenter(abel, 0.5)
-
-    def test_non_finite_rejected(self, aexp):
-        with pytest.raises(hs.InvalidArgumentError):
-            hs.recenter(aexp, math.inf)
 
 
 class TestLatticeScale:
