@@ -1,35 +1,41 @@
 """Dominant-eigenvalue machinery shared by the coding and spectral modules.
 
-Only dominant-eigenvalue methods are used, never a general eigensolver:
+Three iterative methods and one dense solve:
 
 * real nonnegative matrices: power iteration on ``M + c*I`` with shift
   ``c = max row sum``.  The shift makes the iteration converge even when the
   matrix is periodic (the Perron root of a nonnegative matrix shifts by
   exactly ``c``, while the other peripheral eigenvalues lose their tie).
-* complex matrices: block orthogonal iteration (block size 2) on ``M^p``
-  where ``p`` is a period hint; the projected 2x2 eigenvalues are evaluated
-  in closed form.  Raising to the ``p``-th power collapses a peripheral
-  group ``lambda * exp(2*pi*i*k/p)`` onto the single eigenvalue
-  ``lambda^p``, for which the iteration converges geometrically.
+* complex matrices on an aperiodic support: LAPACK's general eigensolver
+  (``np.linalg.eig``) on the whole stack, with the largest ``|lambda|``
+  certified by its eigenpair's residual.
+* complex matrices on a periodic support: block orthogonal iteration (block
+  size 2) on ``M^p`` where ``p`` is a period hint; the projected 2x2
+  eigenvalues are evaluated in closed form.  Raising to the ``p``-th power
+  collapses a peripheral group ``lambda * exp(2*pi*i*k/p)`` onto the single
+  eigenvalue ``lambda^p``, for which the iteration converges geometrically.
 * the second method for complex radii: the growth rate of ``||M^200 x||``,
   with ``M^200 x`` formed by binary powering.
 
-Each method runs in lockstep over a stack of matrices of shape
-``(G, d, d)``: a few batched matrix products (and, for the orthogonal
-iteration, one batched QR) per step advance every point of a parameter
-grid.  The stopping rules apply per point: each point keeps its own best
-residual, iteration count and stagnation counter, and leaves the batch when
-it converges, so a point's result does not depend on the rest of the batch.
-A single matrix is a batch of one.
+Every method takes a stack of matrices of shape ``(G, d, d)``.  The
+iterations run in lockstep: a few batched matrix products (and, for the
+orthogonal iteration, one batched QR) per step advance every point of a
+parameter grid.  The stopping rules apply per point: each point keeps its
+own best residual, iteration count and stagnation counter, and leaves the
+batch when it converges, so a point's result does not depend on the rest of
+the batch.  A single matrix is a batch of one.
 
-The iteration aims for residual 1e-13 so that downstream second differences
+The iterations aim for residual 1e-13 so that downstream second differences
 of the pressure keep enough accuracy; the contractual bound callers may rely
-on is ``RESIDUAL_CONTRACT``.  A point whose best residual has not improved
-for ``_STAGNATION_WINDOW`` steps stops there: it is accepted when within the
-contract and raises ``NumericalError`` otherwise.
+on is ``RESIDUAL_CONTRACT``, which the dense solve checks directly.  A point
+whose best residual has not improved for ``_STAGNATION_WINDOW`` steps stops
+there: it is accepted when within the contract and raises
+``NumericalError`` otherwise.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -122,6 +128,37 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
+def eig_modulus_batch(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenvalue moduli of a stack ``(G, d, d)`` by dense ``eig``.
+
+    Returns ``(moduli, residuals)`` of shape ``(G,)``; a nilpotent matrix
+    gives 0.  Each modulus is the largest ``|lambda|`` (by hypot), and its
+    eigenpair's residual ``max|M v - lambda v| / (max|v| * max(1, |lambda|))``
+    above ``RESIDUAL_CONTRACT``, or a LAPACK failure, raises
+    ``NumericalError``.
+    """
+    m = np.asarray(stack, dtype=complex)
+    try:
+        values, vectors = np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"dense eigensolver failed: {exc}") from None
+    rows = np.arange(len(m))
+    top = _modulus(values).argmax(axis=1)
+    lam = values[rows, top]
+    v = vectors[rows, :, top]
+    moduli = _modulus(lam)
+    residuals = np.abs((m @ v[..., None])[..., 0] - lam[:, None] * v).max(axis=1)
+    residuals /= np.abs(v).max(axis=1) * np.maximum(1.0, moduli)
+    failed = np.flatnonzero(~(residuals <= RESIDUAL_CONTRACT))
+    if len(failed):
+        at = failed[0]
+        raise NumericalError(
+            f"dense eigenpair of point {at} has residual {residuals[at]:.3e}, "
+            f"above {RESIDUAL_CONTRACT:g}"
+        )
+    return moduli, residuals
+
+
 def modulus_batch(
     stack: np.ndarray, period_hint: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,6 +216,16 @@ def modulus_batch(
     return state.value ** (1.0 / p), state.iterations, state.residual
 
 
+def growth_start(dim: int) -> np.ndarray:
+    """The growth check's fixed complex start vector of length ``dim``.
+
+    Drawn from the standard library's generator, which numpy has already
+    imported, so the check does not load ``numpy.random``.
+    """
+    rng = random.Random(_COMPLEX_SEED + 1)
+    return np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)])
+
+
 def growth_log_batch(stack: np.ndarray) -> np.ndarray:
     """Second method for dominant moduli: ``log ||M^n x||_inf / n``, ``n = 200``.
 
@@ -191,8 +238,7 @@ def growth_log_batch(stack: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(stack, dtype=complex)
     count, dim = m.shape[0], m.shape[-1]
-    rng = np.random.default_rng(_COMPLEX_SEED + 1)
-    x0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    x0 = growth_start(dim)
     x = np.repeat((x0 / np.abs(x0).max(initial=0.0))[None], count, axis=0)
     log_norm = np.zeros(count)
     # M^(2^j) = exp(log_scale) * power, row by row

@@ -12,9 +12,10 @@ data of this family:
   case ``k = 1``),
 * the non-lattice gap ``e^h - rho(M_i(it))`` for the local limit theorem.
 
-No general-purpose eigensolver is used: real Perron roots come from shifted
-power iteration with deterministic starts, complex spectral radii from a
-small orthogonal iteration that is always cross-validated against the
+Real Perron roots come from shifted power iteration with deterministic
+starts.  Complex spectral radii come from a dense eigensolver on an
+aperiodic component and from a small orthogonal iteration on a periodic
+one, certified by their residuals and always cross-validated against the
 directly measured growth rate of ``||M^200 x||``.  Derivatives of the
 pressure are computed both by first-order perturbation theory and by
 central differences, and the two routes must agree.
@@ -26,7 +27,8 @@ A component's 0/1 mask ``A`` and weight stack ``W`` (``k x d x d``) are
 built once per call, ``M(s)`` over the grid is the broadcast
 ``A * exp(sum_j s_j W_j)`` of shape ``(G, d, d)``, and the kernels advance
 all points in lockstep with per-point stopping rules under
-``RESIDUAL_CONTRACT``.
+``RESIDUAL_CONTRACT``.  A stack that would exceed ``enumerate.BYTE_BUDGET``
+raises ``ResourceError`` before it is allocated.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._power import growth_log_batch, modulus_batch, perron_batch
+from ._power import eig_modulus_batch, growth_log_batch, modulus_batch, perron_batch
 from .coding import ComponentDecomposition, MarkovCoding
-from .errors import InvalidArgumentError, NumericalError
+from .enumerate import BYTE_BUDGET
+from .errors import InvalidArgumentError, NumericalError, ResourceError
 from .weights import WeightAssignment
 
 #: agreement required between perturbation-theory and finite-difference drift
@@ -168,7 +171,19 @@ class _ComponentArrays:
     weights: np.ndarray
 
     def matrices(self, grid: np.ndarray) -> np.ndarray:
-        """``M(s)`` for every row ``s`` of a ``(G, k)`` grid, shape ``(G, d, d)``."""
+        """``M(s)`` for every row ``s`` of a ``(G, k)`` grid, shape ``(G, d, d)``.
+
+        Raises ``ResourceError`` before allocating when three complex
+        stacks (the matrices, the temporaries that build them or ``eig``'s
+        input copy, and ``eig``'s eigenvectors) would exceed ``BYTE_BUDGET``.
+        """
+        size = len(self.vertices)
+        needed = 3 * 16 * len(grid) * size * size
+        if needed > BYTE_BUDGET:
+            raise ResourceError(
+                f"{len(grid)} matrices of size {size} need {needed} bytes, over "
+                f"the {BYTE_BUDGET}-byte budget; use a smaller grid"
+            )
         exponent = np.einsum("gk,kij->gij", grid, self.weights)
         # complex exp takes the C library's exp for the modulus; numpy's real
         # exp is a SIMD variant whose last bit depends on the CPU, and the
@@ -197,8 +212,12 @@ def _component_arrays(
 
 
 def _complex_radii(stack: np.ndarray, period_hint: int) -> list[float]:
-    """Dominant moduli of a complex stack, each checked by the growth rate."""
-    moduli = modulus_batch(stack, period_hint)[0].tolist()
+    """Dominant moduli of a complex stack, each checked by the growth rate;
+    dense ``eig`` on an aperiodic support, the iteration on ``M^p`` else."""
+    if period_hint == 1:
+        moduli = eig_modulus_batch(stack)[0].tolist()
+    else:
+        moduli = modulus_batch(stack, period_hint)[0].tolist()
     growths = growth_log_batch(stack).tolist()
     for modulus, growth in zip(moduli, growths):
         if modulus <= 1e-8:
@@ -489,18 +508,31 @@ def nonlattice_gap(
     Raises
     ------
     NumericalError
-        If a complex radius exceeds the real Perron root beyond tolerance
-        (impossible in exact arithmetic) or fails second-method validation.
+        If ``M(it)`` has a non-finite entry (the first such ``t`` is
+        named), or a complex radius exceeds the real Perron root beyond
+        tolerance (impossible in exact arithmetic) or fails second-method
+        validation.
+    ResourceError
+        If the grid's stack of matrices would exceed the byte budget.
     """
     if weights.dim != 1:
         raise InvalidArgumentError("the non-lattice gap is defined for scalar weights")
     arrays = _component_arrays(coding, decomposition, weights, component)
     radius0 = float(perron_batch(arrays.matrices(np.zeros((1, 1))))[0][0])
     period = decomposition.components[component].period
-    ts = [float(t) for t in t_grid]
-    stack = arrays.matrices(1j * np.array(ts)[:, None])
+    ts = np.asarray(t_grid, dtype=float)
+    # exp(i t w) of a huge t w is NaN; the check below names the first one
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = arrays.matrices(1j * ts[:, None])
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        t = float(ts[np.argmin(finite)])
+        raise NumericalError(
+            f"M(it) has a non-finite entry at t={t!r}; the weights times t "
+            "are too large for exp"
+        )
     points = []
-    for t, radius in zip(ts, _complex_radii(stack, period)):
+    for t, radius in zip(ts.tolist(), _complex_radii(stack, period)):
         gap = radius0 - radius
         if gap < -1e-9:
             raise NumericalError(

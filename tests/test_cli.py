@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hypstat as hs
+from conftest import build_z2z3_coding
 from hypstat import cli
 
 
@@ -304,6 +305,23 @@ class TestScanLattice:
         assert doc["witness"] is None
         assert doc["min_gap"] > 0.0
 
+    # free:2 scans on the dense solver, Z/2*Z/3 (period 2) on the iteration;
+    # t * 1e308 overflows from t = 2 on, where exp(i t w) is NaN
+    @pytest.mark.parametrize("coding", ["free:2", "z2z3"])
+    def test_non_finite_matrix_exits_three(self, capsys, tmp_path, coding):
+        weights = "hom:a=1e308,b=0.5"
+        if coding == "z2z3":
+            coding = str(tmp_path / "z2z3.json")
+            Path(coding).write_text(json.dumps(hs.dump_coding(build_z2z3_coding())))
+            weights = "hom:s=1e308,t=0.5,T=-0.5"
+        code, out, err = run_cli(
+            capsys,
+            ["scan-lattice", "--coding", coding, "--weights", weights,
+             "--tgrid", "0.5:3:0.5"],
+        )
+        assert (code, out) == (3, "")
+        assert "non-finite entry at t=2.0;" in err
+
 
 class TestValidateCommand:
     def test_free_group_passes(self, capsys):
@@ -411,6 +429,34 @@ class TestImports:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_aperiodic_scans_leave_numpy_random_unloaded(self):
+        # the dense solver needs no start vector and the growth check draws
+        # its own from the standard library
+        src = str(Path(hs.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        probe = "\n".join(
+            [
+                "import contextlib, io, sys",
+                "import hypstat.cli",
+                "weights = ['--coding', 'free:2', '--weights', 'hom:a=1,b=%r' % 3 ** -0.5]",
+                "with contextlib.redirect_stdout(io.StringIO()):",
+                "    llt = hypstat.cli.main(['llt', *weights, '--interval=-0.5,0.5',",
+                "        '--ngrid', '20,40'])",
+                "    scan = hypstat.cli.main(['scan-lattice', *weights])",
+                "assert (llt, scan) == (0, 0), (llt, scan)",
+                "print('numpy.random' in sys.modules)",
+            ]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_cli_import_loads_no_test_dependency(self):
         src = str(Path(hs.__file__).resolve().parents[1])

@@ -1,10 +1,11 @@
-"""Tests for the lockstep Perron and modulus kernels in ``hypstat._power``.
+"""Tests for the Perron and modulus kernels in ``hypstat._power``.
 
 The property tests check the kernels against numpy's general eigenvalue
 solver (the oracle of ``tests/oracles.py``) and against one-matrix loops of
 the same iterations, on random small irreducible matrices, periodic ones
 included, and check that a point's result in a mixed batch equals its solve
-on its own.  Fixed cases pin the frequency-scan stacks.
+on its own.  The dense kernel for aperiodic components is checked the same
+way.  Fixed cases pin the frequency-scan stacks.
 """
 
 import cmath
@@ -24,7 +25,9 @@ from hypstat._power import (
     _RESIDUAL_TARGET,
     _STAGNATION_WINDOW,
     RESIDUAL_CONTRACT,
+    eig_modulus_batch,
     growth_log_batch,
+    growth_start,
     modulus_batch,
     perron_batch,
 )
@@ -175,9 +178,7 @@ def loop_orthogonal_iteration(matrix, period):
 
 def loop_growth_log(matrix, steps=200):
     """``log ||M^n x||_inf / n`` by ``n`` normalized products with one matrix."""
-    size = len(matrix)
-    rng = np.random.default_rng(_COMPLEX_SEED + 1)
-    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    x = growth_start(len(matrix))
     x /= np.abs(x).max()
     log_norm = 0.0
     for _ in range(steps):
@@ -260,6 +261,72 @@ class TestScanStacks:
         assert np.all(residuals <= _RESIDUAL_TARGET)
         expected = np.abs(np.linalg.eigvals(stack)).max(axis=1)
         assert np.abs(moduli - expected).max() <= 1e-12 * expected.max()
+
+
+aperiodic_components = components().filter(lambda component: component[2] == 1)
+
+
+class TestDenseKernel:
+    @PROPERTY
+    @given(
+        aperiodic_components,
+        st.floats(-2.0, 2.0, allow_nan=False),
+        st.floats(-4.0, 4.0, allow_nan=False),
+    )
+    def test_matches_the_eig_oracle(self, component, s, t):
+        mask, weights, _period = component
+        matrix = mask * np.exp(complex(s, t) * weights)
+        (modulus,), (residual,) = eig_modulus_batch(matrix[None])
+        expected = eig_radius(matrix)
+        size = len(matrix)
+        kappa = eigen_condition(matrix, expected)
+        tol = 2 * math.sqrt(size) * kappa * RESIDUAL_CONTRACT * max(1.0, expected)
+        assert residual <= RESIDUAL_CONTRACT
+        assert abs(modulus - expected) <= tol + 1e-14 * expected
+
+    @PROPERTY
+    @given(
+        aperiodic_components,
+        st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=4),
+        st.integers(0, 4),
+        st.integers(0, 4),
+    )
+    def test_mixed_batch_matches_single_solves(self, component, tilts, at_zero, at_nil):
+        mask, weights, _period = component
+        stack = [mask * np.exp(1j * t * weights) for t in tilts]
+        size = len(mask)
+        stack.insert(min(at_zero, len(stack)), np.zeros((size, size), dtype=complex))
+        nilpotent = np.diag(np.ones(size - 1), 1).astype(complex)
+        stack.insert(min(at_nil, len(stack)), nilpotent)
+        moduli, residuals = eig_modulus_batch(np.array(stack))
+        for g, matrix in enumerate(stack):
+            one = eig_modulus_batch(matrix[None])
+            assert moduli[g] == one[0][0]
+            assert residuals[g] == one[1][0]
+
+    def test_zero_and_nilpotent_give_zero(self):
+        size = 4
+        zero = np.zeros((size, size), dtype=complex)
+        nilpotent = np.diag(np.ones(size - 1), 1).astype(complex)
+        moduli, residuals = eig_modulus_batch(np.stack([zero, nilpotent]))
+        assert moduli.tolist() == [0.0, 0.0]
+        assert residuals.tolist() == [0.0, 0.0]
+
+    def test_gate_stack_matches_the_eigenvalues(self, free2):
+        weights = hs.weights_from_homomorphism(free2, {"a": 1, "b": 1 / math.sqrt(3)})
+        stack, period = scan_stack(free2, weights)
+        assert period == 1
+        moduli, residuals = eig_modulus_batch(stack)
+        assert np.all(residuals <= RESIDUAL_CONTRACT)
+        expected = np.abs(np.linalg.eigvals(stack)).max(axis=1)
+        assert np.all(np.abs(moduli - expected) <= 1e-12 * expected)
+
+    def test_residual_above_contract_raises(self):
+        # N^2 = 0 with |N| = 1e16: the backward error eps*|N| is far above
+        # the contract relative to the computed eigenvalues, of modulus about 1
+        bad = np.array([[[1e8, 1e16], [-1.0, -1e8]]], dtype=complex)
+        with pytest.raises(NumericalError, match="residual"):
+            eig_modulus_batch(bad)
 
 
 class TestGrowthLog:

@@ -195,3 +195,22 @@ class TestNonlatticeGap:
         )
         assert abs(point.gap) <= 1e-9
         assert point.radius == pytest.approx(3.0, abs=1e-9)
+
+
+class TestStackBudget:
+    # free:2 has d = 4: two million points need 3 * 16 * 2e6 * 16 bytes
+    # (the stack, its build temporaries or eig's input copy, and eig's
+    # eigenvectors), about 1.5 GB
+    POINTS = 2_000_000
+
+    def test_gap_scan_refused_before_allocation(self, free2, free2_decomp, proj):
+        comp = free2_decomp.maximal_indices[0]
+        ts = np.linspace(0.1, 20.0, self.POINTS)
+        with pytest.raises(hs.ResourceError, match="byte budget"):
+            hs.nonlattice_gap(free2, free2_decomp, proj, comp, ts)
+
+    def test_pressure_grid_refused_before_allocation(self, free2, free2_decomp, aind):
+        comp = free2_decomp.maximal_indices[0]
+        grid = np.zeros(self.POINTS)
+        with pytest.raises(hs.ResourceError, match="byte budget"):
+            hs.spectral.pressure_grid(free2, free2_decomp, aind, comp, grid)
