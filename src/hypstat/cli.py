@@ -30,6 +30,7 @@ keys in fixed insertion order.  Run metadata lives under the ``meta`` key
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -690,7 +691,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns the exit code."""
+    """Run one command line; returns the exit code."""
     raw_argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
@@ -714,5 +715,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
 
 
+def entry() -> int:
+    """Process entry of ``hypstat`` and ``python -m hypstat.cli``: freeze the
+    import-time heap so that no collection during the command or at exit
+    walks it again (``main`` and the library leave the collector alone)."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

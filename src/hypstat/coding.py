@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +53,7 @@ _PATH_GUARD = 10**7
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CodingEdge:
+class CodingEdge(NamedTuple):
     """One edge, labeled by the generator it consumes."""
 
     source: str
@@ -94,8 +94,7 @@ class MarkovCoding:
         return {v: tuple(es) for v, es in table.items()}
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One strongly connected component of ``B``."""
 
     vertices: tuple[str, ...]
@@ -104,8 +103,7 @@ class Component:
     period: int  # 0 when the component contains no directed cycle
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
+class ComponentDecomposition(NamedTuple):
     """Component structure of a coding.
 
     ``components`` are listed in reverse topological order of the
@@ -135,8 +133,7 @@ class ComponentDecomposition:
         return self.masks[self.maximal_indices.index(index)]
 
 
-@dataclass(frozen=True)
-class CodingValidationReport:
+class CodingValidationReport(NamedTuple):
     """Result of the path-to-word bijection check."""
 
     ok: bool
@@ -145,8 +142,7 @@ class CodingValidationReport:
     failures: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """Growth rate of the word spheres, by two methods."""
 
     lam: float

@@ -48,10 +48,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, permutations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,8 +85,7 @@ _DEFAULT_BIN_DENOMINATOR = 200
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentData:
+class MomentData(NamedTuple):
     """Exact moment sums over one sphere.
 
     ``first[j] = sum phi_j`` and ``second[j][l] = sum phi_j phi_l`` over all
@@ -115,8 +113,7 @@ def _exact_div(x: object, d: int) -> object:
     return int(value) if value.denominator == 1 else value
 
 
-@dataclass(frozen=True, eq=False)
-class WordDistribution:
+class WordDistribution(NamedTuple):
     """Exact distribution of a weight over one sphere.
 
     Attributes
@@ -755,8 +752,7 @@ def distribution_overcounted(
     for q, c in zip(avoid.support_scaled, avoid.counts):
         merged[q] = merged.get(q, 0) + m * c
     support = tuple(sorted(merged))
-    return replace(
-        plain,
+    return plain._replace(
         support_scaled=support,
         counts=tuple(merged[q] for q in support),
         total=plain.total + m * avoid.total,

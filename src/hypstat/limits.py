@@ -29,10 +29,8 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from statistics import median
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,8 +65,7 @@ _EXACT_LOG_SLACK = 1e-9
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LimitLawReport:
+class LimitLawReport(NamedTuple):
     """One limit-law verification run.
 
     Attributes
@@ -159,14 +156,10 @@ def reverify(report: LimitLawReport) -> bool:
 def report_to_json(report: LimitLawReport) -> dict:
     """JSON-ready document (lossless together with ``report_from_json``)."""
     return {
-        "law": report.law,
-        "params": report.params,
+        **report._asdict(),
         "n_grid": list(report.n_grid),
         "rows": list(report.rows),
-        "theory": report.theory,
-        "tolerances": report.tolerances,
         "checks": list(report.checks),
-        "passed": report.passed,
     }
 
 
@@ -182,6 +175,15 @@ def report_from_json(document: dict) -> LimitLawReport:
         checks=tuple(dict(c) for c in document["checks"]),
         passed=bool(document["passed"]),
     )
+
+
+def _median(values: Sequence[float]) -> float:
+    """``statistics.median``'s arithmetic, without importing ``statistics``."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _quartiles(values: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -258,7 +260,7 @@ def averaging_table(
             "residual-max-vs-median",
             max(residuals),
             "<=",
-            10.0 * median(residuals),
+            10.0 * _median(residuals),
             "max r_n against 10x median r_n over the grid",
         ),
         _check(

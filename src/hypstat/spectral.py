@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,8 +58,7 @@ _VARIANCE_STEP = 1e-2
 _GROWTH_VALIDATION_TOL = 0.06
 
 
-@dataclass(frozen=True)
-class PressureReport:
+class PressureReport(NamedTuple):
     """Perron data of ``M_i(s)`` at a real parameter.
 
     ``value`` is the Perron root ``lambda(s)`` and ``pressure`` its log;
@@ -79,8 +77,7 @@ class PressureReport:
     residual: float
 
 
-@dataclass(frozen=True)
-class LimitStatistics:
+class LimitStatistics(NamedTuple):
     """Drift and covariance of one weighted maximal component, for any ``k``.
 
     Attributes
@@ -118,8 +115,7 @@ class LimitStatistics:
         return self.covariance[0][0]
 
 
-@dataclass(frozen=True)
-class GapPoint:
+class GapPoint(NamedTuple):
     """Non-lattice gap at one frequency: ``gap = e^h - rho(M(it))``."""
 
     t: float
@@ -127,8 +123,7 @@ class GapPoint:
     radius: float
 
 
-@dataclass(frozen=True)
-class ComponentConsistencyReport:
+class ComponentConsistencyReport(NamedTuple):
     """Limit statistics of every maximal component, side by side.
 
     ``consistent`` records whether drifts and variances agree within 1e-8
@@ -162,8 +157,7 @@ def _real_parameter(s: object, dim: int) -> tuple[float, ...]:
     return tuple(x.real for x in vec)
 
 
-@dataclass(frozen=True, eq=False)
-class _ComponentArrays:
+class _ComponentArrays(NamedTuple):
     """One maximal component's masked vertex set, 0/1 mask and weight stack."""
 
     vertices: tuple[str, ...]
@@ -175,7 +169,9 @@ class _ComponentArrays:
 
         Raises ``ResourceError`` before allocating when three complex
         stacks (the matrices, the temporaries that build them or ``eig``'s
-        input copy, and ``eig``'s eigenvectors) would exceed ``BYTE_BUDGET``.
+        input copy, and ``eig``'s eigenvectors) would exceed ``BYTE_BUDGET``,
+        and ``NumericalError`` naming the first ``s`` (``t`` of ``s = it``
+        for a complex grid) whose matrix has a non-finite entry.
         """
         size = len(self.vertices)
         needed = 3 * 16 * len(grid) * size * size
@@ -184,12 +180,24 @@ class _ComponentArrays:
                 f"{len(grid)} matrices of size {size} need {needed} bytes, over "
                 f"the {BYTE_BUDGET}-byte budget; use a smaller grid"
             )
-        exponent = np.einsum("gk,kij->gij", grid, self.weights)
+        imaginary = np.iscomplexobj(grid)
         # complex exp takes the C library's exp for the modulus; numpy's real
         # exp is a SIMD variant whose last bit depends on the CPU, and the
         # second differences of the pressure amplify that bit by 1/h^2
-        entries = np.exp(exponent.astype(complex))
-        return self.mask * (entries if np.iscomplexobj(grid) else entries.real)
+        with np.errstate(over="ignore", invalid="ignore"):  # named below
+            exponent = np.einsum("gk,kij->gij", grid, self.weights)
+            entries = np.exp(exponent.astype(complex))
+            stack = self.mask * (entries if imaginary else entries.real)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            name = "t" if imaginary else "s"
+            coords = (grid.imag if imaginary else grid)[np.argmin(finite)].tolist()
+            raise NumericalError(
+                f"M({'it' if imaginary else 's'}) has a non-finite entry at {name}="
+                f"{coords[0] if len(coords) == 1 else tuple(coords)!r}; "
+                f"the weights times {name} are too large for exp"
+            )
+        return stack
 
 
 def _component_arrays(
@@ -521,16 +529,7 @@ def nonlattice_gap(
     radius0 = float(perron_batch(arrays.matrices(np.zeros((1, 1))))[0][0])
     period = decomposition.components[component].period
     ts = np.asarray(t_grid, dtype=float)
-    # exp(i t w) of a huge t w is NaN; the check below names the first one
-    with np.errstate(over="ignore", invalid="ignore"):
-        stack = arrays.matrices(1j * ts[:, None])
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        t = float(ts[np.argmin(finite)])
-        raise NumericalError(
-            f"M(it) has a non-finite entry at t={t!r}; the weights times t "
-            "are too large for exp"
-        )
+    stack = arrays.matrices(1j * ts[:, None])
     points = []
     for t, radius in zip(ts.tolist(), _complex_radii(stack, period)):
         gap = radius0 - radius

@@ -17,10 +17,9 @@ its endpoint).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import json
 
@@ -33,8 +32,7 @@ LATTICE_DENOMINATOR_GUARD = 10**6
 Vector = tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class WeightAssignment:
+class WeightAssignment(NamedTuple):
     """Vector-valued weights on the edges of a coding.
 
     Attributes

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -323,6 +324,26 @@ class TestScanLattice:
         assert "non-finite entry at t=2.0;" in err
 
 
+class TestNonFiniteTilts:
+    # exp(0.5 * 1e308) and the stencil's exp(1e-4 * 1e200) overflow
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["pressure", "--coding", "free:2", "--weights", "hom:a=1e308,b=0.5",
+              "--s", "0.5"], "s=0.5;"),
+            (["stats", "--coding", "free:2", "--weights", "hom:a=1e200,b=0.5"],
+             "s=0.0001;"),
+        ],
+    )
+    def test_real_tilt_overflow_exits_three(self, capsys, argv, where):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert f"M(s) has a non-finite entry at {where}" in err
+        assert caught == []
+
+
 class TestValidateCommand:
     def test_free_group_passes(self, capsys):
         code, out, _err = run_cli(
@@ -399,11 +420,79 @@ class TestUsageErrors:
         assert hs.__version__ in out
 
 
+def _child_env() -> dict:
+    """The environment of a child ``python`` that imports this ``hypstat``."""
+    src = str(Path(hs.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+class TestProcessEntry:
+    # one command per exit code: pass, FAIL verdict, usage error, library error
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["growth", "--coding", "free:2", "--horizon", "12"], 0),
+            (["mclt", "--coding", "free:2", "--weights", "hom:a=1|1,b=0|0",
+              "--ngrid", "16"], 1),
+            (["growth", "--coding", "free:2", "--horizon", "soon"], 2),
+            (["growth", "--coding", "free:2", "--horizon", "6"], 3),
+        ],
+    )
+    def test_module_entry_matches_main(self, capsys, argv, expected):
+        code, out, _err = run_cli(capsys, argv)
+        done = subprocess.run(
+            [sys.executable, "-m", "hypstat.cli", *argv],
+            capture_output=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert (code, done.returncode) == (expected, expected), done.stderr
+        assert done.stdout == out.encode("ascii")
+
+    def test_entry_freezes_and_main_does_not(self):
+        probe = "\n".join(
+            [
+                "import contextlib, gc, io, sys",
+                "import hypstat.cli",
+                "sys.argv = ['hypstat', '--version']",
+                "with contextlib.redirect_stdout(io.StringIO()):",
+                "    assert hypstat.cli.main() == 0",
+                "    unfrozen = gc.get_freeze_count()",
+                "    assert hypstat.cli.entry() == 0",
+                "print(unfrozen, gc.get_freeze_count() > 0, gc.isenabled())",
+            ]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "True", "True"]
+
+
 class TestImports:
+    def test_cli_import_leaves_gc_and_statistics_alone(self):
+        # freezing the heap belongs to the process entry, not to an import
+        probe = (
+            "import gc, sys, hypstat.cli; "
+            "print('statistics' in sys.modules, gc.isenabled(), gc.get_freeze_count())"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True", "0"]
+
     def test_cli_import_leaves_scipy_unloaded(self):
         # mclt's cells and the Berry-Esseen bound both integrate numerically
-        src = str(Path(hs.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         probe = "\n".join(
             [
                 "import contextlib, io, sys",
@@ -424,7 +513,7 @@ class TestImports:
             [sys.executable, "-c", probe],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
@@ -433,8 +522,6 @@ class TestImports:
     def test_aperiodic_scans_leave_numpy_random_unloaded(self):
         # the dense solver needs no start vector and the growth check draws
         # its own from the standard library
-        src = str(Path(hs.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         probe = "\n".join(
             [
                 "import contextlib, io, sys",
@@ -452,15 +539,13 @@ class TestImports:
             [sys.executable, "-c", probe],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
     def test_cli_import_loads_no_test_dependency(self):
-        src = str(Path(hs.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         probe = (
             "import sys, hypstat.cli; "
             "print(sorted({'scipy', 'hypothesis', 'pytest'} & set(sys.modules)))"
@@ -469,7 +554,7 @@ class TestImports:
             [sys.executable, "-c", probe],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
             timeout=60,
         )
         assert done.returncode == 0, done.stderr

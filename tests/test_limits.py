@@ -1,10 +1,13 @@
 """Tests for limit-law reports: plumbing, each law at desk scale, degeneracy."""
 
 import math
+import statistics
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hypstat as hs
 import oracles
@@ -16,6 +19,7 @@ from hypstat.limits import (
     _doubled_membership,
     _finalize,
     _gaussian_rectangle,
+    _median,
     _quadrature,
     _tail_counts,
 )
@@ -108,6 +112,10 @@ class TestAveraging:
     def test_empty_grid_rejected(self, free2, aexp, aexp_stats):
         with pytest.raises(hs.InvalidArgumentError):
             hs.averaging_table(free2, aexp, aexp_stats, [])
+
+    @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=12))
+    def test_median_has_the_bits_of_statistics_median(self, residuals):
+        assert _median(residuals) == statistics.median(residuals)
 
 
 class TestKolmogorovDistance:
