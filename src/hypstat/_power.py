@@ -1,45 +1,45 @@
 """Dominant-eigenvalue machinery shared by the coding and spectral modules.
 
-Three iterative methods and one dense solve:
+A point and a grid take different kernels:
 
-* real nonnegative matrices: power iteration on ``M + c*I`` with shift
-  ``c = max row sum``.  The shift makes the iteration converge even when the
-  matrix is periodic (the Perron root of a nonnegative matrix shifts by
-  exactly ``c``, while the other peripheral eigenvalues lose their tie).
-* complex matrices on an aperiodic support: LAPACK's general eigensolver
-  (``np.linalg.eig``) on the whole stack, with the largest ``|lambda|``
-  certified by its eigenpair's residual.
-* complex matrices on a periodic support: block orthogonal iteration (block
-  size 2) on ``M^p`` where ``p`` is a period hint; the projected 2x2
-  eigenvalues are evaluated in closed form.  Raising to the ``p``-th power
-  collapses a peripheral group ``lambda * exp(2*pi*i*k/p)`` onto the single
-  eigenvalue ``lambda^p``, for which the iteration converges geometrically.
+* one real nonnegative matrix: ``perron_point``, power iteration on
+  ``M + c*I`` with shift ``c = max row sum``, in Python floats, so that
+  commands which only solve points never import numpy.  The shift makes the
+  iteration converge even when the matrix is periodic (the Perron root
+  shifts by exactly ``c``, while the other peripheral eigenvalues lose
+  their tie).
+* a stack ``(G, d, d)`` of complex matrices on an aperiodic support, or of
+  real nonnegative ones (whose largest modulus is the Perron root):
+  LAPACK's general eigensolver (``np.linalg.eig``), with the largest
+  ``|lambda|`` certified by its eigenpair's residual.
+* a complex stack on a periodic support: block orthogonal iteration (block
+  size 2) on ``M^p`` where ``p`` is a period hint, with the projected 2x2
+  eigenvalues in closed form.  The ``p``-th power collapses a peripheral
+  group ``lambda * exp(2*pi*i*k/p)`` onto the single eigenvalue
+  ``lambda^p``.  The points run in lockstep, each with its own stopping
+  rule, so a point's result does not depend on the rest of the batch.
 * the second method for complex radii: the growth rate of ``||M^200 x||``,
   with ``M^200 x`` formed by binary powering.
 
-Every method takes a stack of matrices of shape ``(G, d, d)``.  The
-iterations run in lockstep: a few batched matrix products (and, for the
-orthogonal iteration, one batched QR) per step advance every point of a
-parameter grid.  The stopping rules apply per point: each point keeps its
-own best residual, iteration count and stagnation counter, and leaves the
-batch when it converges, so a point's result does not depend on the rest of
-the batch.  A single matrix is a batch of one.
-
 The iterations aim for residual 1e-13 so that downstream second differences
-of the pressure keep enough accuracy; the contractual bound callers may rely
-on is ``RESIDUAL_CONTRACT``, which the dense solve checks directly.  A point
+of the pressure keep enough accuracy; callers may rely on
+``RESIDUAL_CONTRACT``, which the dense solve checks directly.  An iteration
 whose best residual has not improved for ``_STAGNATION_WINDOW`` steps stops
-there: it is accepted when within the contract and raises
-``NumericalError`` otherwise.
+there: it is accepted within the contract and raises ``NumericalError``
+otherwise.
 """
 
 from __future__ import annotations
 
+import math
 import random
-
-import numpy as np
+from operator import mul
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import NumericalError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RESIDUAL_CONTRACT = 1e-12
 _RESIDUAL_TARGET = 1e-13
@@ -47,6 +47,13 @@ _MAX_ITERATIONS = 1_000_000
 _STAGNATION_WINDOW = 64
 _COMPLEX_SEED = 20240817
 _GROWTH_STEPS = 200
+
+
+def _stall_error(method: str, iteration: int, residual: float, at: int) -> NumericalError:
+    return NumericalError(
+        f"{method} did not reach residual {RESIDUAL_CONTRACT:g} after "
+        f"{iteration} iterations (best residual {residual:.3e} at iteration {at})"
+    )
 
 
 class _BestSoFar:
@@ -58,6 +65,7 @@ class _BestSoFar:
     """
 
     def __init__(self, method: str, zero: np.ndarray) -> None:
+        import numpy as np
         self.method = method
         self.live = np.flatnonzero(~zero)
         self.value = np.zeros(len(zero))
@@ -72,59 +80,65 @@ class _BestSoFar:
         self.value[won] = value[better]
         self.residual[won] = residual[better]
         self.iterations[won] = iteration
-        self._since[live] = np.where(better, 0, self._since[live] + 1)
+        self._since[live] = (self._since[live] + 1) * ~better
         best = self.residual[live]
         converged = best <= _RESIDUAL_TARGET
         stalled = (self._since[live] >= _STAGNATION_WINDOW) | (iteration == _MAX_ITERATIONS)
-        failed = np.flatnonzero(stalled & (best > RESIDUAL_CONTRACT))
+        failed = (stalled & (best > RESIDUAL_CONTRACT)).nonzero()[0]
         if len(failed):
             at = live[failed[0]]
-            raise NumericalError(
-                f"{self.method} did not reach residual {RESIDUAL_CONTRACT:g} "
-                f"after {iteration} iterations (best residual "
-                f"{self.residual[at]:.3e} at iteration {self.iterations[at]})"
-            )
+            raise _stall_error(self.method, iteration, self.residual[at], self.iterations[at])
         stay = ~(converged | stalled)
         self.live = live[stay]
         return better, stay
 
 
-def perron_batch(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Perron roots and right vectors of a stack ``(G, d, d)`` of nonnegative matrices.
+def perron_point(rows: Sequence[Sequence[float]]) -> tuple[float, list[float], int, float]:
+    """Perron root and right vector of one nonnegative matrix, as
+    ``(value, vector, iterations, residual)``.
 
-    Returns
-    -------
-    (values, vectors, iterations, residuals)
-        Shapes ``(G,)``, ``(G, d)``, ``(G,)``, ``(G,)``; vectors are
-        nonnegative with 1-norm one, residuals ``max|Mv - lam*v| / max|v|``.
-        A zero matrix has root 0 and the uniform vector.
+    The vector is nonnegative with 1-norm one; the residual is
+    ``max|Mv - lam*v| / max|v|``.  The matrix runs as ``M / 2^e``, where
+    ``2^e <= max < 2^(e+1)``, so that no step overflows and the residual is
+    relative to the largest entry; the value is scaled back, the residual is
+    that of ``M / 2^e``.  A zero matrix has root 0 and the uniform vector.
     """
-    m = np.asarray(stack, dtype=float)
-    count, dim = m.shape[0], m.shape[-1]
-    vectors = np.full((count, dim), 1.0 / max(dim, 1))
-    shift = m.sum(axis=2).max(axis=1, initial=0.0)
-    state = _BestSoFar("power iteration", shift == 0.0)
-    live = state.live
-    matrix = m[live]
-    shifted = matrix + shift[live, None, None] * np.eye(dim)
-    x = vectors[live]
+    size = len(rows)
+    top = max(map(max, rows), default=0.0)
+    exponent = math.frexp(top)[1] - 1 if top > 0.0 else 0
+    matrix = [[math.ldexp(a, -exponent) for a in row] for row in rows]
+    shift = max([0.0, *map(sum, matrix)])
+    x = [1.0 / max(size, 1)] * size
+    if shift == 0.0:
+        return 0.0, x, 0, 0.0
+    shifted = [row[:i] + [row[i] + shift] + row[i + 1 :] for i, row in enumerate(matrix)]
+    best, since = (math.inf, 0.0, x, 0), 0
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        if not len(live):
+        y = [sum(map(mul, row, x)) for row in shifted]
+        total = sum(y)
+        if not total > 0.0:  # only a matrix with negative entries gets here
+            raise _stall_error("power iteration", iteration, best[0], best[3])
+        x = [v / total for v in y]
+        mx = [sum(map(mul, row, x)) for row in matrix]
+        # Rayleigh quotient x.Mx / x.x
+        value = sum(map(mul, x, mx)) / sum(map(mul, x, x))
+        residual = max([abs(a - value * b) for a, b in zip(mx, x)]) / max(map(abs, x))
+        if residual < best[0]:
+            best, since = (residual, value, x, iteration), 0
+        else:
+            since += 1
+        stalled = since >= _STAGNATION_WINDOW or iteration == _MAX_ITERATIONS
+        if stalled and best[0] > RESIDUAL_CONTRACT:
+            raise _stall_error("power iteration", iteration, best[0], best[3])
+        if stalled or best[0] <= _RESIDUAL_TARGET:
             break
-        y = (shifted @ x[..., None])[..., 0]
-        x = y / y.sum(axis=1, keepdims=True)
-        mx = (matrix @ x[..., None])[..., 0]
-        # Rayleigh quotient x.Mx / x.x, row by row
-        value = (x[:, None] @ mx[..., None])[:, 0, 0] / (x[:, None] @ x[..., None])[:, 0, 0]
-        residual = np.abs(mx - value[:, None] * x).max(axis=1) / np.abs(x).max(axis=1)
-        better, stay = state.offer(iteration, value, residual)
-        vectors[live[better]] = x[better]
-        live, matrix, shifted, x = live[stay], matrix[stay], shifted[stay], x[stay]
-    return state.value, vectors, state.iterations, state.residual
+    residual, value, vector, iterations = best
+    return math.ldexp(value, exponent), vector, iterations, residual
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
     """``|z|`` by the C library's hypot; numpy's complex abs varies by CPU."""
+    import numpy as np
     return np.hypot(z.real, z.imag)
 
 
@@ -137,6 +151,7 @@ def eig_modulus_batch(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     above ``RESIDUAL_CONTRACT``, or a LAPACK failure, raises
     ``NumericalError``.
     """
+    import numpy as np
     m = np.asarray(stack, dtype=complex)
     try:
         values, vectors = np.linalg.eig(m)
@@ -175,6 +190,7 @@ def modulus_batch(
         residual ``max|N q - mu q| / max|q|`` and the invariant-subspace
         residual, both relative to ``max(1, |mu|)``.  ``M^p = 0`` gives 0.
     """
+    import numpy as np
     m = np.asarray(stack, dtype=complex)
     dim = m.shape[-1]
     p = max(1, int(period_hint))
@@ -219,9 +235,10 @@ def modulus_batch(
 def growth_start(dim: int) -> np.ndarray:
     """The growth check's fixed complex start vector of length ``dim``.
 
-    Drawn from the standard library's generator, which numpy has already
-    imported, so the check does not load ``numpy.random``.
+    Drawn from the standard library's generator, so the check does not load
+    ``numpy.random``.
     """
+    import numpy as np
     rng = random.Random(_COMPLEX_SEED + 1)
     return np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)])
 
@@ -236,6 +253,7 @@ def growth_log_batch(stack: np.ndarray) -> np.ndarray:
     multiplied by ``M^(2^j)`` for each set bit ``j`` of ``n``.  A matrix
     whose iterate vanishes gets ``-inf``.
     """
+    import numpy as np
     m = np.asarray(stack, dtype=complex)
     count, dim = m.shape[0], m.shape[-1]
     x0 = growth_start(dim)

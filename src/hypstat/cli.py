@@ -717,10 +717,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> int:
     """Process entry of ``hypstat`` and ``python -m hypstat.cli``: freeze the
-    import-time heap so that no collection during the command or at exit
-    walks it again (``main`` and the library leave the collector alone)."""
+    heap after import, so that no collection during the command walks it,
+    and after the command, so that the exit collection skips what it
+    imported (numpy, say); ``main`` and the library leave the GC alone."""
     gc.freeze()
-    return main()
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

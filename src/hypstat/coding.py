@@ -28,9 +28,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
-from ._power import perron_batch
+from ._power import perron_point
 from .errors import (
     InconsistencyError,
     InvalidArgumentError,
@@ -393,10 +391,10 @@ def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
 
     One Boolean reachability closure answers every graph question.  Over
     ``("*", *core_vertices)``, Warshall's algorithm turns the 0/1 adjacency
-    plus the identity into ``reach``; its ``"*"`` row is the reachable core,
-    and the classes of ``reach & reach.T`` on that core are the components,
-    each named by its first vertex in vertex order.  The closure costs
-    O(V^3) in the V core vertices.
+    plus the identity into ``reach``, a Python-int bitset per row; its
+    ``"*"`` row is the reachable core, and the classes of mutual reach on
+    that core are the components, each named by its first vertex in vertex
+    order.  The closure costs O(V^2) bitset operations in the V vertices.
 
     Components cover exactly the core vertices reachable from ``"*"``.  They
     are listed in reverse of the topological order of the condensation that
@@ -417,48 +415,49 @@ def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
     check_coding(coding)
     names = (START_VERTEX, *coding.core_vertices)
     index = {v: i for i, v in enumerate(names)}
-    adjacency = np.zeros((len(names), len(names)), bool)
+    # row i of each table is a bitset over the columns
+    adjacency = [0] * len(names)
     for edge in coding.edges:
-        adjacency[index[edge.source], index[edge.target]] = True
-    reach = adjacency | np.eye(len(names), dtype=bool)
-    for k in range(len(names)):
-        reach |= np.outer(reach[:, k], reach[k])
-    live = np.flatnonzero(reach[0, 1:]) + 1
-    if live.size == 0:
+        adjacency[index[edge.source]] |= 1 << index[edge.target]
+    reach = [row | 1 << i for i, row in enumerate(adjacency)]
+    for k, row_k in enumerate(reach):
+        for i, row in enumerate(reach):
+            if row >> k & 1:
+                reach[i] = row | row_k
+    live = [i for i in range(1, len(names)) if reach[0] >> i & 1]
+    if not live:
         raise StructureError(
             "degenerate coding: no core vertex is reachable from the start vertex"
         )
-    sub = reach[np.ix_(live, live)]
-    label = live[(sub & sub.T).argmax(axis=1)]
-    firsts = live[label == live]
+    label = {i: next(j for j in live if reach[i] >> j & reach[j] >> i & 1) for i in live}
+    firsts = [i for i in live if label[i] == i]
 
     # Kahn on the closure: a component is ready once no unplaced component
     # reaches it; always placing the smallest ready one fixes the order
-    above = reach[np.ix_(firsts, firsts)]
-    np.fill_diagonal(above, False)
-    pending = above.sum(axis=0)
+    pending = {c: sum(reach[a] >> c & 1 for a in firsts if a != c) for c in firsts}
     topo: list[int] = []
     for _ in firsts:
-        c = int(np.flatnonzero(pending == 0)[0])
+        c = min(c for c, count in pending.items() if count == 0)
         topo.append(c)
-        pending -= above[c]
-        pending[c] = -1
-    order = firsts[topo[::-1]]
+        del pending[c]
+        for b in pending:
+            pending[b] -= reach[c] >> b & 1
+    order = topo[::-1]
 
     members = {names[i] for i in live}
     succ = {
         v: [e.target for e in coding.out_edges[v] if e.target in members]
         for v in members
     }
-    b = adjacency.astype(float)
     radii: list[float] = []
     periods: list[int] = []
     ordered: list[list[str]] = []
     for first in order:
-        idx = live[label == first]
+        idx = [i for i in live if label[i] == first]
         comp = [names[i] for i in idx]
         ordered.append(comp)
-        radii.append(float(perron_batch(b[np.ix_(idx, idx)][None])[0][0]))
+        rows = [[float(adjacency[a] >> b & 1) for b in idx] for a in idx]
+        radii.append(perron_point(rows)[0])
         periods.append(_component_period(comp, succ))
 
     lam = max(radii)
@@ -480,7 +479,7 @@ def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
     maximal_indices = tuple(i for i, f in enumerate(maximal_flags) if f)
     for i in maximal_indices:
         for j in maximal_indices:
-            if i != j and reach[order[i], order[j]]:
+            if i != j and reach[order[i]] >> order[j] & 1:
                 raise StructureError(
                     "two maximal-growth components are connected by a directed "
                     "path; a strongly Markov coding of a group cannot do this "

@@ -50,9 +50,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import accumulate, permutations
-from typing import Callable, Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .coding import (
     START_VERTEX,
@@ -63,6 +61,9 @@ from .coding import (
 )
 from .errors import InvalidArgumentError, ResourceError
 from .weights import WeightAssignment, lattice_scale, scaled_integer_values
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: cap on the bytes of the buffers an exact lattice enumeration allocates,
 #: checked before allocating them (see the module docstring)
@@ -349,6 +350,7 @@ def _flatten(transitions: Sequence[tuple[str, str, tuple[int, ...]]], n_max: int
     ]
 
     def decode(level: int, slots: np.ndarray) -> list[np.ndarray]:
+        import numpy as np
         # the largest |value| the level can hold on any axis
         bound = max(
             level * abs(o) + sum(span * abs(b[t]) for (*_, span), b in zip(axes, basis))
@@ -400,6 +402,7 @@ def _digit_levels(
     inclusive slot range still needed at level ``L``.  The arrays are views of two buffers per
     target, reused every other level: read or copy them before advancing.
     """
+    import numpy as np
     groups: dict[str, dict[int, list[str]]] = {}
     for source, target, offset in edges:
         groups.setdefault(target, {}).setdefault(offset, []).append(source)
@@ -475,6 +478,7 @@ def _summed_planes(state: dict[str, np.ndarray], a: int, b: int) -> np.ndarray:
     Every digit of the result is below ``2**48``: each column counts at
     most the level's paths, which fit the level's digits.
     """
+    import numpy as np
     planes = list(state.values())
     b = min(b, planes[0].shape[1] - 1) if planes else -1
     if b < a:
@@ -493,7 +497,7 @@ def _slot_counts(
 ) -> tuple[np.ndarray, list[int]]:
     """Columns ``a..b`` summed over the vertices: nonzero columns and counts."""
     acc = _summed_planes(state, a, b)
-    columns = np.flatnonzero(acc.any(axis=0))
+    columns = acc.any(axis=0).nonzero()[0]
     counts = [0] * len(columns)
     for row in acc[::-1, columns].tolist():
         counts = [(c << _DIGIT_BITS) + d for c, d in zip(counts, row)]
@@ -518,6 +522,7 @@ def weighted_counts(
     product raises ``ResourceError``.  Returns ``(sums, total)``, ``total``
     the path count.
     """
+    import numpy as np
     if n < 0:
         raise InvalidArgumentError("sphere radius must be >= 0")
     scale = lattice_scale(weights)

@@ -30,9 +30,7 @@ import bisect
 import math
 import operator
 from fractions import Fraction
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .coding import ComponentDecomposition, MarkovCoding
 from .enumerate import (
@@ -53,6 +51,9 @@ from .errors import (
 )
 from .spectral import GapPoint, LimitStatistics, nonlattice_gap, pressure_grid
 from .weights import WeightAssignment, lattice_scale
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: spectral-gap threshold below which a frequency witnesses lattice weights
 LATTICE_WITNESS_GAP = 1e-9
@@ -429,6 +430,7 @@ def quad(fn, a: float, b: float) -> tuple[float, float]:
     ``|rule(whole) - rule(left) - rule(right)|``, until the estimates sum
     to at most ``1e-13 * max(1, |value|)`` or 200 intervals are used.
     """
+    import numpy as np
     nodes, weights = np.polynomial.legendre.leggauss(10)
 
     def rule(lo: float, hi: float) -> float:
@@ -500,6 +502,7 @@ def _bound_and_law(
     T: float,
 ) -> tuple[float, WordDistribution]:
     """``berry_esseen_bound`` and the overcounted law it is computed from."""
+    import numpy as np
     _require_scalar(weights, "berry_esseen_bound")
     sigma = _require_nondegenerate(stats, "berry_esseen_bound")
     if not T > 0.0:
@@ -838,11 +841,11 @@ def ldt_rate(
 # ---------------------------------------------------------------------------
 
 
-def _empirical_covariance(md: MomentData) -> np.ndarray:
+def _empirical_covariance(md: MomentData) -> list[list[float]]:
     """Exact covariance of ``phi / sqrt(n)`` over the sphere, as floats."""
     k = md.dim
     count = md.count
-    cov = np.zeros((k, k))
+    cov = [[0.0] * k for _ in range(k)]
     means = md.mean()
     for j in range(k):
         for l in range(k):
@@ -851,7 +854,7 @@ def _empirical_covariance(md: MomentData) -> np.ndarray:
                 value = float(second) / count - float(means[j]) * float(means[l])
             else:
                 value = float(Fraction(second) / count - Fraction(means[j]) * Fraction(means[l]))
-            cov[j, l] = value / md.n
+            cov[j][l] = value / md.n
     return cov
 
 
@@ -953,6 +956,7 @@ def mclt_check(
             f"mclt_check got statistics of dimension {len(stats.drift)} for "
             f"weights of dimension {weights.dim}"
         )
+    import numpy as np
     grid = _sorted_grid(n_grid)
     sigma = np.array(stats.covariance)
     k = weights.dim

@@ -12,38 +12,37 @@ data of this family:
   case ``k = 1``),
 * the non-lattice gap ``e^h - rho(M_i(it))`` for the local limit theorem.
 
-Real Perron roots come from shifted power iteration with deterministic
-starts.  Complex spectral radii come from a dense eigensolver on an
-aperiodic component and from a small orthogonal iteration on a periodic
-one, certified by their residuals and always cross-validated against the
-directly measured growth rate of ``||M^200 x||``.  Derivatives of the
+Points and grids take different ``_power`` kernels.  A real Perron root at
+one point (``pressure``, the ``limit_statistics`` stencil, the scan's root
+at ``s = 0``) comes from shifted power iteration in Python floats on
+``M(s)`` built entry by entry with ``math.exp``, the left vector from the
+transpose; these paths never import numpy.  A grid is the broadcast
+``A * exp(sum_j s_j W_j)`` of shape ``(G, d, d)`` (0/1 mask ``A``, weight
+stack ``W``), refused with ``ResourceError`` before it would exceed
+``enumerate.BYTE_BUDGET``.  Its real roots (``pressure_grid``) and the
+complex radii of an aperiodic component come from a dense eigensolver,
+those of a periodic component from a small orthogonal iteration, all
+certified by their residuals; complex radii are always cross-validated
+against the measured growth rate of ``||M^200 x||``.  Derivatives of the
 pressure are computed both by first-order perturbation theory and by
 central differences, and the two routes must agree.
-
-Each call solves one batch of a ``_power`` kernel: the gap frequencies,
-the grid of ``pressure_grid``, or ``M(s)`` of ``pressure`` or the stencil
-of ``limit_statistics`` with a transpose at one point for the left vector.
-A component's 0/1 mask ``A`` and weight stack ``W`` (``k x d x d``) are
-built once per call, ``M(s)`` over the grid is the broadcast
-``A * exp(sum_j s_j W_j)`` of shape ``(G, d, d)``, and the kernels advance
-all points in lockstep with per-point stopping rules under
-``RESIDUAL_CONTRACT``.  A stack that would exceed ``enumerate.BYTE_BUDGET``
-raises ``ResourceError`` before it is allocated.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from operator import mul
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
-
-from ._power import eig_modulus_batch, growth_log_batch, modulus_batch, perron_batch
+from ._power import eig_modulus_batch, growth_log_batch, modulus_batch, perron_point
 from .coding import ComponentDecomposition, MarkovCoding
 from .enumerate import BYTE_BUDGET
 from .errors import InvalidArgumentError, NumericalError, ResourceError
 from .weights import WeightAssignment
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: agreement required between perturbation-theory and finite-difference drift
 DRIFT_ROUTE_TOL = 1e-7
@@ -157,12 +156,35 @@ def _real_parameter(s: object, dim: int) -> tuple[float, ...]:
     return tuple(x.real for x in vec)
 
 
+def _non_finite(name: str, coords: Sequence[float]) -> NumericalError:
+    at = coords[0] if len(coords) == 1 else tuple(coords)
+    return NumericalError(
+        f"M({'it' if name == 't' else 's'}) has a non-finite entry at {name}={at!r}; "
+        f"the weights times {name} are too large for exp"
+    )
+
+
 class _ComponentArrays(NamedTuple):
-    """One maximal component's masked vertex set, 0/1 mask and weight stack."""
+    """One maximal component's masked vertex set and its edges ``(u, v, w)``:
+    row, column and weight vector."""
 
     vertices: tuple[str, ...]
-    mask: np.ndarray
-    weights: np.ndarray
+    edges: tuple[tuple[int, int, tuple[float, ...]], ...]
+
+    def point(self, s: Sequence[float]) -> list[list[float]]:
+        """``M(s)`` at one real ``s`` as rows of Python floats; raises
+        ``NumericalError`` naming ``s`` when an entry is not finite."""
+        size = len(self.vertices)
+        rows = [[0.0] * size for _ in range(size)]
+        for u, v, w in self.edges:
+            try:
+                entry = math.exp(sum(map(mul, s, w)))
+            except OverflowError:
+                entry = math.inf
+            if not math.isfinite(entry):
+                raise _non_finite("s", s)
+            rows[u][v] = entry
+        return rows
 
     def matrices(self, grid: np.ndarray) -> np.ndarray:
         """``M(s)`` for every row ``s`` of a ``(G, k)`` grid, shape ``(G, d, d)``.
@@ -173,6 +195,7 @@ class _ComponentArrays(NamedTuple):
         and ``NumericalError`` naming the first ``s`` (``t`` of ``s = it``
         for a complex grid) whose matrix has a non-finite entry.
         """
+        import numpy as np
         size = len(self.vertices)
         needed = 3 * 16 * len(grid) * size * size
         if needed > BYTE_BUDGET:
@@ -180,23 +203,22 @@ class _ComponentArrays(NamedTuple):
                 f"{len(grid)} matrices of size {size} need {needed} bytes, over "
                 f"the {BYTE_BUDGET}-byte budget; use a smaller grid"
             )
+        mask = np.zeros((size, size))
+        weights = np.zeros((grid.shape[1], size, size))
+        for u, v, w in self.edges:
+            mask[u, v] = 1.0
+            weights[:, u, v] = w
         imaginary = np.iscomplexobj(grid)
-        # complex exp takes the C library's exp for the modulus; numpy's real
-        # exp is a SIMD variant whose last bit depends on the CPU, and the
-        # second differences of the pressure amplify that bit by 1/h^2
+        # complex exp takes the C library's exp, as math.exp does for a
+        # point; numpy's real exp is a SIMD variant whose last bit varies by CPU
         with np.errstate(over="ignore", invalid="ignore"):  # named below
-            exponent = np.einsum("gk,kij->gij", grid, self.weights)
+            exponent = np.einsum("gk,kij->gij", grid, weights)
             entries = np.exp(exponent.astype(complex))
-            stack = self.mask * (entries if imaginary else entries.real)
+            stack = mask * (entries if imaginary else entries.real)
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
-            name = "t" if imaginary else "s"
-            coords = (grid.imag if imaginary else grid)[np.argmin(finite)].tolist()
-            raise NumericalError(
-                f"M({'it' if imaginary else 's'}) has a non-finite entry at {name}="
-                f"{coords[0] if len(coords) == 1 else tuple(coords)!r}; "
-                f"the weights times {name} are too large for exp"
-            )
+            coords = (grid.imag if imaginary else grid)[np.argmin(finite)]
+            raise _non_finite("t" if imaginary else "s", coords.tolist())
         return stack
 
 
@@ -208,15 +230,12 @@ def _component_arrays(
 ) -> _ComponentArrays:
     mask = decomposition.mask_for(component)
     index = {v: j for j, v in enumerate(mask)}
-    size = len(mask)
-    adjacency = np.zeros((size, size))
-    stack = np.zeros((weights.dim, size, size))
-    for edge in coding.edges:
-        if edge.source in index and edge.target in index:
-            u, v = index[edge.source], index[edge.target]
-            adjacency[u, v] = 1.0
-            stack[:, u, v] = weights.edge_values[(edge.source, edge.target)]
-    return _ComponentArrays(vertices=mask, mask=adjacency, weights=stack)
+    edges = tuple(
+        (index[e.source], index[e.target], weights.edge_values[(e.source, e.target)])
+        for e in coding.edges
+        if e.source in index and e.target in index
+    )
+    return _ComponentArrays(vertices=mask, edges=edges)
 
 
 def _complex_radii(stack: np.ndarray, period_hint: int) -> list[float]:
@@ -255,23 +274,24 @@ def pressure(
     -------
     PressureReport
         With the Perron root, both eigenvectors (the left one solved as the
-        right one of the transpose, in the same batch), and the certified
-        residual: the larger of the two; ``iterations`` adds up both.
+        right one of the transpose), and the certified residual: the larger
+        of the two; ``iterations`` adds up both.
     """
     real = _real_parameter(s, weights.dim)
     arrays = _component_arrays(coding, decomposition, weights, component)
-    m = arrays.matrices(np.array([real]))[0]
-    values, vectors, iterations, residuals = perron_batch(np.stack([m, m.T]))
+    m = arrays.point(real)
+    value, right, iterations, residual = perron_point(m)
+    _, left, left_iterations, left_residual = perron_point(list(zip(*m)))
     return PressureReport(
         component=component,
         s=real,
-        value=float(values[0]),
-        pressure=math.log(values[0]),
+        value=value,
+        pressure=math.log(value),
         vertices=arrays.vertices,
-        right=tuple(vectors[0].tolist()),
-        left=tuple(vectors[1].tolist()),
-        iterations=int(iterations.sum()),
-        residual=float(residuals.max()),
+        right=tuple(right),
+        left=tuple(left),
+        iterations=iterations + left_iterations,
+        residual=max(residual, left_residual),
     )
 
 
@@ -284,11 +304,14 @@ def pressure_grid(
 ) -> list[float]:
     """Pressures ``P(s)`` at real parameters, solved as one batch.
 
-    Each value equals ``pressure(..., s).pressure``; no eigenvectors are kept.
+    The largest eigenvalue modulus of a nonnegative matrix is its Perron
+    root, so the dense eigensolver's certified moduli serve.  Each value is
+    within 1e-12 of ``pressure(..., s).pressure``; no eigenvectors are kept.
     """
+    import numpy as np
     arrays = _component_arrays(coding, decomposition, weights, component)
     grid = np.array(s_grid, dtype=float).reshape(-1, weights.dim)
-    return [math.log(lam) for lam in perron_batch(arrays.matrices(grid))[0].tolist()]
+    return [math.log(lam) for lam in eig_modulus_batch(arrays.matrices(grid))[0].tolist()]
 
 
 def _stencil_roots(
@@ -296,27 +319,35 @@ def _stencil_roots(
 ) -> tuple[float, list[float], dict[tuple[float, ...], float]]:
     """Perron root and perturbation drift at ``s = 0``, and roots at ``points``.
 
-    One batch: the transpose at ``s = 0`` supplies the left vector ``u``,
-    and ``grad P(0) = u . (W_j v) / (lambda u . v)`` per coordinate, where
-    ``W_j`` is the derivative of ``M(s)`` in ``s_j`` at ``s = 0``.
+    The transpose at ``s = 0`` supplies the left vector ``u``, and
+    ``grad P(0) = u . (W_j v) / (lambda u . v)`` per coordinate, where
+    ``W_j`` is the derivative of ``M(s)`` in ``s_j`` at ``s = 0``: the
+    weights' ``j``-th coordinates on the edges.
     """
-    zero = arrays.matrices(np.zeros((1, len(arrays.weights))))
-    stack = np.concatenate(
-        [zero, zero.transpose(0, 2, 1), arrays.matrices(np.array(points))]
-    )
-    values, vectors, _, _ = perron_batch(stack)
-    lam0, right, left = float(values[0]), vectors[0], vectors[1]
-    uv = float(left @ right)
-    drift = [float(left @ (w @ right)) / (lam0 * uv) for w in arrays.weights]
-    return lam0, drift, dict(zip(map(tuple, points), values[2:].tolist()))
+    zero = arrays.point([0.0] * len(points[0]))
+    lam0, right, _, _ = perron_point(zero)
+    left = perron_point(list(zip(*zero)))[1]
+    uv = sum(map(mul, left, right))
+    drift = [
+        math.fsum(left[u] * w[j] * right[v] for u, v, w in arrays.edges) / (lam0 * uv)
+        for j in range(len(points[0]))
+    ]
+    return lam0, drift, {p: perron_point(arrays.point(p))[0] for p in points}
 
 
-def _log_second_difference(
-    lam_plus: float, lam_minus: float, lam_zero: float, h: float
-) -> float:
-    """Cancellation-safe ``(P(h) - 2 P(0) + P(-h)) / h^2`` from Perron roots."""
-    ratio = (lam_plus / lam_zero) * (lam_minus / lam_zero) - 1.0
-    return math.log1p(ratio) / (h * h)
+def _leading_minors(rows: list[list[float]]) -> list[float]:
+    """Leading principal minors: the running products of the pivots of
+    Gaussian elimination without row exchanges, cut at a zero pivot."""
+    a = [list(row) for row in rows]
+    minors = [1.0]
+    for c, pivot_row in enumerate(a):
+        minors.append(minors[-1] * pivot_row[c])
+        if pivot_row[c] == 0.0:
+            break
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / pivot_row[c]
+            a[r] = [x - f * y for x, y in zip(a[r], pivot_row)]
+    return minors[1:]
 
 
 def limit_statistics(
@@ -393,9 +424,9 @@ def limit_statistics(
             )
 
     def diag_entry(j: int, step: float) -> float:
-        return _log_second_difference(
-            lam_at[unit(j, step)], lam_at[unit(j, -step)], lam0, step
-        )
+        # cancellation-safe (P(h) - 2 P(0) + P(-h)) / h^2 from Perron roots
+        ratio = (lam_at[unit(j, step)] / lam0) * (lam_at[unit(j, -step)] / lam0) - 1.0
+        return math.log1p(ratio) / (step * step)
 
     def cross_entry(j: int, l: int, step: float) -> float:
         def at(sj: float, sl: float) -> float:
@@ -406,28 +437,27 @@ def limit_statistics(
         ) - 1.0
         return math.log1p(ratio) / (4.0 * step * step)
 
-    hess = np.zeros((k, k))
+    hess = [[0.0] * k for _ in range(k)]
     for j in range(k):
-        hess[j, j] = (4.0 * diag_entry(j, h2 / 2) - diag_entry(j, h2)) / 3.0
+        hess[j][j] = (4.0 * diag_entry(j, h2 / 2) - diag_entry(j, h2)) / 3.0
         for l in range(j + 1, k):
             # the four-point stencil spans 2*step diagonally, so halved
             # steps give it the same effective spacing as the diagonal
             value = (
                 4.0 * cross_entry(j, l, h2 / 4) - cross_entry(j, l, h2 / 2)
             ) / 3.0
-            hess[j, l] = hess[l, j] = value
-    hess = (hess + hess.T) / 2.0
-    scale = max(1.0, float(hess.diagonal().max(initial=0.0)))
+            hess[j][l] = hess[l][j] = value
+    scale = max(1.0, *(hess[j][j] for j in range(k)))
     degenerate = any(
-        float(np.linalg.det(hess[:m, :m])) <= DEGENERACY_CLAMP * scale**m
-        for m in range(1, k + 1)
+        minor <= DEGENERACY_CLAMP * scale**m
+        for m, minor in enumerate(_leading_minors(hess), 1)
     )
     if degenerate and k == 1:
-        hess[0, 0] = 0.0
+        hess[0][0] = 0.0
     return LimitStatistics(
         component=idx,
         drift=tuple(drift_pert),
-        covariance=tuple(tuple(float(x) for x in row) for row in hess),
+        covariance=tuple(map(tuple, hess)),
         entropy=math.log(lam0),
         lam=lam0,
         degenerate=degenerate,
@@ -525,8 +555,9 @@ def nonlattice_gap(
     """
     if weights.dim != 1:
         raise InvalidArgumentError("the non-lattice gap is defined for scalar weights")
+    import numpy as np
     arrays = _component_arrays(coding, decomposition, weights, component)
-    radius0 = float(perron_batch(arrays.matrices(np.zeros((1, 1))))[0][0])
+    radius0 = perron_point(arrays.point((0.0,)))[0]
     period = decomposition.components[component].period
     ts = np.asarray(t_grid, dtype=float)
     stack = arrays.matrices(1j * ts[:, None])

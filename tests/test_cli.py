@@ -343,6 +343,16 @@ class TestNonFiniteTilts:
         assert f"M(s) has a non-finite entry at {where}" in err
         assert caught == []
 
+    def test_finite_entries_near_the_float_maximum(self, capsys):
+        # exp(709) is finite, about 8.2e307, and so is the Perron root
+        argv = ["pressure", "--coding", "free:2", "--weights", "hom:a=709,b=0.5",
+                "--s", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, argv)
+        assert (code, err, caught) == (0, "", [])
+        assert json.loads(out)["pressure"] == 709.0
+
 
 class TestValidateCommand:
     def test_free_group_passes(self, capsys):
@@ -475,6 +485,57 @@ class TestProcessEntry:
 
 
 class TestImports:
+    # these commands solve only points on small matrices, in Python floats
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--coding", "free:2", "--depth", "6"],
+            ["growth", "--coding", "free:2", "--horizon", "12"],
+            ["stats", "--coding", "free:2", "--weights", "hom:a=1,b=0"],
+            ["pressure", "--coding", "free:2", "--weights", "hom:a=1,b=0", "--s", "0.5"],
+            ["averaging", "--coding", "free:2", "--weights", "hom:a=1,b=0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_point_commands_leave_numpy_unloaded(self, argv):
+        # runpy runs the module as `python -m hypstat.cli` does
+        probe = "\n".join(
+            [
+                "import contextlib, io, runpy, sys",
+                f"sys.argv = ['hypstat', *{argv!r}]",
+                "with contextlib.redirect_stdout(io.StringIO()):",
+                "    try:",
+                "        runpy.run_module('hypstat.cli', run_name='__main__')",
+                "    except SystemExit as done:",
+                "        code = done.code",
+                "print(code, 'numpy' in sys.modules)",
+            ]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "False"]
+
+    def test_cli_import_loads_every_layer(self):
+        # perfbench/trace_child.py looks each layer module up in sys.modules
+        # after importing hypstat.cli
+        probe = "import sys, hypstat.cli; print(*sorted(sys.modules))"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        layers = {"coding", "weights", "spectral", "_power", "enumerate", "limits"}
+        assert {f"hypstat.{name}" for name in layers} <= set(done.stdout.split())
+
     def test_cli_import_leaves_gc_and_statistics_alone(self):
         # freezing the heap belongs to the process entry, not to an import
         probe = (

@@ -1,13 +1,15 @@
 """Tests for transfer matrices, pressure, drift, variance, and gap scans."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import hypstat as hs
-from hypstat._power import perron_batch
+from hypstat._power import perron_point
 from hypstat.spectral import _complex_radii, _component_arrays
+from conftest import build_z2z3_coding
 
 # [DERIVED] eigenvalue-solver oracle values from tests/oracles.py
 PRESSURE_AEXP_03 = 1.1420500092669588
@@ -26,8 +28,15 @@ def transfer_matrices(coding, decomposition, weights, component, grid):
 class TestTransferMatrix:
     def test_adjacency_radius(self, free2, free2_decomp, aexp):
         comp = free2_decomp.maximal_indices[0]
-        stack = transfer_matrices(free2, free2_decomp, aexp, comp, [[0.0]])
-        assert perron_batch(stack)[0][0] == pytest.approx(3.0, abs=1e-9)
+        arrays = _component_arrays(free2, free2_decomp, aexp, comp)
+        assert perron_point(arrays.point((0.0,)))[0] == pytest.approx(3.0, abs=1e-9)
+
+    def test_point_builder_matches_the_grid_builder(self, free2, free2_decomp, aind):
+        # math.exp and numpy's complex exp both take the C library's exp
+        comp = free2_decomp.maximal_indices[0]
+        arrays = _component_arrays(free2, free2_decomp, aind, comp)
+        stack = transfer_matrices(free2, free2_decomp, aind, comp, [[0.3], [-1.7]])
+        assert [arrays.point((0.3,)), arrays.point((-1.7,))] == stack.tolist()
 
     def test_mask_excludes_other_maximal(self, mirror, mirror_decomp, mirror_hom):
         first = mirror_decomp.maximal_indices[0]
@@ -54,12 +63,31 @@ class TestTransferMatrix:
         report = hs.pressure(free2, free2_decomp, aexp, comp, s)
         assert report.pressure == pytest.approx(expected, abs=1e-9)
 
-    def test_pressure_grid_equals_pointwise_pressure(self, free2, free2_decomp, aind):
+    def test_pressure_grid_matches_pointwise_pressure(self, free2, free2_decomp, aind):
+        # the grid's dense eigensolver and the point iteration are two
+        # certified solvers, so they agree to the residual contract
         comp = free2_decomp.maximal_indices[0]
         grid = [-2.0, -0.3, 0.0, 0.5, 1.7]
         batched = hs.spectral.pressure_grid(free2, free2_decomp, aind, comp, grid)
         pointwise = [hs.pressure(free2, free2_decomp, aind, comp, s).pressure for s in grid]
-        assert batched == pointwise
+        assert batched == pytest.approx(pointwise, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [1e308, math.inf, math.nan])
+    def test_non_finite_entry_names_s(self, free2, free2_decomp, aexp, s):
+        comp = free2_decomp.maximal_indices[0]
+        with pytest.raises(hs.NumericalError, match=re.escape(f"entry at s={s!r};")):
+            hs.pressure(free2, free2_decomp, aexp, comp, s)
+
+    def test_tiny_entries_keep_the_pressure(self):
+        # M(-40) = e^-40 B: an absolute residual target would accept the
+        # uniform start's Rayleigh quotient, about 1.7e-3 off in log
+        coding = build_z2z3_coding()
+        decomposition = hs.decompose_components(coding)
+        weights = hs.weights_word_length(coding)
+        comp = decomposition.maximal_indices[0]
+        at_zero = hs.pressure(coding, decomposition, weights, comp, 0.0).pressure
+        tilted = hs.pressure(coding, decomposition, weights, comp, -40.0).pressure
+        assert tilted == pytest.approx(at_zero - 40.0, rel=0.0, abs=1e-12)
 
     def test_pressure_indicator_weights(self, free2, free2_decomp, aind):
         comp = free2_decomp.maximal_indices[0]
@@ -82,12 +110,12 @@ class TestTransferMatrix:
 
 class TestSpectralRadiusOnArrays:
     def test_periodic_matrix(self):
-        swap = np.array([[0.0, 2.0], [2.0, 0.0]])
-        assert perron_batch(swap[None])[0][0] == pytest.approx(2.0, abs=1e-9)
+        swap = [[0.0, 2.0], [2.0, 0.0]]
+        assert perron_point(swap)[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_rank_one_matrix(self):
-        ones = np.ones((3, 3))
-        assert perron_batch(ones[None])[0][0] == pytest.approx(3.0, abs=1e-9)
+        ones = [[1.0] * 3] * 3
+        assert perron_point(ones)[0] == pytest.approx(3.0, abs=1e-9)
 
 
 class TestDriftAndVariance:
@@ -180,7 +208,7 @@ class TestNonlatticeGap:
         ts = [0.1 + 0.05 * k for k in range(59)]
         points = hs.nonlattice_gap(free2, free2_decomp, weights, comp, ts)
         zero = transfer_matrices(free2, free2_decomp, weights, comp, [[0.0]])
-        radius0 = perron_batch(zero)[0][0]
+        radius0 = perron_point(zero[0].tolist())[0]
         for t, point in zip(ts, points):
             stack = transfer_matrices(free2, free2_decomp, weights, comp, [[1j * t]])
             (radius,) = _complex_radii(stack, 1)
