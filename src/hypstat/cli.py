@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -228,7 +228,7 @@ def _json_encode(obj, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(_format_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -241,7 +241,7 @@ def _json_encode(obj, out: list[str]) -> None:
         for i, (key, value) in enumerate(obj.items()):
             if i:
                 out.append(", ")
-            out.append(json.dumps(str(key), ensure_ascii=True))
+            out.append(encode_basestring_ascii(str(key)))
             out.append(": ")
             _json_encode(value, out)
         out.append("}")

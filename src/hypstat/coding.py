@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -59,9 +58,8 @@ class CodingEdge(NamedTuple):
     label: str
 
 
-@dataclass(frozen=True)
 class MarkovCoding:
-    """A strongly Markov coding graph.
+    """A strongly Markov coding graph, immutable, equal and hashed by its fields.
 
     Attributes
     ----------
@@ -78,6 +76,28 @@ class MarkovCoding:
     generators: tuple[str, ...]
     vertices: tuple[str, ...]
     edges: tuple[CodingEdge, ...]
+
+    def __init__(self, generators: tuple, vertices: tuple, edges: tuple) -> None:
+        # in the __dict__, where the cached properties below also write
+        self.__dict__.update(generators=generators, vertices=vertices, edges=edges)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: a MarkovCoding is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.generators, self.vertices, self.edges
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._key() == other._key() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "MarkovCoding(generators={!r}, vertices={!r}, edges={!r})".format(*self._key())
 
     @cached_property
     def core_vertices(self) -> tuple[str, ...]:

@@ -16,32 +16,31 @@ formed at report time.  Three value models are supported:
 * moment accumulation - first and second moments are computed by an exact
   sum recurrence without materializing the distribution.
 
-One engine enumerates every lattice, scalar or vector.  A vertex's count
-table is a ``uint64`` array of 48-bit digits, one row per digit and one
-column per slot, so a level is a few numpy slice adds: an edge's offset is
-the start of a slice, and the 16 spare bits of each digit absorb the sums
-of the incoming edges, so carries are propagated only when they could
-overflow (every 10 levels on free:2).  Values are enumerated in a reduced
-basis of the lattice their offsets span (an echelon basis, pairwise
-Lagrange-Gauss reduced, then changed while a move lowers the slots of a
-level; for scalar weights it is the gcd of the offsets), and coordinates
-in that basis are flattened with strides, so no coordinate carries into
-the next and the abelianization of free:2 fills its box exactly.  Every
-change of basis is integer and unimodular, so the counts stay exact.
+One engine enumerates every lattice, scalar or vector.  Values are
+enumerated in a reduced basis of the lattice their offsets span (an echelon
+basis, pairwise Lagrange-Gauss reduced, then changed while a move lowers
+the slots of a level; for scalar weights it is the gcd of the offsets), and
+coordinates in that basis are flattened with strides into slots, so no
+coordinate carries into the next and the abelianization of free:2 fills its
+box exactly.  Every change of basis is integer and unimodular, so the
+counts stay exact.  A level holds one row of slot counts per vertex, and an
+edge adds its source's row shifted by the edge's offset.
 
-Per-vertex path counts give every level's total (``#W_n``) before the
-first level, and the digit count follows the largest total so far; each
-target reuses two buffers; ``interval_count_sweep`` keeps, as a slice view,
-only the slots that can still reach a remaining window; Python integers are
-built only for the wanted slots of the wanted levels; and the buffer bytes
-are checked against ``BYTE_BUDGET`` before they are allocated, so
-oversized requests raise ``ResourceError`` instead of exhausting memory.
-
-``weighted_counts`` (the cell masses of ``mclt``) builds no distribution
-at all: it sums the vertex planes of the last level once, carries them,
-weights every slot by a product of per-axis integer weights, and dots each
-digit row with those weights in ``uint64`` chunks; Python integers are
-built only for the per-digit sums.
+One plan, fixed before the first level, feeds two level loops: per-vertex
+path counts give every level's total (``#W_n``) and so its count bits,
+``interval_count_sweep``'s windows give the slots each level keeps, and the
+bytes are checked against ``BYTE_BUDGET`` before anything is allocated, so
+oversized requests raise ``ResourceError``.  Small DPs run on packed Python
+ints, one per vertex, of byte-aligned fields wide enough for the largest
+total, so no field carries and numpy is never imported.  Large ones run on
+``uint64`` digit planes, one row per 48-bit digit, whose 16 spare bits
+absorb the incoming sums between carries (every 10 levels on free:2), so a
+level is a few numpy slice adds.  The plan's count bits choose the loop at
+a measured crossover (``_PACKED_BITS``).  Either loop builds Python ints
+only for the wanted slots of the wanted levels.  ``weighted_counts`` (the
+cell masses of ``mclt``) runs on the planes and builds no distribution: it
+weights every slot of the carried last level by a product of per-axis
+integer weights and dots each digit row with them in ``uint64`` chunks.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, permutations
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
@@ -75,6 +75,12 @@ _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 #: carries are propagated before a level could push a digit past this (one
 #: carry pass then adds at most 2**16 - 1 to a digit without overflow)
 _DIGIT_CEILING = 2**64 - 2**16
+#: largest ``_Plan.bits`` run on packed ints instead of digit planes.  On
+#: free:2 (2-core x86-64, Python 3.11) packed ints took 0.92x the planes'
+#: time at 2**25.6 bits (scalar n = 200) and 2.5x near 2**27 (2-d n = 80,
+#: 44 against 18 ms), less than the ~90 ms numpy import they spare; from
+#: 2**32 (llt's windowed sweeps, mclt's 2-d n = 200) they took 4-11x
+_PACKED_BITS = 2**27
 #: cap on total words enumerated by the brute-force oracle
 _BRUTE_FORCE_GUARD = 10**7
 #: denominator of the default bin width for real scalar weights
@@ -349,7 +355,15 @@ def _flatten(transitions: Sequence[tuple[str, str, tuple[int, ...]]], n_max: int
         for (source, target, _vec), c in zip(transitions, coords)
     ]
 
-    def decode(level: int, slots: np.ndarray) -> list[np.ndarray]:
+    def decode(level: int, slots):
+        """Exact scaled values per axis: lists of ints for a list of slots;
+        for an integer array, ``int64`` arrays or, if they could overflow, ints."""
+        if isinstance(slots, list):
+            vec = [[level * o] * len(slots) for o in origin]
+            for (_low, s, span), b in zip(axes, basis):
+                ks = [x // s % span for x in slots]
+                vec = [[v + k * bt for v, k in zip(row, ks)] for row, bt in zip(vec, b)]
+            return vec
         import numpy as np
         # the largest |value| the level can hold on any axis
         bound = max(
@@ -367,12 +381,53 @@ def _flatten(transitions: Sequence[tuple[str, str, tuple[int, ...]]], n_max: int
     return edges, step, decode, origin, basis
 
 
-def _check_budget(live: int, what: str) -> None:
-    if live > BYTE_BUDGET:
+class _Plan(NamedTuple):
+    """What both level loops share, fixed before the first level.
+
+    ``groups[t][off]`` lists the sources of the edges into ``t`` with offset
+    ``off``; ``totals[L]`` counts every path of level ``L``, pruned or not;
+    ``spans[L]`` is ``(first, top, width)``: the slots level ``L`` keeps and
+    its width before pruning; ``digits[L]`` is the planes' 48-bit digits,
+    enough for the largest total so far; ``field`` is the packed ints' bits
+    per slot, whole bytes that hold the largest total; ``bits`` is ``field``
+    times the slots of every target's levels, the count bits of the DP.
+    """
+
+    groups: dict[str, dict[int, list[str]]]
+    totals: list[int]
+    spans: list[tuple[int, int, int]]
+    digits: list[int]
+    field: int
+    bits: int
+
+
+def _plan(edges: list, step: int, n_max: int, keep: list | None = None) -> _Plan:
+    """Plan levels ``0..n_max``, keeping slots ``keep[L]`` of level ``L`` if given;
+    refuse digit planes (which outsize packed ints) over ``BYTE_BUDGET``."""
+    groups: dict[str, dict[int, list[str]]] = {}
+    for source, target, offset in edges:
+        groups.setdefault(target, {}).setdefault(offset, []).append(source)
+    totals = _path_totals([(s, t) for s, t, _ in edges], n_max)
+    first, top, spans = 0, 0, []
+    for level in range(n_max + 1):
+        if level:
+            top += step
+        width = top - first + 1
+        if keep is not None:
+            first = max(first, keep[level][0])
+            top = max(first - 1, min(top, keep[level][1]))
+        spans.append((first, top, width))
+    bits = list(accumulate((c.bit_length() for c in totals), max))
+    digits = [-(-b // _DIGIT_BITS) for b in bits]
+    size = max((d * w for d, (*_, w) in zip(digits[1:], spans[1:])), default=0)
+    if (live := 16 * len(groups) * size) > BYTE_BUDGET:
         raise ResourceError(
-            f"{what} would hold about {live} bytes live, over the "
+            f"the lattice enumeration would hold about {live} bytes live, over the "
             f"{BYTE_BUDGET}-byte budget; use a coarser bin or a smaller n"
         )
+    field = -(-bits[-1] // 8) * 8
+    slots = sum(width for *_, width in spans[1:])
+    return _Plan(groups, totals, spans, digits, field, field * len(groups) * slots)
 
 
 def _carry(planes: np.ndarray) -> None:
@@ -386,50 +441,26 @@ def _carry(planes: np.ndarray) -> None:
         planes[d] &= _DIGIT_MASK
 
 
-def _digit_levels(
-    edges: list[tuple[str, str, int]],
-    step: int,
-    n_max: int,
-    keep: list[tuple[int, int]] | None = None,
-) -> Iterator[tuple[int, int, dict[str, np.ndarray], int]]:
+def _digit_levels(plan: _Plan) -> Iterator[tuple[int, int, dict[str, np.ndarray], int]]:
     """Digit-plane lattice DP; yields ``(level, first, state, total)``.
 
     ``state[v]`` is a ``uint64`` array of shape ``(digits, slots)``: column
     ``i`` counts the paths ending at ``v`` in slot ``first + i`` (slot 0 is
     the level's least reachable value) as ``sum_d state[v][d, i] << 48 d``,
-    carries not yet propagated.  ``total`` counts every path of the level
-    along ``edges``, pruned or not.  ``keep[L]``, when given, is the
-    inclusive slot range still needed at level ``L``.  The arrays are views of two buffers per
-    target, reused every other level: read or copy them before advancing.
+    carries not yet propagated; ``total`` is ``plan.totals[level]``.  The
+    arrays are views of two buffers per target, reused every other level:
+    read or copy them before advancing.
     """
     import numpy as np
-    groups: dict[str, dict[int, list[str]]] = {}
-    for source, target, offset in edges:
-        groups.setdefault(target, {}).setdefault(offset, []).append(source)
-    indegree = max((sum(map(len, g.values())) for g in groups.values()), default=1)
+    indegree = max((sum(map(len, g.values())) for g in plan.groups.values()), default=1)
     if indegree >= 2**16:
         raise ResourceError(
             f"a vertex with {indegree} incoming edges could overflow a 64-bit "
             "digit in one level; the exact engine takes in-degrees below 65536"
         )
-    totals = _path_totals([(s, t) for s, t, _ in edges], n_max)
-    bits = (c.bit_length() for c in totals)
-    digits = list(accumulate((-(-b // _DIGIT_BITS) for b in bits), max))
-    # the kept range (first, top) and the unpruned width of every level
-    first, top, spans = 0, 0, []
-    for level in range(n_max + 1):
-        if level:
-            top += step
-        width = top - first + 1
-        if keep is not None:
-            first = max(first, keep[level][0])
-            top = max(first - 1, min(top, keep[level][1]))
-        spans.append((first, top, width))
-    size = max((digits[L] * spans[L][2] for L in range(1, n_max + 1)), default=0)
-    _check_budget(2 * len(groups) * size * 8, "the lattice enumeration")
-    buffers = {
-        t: (np.empty(size, np.uint64), np.empty(size, np.uint64)) for t in groups
-    }
+    groups, spans, digits = plan.groups, plan.spans, plan.digits
+    size = max((d * w for d, (*_, w) in zip(digits[1:], spans[1:])), default=0)
+    buffers = {t: (np.empty(size, np.uint64), np.empty(size, np.uint64)) for t in groups}
     state = {START_VERTEX: np.ones((1, 1), np.uint64)}
     bound = 1
     for level, (first, top, width) in enumerate(spans):
@@ -466,10 +497,36 @@ def _digit_levels(
                         region += src
                 nxt[target] = dst
             state, bound = nxt, bound * indegree
-        if keep is not None:
-            drop = first - spans[level - 1][0] if level else first
+        drop = first - spans[level - 1][0] if level else first
+        if drop or top - first + 1 < width:
             state = {v: p[:, drop : drop + top - first + 1] for v, p in state.items()}
-        yield level, first, state, totals[level]
+        yield level, first, state, plan.totals[level]
+
+
+def _packed_levels(plan: _Plan) -> Iterator[tuple[int, int, dict[str, int], int]]:
+    """Packed-int lattice DP; yields ``(level, first, state, total)``.
+
+    ``state[v]`` is one Python int whose ``plan.field``-bit field ``i``
+    counts the paths ending at ``v`` in slot ``first + i``, so an edge adds
+    its sources shifted by ``offset * field``.  No sum of fields exceeds
+    the level's total, so no field carries into the next.
+    """
+    field, spans, state = plan.field, plan.spans, {START_VERTEX: 1}
+    for level, (first, top, width) in enumerate(spans):
+        if level:
+            rows = {
+                target: sum(
+                    sum(state.get(s, 0) for s in sources) << off * field
+                    for off, sources in parts.items()
+                )
+                for target, parts in plan.groups.items()
+            }
+            state = {target: x for target, x in rows.items() if x}
+        drop = first - spans[level - 1][0] if level else first
+        if drop or top - first + 1 < width:
+            mask = (1 << (top - first + 1) * field) - 1
+            state = {v: (x >> drop * field) & mask for v, x in state.items()}
+        yield level, first, state, plan.totals[level]
 
 
 def _summed_planes(state: dict[str, np.ndarray], a: int, b: int) -> np.ndarray:
@@ -492,16 +549,23 @@ def _summed_planes(state: dict[str, np.ndarray], a: int, b: int) -> np.ndarray:
     return acc
 
 
-def _slot_counts(
-    state: dict[str, np.ndarray], a: int, b: int
-) -> tuple[np.ndarray, list[int]]:
+def _slot_counts(state: dict[str, np.ndarray], a: int, b: int) -> tuple[list, list]:
     """Columns ``a..b`` summed over the vertices: nonzero columns and counts."""
     acc = _summed_planes(state, a, b)
     columns = acc.any(axis=0).nonzero()[0]
     counts = [0] * len(columns)
     for row in acc[::-1, columns].tolist():
         counts = [(c << _DIGIT_BITS) + d for c, d in zip(counts, row)]
-    return columns, counts
+    return columns.tolist(), counts
+
+
+def _packed_counts(field: int, state: dict[str, int], a: int, b: int) -> tuple[list, list]:
+    """Fields ``a..b`` summed over the vertices: nonzero columns and counts."""
+    size, x = field // 8, sum(state.values()) >> a * field
+    raw = x.to_bytes(-(-x.bit_length() // 8), "little")[: max(b - a + 1, 0) * size]
+    counts = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    columns = [i for i, c in enumerate(counts) if c]
+    return columns, [counts[i] for i in columns]
 
 
 def weighted_counts(
@@ -531,7 +595,7 @@ def weighted_counts(
     table = scaled_integer_values(weights, scale)
     transitions = _transitions(coding, table, set(coding.core_vertices))
     edges, step, decode, *_ = _flatten(transitions, n)
-    for _level, _first, state, total in _digit_levels(edges, step, n):
+    for _level, _first, state, total in _digit_levels(_plan(edges, step, n)):
         pass  # only the last level is read
     acc = _summed_planes(state, 0, n * step)
     width = acc.shape[1]
@@ -643,8 +707,13 @@ def _sweep(
         for L in range(n_max + 1):
             ends = [(a - (n - L) * step, b) for n, (a, b) in slots.items() if n >= L]
             keep.append((min(e[0] for e in ends), max(e[1] for e in ends)))
+    plan = _plan(edges, step, n_max, keep)
+    if plan.bits <= _PACKED_BITS:
+        levels, slot_counts = _packed_levels(plan), partial(_packed_counts, plan.field)
+    else:
+        levels, slot_counts = _digit_levels(plan), _slot_counts
     out, wanted = [], set(order)
-    for level, first, state, total in _digit_levels(edges, step, n_max, keep):
+    for level, first, state, total in levels:
         if level not in wanted:
             continue
         a, b = 0, level * step
@@ -652,8 +721,8 @@ def _sweep(
             # cut this level's own window out of the reach hull
             a, b = slots[level]
         a = max(a - first, 0)
-        columns, counts = _slot_counts(state, a, b - first)
-        vec = [q.tolist() for q in decode(level, columns + first + a)]
+        columns, counts = slot_counts(state, a, b - first)
+        vec = decode(level, [c + first + a for c in columns])
         raw = dict(zip(vec[0] if len(vec) == 1 else zip(*vec), counts))
         support = tuple(sorted(raw))
         counts = tuple(raw[q] for q in support)

@@ -1309,26 +1309,21 @@ def degeneracy_check(
         # real weights enumerate through a bin lattice; widen the
         # comparison by the worst-case quantization drift
         bin_width = n_cap * span / 2000.0
-        dists = distribution_sweep(
-            coding, weights, [half, n_cap], bin_width=bin_width
-        )
+        dists = distribution_sweep(coding, weights, [half, n_cap], bin_width=bin_width)
         allowance += 2.0 * n_cap * bin_width
     elif span == 0.0 and lattice_scale(weights) is None:
         dists = None
     else:
         dists = distribution_sweep(coding, weights, [half, n_cap])
 
-    if dists is None:
-        widths = [0.0, 0.0]
-    else:
-        widths = []
-        for dist in dists:
-            if not dist.support_scaled:
-                widths.append(0.0)
-                continue
-            top = dist.exact_value(dist.support_scaled[-1])
-            bottom = dist.exact_value(dist.support_scaled[0])
-            widths.append(float(top - bottom))
+    widths = [0.0, 0.0]
+    if dists is not None:
+        widths = [
+            float(d.exact_value(d.support_scaled[-1]) - d.exact_value(d.support_scaled[0]))
+            if d.support_scaled
+            else 0.0
+            for d in dists
+        ]
     range_degenerate = widths[1] <= widths[0] + allowance
 
     if range_degenerate != spectral_degenerate:
@@ -1343,31 +1338,16 @@ def degeneracy_check(
         f"spectral verdict ({'degenerate' if spectral_degenerate else 'non-degenerate'}) "
         f"matches the exact range verdict (widths {widths[0]!r} -> {widths[1]!r})"
     )
-    if spectral_degenerate:
-        width_check = _check(
-            "range-bounded",
-            widths[1],
-            "<=",
-            widths[0] + allowance,
-            "range width at n_cap against n_cap/2 (bounded range)",
-        )
-    else:
-        width_check = _check(
-            "range-growing",
-            widths[1],
-            ">",
-            widths[0] + allowance,
-            "range width at n_cap against n_cap/2 (growing range)",
-        )
+    growth = "bounded" if spectral_degenerate else "growing"
     checks = [
+        _check("verdicts-agree", 1.0, ">=", 1.0, agree_detail),
         _check(
-            "verdicts-agree",
-            1.0,
-            ">=",
-            1.0,
-            agree_detail,
+            f"range-{growth}",
+            widths[1],
+            "<=" if spectral_degenerate else ">",
+            widths[0] + allowance,
+            f"range width at n_cap against n_cap/2 ({growth} range)",
         ),
-        width_check,
     ]
     rows = [
         {"n": half, "observed": widths[0], "predicted": 0.0, "residual": widths[0]},

@@ -485,7 +485,8 @@ class TestProcessEntry:
 
 
 class TestImports:
-    # these commands solve only points on small matrices, in Python floats
+    # these commands solve only points on small matrices, in Python floats,
+    # and run their exact DPs (dist, clt, degeneracy) on packed Python ints
     @pytest.mark.parametrize(
         "argv",
         [
@@ -494,6 +495,16 @@ class TestImports:
             ["stats", "--coding", "free:2", "--weights", "hom:a=1,b=0"],
             ["pressure", "--coding", "free:2", "--weights", "hom:a=1,b=0", "--s", "0.5"],
             ["averaging", "--coding", "free:2", "--weights", "hom:a=1,b=0"],
+            ["dist", "--coding", "free:2", "--weights", "hom:a=1,b=0", "--n", "40"],
+            [
+                "clt", "--coding", "free:2", "--weights", "hom:a=1,b=0",
+                "--ngrid", "16:196:4", "--format", "csv",
+            ],
+            ["degeneracy", "--coding", "free:2", "--weights", "hom:a=1,b=0"],
+            pytest.param(
+                ["dist", "--coding", "free:2", "--weights", "hom:a=1|0,b=0|1", "--n", "60"],
+                id="dist-vector",
+            ),
         ],
         ids=lambda argv: argv[0],
     )
@@ -535,6 +546,19 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         layers = {"coding", "weights", "spectral", "_power", "enumerate", "limits"}
         assert {f"hypstat.{name}" for name in layers} <= set(done.stdout.split())
+
+    def test_cli_import_leaves_dataclasses_and_inspect_unloaded(self):
+        # the dataclass decorator imports inspect, ast, dis and tokenize
+        probe = "import sys, hypstat.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "False"]
 
     def test_cli_import_leaves_gc_and_statistics_alone(self):
         # freezing the heap belongs to the process entry, not to an import

@@ -1,4 +1,4 @@
-"""Property tests for the digit-plane lattice engine of ``hypstat.enumerate``.
+"""Property tests for the exact lattice engine of ``hypstat.enumerate``.
 
 Random integer and dyadic-rational edge tables of dimension 1 to 3 on
 free:1, free:2, the mirror fixture and a Z/2*Z/3 coding are enumerated by
@@ -9,7 +9,9 @@ Weighted counts (``weighted_counts``, the cell sums of ``mclt``) are
 compared with the same sums over the distribution and the word walk.
 Fixed cases cover counts of several 48-bit digits with deferred carries,
 offsets with a common factor, and vector lattices whose reduced basis is
-not the coordinate axes.
+not the coordinate axes.  The engine's two level loops, digit planes and
+packed ints, are run on the same plans of random codings and windows and
+must agree slot by slot; the plan picks one of them by its size.
 """
 
 import math
@@ -23,9 +25,15 @@ from hypothesis import strategies as st
 import hypstat as hs
 import oracles
 from conftest import build_mirror_coding, build_z2z3_coding
+from hypstat import enumerate as engine
 from hypstat.enumerate import (
+    _DIGIT_BITS,
+    _PACKED_BITS,
     _digit_levels,
     _flatten,
+    _packed_levels,
+    _plan,
+    _quantized_values,
     _transitions,
     interval_count_sweep,
     weighted_counts,
@@ -142,6 +150,98 @@ class TestAgainstOracles:
         assert_equal_to_dict_oracle(coding, weights, {n // 3, n})
 
 
+@st.composite
+def engine_plans(draw):
+    """A plan of a random coding: a start vertex and one to four others
+    joined by random edges, a scalar lattice, binned real, 2-d or 3-d edge
+    table flattened as ``_sweep`` flattens it, and random kept windows."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    candidates = [(s, t) for s in [hs.START_VERTEX, *names] for t in names]
+    pairs = draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True))
+    edges = tuple(hs.CodingEdge(s, t, "x") for s, t in pairs)
+    coding = hs.MarkovCoding(("x",), (hs.START_VERTEX, *names), edges)
+    kind = draw(st.sampled_from(["lattice", "binned", "2-d", "3-d"]))
+    dim = {"2-d": 2, "3-d": 3}.get(kind, 1)
+    if kind == "binned":
+        entry = st.integers(-3, 3).map(lambda k: k * math.sqrt(2) / 3)
+    else:
+        entry = st.integers(-4, 4).map(lambda k: k / 2)
+    value = st.tuples(*[entry] * dim) if dim > 1 else entry
+    weights = hs.weights_from_edge_table(coding, {p: draw(value) for p in pairs})
+    if kind == "binned":
+        table = _quantized_values(weights, 0.25)
+    else:
+        table = hs.scaled_integer_values(weights, hs.lattice_scale(weights))
+    n_max = draw(st.integers(0, 32 if dim == 1 else 8))
+    transitions = _transitions(coding, table, set(coding.core_vertices))
+    engine_edges, step, *_ = _flatten(transitions, n_max)
+    keep = None
+    if draw(st.booleans()):
+        keep = []
+        for level in range(n_max + 1):
+            lo = draw(st.integers(-2, level * step + 2))
+            keep.append((lo, lo + draw(st.integers(-1, level * step + 2))))
+    return _plan(engine_edges, step, n_max, keep)
+
+
+def vertex_slots(state, width, field=None):
+    """Each vertex's exact count in every slot of the level, all-zero
+    vertices left out: digit planes without ``field``, packed ints with it."""
+    out = {}
+    for vertex, x in state.items():
+        if field is None:
+            counts = [
+                sum(d << (_DIGIT_BITS * i) for i, d in enumerate(column))
+                for column in x.T.tolist()
+            ]
+        else:
+            assert x >> (width * field) == 0
+            counts = [(x >> (i * field)) & ((1 << field) - 1) for i in range(width)]
+        if any(counts):
+            out[vertex] = counts
+    return out
+
+
+class TestLevelLoops:
+    @settings(settings.get_profile("hypstat"), max_examples=150)
+    @given(engine_plans())
+    def test_packed_ints_equal_digit_planes(self, plan):
+        levels = zip(_digit_levels(plan), _packed_levels(plan), plan.spans)
+        seen = 0
+        for (level, first, planes, total), packed, (_, top, _w) in levels:
+            assert (level, first, total) == (packed[0], packed[1], packed[3])
+            width = top - first + 1
+            expected = vertex_slots(planes, width)
+            assert vertex_slots(packed[2], width, plan.field) == expected
+            seen += 1
+        assert seen == len(plan.spans)
+
+    def test_the_plan_picks_the_loop(self, free2, free2_decomp, abel, monkeypatch):
+        ran = []
+        for name in ("_digit_levels", "_packed_levels"):
+            loop = getattr(engine, name)
+
+            def spy(plan, loop=loop, name=name):
+                ran.append(name)
+                return loop(plan)
+
+            monkeypatch.setattr(engine, name, spy)
+        # dist at n = 40 and the 2-d dist at n = 60 run below the limit
+        hs.distribution(free2, hs.weights_from_homomorphism(free2, {"a": 1, "b": 0}), 40)
+        hs.distribution(free2, abel, 60)
+        assert ran == ["_packed_levels"] * 2
+        # llt's windowed sweep to n = 300 runs above it
+        ran.clear()
+        beta = hs.weights_from_homomorphism(free2, {"a": 1, "b": 1 / math.sqrt(2)})
+        stats = hs.limit_statistics(free2, free2_decomp, beta)
+        hs.llt_check(free2, free2_decomp, beta, stats, -0.5, 0.5, [100, 200, 300])
+        assert ran == ["_digit_levels"]
+        # mclt's cell masses run on the planes; at n = 200 their plan is
+        # above the limit too
+        edges, step, *_ = flattened(free2, abel, 200)
+        assert _plan(edges, step, 200).bits > _PACKED_BITS
+
+
 class TestDigitPlanes:
     def test_free5_carries_every_five_levels_to_forty(self):
         # in-degree 9, so carries are propagated every 5 levels (9**5 digit
@@ -153,7 +253,7 @@ class TestDigitPlanes:
         dists = assert_equal_to_dict_oracle(coding, weights, {7, 23, 40})
         assert max(dists[-1].counts).bit_length() > 2 * 48
         edges, step, *_ = flattened(coding, weights, 40)
-        levels = _digit_levels(edges, step, 40)
+        levels = _digit_levels(_plan(edges, step, 40))
         top = max(int(p.max()) for *_, state, _t in levels for p in state.values())
         # deferred carries leave digits above 2**48 between propagations
         assert top >= 2**48
