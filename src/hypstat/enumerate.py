@@ -34,13 +34,25 @@ oversized requests raise ``ResourceError``.  Small DPs run on packed Python
 ints, one per vertex, of byte-aligned fields wide enough for the largest
 total, so no field carries and numpy is never imported.  Large ones run on
 ``uint64`` digit planes, one row per 48-bit digit, whose 16 spare bits
-absorb the incoming sums between carries (every 10 levels on free:2), so a
-level is a few numpy slice adds.  The plan's count bits choose the loop at
-a measured crossover (``_PACKED_BITS``).  Either loop builds Python ints
-only for the wanted slots of the wanted levels.  ``weighted_counts`` (the
-cell masses of ``mclt``) runs on the planes and builds no distribution: it
-weights every slot of the carried last level by a product of per-axis
-integer weights and dots each digit row with them in ``uint64`` chunks.
+absorb the incoming sums between carries (every 10 levels on free:2, whose
+targets take 3 edges from targets after level 1), so a level is a few numpy
+slice adds.  The plan's count bits choose the loop at a measured crossover
+(``_PACKED_BITS``).  Either loop builds Python ints only for the wanted
+slots of the wanted levels.  ``weighted_counts`` (the cell masses of
+``mclt``) runs on the planes and builds no distribution: it weights every
+slot of the carried last level by a product of per-axis integer weights and
+dots each digit row with them in ``uint64`` chunks.
+
+A homomorphism is odd under inverting every generator, which permutes the
+coding's vertices (a <-> A on free:2) and sends slot ``s`` of level ``L``
+to slot ``L * step - s``.  The plan looks for such a mirror in its offsets
+alone: an involution ``sigma`` of the targets, fixing the start, with
+``groups[sigma t][step - o]`` equal to ``sigma`` of ``groups[t][o]`` for
+every target ``t`` and offset ``o``.  Kept windows are widened to their
+mirror hulls, and while every level's kept slots are symmetric, induction
+on ``L`` gives ``state[sigma v] == state[v][:, ::-1]`` exactly, so the
+digit planes compute one target of each pair and read its partner as a
+reversed view.
 """
 
 from __future__ import annotations
@@ -57,7 +69,6 @@ from .coding import (
     ComponentDecomposition,
     MarkovCoding,
     _path_totals,
-    sphere_counts,
 )
 from .errors import InvalidArgumentError, ResourceError
 from .weights import WeightAssignment, lattice_scale, scaled_integer_values
@@ -76,13 +87,12 @@ _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 #: carry pass then adds at most 2**16 - 1 to a digit without overflow)
 _DIGIT_CEILING = 2**64 - 2**16
 #: largest ``_Plan.bits`` run on packed ints instead of digit planes.  On
-#: free:2 (2-core x86-64, Python 3.11) packed ints took 0.92x the planes'
-#: time at 2**25.6 bits (scalar n = 200) and 2.5x near 2**27 (2-d n = 80,
-#: 44 against 18 ms), less than the ~90 ms numpy import they spare; from
-#: 2**32 (llt's windowed sweeps, mclt's 2-d n = 200) they took 4-11x
+#: free:2 (2-core x86-64, Python 3.11) packed ints took about the planes'
+#: time at 2**25.6 bits (scalar n = 200, a plan with no mirror) and 2-3x
+#: the mirrored planes' near 2**27 (2-d n = 80, 28-33 against 10-15 ms),
+#: less than the ~90 ms numpy import they spare; from 2**32 (llt's windowed
+#: sweeps, mclt's 2-d n = 200) they took 6-19x the mirrored planes'
 _PACKED_BITS = 2**27
-#: cap on total words enumerated by the brute-force oracle
-_BRUTE_FORCE_GUARD = 10**7
 #: denominator of the default bin width for real scalar weights
 _DEFAULT_BIN_DENOMINATOR = 200
 
@@ -390,7 +400,9 @@ class _Plan(NamedTuple):
     its width before pruning; ``digits[L]`` is the planes' 48-bit digits,
     enough for the largest total so far; ``field`` is the packed ints' bits
     per slot, whole bytes that hold the largest total; ``bits`` is ``field``
-    times the slots of every target's levels, the count bits of the DP.
+    times the slots of every target's levels, the count bits of the DP;
+    ``mirror`` maps each target to its partner under the plan's mirror (see
+    the module docstring), or is None.
     """
 
     groups: dict[str, dict[int, list[str]]]
@@ -399,14 +411,45 @@ class _Plan(NamedTuple):
     digits: list[int]
     field: int
     bits: int
+    mirror: dict[str, str] | None
+
+
+def _mirror(groups: dict[str, dict[int, list[str]]], step: int) -> dict[str, str] | None:
+    """The mirror of the offset groups, or None if none is found.
+
+    A target's partner is the one target whose offsets and source counts
+    are its own reflected (``o -> step - o``); an ambiguous or missing
+    partner gives None, and so does a pairing whose sources do not map
+    onto the partner's as multisets.  Non-targets map to themselves.
+    """
+    def signature(target: str, reflect: bool = False) -> tuple:
+        parts = groups[target].items()
+        return tuple(sorted((step - o if reflect else o, len(s)) for o, s in parts))
+
+    alike: dict[tuple, list[str]] = {}
+    for target in groups:
+        alike.setdefault(signature(target), []).append(target)
+    sigma = {}
+    for target in groups:
+        match = alike.get(signature(target, reflect=True), [])
+        if len(match) != 1:
+            return None
+        sigma[target] = match[0]
+    for target, parts in groups.items():
+        image = {step - o: sorted(sigma.get(s, s) for s in srcs) for o, srcs in parts.items()}
+        if image != {o: sorted(srcs) for o, srcs in groups[sigma[target]].items()}:
+            return None
+    return sigma if sigma.get(START_VERTEX, START_VERTEX) == START_VERTEX else None
 
 
 def _plan(edges: list, step: int, n_max: int, keep: list | None = None) -> _Plan:
-    """Plan levels ``0..n_max``, keeping slots ``keep[L]`` of level ``L`` if given;
-    refuse digit planes (which outsize packed ints) over ``BYTE_BUDGET``."""
+    """Plan levels ``0..n_max``, keeping slots ``keep[L]`` of level ``L`` (or
+    their mirror hull) if given; refuse digit planes (which outsize packed
+    ints) over ``BYTE_BUDGET``."""
     groups: dict[str, dict[int, list[str]]] = {}
     for source, target, offset in edges:
         groups.setdefault(target, {}).setdefault(offset, []).append(source)
+    mirror = _mirror(groups, step)
     totals = _path_totals([(s, t) for s, t, _ in edges], n_max)
     first, top, spans = 0, 0, []
     for level in range(n_max + 1):
@@ -414,9 +457,16 @@ def _plan(edges: list, step: int, n_max: int, keep: list | None = None) -> _Plan
             top += step
         width = top - first + 1
         if keep is not None:
-            first = max(first, keep[level][0])
-            top = max(first - 1, min(top, keep[level][1]))
+            a, b = keep[level]
+            if mirror:
+                a, b = min(a, level * step - b), max(b, level * step - a)
+            first = max(first, a)
+            top = max(first - 1, min(top, b))
         spans.append((first, top, width))
+    # the reversed views are exact on symmetric levels; a window inverted by
+    # two slots or more empties its level and leaves the rest asymmetric
+    if any(a + b != level * step for level, (a, b, _) in enumerate(spans)):
+        mirror = None
     bits = list(accumulate((c.bit_length() for c in totals), max))
     digits = [-(-b // _DIGIT_BITS) for b in bits]
     size = max((d * w for d, (*_, w) in zip(digits[1:], spans[1:])), default=0)
@@ -427,7 +477,7 @@ def _plan(edges: list, step: int, n_max: int, keep: list | None = None) -> _Plan
         )
     field = -(-bits[-1] // 8) * 8
     slots = sum(width for *_, width in spans[1:])
-    return _Plan(groups, totals, spans, digits, field, field * len(groups) * slots)
+    return _Plan(groups, totals, spans, digits, field, field * len(groups) * slots, mirror)
 
 
 def _carry(planes: np.ndarray) -> None:
@@ -448,37 +498,52 @@ def _digit_levels(plan: _Plan) -> Iterator[tuple[int, int, dict[str, np.ndarray]
     ``i`` counts the paths ending at ``v`` in slot ``first + i`` (slot 0 is
     the level's least reachable value) as ``sum_d state[v][d, i] << 48 d``,
     carries not yet propagated; ``total`` is ``plan.totals[level]``.  The
-    arrays are views of two buffers per target, reused every other level:
-    read or copy them before advancing.
+    arrays are views of two buffers per computed target, reused every other
+    level, and a mirrored target's array is its partner's reversed: read or
+    copy them before advancing.
     """
     import numpy as np
-    indegree = max((sum(map(len, g.values())) for g in plan.groups.values()), default=1)
-    if indegree >= 2**16:
+    groups, spans, digits, mirror = plan.groups, plan.spans, plan.digits, plan.mirror or {}
+    # a digit grows at most by the edges from the live sources: the start's
+    # at level 1, the targets' after it
+    fan = [
+        max(
+            (sum(s in live for ss in g.values() for s in ss) for g in groups.values()),
+            default=1,
+        )
+        for live in ({START_VERTEX}, groups)
+    ]
+    if (indegree := max(fan)) >= 2**16:
         raise ResourceError(
             f"a vertex with {indegree} incoming edges could overflow a 64-bit "
             "digit in one level; the exact engine takes in-degrees below 65536"
         )
-    groups, spans, digits = plan.groups, plan.spans, plan.digits
     size = max((d * w for d, (*_, w) in zip(digits[1:], spans[1:])), default=0)
-    buffers = {t: (np.empty(size, np.uint64), np.empty(size, np.uint64)) for t in groups}
+    # one target of each mirrored pair is computed
+    buffers = {
+        t: (np.empty(size, np.uint64), np.empty(size, np.uint64))
+        for t in groups
+        if mirror.get(t, t) >= t
+    }
     state = {START_VERTEX: np.ones((1, 1), np.uint64)}
     bound = 1
     for level, (first, top, width) in enumerate(spans):
         if level:
-            if bound * indegree > _DIGIT_CEILING:
-                for planes in state.values():
-                    _carry(planes)
+            grow = fan[level > 1]
+            if bound * grow > _DIGIT_CEILING:
+                for v in buffers.keys() & state.keys():
+                    _carry(state[v])
                 bound = _DIGIT_MASK
             rows, nxt = digits[level], {}
-            for target, parts in groups.items():
+            for target, (even, odd) in buffers.items():
                 live = [
                     (off, srcs)
-                    for off, sources in parts.items()
+                    for off, sources in groups[target].items()
                     if (srcs := [state[s] for s in sources if s in state])
                 ]
                 if not live:
                     continue
-                dst = buffers[target][level % 2][: rows * width].reshape(rows, width)
+                dst = (odd if level % 2 else even)[: rows * width].reshape(rows, width)
                 # the first offset group writes its region and the rest of
                 # dst is zeroed: one pass fewer than zeroing it all first
                 (off, srcs), *others = live
@@ -496,7 +561,9 @@ def _digit_levels(plan: _Plan) -> Iterator[tuple[int, int, dict[str, np.ndarray]
                     for src in more:
                         region += src
                 nxt[target] = dst
-            state, bound = nxt, bound * indegree
+                if (partner := mirror.get(target, target)) != target:
+                    nxt[partner] = dst[:, ::-1]
+            state, bound = nxt, bound * grow
         drop = first - spans[level - 1][0] if level else first
         if drop or top - first + 1 < width:
             state = {v: p[:, drop : drop + top - first + 1] for v, p in state.items()}
@@ -950,48 +1017,6 @@ def log_weighted_sum_sweep(
         if level in wanted:
             out[level] = math.log(sum(state.values())) + log_scale
     return [out[n] for n in order]
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def brute_force_oracle(
-    coding: MarkovCoding, weights: WeightAssignment, n_cap: int
-) -> list[tuple[int, str, tuple[float, ...]]]:
-    """Every word of length at most ``n_cap`` with its weight, by raw search.
-
-    Structurally independent of the dynamic programming: a depth-first walk
-    of the coding graph that concatenates labels and sums weights edge by
-    edge.  Returns ``(length, word, value)`` triples, identity included.
-    The total word count is guarded at 1e7.
-
-    Intended as the ground truth for equivalence tests on small spheres.
-    """
-    if n_cap < 0:
-        raise InvalidArgumentError(f"n_cap must be >= 0, got {n_cap}")
-    if sum(sphere_counts(coding, n_cap)) > _BRUTE_FORCE_GUARD:
-        raise ResourceError(
-            f"brute-force enumeration of {n_cap} spheres exceeds the "
-            f"{_BRUTE_FORCE_GUARD} guard"
-        )
-    k = weights.dim
-    out: list[tuple[int, str, tuple[float, ...]]] = []
-    stack: list[tuple[str, int, str, tuple[float, ...]]] = [
-        (START_VERTEX, 0, "", (0.0,) * k)
-    ]
-    while stack:
-        vertex, length, word, value = stack.pop()
-        out.append((length, word, value))
-        if length == n_cap:
-            continue
-        for edge in coding.out_edges[vertex]:
-            w = weights.edge_values[(edge.source, edge.target)]
-            nxt = tuple(a + b for a, b in zip(value, w))
-            stack.append((edge.target, length + 1, word + edge.label, nxt))
-    out.sort()
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Independent oracles used to derive frozen test values.
 
 Everything here deliberately avoids the library's implementation choices:
-reduced words are spelled letter by letter with no coding graph, spectral
-radii come from numpy's general eigenvalue solver instead of power
+reduced words are spelled letter by letter with no coding graph, the
+brute-force oracle walks a coding word by word with no dynamic programming,
+spectral radii come from numpy's general eigenvalue solver instead of power
 iteration, and Gaussian tail values come from scipy's ``ndtr``.  Run as a
 script to print the derived constants that the test modules freeze as
 literals:
@@ -10,7 +11,8 @@ literals:
     python3 tests/oracles.py
 
 Test modules import only the cheap recomputation helpers (word histograms
-on small spheres); every expensive or floating-point result is frozen.
+on small spheres, and the word walk of ``brute_force_oracle`` over any
+coding); every expensive or floating-point result is frozen.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import optimize, special
+
+import hypstat as hs
 
 # Letter value tables for the rank-2 free group.  Uppercase letters are the
 # formal inverses, so homomorphism-style values negate explicitly here.
@@ -121,6 +125,41 @@ def dict_lattice_counts(edges, start, ns):
             for per_vertex in state.values():
                 merged.update(per_vertex)
             out[level] = dict(merged)
+    return out
+
+
+#: cap on total words enumerated by the brute-force oracle
+BRUTE_FORCE_GUARD = 10**7
+
+
+def brute_force_oracle(coding, weights, n_cap):
+    """Every word of length at most ``n_cap`` with its weight, by raw search.
+
+    Structurally independent of the dynamic programming: a depth-first walk
+    of the coding graph that concatenates labels and sums weights edge by
+    edge.  Returns ``(length, word, value)`` triples, identity included.
+    The total word count is guarded at 1e7.
+    """
+    if n_cap < 0:
+        raise hs.InvalidArgumentError(f"n_cap must be >= 0, got {n_cap}")
+    if sum(hs.sphere_counts(coding, n_cap)) > BRUTE_FORCE_GUARD:
+        raise hs.ResourceError(
+            f"brute-force enumeration of {n_cap} spheres exceeds the "
+            f"{BRUTE_FORCE_GUARD} guard"
+        )
+    k = weights.dim
+    out = []
+    stack = [(hs.START_VERTEX, 0, "", (0.0,) * k)]
+    while stack:
+        vertex, length, word, value = stack.pop()
+        out.append((length, word, value))
+        if length == n_cap:
+            continue
+        for edge in coding.out_edges[vertex]:
+            w = weights.edge_values[(edge.source, edge.target)]
+            nxt = tuple(a + b for a, b in zip(value, w))
+            stack.append((edge.target, length + 1, word + edge.label, nxt))
+    out.sort()
     return out
 
 

@@ -202,7 +202,7 @@ class TestLatticeMasses2d:
         self, free2, free2_decomp, abel, abel_stats
     ):
         hist: dict[tuple[int, int], int] = {}
-        for length, _word, value in hs.brute_force_oracle(free2, abel, 3):
+        for length, _word, value in oracles.brute_force_oracle(free2, abel, 3):
             if length == 3:
                 key = (round(value[0]), round(value[1]))
                 hist[key] = hist.get(key, 0) + 1
@@ -227,7 +227,7 @@ class TestLatticeMasses2d:
 
 class TestBruteForce:
     def test_lengths_and_values(self, free2, aexp):
-        triples = hs.brute_force_oracle(free2, aexp, 4)
+        triples = oracles.brute_force_oracle(free2, aexp, 4)
         by_length: dict[int, int] = {}
         for length, _word, _value in triples:
             by_length[length] = by_length.get(length, 0) + 1
@@ -239,14 +239,14 @@ class TestBruteForce:
         assert hist == AEXP_HIST_N4
 
     def test_words_are_reduced(self, free2, wordlen):
-        words = {w for _n, w, _v in hs.brute_force_oracle(free2, wordlen, 3)}
+        words = {w for _n, w, _v in oracles.brute_force_oracle(free2, wordlen, 3)}
         assert "" in words
         assert "aA" not in words and "bB" not in words
         assert "aB" in words
 
     def test_guard_rejects_huge_caps(self, free2, aexp):
         with pytest.raises(hs.ResourceError):
-            hs.brute_force_oracle(free2, aexp, 20)
+            oracles.brute_force_oracle(free2, aexp, 20)
 
 
 class TestSerialization:

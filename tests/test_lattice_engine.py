@@ -11,7 +11,11 @@ Fixed cases cover counts of several 48-bit digits with deferred carries,
 offsets with a common factor, and vector lattices whose reduced basis is
 not the coordinate axes.  The engine's two level loops, digit planes and
 packed ints, are run on the same plans of random codings and windows and
-must agree slot by slot; the plan picks one of them by its size.
+must agree slot by slot; the plan picks one of them by its size.  Plans of
+random mirrored codings (vertex pairs and fixed points, every edge matched
+by its mirror with the negated value) must give the same levels with their
+mirror as without it and on packed ints; the mirror is pinned as found or
+missed on named codings and weights.
 """
 
 import math
@@ -30,6 +34,7 @@ from hypstat.enumerate import (
     _DIGIT_BITS,
     _PACKED_BITS,
     _digit_levels,
+    _slot_counts,
     _flatten,
     _packed_levels,
     _plan,
@@ -132,7 +137,7 @@ class TestAgainstOracles:
         coding, weights = case
         dists = hs.distribution_sweep(coding, weights, range(n_cap + 1))
         scale = dists[0].scale
-        words = hs.brute_force_oracle(coding, weights, n_cap)
+        words = oracles.brute_force_oracle(coding, weights, n_cap)
         for dist in dists:
             expected = Counter()
             for length, _word, value in words:
@@ -190,13 +195,15 @@ def vertex_slots(state, width, field=None):
     out = {}
     for vertex, x in state.items():
         if field is None:
-            counts = [
-                sum(d << (_DIGIT_BITS * i) for i, d in enumerate(column))
-                for column in x.T.tolist()
-            ]
+            counts = [0] * width
+            for row in x[::-1].tolist():
+                counts = [(c << _DIGIT_BITS) + d for c, d in zip(counts, row)]
         else:
             assert x >> (width * field) == 0
-            counts = [(x >> (i * field)) & ((1 << field) - 1) for i in range(width)]
+            raw, size = x.to_bytes(width * field // 8, "little"), field // 8
+            counts = [
+                int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)
+            ]
         if any(counts):
             out[vertex] = counts
     return out
@@ -242,7 +249,151 @@ class TestLevelLoops:
         assert _plan(edges, step, 200).bits > _PACKED_BITS
 
 
+@st.composite
+def mirrored_plans(draw):
+    """A plan whose offsets have a mirror: vertex pairs ``v``/``w`` and fixed
+    points ``f``, each drawn edge joined by its mirror with the negated
+    value (an edge that is its own mirror has value 0), scalar, 2-d or 3-d
+    integer values, and random kept windows."""
+    sigma = {hs.START_VERTEX: hs.START_VERTEX}
+    for i in range(draw(st.integers(1, 2))):
+        sigma[f"v{i}"], sigma[f"w{i}"] = f"w{i}", f"v{i}"
+    for i in range(draw(st.integers(0, 2))):
+        sigma[f"f{i}"] = f"f{i}"
+    candidates = [(s, t) for s in sigma for t in sigma if t != hs.START_VERTEX]
+    dim = draw(st.sampled_from([1, 2, 3]))
+    table = {}
+    for s, t in draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True)):
+        if (s, t) not in table:
+            image = sigma[s], sigma[t]
+            value = (0,) * dim
+            if image != (s, t):
+                value = draw(st.tuples(*[st.integers(-2, 2)] * dim))
+            table[s, t], table[image] = value, tuple(-x for x in value)
+    n_max = draw(st.integers(0, 24 if dim == 1 else 6))
+    edges, step, *_ = _flatten([(s, t, v) for (s, t), v in table.items()], n_max)
+    keep = None
+    if draw(st.booleans()):
+        keep = []
+        for level in range(n_max + 1):
+            lo = draw(st.integers(-2, level * step + 2))
+            # a window inverted by two slots or more hulls to an asymmetric level
+            keep.append((lo, lo + draw(st.integers(-3, level * step + 2))))
+    return _plan(edges, step, n_max, keep)
+
+
+class TestMirror:
+    @settings(settings.get_profile("hypstat"), max_examples=150)
+    @given(mirrored_plans())
+    def test_mirrored_planes_equal_unmirrored_and_packed(self, plan):
+        levels = zip(
+            _digit_levels(plan),
+            _digit_levels(plan._replace(mirror=None)),
+            _packed_levels(plan),
+            plan.spans,
+        )
+        seen = 0
+        for (level, first, planes, total), plain, packed, (_, top, _w) in levels:
+            assert (level, first, total) == plain[:2] + plain[3:] == packed[:2] + packed[3:]
+            width = top - first + 1
+            expected = vertex_slots(plain[2], width)
+            assert vertex_slots(planes, width) == expected
+            assert vertex_slots(packed[2], width, plan.field) == expected
+            seen += 1
+        assert seen == len(plan.spans)
+
+    @pytest.mark.parametrize(
+        "coding, table, mirror",
+        [
+            ("free2", {"a": 1, "b": 2}, "swapcase"),
+            ("free2", {"a": 1, "b": 1 / math.sqrt(2)}, "swapcase"),
+            ("free3", {"a": 1, "b": -2, "c": 3}, "swapcase"),
+            ("free2", {"a": (1, 0), "b": (0, 1)}, "swapcase"),
+            ("free3", {"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1)}, "swapcase"),
+            ("z2z3", None, {"s": "s", "t": "T", "T": "t"}),
+            # b's and B's offsets are alike, so their partners are ambiguous
+            ("free2", {"a": 1, "b": 0}, None),
+            ("free2", {"a": 1, "b": 1}, None),
+        ],
+        ids=["free2", "free2-binned", "free3", "abel2", "abel3", "z2z3", "b0", "b1"],
+    )
+    def test_the_plan_finds_the_mirror(self, coding, table, mirror):
+        coding = CODINGS[coding]
+        if table is None:
+            # t = +1, T = -1, s = 0: the edge table of the Z/2*Z/3 scans
+            values = {"t": 1, "T": -1}
+            table = {(e.source, e.target): values.get(e.target, 0) for e in coding.edges}
+            table = hs.weights_from_edge_table(coding, table).edge_values
+        else:
+            table = hs.weights_from_homomorphism(coding, table).edge_values
+        if mirror == "swapcase":
+            mirror = {v: v.swapcase() for v in coding.core_vertices}
+
+        def edges_of(table):
+            weights = hs.weights_from_edge_table(coding, table)
+            scale = hs.lattice_scale(weights)
+            if scale is None:
+                values = _quantized_values(weights, 0.01)
+            else:
+                values = hs.scaled_integer_values(weights, scale)
+            return _flatten(_transitions(coding, values, set(coding.core_vertices)), 10)[:2]
+
+        edges, step = edges_of(table)
+        assert _plan(edges, step, 10).mirror == mirror
+        # a window inverted by two slots or more leaves its level asymmetric
+        keep = [(0, level * step) for level in range(10)] + [(10 * step, 0)]
+        assert _plan(edges, step, 10, keep).mirror is None
+        # one edge value moved breaks the mirror
+        key = coding.edges[-1].source, coding.edges[-1].target
+        moved = {**table, key: (table[key][0] + 1, *table[key][1:])}
+        assert _plan(*edges_of(moved), 10).mirror is None
+
+    def test_an_asymmetric_llt_window(self, free2, free2_decomp, monkeypatch):
+        beta = hs.weights_from_homomorphism(free2, {"a": 1, "b": 1 / math.sqrt(2)})
+        stats = hs.limit_statistics(free2, free2_decomp, beta)
+        mirrors, loop = [], engine._digit_levels
+
+        def spy(plan):
+            mirrors.append(plan.mirror)
+            return loop(plan)
+
+        monkeypatch.setattr(engine, "_digit_levels", spy)
+        rows = []
+        for found in (engine._mirror, lambda groups, step: None):
+            monkeypatch.setattr(engine, "_mirror", found)
+            report = hs.llt_check(free2, free2_decomp, beta, stats, -0.3, 0.7, [100, 200, 300])
+            rows.append(report.rows)
+        assert mirrors[0] is not None and mirrors[1] is None
+        assert rows[0] == rows[1]
+
+
 class TestDigitPlanes:
+    @pytest.mark.parametrize(
+        "table, n, levels",
+        [
+            # one edge from the start into each target, then 3 from targets:
+            # a level-L digit sums up to 3**(L - 1) ones, past 2**64 - 2**16
+            # at L = 42, and 2**48 * 3**11 after a carry
+            ({"a": 1, "b": 2}, 100, [42, 52, 62, 72, 82, 92]),
+            # 9 edges from targets: 9**21, then 2**48 * 9**6
+            ({"a": 1, "b": 2, "c": 0, "d": -1, "e": 3}, 40, [22, 27, 32, 37]),
+        ],
+        ids=["free2", "free5"],
+    )
+    def test_carry_levels(self, monkeypatch, table, n, levels):
+        coding = hs.build_free_group_coding(len(table))
+        weights = hs.weights_from_homomorphism(coding, table)
+        edges, step, *_ = flattened(coding, weights, n)
+        done, carried, carry = [], set(), engine._carry
+        # a carry made while level L is computed finds L levels done
+        monkeypatch.setattr(
+            engine, "_carry", lambda planes: (carried.add(len(done)), carry(planes))
+        )
+        for level, _first, state, total in _digit_levels(_plan(edges, step, n)):
+            done.append(level)
+        assert sorted(carried) == levels
+        assert sum(_slot_counts(state, 0, n * step)[1]) == total
+
     def test_free5_carries_every_five_levels_to_forty(self):
         # in-degree 9, so carries are propagated every 5 levels (9**5 digit
         # sums fit in 64 bits, 9**6 do not); #W_40 = 10 * 9**39 has 127 bits
@@ -397,7 +548,7 @@ class TestWeightedCounts:
             scale = dist.scale
             words = Counter(
                 tuple(round(x * scale) for x in value)
-                for length, _word, value in hs.brute_force_oracle(coding, weights, n)
+                for length, _word, value in oracles.brute_force_oracle(coding, weights, n)
                 if length == n
             )
             assert sums == [weighted_sum(words, w) for w in ws]
