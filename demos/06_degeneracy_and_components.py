@@ -71,5 +71,5 @@ print(" n    paths   H_n   avoiding-maximal")
 for n in range(1, 7):
     over = hs.distribution_overcounted(mirror, mirror_decomp, weights, n)
     plain = hs.distribution(mirror, weights, n)
-    extra = hs.count_avoiding_maximal(mirror, mirror_decomp, n)
+    extra = (over.total - plain.total) // over.overcount_multiplicity
     print(f"{n:2d}   {sum(plain.counts):6d}  {sum(over.counts):5d}   {extra:6d}")

@@ -17,16 +17,18 @@ A point and a grid take different kernels:
   eigenvalues in closed form.  The ``p``-th power collapses a peripheral
   group ``lambda * exp(2*pi*i*k/p)`` onto the single eigenvalue
   ``lambda^p``.  The points run in lockstep, each with its own stopping
-  rule, so a point's result does not depend on the rest of the batch.
+  rule, so a point's result does not depend on the rest of the batch; the
+  rule lives in ``modulus_batch``'s loop, as four per-point arrays (best
+  value, its residual and iteration, and the steps since it improved).
 * the second method for complex radii: the growth rate of ``||M^200 x||``,
   with ``M^200 x`` formed by binary powering.
 
 The iterations aim for residual 1e-13 so that downstream second differences
 of the pressure keep enough accuracy; callers may rely on
 ``RESIDUAL_CONTRACT``, which the dense solve checks directly.  An iteration
-whose best residual has not improved for ``_STAGNATION_WINDOW`` steps stops
-there: it is accepted within the contract and raises ``NumericalError``
-otherwise.
+(``perron_point``, or one point of ``modulus_batch``) whose best residual
+has not improved for ``_STAGNATION_WINDOW`` steps stops there: it is
+accepted within the contract and raises ``NumericalError`` otherwise.
 """
 
 from __future__ import annotations
@@ -54,43 +56,6 @@ def _stall_error(method: str, iteration: int, residual: float, at: int) -> Numer
         f"{method} did not reach residual {RESIDUAL_CONTRACT:g} after "
         f"{iteration} iterations (best residual {residual:.3e} at iteration {at})"
     )
-
-
-class _BestSoFar:
-    """Per-point best iterate and stopping rule of a lockstep iteration.
-
-    Points flagged ``zero`` are done at once with value 0.  ``offer`` takes
-    one step's values and residuals for the ``live`` points and returns the
-    masks (over ``live``) of the points that improved and that keep going.
-    """
-
-    def __init__(self, method: str, zero: np.ndarray) -> None:
-        import numpy as np
-        self.method = method
-        self.live = np.flatnonzero(~zero)
-        self.value = np.zeros(len(zero))
-        self.residual = np.where(zero, 0.0, np.inf)
-        self.iterations = np.zeros(len(zero), dtype=int)
-        self._since = np.zeros(len(zero), dtype=int)
-
-    def offer(self, iteration: int, value, residual) -> tuple[np.ndarray, np.ndarray]:
-        live = self.live
-        better = residual < self.residual[live]
-        won = live[better]
-        self.value[won] = value[better]
-        self.residual[won] = residual[better]
-        self.iterations[won] = iteration
-        self._since[live] = (self._since[live] + 1) * ~better
-        best = self.residual[live]
-        converged = best <= _RESIDUAL_TARGET
-        stalled = (self._since[live] >= _STAGNATION_WINDOW) | (iteration == _MAX_ITERATIONS)
-        failed = (stalled & (best > RESIDUAL_CONTRACT)).nonzero()[0]
-        if len(failed):
-            at = live[failed[0]]
-            raise _stall_error(self.method, iteration, self.residual[at], self.iterations[at])
-        stay = ~(converged | stalled)
-        self.live = live[stay]
-        return better, stay
 
 
 def perron_point(rows: Sequence[Sequence[float]]) -> tuple[float, list[float], int, float]:
@@ -196,11 +161,16 @@ def modulus_batch(
     p = max(1, int(period_hint))
     n = np.linalg.matrix_power(m, p) if p > 1 else m
     zero = np.abs(n).max(axis=(1, 2), initial=0.0) == 0.0
-    state = _BestSoFar("block orthogonal iteration", zero)
+    # per point: the best modulus so far, its residual, its iteration, and
+    # the steps since it last improved; a zero matrix is done at once
+    value = np.zeros(len(m))
+    best = np.where(zero, 0.0, np.inf)
+    found = np.zeros(len(m), dtype=int)
+    since = np.zeros(len(m), dtype=int)
     block = min(dim, 2)
     rng = np.random.default_rng(_COMPLEX_SEED)
     q0 = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
-    live = state.live
+    live = np.flatnonzero(~zero)
     n = n[live]
     q = np.repeat(np.linalg.qr(q0)[0][None], len(live), axis=0)
     # each step's N q is the next step's block before orthonormalisation
@@ -227,9 +197,18 @@ def modulus_batch(
             subspace = res_sub < res
             mu = np.where(subspace, mu_sub, mu)
             res = np.where(subspace, res_sub, res)
-        _, stay = state.offer(iteration, mu, res)
+        better = res < best[live]
+        won = live[better]
+        value[won], best[won], found[won] = mu[better], res[better], iteration
+        since[live] = (since[live] + 1) * ~better
+        stalled = (since[live] >= _STAGNATION_WINDOW) | (iteration == _MAX_ITERATIONS)
+        failed = live[stalled & (best[live] > RESIDUAL_CONTRACT)]
+        if len(failed):
+            at = failed[0]
+            raise _stall_error("block orthogonal iteration", iteration, best[at], found[at])
+        stay = ~(stalled | (best[live] <= _RESIDUAL_TARGET))
         live, n, nq = live[stay], n[stay], nq[stay]
-    return state.value ** (1.0 / p), state.iterations, state.residual
+    return value ** (1.0 / p), found, best
 
 
 def growth_start(dim: int) -> np.ndarray:

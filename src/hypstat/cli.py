@@ -668,7 +668,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--gate-grid",
         dest="gate_grid",
         default="0.1:20:0.05",
-        help="frequency grid for the non-lattice gate",
+        help="frequency grid for the non-lattice gate (t <= 0 is skipped)",
     )
     p.set_defaults(func=cmd_llt)
 

@@ -859,17 +859,6 @@ def distribution(
     return distribution_sweep(coding, weights, [n], bin_width)[0]
 
 
-def count_avoiding_maximal(
-    coding: MarkovCoding, decomposition: ComponentDecomposition, n: int
-) -> int:
-    """``#N_n``: length-``n`` paths from the start avoiding every maximal component."""
-    if n < 0:
-        raise InvalidArgumentError(f"n must be >= 0, got {n}")
-    allowed = _allowed_vertices(coding, decomposition)
-    pairs = [(e.source, e.target) for e in coding.edges if e.target in allowed]
-    return _path_totals(pairs, n)[n]
-
-
 def distribution_overcounted(
     coding: MarkovCoding,
     decomposition: ComponentDecomposition,

@@ -475,7 +475,27 @@ def berry_esseen_bound(
 ) -> float:
     """Explicit smoothing-inequality bound on ``||H_n - N(0, sigma^2)||_inf``.
 
-    Evaluates ``K (int_{-T}^{T} |H^(t) - exp(-sigma^2 t^2 / 2)| / |t| dt
+    The ``predicted`` value of ``berry_esseen_report``'s one row.
+
+    Returns
+    -------
+    float
+    """
+    report = berry_esseen_report(coding, decomposition, weights, stats, n, T)
+    return report.rows[0]["predicted"]
+
+
+def berry_esseen_report(
+    coding: MarkovCoding,
+    decomposition: ComponentDecomposition,
+    weights: WeightAssignment,
+    stats: LimitStatistics,
+    n: int,
+    T: float,
+) -> LimitLawReport:
+    """Soundness report: the explicit bound against the exact sup distance.
+
+    The bound is ``K (int_{-T}^{T} |H^(t) - exp(-sigma^2 t^2 / 2)| / |t| dt
     + 1/T + |E_n| exp(|E_n| T))`` where ``H^`` is the exact characteristic
     function of the recentered overcounted law, ``E_n`` its mean (exactly 0
     for symmetric weights, killing the third term), and
@@ -483,25 +503,10 @@ def berry_esseen_bound(
     density peak ``1/(sigma sqrt(2 pi))``.  The integrand is extended by
     its limit ``|E_n|`` at ``t = 0`` and integrated by adaptive quadrature.
 
-    The bound is sound: it dominates the exact sup distance for every
-    valid ``(n, T)``.
-
-    Returns
-    -------
-    float
+    The bound is sound: it dominates the exact sup distance of the same
+    law, which the report's one check compares it with, for every valid
+    ``(n, T)``.
     """
-    return _bound_and_law(coding, decomposition, weights, stats, n, T)[0]
-
-
-def _bound_and_law(
-    coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
-    weights: WeightAssignment,
-    stats: LimitStatistics,
-    n: int,
-    T: float,
-) -> tuple[float, WordDistribution]:
-    """``berry_esseen_bound`` and the overcounted law it is computed from."""
     import numpy as np
     _require_scalar(weights, "berry_esseen_bound")
     sigma = _require_nondegenerate(stats, "berry_esseen_bound")
@@ -525,21 +530,8 @@ def _bound_and_law(
     integral = _quadrature(integrand, 0.0, T, "the characteristic-function term")
     peak = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     K = max(1.0 / math.pi, 24.0 * peak / math.pi)
-    return K * (2.0 * integral + 1.0 / T + abs(shift) * math.exp(abs(shift) * T)), dist
-
-
-def berry_esseen_report(
-    coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
-    weights: WeightAssignment,
-    stats: LimitStatistics,
-    n: int,
-    T: float,
-) -> LimitLawReport:
-    """Soundness report: the explicit bound against the exact sup distance."""
-    bound, dist = _bound_and_law(coding, decomposition, weights, stats, n, T)
-    sigma = math.sqrt(stats.sigma2)
-    observed = kolmogorov_distance(dist, stats.drift[0], sigma)
+    bound = K * (2.0 * integral + 1.0 / T + abs(shift) * math.exp(abs(shift) * T))
+    observed = kolmogorov_distance(dist, drift, sigma)
     rows = [
         {
             "n": n,
@@ -563,7 +555,7 @@ def berry_esseen_report(
         n_grid=[n],
         rows=rows,
         theory={
-            "drift": stats.drift[0],
+            "drift": drift,
             "sigma2": stats.sigma2,
             "entropy": stats.entropy,
             "lam": stats.lam,
@@ -661,32 +653,54 @@ def ldt_rate(
     rate_plus, t_plus = legendre(+1.0, pressures[: len(ts)])
     rate_minus, t_minus = legendre(-1.0, pressures[len(ts) :])
 
-    dists = distribution_sweep(coding, weights, grid)
     eps_f = Fraction(epsilon)
     drift_f = Fraction(drift)
-    plus_mass = False
-    minus_mass = False
-    tails: list[tuple[int, int, int, int]] = []
-    for dist in dists:
-        plus, minus = _tail_counts(
-            dist, dist.n * (drift_f - eps_f), dist.n * (drift_f + eps_f)
-        )
-        plus_mass = plus_mass or plus > 0
-        minus_mass = minus_mass or minus > 0
-        tails.append((dist.n, plus, minus, dist.total))
+    tails = [
+        (d.n, *_tail_counts(d, d.n * (drift_f - eps_f), d.n * (drift_f + eps_f)), d.total)
+        for d in distribution_sweep(coding, weights, grid)
+    ]
+    # the rate of the tails that carry mass; an epsilon beyond the reachable
+    # range leaves every tail empty, and then there is no rate
+    masses = [r for r, i in ((rate_plus, 1), (rate_minus, 2)) if any(t[i] for t in tails)]
+    rate = min(masses) if masses else None
 
-    if not plus_mass and not minus_mass:
-        rows = [
+    log_w = [(None, None)] * len(tails)
+    if rate is not None:
+        log_w = zip(
+            log_weighted_sum_sweep(coding, weights, t_plus, grid),
+            log_weighted_sum_sweep(coding, weights, -t_minus, grid),
+        )
+    rows = []
+    worst_exact = -math.inf
+    worst_fitted = -math.inf
+    fit_log_c = None
+    rates: list[float] = []
+    for (n, plus, minus, total), (lwp, lwm) in zip(tails, log_w):
+        tail = plus + minus
+        r_n = None
+        if tail > 0:
+            log_total = math.log(total)
+            bound_plus = lwp - log_total - n * t_plus * (drift + epsilon)
+            bound_minus = lwm - log_total + n * t_minus * (drift - epsilon)
+            bound_log = _log_sum_exp(bound_plus, bound_minus)
+            log_p = math.log(tail) - log_total
+            r_n = -log_p / n
+            rates.append(r_n)
+            worst_exact = max(worst_exact, log_p - bound_log)
+            if fit_log_c is None:
+                fit_log_c = log_p + n * rate
+            worst_fitted = max(worst_fitted, log_p - (fit_log_c - n * rate))
+        rows.append(
             {
                 "n": n,
-                "observed": None,
-                "predicted": None,
-                "residual": None,
-                "p": 0.0,
-                "tail_count": "0",
+                "observed": r_n,
+                "predicted": rate,
+                "residual": None if r_n is None else r_n - rate,
+                "p": tail / total,
+                "tail_count": str(tail),
             }
-            for n, _, _, _ in tails
-        ]
+        )
+    if rate is None:
         checks = [
             _check(
                 "degenerate-tail-trivial",
@@ -697,116 +711,49 @@ def ldt_rate(
                 "every grid n, so the large-deviation bound holds trivially",
             )
         ]
-        return _finalize(
-            law="ldt",
-            params={
-                "epsilon": epsilon,
-                "n_grid": grid,
-                "t_grid": [ts[0], ts[-1], len(ts)],
-            },
-            n_grid=grid,
-            rows=rows,
-            theory={
-                "chernoff_rate_bound": None,
-                "rate_plus": rate_plus,
-                "rate_minus": rate_minus,
-                "drift": drift,
-                "entropy": h,
-                "sigma2": stats.sigma2,
-                "degenerate_tail": True,
-            },
-            tolerances={"limsup_factor": 0.5, "rate_rel": 0.25},
-            checks=checks,
-        )
-
-    if plus_mass and minus_mass:
-        rate = min(rate_plus, rate_minus)
-    elif plus_mass:
-        rate = rate_plus
+        optimal_t, slack = {}, {}
     else:
-        rate = rate_minus
-
-    log_w_plus = log_weighted_sum_sweep(coding, weights, t_plus, grid)
-    log_w_minus = log_weighted_sum_sweep(coding, weights, -t_minus, grid)
-    rows = []
-    worst_exact = -math.inf
-    worst_fitted = -math.inf
-    fit_log_c = None
-    rates: list[float] = []
-    for (n, plus, minus, total), lwp, lwm in zip(tails, log_w_plus, log_w_minus):
-        log_total = math.log(total)
-        bound_plus = lwp - log_total - n * t_plus * (drift + epsilon)
-        bound_minus = lwm - log_total + n * t_minus * (drift - epsilon)
-        bound_log = _log_sum_exp(bound_plus, bound_minus)
-        tail = plus + minus
-        if tail > 0:
-            log_p = math.log(tail) - log_total
-            r_n = -log_p / n
-            rates.append(r_n)
-            worst_exact = max(worst_exact, log_p - bound_log)
-            if fit_log_c is None:
-                fit_log_c = log_p + n * rate
-            worst_fitted = max(worst_fitted, log_p - (fit_log_c - n * rate))
-            rows.append(
-                {
-                    "n": n,
-                    "observed": r_n,
-                    "predicted": rate,
-                    "residual": r_n - rate,
-                    "p": tail / total,
-                    "tail_count": str(tail),
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "n": n,
-                    "observed": None,
-                    "predicted": rate,
-                    "residual": None,
-                    "p": 0.0,
-                    "tail_count": "0",
-                }
-            )
-    deviations = [abs(r - rate) for r in rates]
-    first_q, last_q = _quartiles(deviations)
-    checks = [
-        _check(
-            "chernoff-pointwise-exact",
-            worst_exact,
-            "<=",
-            _EXACT_LOG_SLACK,
-            "log p_n minus the exact exponential Chebyshev bound, worst n",
-        ),
-        _check(
-            "chernoff-pointwise-fitted",
-            worst_fitted,
-            "<=",
-            _EXACT_LOG_SLACK,
-            "log p_n minus the fitted envelope log C - n I, worst n",
-        ),
-        _check(
-            "rate-converges",
-            max(last_q),
-            "<=",
-            max(first_q) + 1e-12,
-            "deviation |r_n - I| of the last quartile against the first",
-        ),
-        _check(
-            "rate-limsup",
-            rates[-1],
-            ">=",
-            rate / 2.0,
-            "empirical rate at the largest n against I/2",
-        ),
-        _check(
-            "rate-close",
-            abs(rates[-1] / rate - 1.0),
-            "<=",
-            0.25,
-            "relative gap between the final empirical rate and I",
-        ),
-    ]
+        deviations = [abs(r - rate) for r in rates]
+        first_q, last_q = _quartiles(deviations)
+        checks = [
+            _check(
+                "chernoff-pointwise-exact",
+                worst_exact,
+                "<=",
+                _EXACT_LOG_SLACK,
+                "log p_n minus the exact exponential Chebyshev bound, worst n",
+            ),
+            _check(
+                "chernoff-pointwise-fitted",
+                worst_fitted,
+                "<=",
+                _EXACT_LOG_SLACK,
+                "log p_n minus the fitted envelope log C - n I, worst n",
+            ),
+            _check(
+                "rate-converges",
+                max(last_q),
+                "<=",
+                max(first_q) + 1e-12,
+                "deviation |r_n - I| of the last quartile against the first",
+            ),
+            _check(
+                "rate-limsup",
+                rates[-1],
+                ">=",
+                rate / 2.0,
+                "empirical rate at the largest n against I/2",
+            ),
+            _check(
+                "rate-close",
+                abs(rates[-1] / rate - 1.0),
+                "<=",
+                0.25,
+                "relative gap between the final empirical rate and I",
+            ),
+        ]
+        optimal_t = {"t_plus": t_plus, "t_minus": t_minus}
+        slack = {"pointwise_slack": _EXACT_LOG_SLACK}
     return _finalize(
         law="ldt",
         params={
@@ -820,18 +767,13 @@ def ldt_rate(
             "chernoff_rate_bound": rate,
             "rate_plus": rate_plus,
             "rate_minus": rate_minus,
-            "t_plus": t_plus,
-            "t_minus": t_minus,
+            **optimal_t,
             "drift": drift,
             "entropy": h,
             "sigma2": stats.sigma2,
-            "degenerate_tail": False,
+            "degenerate_tail": rate is None,
         },
-        tolerances={
-            "pointwise_slack": _EXACT_LOG_SLACK,
-            "limsup_factor": 0.5,
-            "rate_rel": 0.25,
-        },
+        tolerances={**slack, "limsup_factor": 0.5, "rate_rel": 0.25},
         checks=checks,
     )
 
@@ -1112,8 +1054,9 @@ def llt_check(
     refused directly with the exact witness frequency ``t = 2 pi scale``
     (there the complex transfer matrix equals the real one entrywise, so
     the spectral gap vanishes identically); otherwise the gap is scanned
-    over ``gate_t_grid`` (default 0.1 to 20, step 0.05) and any gap at or
-    below 1e-9 refuses with that witness.  A vanishing-gap frequency means
+    over the positive frequencies of ``gate_t_grid`` (default 0.1 to 20,
+    step 0.05; at ``t = 0`` the gap is zero for every weight) and any gap at
+    or below 1e-9 refuses with that witness.  A vanishing-gap frequency means
     sphere masses concentrate on an arithmetic progression, where interval
     counts oscillate instead of settling to the continuous profile.
 
@@ -1130,13 +1073,20 @@ def llt_check(
     PreconditionError
         On a lattice witness, or degenerate variance.
     InvalidArgumentError
-        If ``a > b``, or the bin width exceeds ``(b - a)/50``.
+        If ``a > b``, the bin width exceeds ``(b - a)/50``, or the gate grid
+        has no positive frequency.
     """
     _require_scalar(weights, "llt_check")
     sigma = _require_nondegenerate(stats, "llt_check")
     if a > b:
         raise InvalidArgumentError(f"empty interval: a = {a!r} > b = {b!r}")
     grid = _sorted_grid(n_grid)
+
+    # M(i*0) = M(0), so the gap at t <= 0 is zero for every weight
+    gate = _default_gate_grid() if gate_t_grid is None else gate_t_grid
+    gate = sorted(t for t in gate if t > 0.0)
+    if not gate:
+        raise InvalidArgumentError("gate grid must contain positive frequencies")
 
     scale = lattice_scale(weights)
     witness: tuple[float, float] | None = None
@@ -1147,9 +1097,6 @@ def llt_check(
         witness = (point.t, point.gap)
     gate_points = None
     if witness is None:
-        gate = (
-            _default_gate_grid() if gate_t_grid is None else sorted(gate_t_grid)
-        )
         gate_points = nonlattice_gap(
             coding, decomposition, weights, stats.component, gate
         )
@@ -1304,25 +1251,22 @@ def degeneracy_check(
 
     span_values = [vec[0] for vec in weights.edge_values.values()]
     span = max(span_values) - min(span_values) if span_values else 0.0
+    scale = lattice_scale(weights)
     allowance = 1e-9
-    if lattice_scale(weights) is None and span > 0.0:
+    bin_width = None
+    if scale is None:
         # real weights enumerate through a bin lattice; widen the
         # comparison by the worst-case quantization drift
         bin_width = n_cap * span / 2000.0
-        dists = distribution_sweep(coding, weights, [half, n_cap], bin_width=bin_width)
         allowance += 2.0 * n_cap * bin_width
-    elif span == 0.0 and lattice_scale(weights) is None:
-        dists = None
-    else:
-        dists = distribution_sweep(coding, weights, [half, n_cap])
-
     widths = [0.0, 0.0]
-    if dists is not None:
+    # constant real weights give every sphere a single value
+    if scale is not None or span > 0.0:
         widths = [
             float(d.exact_value(d.support_scaled[-1]) - d.exact_value(d.support_scaled[0]))
             if d.support_scaled
             else 0.0
-            for d in dists
+            for d in distribution_sweep(coding, weights, [half, n_cap], bin_width)
         ]
     range_degenerate = widths[1] <= widths[0] + allowance
 

@@ -363,7 +363,7 @@ def limit_statistics(
     required).  The Hessian of the pressure comes from Richardson-
     extrapolated second differences in a cancellation-safe product form
     (diagonal) and four-point cross stencils (off-diagonal), symmetrized.
-    Every Perron root of the stencil comes from one batched solve.
+    Each stencil point is one ``perron_point`` solve in Python floats.
 
     Scalar weights are the case ``k = 1``: ``covariance`` is the 1 x 1
     matrix of ``P''(0)``, also read as ``sigma2``.  ``degenerate`` means

@@ -11,8 +11,9 @@ literals:
     python3 tests/oracles.py
 
 Test modules import only the cheap recomputation helpers (word histograms
-on small spheres, and the word walk of ``brute_force_oracle`` over any
-coding); every expensive or floating-point result is frozen.
+on small spheres, the word walk of ``brute_force_oracle`` over any coding,
+and the path count of ``count_avoiding_maximal``); every expensive or
+floating-point result is frozen.
 """
 
 from __future__ import annotations
@@ -126,6 +127,25 @@ def dict_lattice_counts(edges, start, ns):
                 merged.update(per_vertex)
             out[level] = dict(merged)
     return out
+
+
+def count_avoiding_maximal(coding, decomposition, n):
+    """``#N_n``: length-``n`` paths from the start that never enter a maximal
+    component, by per-vertex path counts level by level."""
+    banned = {
+        vertex
+        for index in decomposition.maximal_indices
+        for vertex in decomposition.components[index].vertices
+    }
+    counts = Counter({hs.START_VERTEX: 1})
+    for _ in range(n):
+        step = Counter()
+        for vertex, count in counts.items():
+            for edge in coding.out_edges[vertex]:
+                if edge.target not in banned:
+                    step[edge.target] += count
+        counts = step
+    return sum(counts.values())
 
 
 #: cap on total words enumerated by the brute-force oracle

@@ -145,10 +145,13 @@ class TestOvercounted:
         assert over.total == plain.total
         assert over.counts == plain.counts
 
-    def test_count_avoiding_maximal(self, mirror, mirror_decomp):
+    def test_count_avoiding_maximal(self, mirror, mirror_decomp, mirror_hom):
         # the t-path is the unique maximal-avoiding path of each length
         for n in (1, 4, 6):
-            assert hs.count_avoiding_maximal(mirror, mirror_decomp, n) == 1
+            assert oracles.count_avoiding_maximal(mirror, mirror_decomp, n) == 1
+            over = hs.distribution_overcounted(mirror, mirror_decomp, mirror_hom, n)
+            plain = hs.distribution(mirror, mirror_hom, n)
+            assert over.total - plain.total == over.overcount_multiplicity == 1
 
 
 class TestMoments:

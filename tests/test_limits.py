@@ -1,5 +1,6 @@
 """Tests for limit-law reports: plumbing, each law at desk scale, degeneracy."""
 
+import json
 import math
 import statistics
 from fractions import Fraction
@@ -53,6 +54,29 @@ def fraction_tails(dist, lo, hi):
         elif value < lo:
             minus += c
     return plus, minus
+
+
+def assert_degenerate_tail_document(report, grid):
+    """The ldt document when no grid radius has a tail: no rate, one
+    trivial check, and an empty row per radius, keys in their order."""
+    assert report.passed
+    assert list(report.theory) == [
+        "chernoff_rate_bound", "rate_plus", "rate_minus",
+        "drift", "entropy", "sigma2", "degenerate_tail",
+    ]
+    assert report.theory["chernoff_rate_bound"] is None
+    assert report.theory["degenerate_tail"] is True
+    assert list(report.tolerances.items()) == [("limsup_factor", 0.5), ("rate_rel", 0.25)]
+    assert [(c["name"], c["lhs"], c["op"], c["rhs"]) for c in report.checks] == [
+        ("degenerate-tail-trivial", 0.0, "<=", 0.0)
+    ]
+    assert [list(row.items()) for row in report.rows] == [
+        [
+            ("n", n), ("observed", None), ("predicted", None),
+            ("residual", None), ("p", 0.0), ("tail_count", "0"),
+        ]
+        for n in grid
+    ]
 
 
 class TestReportPlumbing:
@@ -243,15 +267,22 @@ class TestLdt:
     def test_word_length_tails_are_empty(
         self, free2, free2_decomp, wordlen, wordlen_stats
     ):
+        # every word of length n has weight n, so no epsilon has a tail
         report = hs.ldt_rate(
             free2, free2_decomp, wordlen, wordlen_stats, 0.4,
             [10, 20], [k * 0.01 for k in range(0, 101)],
         )
-        assert report.passed
-        assert report.theory["degenerate_tail"] is True
-        # empty tails: the exact probability is zero and no rate exists
-        assert all(row["p"] == 0.0 for row in report.rows)
-        assert all(row["observed"] is None for row in report.rows)
+        assert_degenerate_tail_document(report, [10, 20])
+
+    def test_unreachable_epsilon_is_a_degenerate_tail(
+        self, free2, free2_decomp, aexp, aexp_stats
+    ):
+        # |phi| <= n on the sphere of radius n, so epsilon = 3.5 is unreachable
+        report = hs.ldt_rate(
+            free2, free2_decomp, aexp, aexp_stats, 3.5,
+            [10, 20, 30], [k * 0.01 for k in range(0, 101)],
+        )
+        assert_degenerate_tail_document(report, [10, 20, 30])
 
     @pytest.mark.parametrize(
         ("table", "kind"),
@@ -450,6 +481,32 @@ class TestLlt:
         gate = report.params["gate"]
         assert gate["min_gap"] > 0.0
         assert gate["argmin_t"] in (0.5, 1.0, 1.5)
+
+    def test_gate_skips_nonpositive_frequencies(self, capsys):
+        # M(i*0) = M(0), so the gap at t = 0 is zero for every weight and
+        # says nothing about lattice type
+        argv = [
+            "llt", "--coding", "free:2",
+            "--weights", "hom:a=1,b=0.7071067811865476",
+            "--interval=-0.5,0.5", "--ngrid", "100:300:100",
+        ]
+        documents = []
+        for extra in ([], ["--gate-grid", "0:20:0.05"]):
+            assert cli.main(argv + extra) == 0
+            documents.append(json.loads(capsys.readouterr().out))
+        default, from_zero = documents
+        assert from_zero["rows"] == default["rows"]
+        assert from_zero["params"]["gate"]["argmin_t"] > 0.0
+
+    @pytest.mark.parametrize("gate", [[], [0.0], [-1.0, 0.0]])
+    def test_gate_without_positive_frequency_rejected(
+        self, free2, free2_decomp, proj, proj_stats, gate
+    ):
+        with pytest.raises(hs.InvalidArgumentError, match="positive"):
+            hs.llt_check(
+                free2, free2_decomp, proj, proj_stats, -0.5, 0.5, [60],
+                gate_t_grid=gate,
+            )
 
     @pytest.mark.xfail(
         strict=True,
