@@ -8,8 +8,7 @@ A point and a grid take different kernels:
   iteration converge even when the matrix is periodic (the Perron root
   shifts by exactly ``c``, while the other peripheral eigenvalues lose
   their tie).
-* a stack ``(G, d, d)`` of complex matrices on an aperiodic support, or of
-  real nonnegative ones (whose largest modulus is the Perron root):
+* a stack ``(G, d, d)`` of complex matrices on an aperiodic support:
   LAPACK's general eigensolver (``np.linalg.eig``), with the largest
   ``|lambda|`` certified by its eigenpair's residual.
 * a complex stack on a periodic support: block orthogonal iteration (block

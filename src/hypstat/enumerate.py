@@ -759,6 +759,11 @@ def _sweep(
         table = scaled_integer_values(weights, scale)
     else:
         table = _quantized_values(weights, width)
+        if len(set(table.values())) == 1 < len(set(weights.edge_values.values())):
+            raise InvalidArgumentError(
+                f"bin width {width!r} rounds every edge value to the same slot; "
+                "pass a smaller bin"
+            )
     transitions = _transitions(coding, table, _allowed_vertices(coding, avoiding))
     edges, step, decode, origin, basis = _flatten(transitions, n_max)
     keep = slots = None

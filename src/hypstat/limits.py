@@ -27,6 +27,7 @@ Conventions shared by the checkers:
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -49,7 +50,7 @@ from .errors import (
     NumericalError,
     PreconditionError,
 )
-from .spectral import GapPoint, LimitStatistics, nonlattice_gap, pressure_grid
+from .spectral import GapPoint, LimitStatistics, _component_arrays, nonlattice_gap, pressure
 from .weights import WeightAssignment, lattice_scale
 
 if TYPE_CHECKING:
@@ -608,7 +609,10 @@ def ldt_rate(
     epsilon`` comes from the sphere distribution; the empirical rate is
     ``r_n = -log(p_n)/n``.  The rate bound ``I(eps)`` maximizes
     ``t*eps - (P(+-t) - h -+ t*drift)`` over the ``t`` grid for each tail
-    and combines the tails that carry mass.  Checks:
+    and combines the tails that carry mass.  The objective is concave, so
+    each tail solves ``P`` only at the ``O(log G)`` grid points its search
+    visits, and returns the first grid maximum, as a full scan would.
+    Checks:
 
     * the exact finite-``n`` exponential Chebyshev inequality
       ``p_n <= exp(-n t (drift + eps)) W(t, n) / #W_n`` (per tail, at the
@@ -638,20 +642,36 @@ def ldt_rate(
     h = stats.entropy
     component = stats.component
 
-    pressures = pressure_grid(
-        coding, decomposition, weights, component, ts + [-t for t in ts]
-    )
+    edges = _component_arrays(coding, decomposition, weights, component).edges
 
-    def legendre(sign: float, tilted: Sequence[float]) -> tuple[float, float]:
-        best = (-math.inf, ts[0])
-        for t, p in zip(ts, tilted):
-            value = t * epsilon - (p - h - sign * t * drift)
-            if value > best[0]:
-                best = (value, t)
-        return best
+    def objective(sign: float, t: float) -> tuple[float, float]:
+        """``f(t)`` and ``f'(t)``: ``P(s)`` is the two-sided Rayleigh quotient
+        ``u.M(s)v / u.v`` and ``P'(s) = u.(W o M(s))v / u.M(s)v``."""
+        s = sign * t
+        r = pressure(coding, decomposition, weights, component, s)
+        terms = [r.left[u] * math.exp(s * w[0]) * r.right[v] for u, v, w in edges]
+        top = math.fsum(terms)
+        p = math.log(top / math.fsum(map(operator.mul, r.left, r.right)))
+        slope = math.fsum(x * w[0] for x, (_, _, w) in zip(terms, edges)) / top
+        return t * epsilon - (p - h - sign * t * drift), epsilon + sign * (drift - slope)
 
-    rate_plus, t_plus = legendre(+1.0, pressures[: len(ts)])
-    rate_minus, t_minus = legendre(-1.0, pressures[len(ts) :])
+    def legendre(sign: float) -> tuple[float, float]:
+        # f is concave: bisect for the first t with f'(t) <= 0, then step to
+        # the first grid maximum among the computed values, as a full scan would
+        f = functools.cache(lambda k: objective(sign, ts[k]))
+        lo, hi = 0, len(ts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if f(mid)[1] > 0.0 else (lo, mid)
+        k = max(lo - 1, 0)
+        while k + 1 < len(ts) and f(k + 1)[0] > f(k)[0]:
+            k += 1
+        while k > 0 and f(k - 1)[0] >= f(k)[0]:
+            k -= 1
+        return f(k)[0], ts[k]
+
+    rate_plus, t_plus = legendre(+1.0)
+    rate_minus, t_minus = legendre(-1.0)
 
     eps_f = Fraction(epsilon)
     drift_f = Fraction(drift)

@@ -12,20 +12,20 @@ data of this family:
   case ``k = 1``),
 * the non-lattice gap ``e^h - rho(M_i(it))`` for the local limit theorem.
 
-Points and grids take different ``_power`` kernels.  A real Perron root at
-one point (``pressure``, the ``limit_statistics`` stencil, the scan's root
-at ``s = 0``) comes from shifted power iteration in Python floats on
-``M(s)`` built entry by entry with ``math.exp``, the left vector from the
-transpose; these paths never import numpy.  A grid is the broadcast
+Real and complex parameters take different ``_power`` kernels.  Every real
+Perron root (``pressure``, the ``limit_statistics`` stencil, the scan's root
+at ``s = 0``, and the points that ``ldt``'s Legendre search visits) comes
+from shifted power iteration in Python floats on ``M(s)`` built entry by
+entry with ``math.exp``, the left vector from the transpose; these paths
+never import numpy.  A frequency grid is the broadcast
 ``A * exp(sum_j s_j W_j)`` of shape ``(G, d, d)`` (0/1 mask ``A``, weight
 stack ``W``), refused with ``ResourceError`` before it would exceed
-``enumerate.BYTE_BUDGET``.  Its real roots (``pressure_grid``) and the
-complex radii of an aperiodic component come from a dense eigensolver,
-those of a periodic component from a small orthogonal iteration, all
-certified by their residuals; complex radii are always cross-validated
-against the measured growth rate of ``||M^200 x||``.  Derivatives of the
-pressure are computed both by first-order perturbation theory and by
-central differences, and the two routes must agree.
+``enumerate.BYTE_BUDGET``.  Its complex radii come from a dense eigensolver
+on an aperiodic component and from a small orthogonal iteration on a
+periodic one, all certified by their residuals and cross-validated against
+the measured growth rate of ``||M^200 x||``.  Derivatives of the pressure
+are computed both by first-order perturbation theory and by central
+differences, and the two routes must agree.
 """
 
 from __future__ import annotations
@@ -293,25 +293,6 @@ def pressure(
         iterations=iterations + left_iterations,
         residual=max(residual, left_residual),
     )
-
-
-def pressure_grid(
-    coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
-    weights: WeightAssignment,
-    component: int,
-    s_grid: Sequence[object],
-) -> list[float]:
-    """Pressures ``P(s)`` at real parameters, solved as one batch.
-
-    The largest eigenvalue modulus of a nonnegative matrix is its Perron
-    root, so the dense eigensolver's certified moduli serve.  Each value is
-    within 1e-12 of ``pressure(..., s).pressure``; no eigenvectors are kept.
-    """
-    import numpy as np
-    arrays = _component_arrays(coding, decomposition, weights, component)
-    grid = np.array(s_grid, dtype=float).reshape(-1, weights.dim)
-    return [math.log(lam) for lam in eig_modulus_batch(arrays.matrices(grid))[0].tolist()]
 
 
 def _stencil_roots(

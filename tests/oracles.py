@@ -4,9 +4,9 @@ Everything here deliberately avoids the library's implementation choices:
 reduced words are spelled letter by letter with no coding graph, the
 brute-force oracle walks a coding word by word with no dynamic programming,
 spectral radii come from numpy's general eigenvalue solver instead of power
-iteration, and Gaussian tail values come from scipy's ``ndtr``.  Run as a
-script to print the derived constants that the test modules freeze as
-literals:
+iteration (or, for the free group, from a closed form in mpmath), and
+Gaussian tail values come from scipy's ``ndtr``.  Run as a script to print
+the derived constants that the test modules freeze as literals:
 
     python3 tests/oracles.py
 
@@ -22,6 +22,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy import optimize, special
 
@@ -212,6 +213,34 @@ def twisted_free_matrix(rank, s, table):
 def free_pressure(rank, s, table):
     """log spectral radius of the twisted matrix, by direct eigenvalues."""
     return math.log(eig_radius(twisted_free_matrix(rank, s, table)))
+
+
+def closed_free_pressure(values, t):
+    """P(t) of a homomorphism on the free group, in mpmath at 50 digits.
+
+    ``values`` holds the image of each generator (the inverse letters take
+    the negatives).  Counting reduced words by length and weight gives
+    ``P(t) = -log z*(t)``, with ``z*`` the smallest positive root of
+    ``(2r - 1) z^2 - 2 z sum_i cosh(a_i t) + 1 = 0`` for rank ``r``.
+    """
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        rank = len(values)
+        c = mpmath.fsum(mpmath.cosh(mpmath.mpf(a) * t) for a in values)
+        z = (c - mpmath.sqrt(c * c - (2 * rank - 1))) / (2 * rank - 1)
+        return -mpmath.log(z)
+
+
+def closed_free_legendre(values, epsilon, ts):
+    """``max_t [t eps - (P(t) - P(0))]`` over the grid ``ts`` with the
+    closed-form pressure, as an mpmath number; P is even, so the drift is
+    zero and both tails share this value."""
+    with mpmath.workdps(50):
+        base = closed_free_pressure(values, 0)
+        return max(
+            mpmath.mpf(t) * mpmath.mpf(epsilon) - (closed_free_pressure(values, t) - base)
+            for t in ts
+        )
 
 
 def pressure_derivatives(rank, table, h=1e-2):

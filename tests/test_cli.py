@@ -424,6 +424,20 @@ class TestUsageErrors:
         assert "bytes" in err
         assert time.perf_counter() - start < 1.0
 
+    # the default bin at n = 200 is 200 * (1 - (-1)) / 200 = 2.0, and every
+    # edge value (+-1, +-0.7071) rounds to slot 0, half to even
+    @pytest.mark.parametrize(
+        "command", [["ldt", "--epsilon", "0.3"], ["dist", "--n", "200"]], ids=["ldt", "dist"]
+    )
+    def test_bin_collapsing_every_edge_value_exits_three(self, capsys, command):
+        code, out, err = run_cli(
+            capsys,
+            [command[0], "--coding", "free:2", "--weights",
+             "hom:a=1,b=0.7071067811865476", *command[1:]],
+        )
+        assert (code, out) == (3, "")
+        assert "bin width 2.0" in err
+
     def test_version_flag(self, capsys):
         code, out, _err = run_cli(capsys, ["--version"])
         assert code == 0
@@ -485,11 +499,13 @@ class TestProcessEntry:
 
 
 class TestImports:
-    # these commands solve only points on small matrices, in Python floats,
-    # and run their exact DPs (dist, clt, degeneracy) on packed Python ints
+    # these commands solve only points on small matrices, in Python floats
+    # (ldt at the points of its Legendre search), and run their exact DPs
+    # (dist, clt, degeneracy, ldt's tails) on packed Python ints
     @pytest.mark.parametrize(
         "argv",
         [
+            ["ldt", "--coding", "free:2", "--weights", "hom:a=1,b=0", "--epsilon", "0.4"],
             ["validate", "--coding", "free:2", "--depth", "6"],
             ["growth", "--coding", "free:2", "--horizon", "12"],
             ["stats", "--coding", "free:2", "--weights", "hom:a=1,b=0"],

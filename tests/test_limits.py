@@ -1,13 +1,15 @@
 """Tests for limit-law reports: plumbing, each law at desk scale, degeneracy."""
 
+import functools
 import json
 import math
 import statistics
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypstat as hs
@@ -24,6 +26,7 @@ from hypstat.limits import (
     _quadrature,
     _tail_counts,
 )
+from hypstat.spectral import _component_arrays
 
 # [DERIVED] scipy-ndtr Kolmogorov oracle values from tests/oracles.py
 KS_AEXP_N4 = 0.10185185185185186
@@ -54,6 +57,45 @@ def fraction_tails(dist, lo, hi):
         elif value < lo:
             minus += c
     return plus, minus
+
+
+#: homomorphism letter values for the ldt search property
+QUARTERS = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@functools.cache
+def ldt_coding(rank):
+    coding = build_z2z3_coding() if rank == "z2z3" else hs.build_free_group_coding(rank)
+    return coding, hs.decompose_components(coding)
+
+
+def ldt_case(rank, values):
+    """(coding, decomposition, weights): a homomorphism on the free group of
+    this rank, or Z/2*Z/3 weighted by its target letter (s = 0, t = 1,
+    T = -1) for ``rank == "z2z3"``."""
+    coding, decomposition = ldt_coding(rank)
+    if rank == "z2z3":
+        weights = target_letter_weights(coding, {"s": 0, "t": 1, "T": -1})
+    else:
+        weights = hs.weights_from_homomorphism(coding, dict(zip("abc", values)))
+    return coding, decomposition, weights
+
+
+def full_legendre_scan(coding, decomposition, weights, stats, epsilon, ts, sign):
+    """First maximum ``(value, t)`` of ``t eps - (P(sign t) - h - sign t drift)``
+    over every grid point, with ``P`` the two-sided Rayleigh quotient
+    ``log(u.M(s)v / u.v)`` of ``spectral.pressure``'s vectors."""
+    edges = _component_arrays(coding, decomposition, weights, stats.component).edges
+    best = (-math.inf, ts[0])
+    for t in ts:
+        s = sign * t
+        r = hs.pressure(coding, decomposition, weights, stats.component, s)
+        top = math.fsum(r.left[u] * math.exp(s * w[0]) * r.right[v] for u, v, w in edges)
+        p = math.log(top / math.fsum(a * b for a, b in zip(r.left, r.right)))
+        value = t * epsilon - (p - stats.entropy - sign * t * stats.drift[0])
+        if value > best[0]:
+            best = (value, t)
+    return best
 
 
 def assert_degenerate_tail_document(report, grid):
@@ -314,6 +356,68 @@ class TestLdt:
             hs.ldt_rate(
                 free2, free2_decomp, aexp, aexp_stats, 0.0, [10], [0.0, 0.1]
             )
+
+    @settings(settings.get_profile("hypstat"), max_examples=30)
+    @given(
+        case=st.one_of(
+            st.tuples(st.just(2), st.lists(QUARTERS, min_size=2, max_size=2)),
+            st.tuples(st.just(3), st.lists(QUARTERS, min_size=3, max_size=3)),
+            st.just(("z2z3", None)),
+        ),
+        epsilon=st.floats(0.05, 1.5),
+        ts=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=30, unique=True).map(sorted),
+    )
+    # pairs of grid points near the maximizer t* = 0.46516204 whose computed
+    # objectives are equal in both tails: one pair straddles t*, and the
+    # other lies left of it, where the bisection lands on the second point
+    @example(case=(2, [1, 0]), epsilon=0.4, ts=[0.1, 0.465162044906, 0.465162051906, 1.0])
+    @example(case=(2, [1, 0]), epsilon=0.4, ts=[0.1, 0.465162029, 0.465162043, 1.0])
+    def test_search_returns_the_first_maximum_of_a_full_scan(self, case, epsilon, ts):
+        coding, decomposition, weights = ldt_case(*case)
+        stats = hs.limit_statistics(coding, decomposition, weights)
+        theory = hs.ldt_rate(coding, decomposition, weights, stats, epsilon, [4], ts).theory
+        for sign, tail in ((1.0, "plus"), (-1.0, "minus")):
+            value, t = full_legendre_scan(coding, decomposition, weights, stats, epsilon, ts, sign)
+            assert theory[f"rate_{tail}"] == value
+            # a degenerate tail reports no t
+            assert theory.get(f"t_{tail}", t) == t
+
+    def test_search_solves_logarithmically_many_points(
+        self, monkeypatch, free2, free2_decomp, aexp, aexp_stats
+    ):
+        # ldt_rate calls spectral.pressure through the name limits binds
+        signs = []
+
+        def spy(coding, decomposition, weights, component, s):
+            signs.append(math.copysign(1.0, s))
+            return hs.spectral.pressure(coding, decomposition, weights, component, s)
+
+        monkeypatch.setattr(hs.limits, "pressure", spy)
+        ts = [k * 0.001 for k in range(1, 2001)]
+        hs.ldt_rate(free2, free2_decomp, aexp, aexp_stats, 0.4, [10], ts)
+        bound = 2 * (math.ceil(math.log2(len(ts))) + 3)
+        assert 0 < signs.count(1.0) <= bound
+        assert 0 < signs.count(-1.0) <= bound
+
+    def test_rate_matches_the_closed_form_pressure(self, free2, free2_decomp):
+        weights = hs.weights_from_homomorphism(free2, {"a": 1, "b": 0.5})
+        stats = hs.limit_statistics(free2, free2_decomp, weights)
+        ts = cli._parse_float_grid("0:2:0.01")
+        theory = hs.ldt_rate(free2, free2_decomp, weights, stats, 0.3, [10, 20], ts).theory
+        exact = oracles.closed_free_legendre([1, 0.5], 0.3, [t for t in ts if t > 0])
+        for key in ("rate_plus", "rate_minus", "chernoff_rate_bound"):
+            with mpmath.workdps(50):
+                assert abs(mpmath.mpf(theory[key]) - exact) <= 1e-15, key
+
+    def test_only_visited_points_are_built(self, free2, free2_decomp):
+        # exp(400 t) overflows from t = 1.78 on; the search opens at the
+        # middle grid point and, with f' < 0 there, never goes right of it
+        weights = hs.weights_from_homomorphism(free2, {"a": 400, "b": 0})
+        stats = hs.limit_statistics(free2, free2_decomp, weights)
+        with pytest.raises(hs.NumericalError, match=r"entry at s=2\.0;"):
+            hs.ldt_rate(free2, free2_decomp, weights, stats, 0.4, [10], [1.0, 2.0, 3.0])
+        report = hs.ldt_rate(free2, free2_decomp, weights, stats, 0.4, [10], [0.5, 1.0, 2.0])
+        assert (report.theory["t_plus"], report.theory["t_minus"]) == (0.5, 0.5)
 
 
 class TestMclt:

@@ -63,15 +63,6 @@ class TestTransferMatrix:
         report = hs.pressure(free2, free2_decomp, aexp, comp, s)
         assert report.pressure == pytest.approx(expected, abs=1e-9)
 
-    def test_pressure_grid_matches_pointwise_pressure(self, free2, free2_decomp, aind):
-        # the grid's dense eigensolver and the point iteration are two
-        # certified solvers, so they agree to the residual contract
-        comp = free2_decomp.maximal_indices[0]
-        grid = [-2.0, -0.3, 0.0, 0.5, 1.7]
-        batched = hs.spectral.pressure_grid(free2, free2_decomp, aind, comp, grid)
-        pointwise = [hs.pressure(free2, free2_decomp, aind, comp, s).pressure for s in grid]
-        assert batched == pytest.approx(pointwise, rel=0.0, abs=1e-12)
-
     @pytest.mark.parametrize("s", [1e308, math.inf, math.nan])
     def test_non_finite_entry_names_s(self, free2, free2_decomp, aexp, s):
         comp = free2_decomp.maximal_indices[0]
@@ -236,9 +227,3 @@ class TestStackBudget:
         ts = np.linspace(0.1, 20.0, self.POINTS)
         with pytest.raises(hs.ResourceError, match="byte budget"):
             hs.nonlattice_gap(free2, free2_decomp, proj, comp, ts)
-
-    def test_pressure_grid_refused_before_allocation(self, free2, free2_decomp, aind):
-        comp = free2_decomp.maximal_indices[0]
-        grid = np.zeros(self.POINTS)
-        with pytest.raises(hs.ResourceError, match="byte budget"):
-            hs.spectral.pressure_grid(free2, free2_decomp, aind, comp, grid)
