@@ -55,6 +55,7 @@ from .enumerate import (
 from .errors import HypstatError, PreconditionError
 from .limits import (
     LimitLawReport,
+    _default_gate_grid,
     _rational_lattice_witness,
     averaging_table,
     clt_distance,
@@ -188,14 +189,16 @@ def _parse_cell(text: str) -> tuple[tuple, tuple]:
     if len(parts) != 4:
         raise UsageError(f"malformed cell {text!r}: expected a1,b1,a2,b2")
     bounds = []
-    for p in parts:
-        if p in ("inf", "-inf", ""):
-            bounds.append(None)
-        else:
-            try:
-                bounds.append(float(p))
-            except ValueError:
-                raise UsageError(f"malformed cell bound {p!r} in {text!r}")
+    for slot, p in enumerate(parts):
+        # empty, or -inf for a lower and inf for an upper bound, is unbounded
+        unbounded = math.inf if slot % 2 else -math.inf
+        try:
+            value = float(p or unbounded)
+        except ValueError:
+            raise UsageError(f"malformed cell bound {p!r} in {text!r}")
+        if not math.isfinite(value) and value != unbounded:
+            raise UsageError(f"cell bound {p!r} in {text!r} is not finite and not {unbounded}")
+        bounds.append(None if value == unbounded else value)
     return (bounds[0], bounds[1]), (bounds[2], bounds[3])
 
 
@@ -513,7 +516,7 @@ def cmd_llt(args) -> int:
         b,
         _parse_int_grid(args.ngrid),
         bin_width=args.bin,
-        gate_t_grid=_parse_float_grid(args.gate_grid),
+        gate_t_grid=None if args.gate_grid is None else _parse_float_grid(args.gate_grid),
     )
     return _finish_report(report, args, "llt")
 
@@ -526,7 +529,8 @@ def cmd_degeneracy(args) -> int:
 
 def cmd_scan_lattice(args) -> int:
     coding, decomposition, weights = _load_pair(args)
-    grid = [t for t in _parse_float_grid(args.tgrid) if t > 0.0]
+    tgrid = _default_gate_grid() if args.tgrid is None else _parse_float_grid(args.tgrid)
+    grid = [t for t in tgrid if t > 0.0]
     if not grid:
         raise UsageError("scan grid must contain positive frequencies")
     component = _component_of(args, decomposition)
@@ -655,7 +659,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cell",
         action="append",
         default=None,
-        help="cell a1,b1,a2,b2 (inf/-inf/empty for unbounded); repeatable",
+        help="cell a1,b1,a2,b2 (-inf, inf or empty for an unbounded lower, "
+        "upper or either side); repeatable",
     )
     p.set_defaults(func=cmd_mclt)
 
@@ -666,9 +671,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin", type=float, default=None, help="bin width override")
     p.add_argument(
         "--gate-grid",
-        dest="gate_grid",
-        default="0.1:20:0.05",
-        help="frequency grid for the non-lattice gate (t <= 0 is skipped)",
+        help="frequency grid for the non-lattice gate (t <= 0 is skipped; "
+        "default 0.1 to 20 by 0.05)",
     )
     p.set_defaults(func=cmd_llt)
 
@@ -679,7 +683,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-lattice", help="non-lattice gap over a frequency grid")
     _add_common(p)
-    p.add_argument("--tgrid", default="0.1:20:0.05")
+    p.add_argument("--tgrid", help="frequency grid (default: llt's --gate-grid)")
     p.set_defaults(func=cmd_scan_lattice)
 
     p = sub.add_parser("validate", help="path-to-word bijection check")

@@ -4,6 +4,9 @@ A coding is a finite directed graph with a distinguished start vertex ``"*"``
 (no in-edges) whose edges carry generator labels; reading the labels along
 the paths that start at ``"*"`` enumerates each group element exactly once,
 and path length equals word length.  Every edge consumes one generator.
+``MarkovCoding`` is a ``NamedTuple`` of the generators, vertices and edges;
+its ``core_vertices`` and ``out_edges`` are plain properties, built anew on
+each read, so a function that walks paths reads ``out_edges`` once.
 
 The working matrix is ``B``, the 0/1 transition matrix of the graph with
 the ``"*"`` row and column removed.  The structural analysis decomposes
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -58,8 +60,8 @@ class CodingEdge(NamedTuple):
     label: str
 
 
-class MarkovCoding:
-    """A strongly Markov coding graph, immutable, equal and hashed by its fields.
+class MarkovCoding(NamedTuple):
+    """A strongly Markov coding graph.
 
     Attributes
     ----------
@@ -77,35 +79,14 @@ class MarkovCoding:
     vertices: tuple[str, ...]
     edges: tuple[CodingEdge, ...]
 
-    def __init__(self, generators: tuple, vertices: tuple, edges: tuple) -> None:
-        # in the __dict__, where the cached properties below also write
-        self.__dict__.update(generators=generators, vertices=vertices, edges=edges)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"cannot set or delete {name!r}: a MarkovCoding is immutable")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return self.generators, self.vertices, self.edges
-
-    def __eq__(self, other: object) -> bool:
-        same = other.__class__ is self.__class__
-        return self._key() == other._key() if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "MarkovCoding(generators={!r}, vertices={!r}, edges={!r})".format(*self._key())
-
-    @cached_property
+    @property
     def core_vertices(self) -> tuple[str, ...]:
         """Vertices of ``B``: everything except ``"*"``."""
         return tuple(v for v in self.vertices if v != START_VERTEX)
 
-    @cached_property
+    @property
     def out_edges(self) -> dict[str, tuple[CodingEdge, ...]]:
+        """The edges leaving each vertex, in edge order; built on each read."""
         table: dict[str, list[CodingEdge]] = {v: [] for v in self.vertices}
         for edge in self.edges:
             table[edge.source].append(edge)
@@ -348,6 +329,7 @@ def validate_coding(coding: MarkovCoding, depth: int) -> CodingValidationReport:
     """
     if depth < 0:
         raise InvalidArgumentError(f"depth must be >= 0, got {depth}")
+    out_edges = coding.out_edges
     failures: list[str] = []
     frontier: list[tuple[tuple[str, ...], tuple[str, ...]]] = [((START_VERTEX,), ())]
     counts = [1]
@@ -355,7 +337,7 @@ def validate_coding(coding: MarkovCoding, depth: int) -> CodingValidationReport:
     for level in range(1, depth + 1):
         nxt: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
         for path, labels in frontier:
-            for edge in coding.out_edges[path[-1]]:
+            for edge in out_edges[path[-1]]:
                 nxt.append(((*path, edge.target), (*labels, edge.label)))
         total += len(nxt)
         if total > _PATH_GUARD:
@@ -433,7 +415,8 @@ def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
         group).
     """
     check_coding(coding)
-    names = (START_VERTEX, *coding.core_vertices)
+    core = coding.core_vertices
+    names = (START_VERTEX, *core)
     index = {v: i for i, v in enumerate(names)}
     # row i of each table is a bitset over the columns
     adjacency = [0] * len(names)
@@ -465,10 +448,8 @@ def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
     order = topo[::-1]
 
     members = {names[i] for i in live}
-    succ = {
-        v: [e.target for e in coding.out_edges[v] if e.target in members]
-        for v in members
-    }
+    out_edges = coding.out_edges
+    succ = {v: [e.target for e in out_edges[v] if e.target in members] for v in members}
     radii: list[float] = []
     periods: list[int] = []
     ordered: list[list[str]] = []
@@ -512,7 +493,7 @@ def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
         for j in maximal_indices:
             if j != i:
                 forbidden.update(components[j].vertices)
-        masks.append(tuple(v for v in coding.core_vertices if v in members and v not in forbidden))
+        masks.append(tuple(v for v in core if v in members and v not in forbidden))
     return ComponentDecomposition(
         components=components,
         lam=lam,

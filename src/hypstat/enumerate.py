@@ -734,6 +734,14 @@ def _plan_distribution(
     return "binned-real", None, width
 
 
+def _radii(ns: Sequence[int]) -> list[int]:
+    """The distinct radii of ``ns`` in increasing order; refuses a negative one."""
+    order = sorted(set(ns))
+    if order and order[0] < 0:
+        raise InvalidArgumentError("sphere radius must be >= 0")
+    return order
+
+
 def _sweep(
     coding: MarkovCoding,
     weights: WeightAssignment,
@@ -748,9 +756,7 @@ def _sweep(
     scaled window: slots that can reach no remaining window are pruned, and
     each distribution keeps only its own window.
     """
-    order = sorted(set(ns))
-    if order and order[0] < 0:
-        raise InvalidArgumentError("sphere radius must be >= 0")
+    order = _radii(ns)
     n_max = order[-1] if order else 1
     kind, scale, width = _plan_distribution(weights, n_max, bin_width)
     if not order:
@@ -909,11 +915,9 @@ def moment_sweep(
     ``Fraction``); real weights accumulate in floats.  Each vertex carries
     its path count, ``sum phi`` and ``sum phi phi^T``.
     """
-    order = sorted(set(ns))
+    order = _radii(ns)
     if not order:
         return []
-    if order[0] < 0:
-        raise InvalidArgumentError("sphere radius must be >= 0")
     scale = lattice_scale(weights)
     if scale is not None:
         table: dict = scaled_integer_values(weights, scale)
@@ -974,11 +978,9 @@ def log_weighted_sum_sweep(
     """
     if weights.dim != 1:
         raise InvalidArgumentError("weighted sums require scalar weights")
-    order = sorted(set(ns))
+    order = _radii(ns)
     if not order:
         return []
-    if order[0] < 0:
-        raise InvalidArgumentError("sphere radius must be >= 0")
     factors = {
         key: math.exp(t * vec[0]) for key, vec in weights.edge_values.items()
     }

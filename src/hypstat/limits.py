@@ -466,26 +466,6 @@ def _mean_shift(dist: WordDistribution, drift: float) -> float:
     return (float(mean) - dist.n * drift) / math.sqrt(dist.n)
 
 
-def berry_esseen_bound(
-    coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
-    weights: WeightAssignment,
-    stats: LimitStatistics,
-    n: int,
-    T: float,
-) -> float:
-    """Explicit smoothing-inequality bound on ``||H_n - N(0, sigma^2)||_inf``.
-
-    The ``predicted`` value of ``berry_esseen_report``'s one row.
-
-    Returns
-    -------
-    float
-    """
-    report = berry_esseen_report(coding, decomposition, weights, stats, n, T)
-    return report.rows[0]["predicted"]
-
-
 def berry_esseen_report(
     coding: MarkovCoding,
     decomposition: ComponentDecomposition,
@@ -509,8 +489,8 @@ def berry_esseen_report(
     ``(n, T)``.
     """
     import numpy as np
-    _require_scalar(weights, "berry_esseen_bound")
-    sigma = _require_nondegenerate(stats, "berry_esseen_bound")
+    _require_scalar(weights, "berry_esseen_report")
+    sigma = _require_nondegenerate(stats, "berry_esseen_report")
     if not T > 0.0:
         raise InvalidArgumentError(f"T must be positive, got {T!r}")
     dist = distribution_overcounted(coding, decomposition, weights, n)
@@ -1037,7 +1017,7 @@ def mclt_check(
 
 
 def _default_gate_grid() -> list[float]:
-    """``0.1 + k * 0.05`` up to 20, as the CLI parses ``0.1:20:0.05``."""
+    """``0.1 + k * 0.05`` up to 20: the default grid of the gate and of ``scan-lattice``."""
     return [0.1 + k * 0.05 for k in range(399)]
 
 

@@ -295,27 +295,6 @@ def pressure(
     )
 
 
-def _stencil_roots(
-    arrays: _ComponentArrays, points: Sequence[Sequence[float]]
-) -> tuple[float, list[float], dict[tuple[float, ...], float]]:
-    """Perron root and perturbation drift at ``s = 0``, and roots at ``points``.
-
-    The transpose at ``s = 0`` supplies the left vector ``u``, and
-    ``grad P(0) = u . (W_j v) / (lambda u . v)`` per coordinate, where
-    ``W_j`` is the derivative of ``M(s)`` in ``s_j`` at ``s = 0``: the
-    weights' ``j``-th coordinates on the edges.
-    """
-    zero = arrays.point([0.0] * len(points[0]))
-    lam0, right, _, _ = perron_point(zero)
-    left = perron_point(list(zip(*zero)))[1]
-    uv = sum(map(mul, left, right))
-    drift = [
-        math.fsum(left[u] * w[j] * right[v] for u, v, w in arrays.edges) / (lam0 * uv)
-        for j in range(len(points[0]))
-    ]
-    return lam0, drift, {p: perron_point(arrays.point(p))[0] for p in points}
-
-
 def _leading_minors(rows: list[list[float]]) -> list[float]:
     """Leading principal minors: the running products of the pivots of
     Gaussian elimination without row exchanges, cut at a zero pivot."""
@@ -344,7 +323,9 @@ def limit_statistics(
     required).  The Hessian of the pressure comes from Richardson-
     extrapolated second differences in a cancellation-safe product form
     (diagonal) and four-point cross stencils (off-diagonal), symmetrized.
-    Each stencil point is one ``perron_point`` solve in Python floats.
+    The Perron root and both vectors at ``s = 0`` come from one
+    ``pressure`` call; every other stencil point is one ``perron_point``
+    solve in Python floats.
 
     Scalar weights are the case ``k = 1``: ``covariance`` is the 1 x 1
     matrix of ``P''(0)``, also read as ``sigma2``.  ``degenerate`` means
@@ -391,8 +372,18 @@ def limit_statistics(
             for step in (h2 / 4, h2 / 2):
                 for sj, sl in ((1, 1), (1, -1), (-1, -1), (-1, 1)):
                     points.append(pair(j, l, sj * step, sl * step))
+    # grad P(0) = u . (W_j v) / (lambda u . v) per coordinate, from the left
+    # and right Perron vectors at s = 0, where W_j holds the weights' j-th
+    # coordinates on the edges: the derivative of M(s) in s_j
+    zero = pressure(coding, decomposition, weights, idx, (0.0,) * k)
+    lam0, left, right = zero.value, zero.left, zero.right
     arrays = _component_arrays(coding, decomposition, weights, idx)
-    lam0, drift_pert, lam_at = _stencil_roots(arrays, points)
+    uv = sum(map(mul, left, right))
+    drift_pert = [
+        math.fsum(left[u] * w[j] * right[v] for u, v, w in arrays.edges) / (lam0 * uv)
+        for j in range(k)
+    ]
+    lam_at = {p: perron_point(arrays.point(p))[0] for p in points}
 
     for j in range(k):
         fd = (
@@ -439,7 +430,7 @@ def limit_statistics(
         component=idx,
         drift=tuple(drift_pert),
         covariance=tuple(map(tuple, hess)),
-        entropy=math.log(lam0),
+        entropy=zero.pressure,
         lam=lam0,
         degenerate=degenerate,
     )

@@ -138,11 +138,12 @@ def count_avoiding_maximal(coding, decomposition, n):
         for index in decomposition.maximal_indices
         for vertex in decomposition.components[index].vertices
     }
+    out_edges = coding.out_edges
     counts = Counter({hs.START_VERTEX: 1})
     for _ in range(n):
         step = Counter()
         for vertex, count in counts.items():
-            for edge in coding.out_edges[vertex]:
+            for edge in out_edges[vertex]:
                 if edge.target not in banned:
                     step[edge.target] += count
         counts = step
@@ -169,6 +170,7 @@ def brute_force_oracle(coding, weights, n_cap):
             f"{BRUTE_FORCE_GUARD} guard"
         )
     k = weights.dim
+    out_edges = coding.out_edges
     out = []
     stack = [(hs.START_VERTEX, 0, "", (0.0,) * k)]
     while stack:
@@ -176,7 +178,7 @@ def brute_force_oracle(coding, weights, n_cap):
         out.append((length, word, value))
         if length == n_cap:
             continue
-        for edge in coding.out_edges[vertex]:
+        for edge in out_edges[vertex]:
             w = weights.edge_values[(edge.source, edge.target)]
             nxt = tuple(a + b for a, b in zip(value, w))
             stack.append((edge.target, length + 1, word + edge.label, nxt))

@@ -438,6 +438,22 @@ class TestUsageErrors:
         assert (code, out) == (3, "")
         assert "bin width 2.0" in err
 
+    # an infinity that faces the wrong way would make the cell empty
+    @pytest.mark.parametrize("cell", ["inf,inf,-inf,-inf", "0,-inf,0,1", "0,1,nan,1"])
+    def test_cell_bound_that_is_not_unbounded_exits_two(self, capsys, cell):
+        code, out, err = run_cli(
+            capsys,
+            ["mclt", "--coding", "free:2", "--weights", "hom:a=1|0,b=0|1",
+             "--ngrid", "25", f"--cell={cell}"],
+        )
+        assert (code, out) == (2, "")
+        assert "cell bound" in err
+
+    def test_unbounded_cell_sides(self):
+        whole = ((None, None), (None, None))
+        assert cli._parse_cell("-inf,inf,,") == cli._parse_cell(",, -Infinity ,+inf") == whole
+        assert cli._parse_cell("-1,inf,-inf,2.5") == ((-1.0, None), (None, 2.5))
+
     def test_version_flag(self, capsys):
         code, out, _err = run_cli(capsys, ["--version"])
         assert code == 0
@@ -520,6 +536,10 @@ class TestImports:
             pytest.param(
                 ["dist", "--coding", "free:2", "--weights", "hom:a=1|0,b=0|1", "--n", "60"],
                 id="dist-vector",
+            ),
+            pytest.param(
+                ["stats", "--coding", "free:2", "--weights", "hom:a=1|0,b=0|1"],
+                id="stats-vector",
             ),
         ],
         ids=lambda argv: argv[0],

@@ -31,6 +31,19 @@ class TestFreeCoding:
         labels = {e.label for e in free2.edges}
         assert labels == {"a", "A", "b", "B"}
 
+    def test_coding_is_an_immutable_value(self, free2):
+        coding = hs.build_free_group_coding(2)
+        assert coding is not free2
+        assert coding == free2 and hash(coding) == hash(free2)
+        for field in ("generators", "vertices", "edges"):
+            with pytest.raises(AttributeError):
+                setattr(coding, field, ())
+            with pytest.raises(AttributeError):
+                delattr(coding, field)
+        with pytest.raises(AttributeError):
+            coding.extra = ()
+        assert coding == free2
+
     @pytest.mark.parametrize("n", range(9))
     def test_sphere_counts(self, free2, n):
         assert hs.sphere_counts(free2, n)[n] == FREE2_COUNTS[n]

@@ -18,7 +18,6 @@ from conftest import build_z2z3_coding, target_letter_weights
 from hypstat import cli
 from hypstat import enumerate as engine
 from hypstat.limits import (
-    _default_gate_grid,
     _doubled_membership,
     _finalize,
     _gaussian_rectangle,
@@ -220,7 +219,8 @@ class TestClt:
 
 class TestBerryEsseen:
     def test_bound_dominates_distance(self, free2, free2_decomp, aexp, aexp_stats):
-        bound = hs.berry_esseen_bound(free2, free2_decomp, aexp, aexp_stats, 16, 2.0)
+        report = hs.berry_esseen_report(free2, free2_decomp, aexp, aexp_stats, 16, 2.0)
+        bound = report.rows[0]["predicted"]
         dist = hs.distribution_overcounted(free2, free2_decomp, aexp, 16)
         observed = hs.kolmogorov_distance(dist, 0.0, 1.0)
         assert bound >= observed
@@ -514,15 +514,6 @@ class TestMclt:
 
 
 class TestLlt:
-    def test_default_gate_grid_is_the_cli_default(self):
-        parser = cli._build_parser()
-        pair = ["--coding", "free:2", "--weights", "wordlen"]
-        gate = parser.parse_args(["llt", *pair, "--interval=0,1"]).gate_grid
-        scan = parser.parse_args(["scan-lattice", *pair]).tgrid
-        grid = _default_gate_grid()
-        assert grid == cli._parse_float_grid(gate) == cli._parse_float_grid(scan)
-        assert len(grid) == 399
-
     def test_row_matches_manual_binned_mass(
         self, free2, free2_decomp, proj, proj_stats
     ):

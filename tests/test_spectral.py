@@ -9,7 +9,7 @@ import pytest
 import hypstat as hs
 from hypstat._power import perron_point
 from hypstat.spectral import _complex_radii, _component_arrays
-from conftest import build_z2z3_coding
+from conftest import build_z2z3_coding, target_letter_weights
 
 # [DERIVED] eigenvalue-solver oracle values from tests/oracles.py
 PRESSURE_AEXP_03 = 1.1420500092669588
@@ -134,6 +134,23 @@ class TestDriftAndVariance:
     def test_mirror_component_matches_free_group(self, mirror_stats, aexp_stats):
         assert mirror_stats.drift[0] == pytest.approx(aexp_stats.drift[0], abs=1e-9)
         assert mirror_stats.sigma2 == pytest.approx(aexp_stats.sigma2, abs=1e-9)
+
+    @pytest.mark.parametrize("case", ["free2-k1", "free2-k2", "z2z3"])
+    def test_statistics_take_the_pressure_at_zero(self, case):
+        if case == "z2z3":
+            coding = build_z2z3_coding()
+            weights = target_letter_weights(coding, {"s": 0, "t": 1, "T": -1})
+        else:
+            coding = hs.build_free_group_coding(2)
+            one, two = ((1, 0), (0, 1)) if case == "free2-k2" else (1, 0)
+            weights = hs.weights_from_homomorphism(coding, {"a": one, "b": two})
+        decomposition = hs.decompose_components(coding)
+        stats = hs.limit_statistics(coding, decomposition, weights)
+        zero = hs.pressure(
+            coding, decomposition, weights, stats.component, (0.0,) * weights.dim
+        )
+        assert stats.lam == zero.value
+        assert stats.entropy == zero.pressure
 
 
 class TestCovarianceMatrix:
