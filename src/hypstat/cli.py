@@ -56,7 +56,6 @@ from .errors import HypstatError, PreconditionError
 from .limits import (
     LimitLawReport,
     _default_gate_grid,
-    _rational_lattice_witness,
     averaging_table,
     clt_distance,
     degeneracy_check,
@@ -534,12 +533,11 @@ def cmd_scan_lattice(args) -> int:
     if not grid:
         raise UsageError("scan grid must contain positive frequencies")
     component = _component_of(args, decomposition)
-    points = nonlattice_gap(coding, decomposition, weights, component, grid)
     scale = lattice_scale(weights)
-    exact = _rational_lattice_witness(coding, decomposition, weights, component, scale)
-    witness = None
-    if exact is not None:
-        witness = {"t": exact.t, "gap": exact.gap, "radius": exact.radius}
+    # the exact witness t = 2 pi scale of lattice weights rides last on the scan
+    exact = [] if scale is None else [2.0 * math.pi * scale]
+    points = list(nonlattice_gap(coding, decomposition, weights, component, grid + exact))
+    witness = points.pop()._asdict() if exact else None
     low = min(points, key=lambda p: p.gap)
     doc = {
         "command": "scan-lattice",
@@ -548,7 +546,7 @@ def cmd_scan_lattice(args) -> int:
         "argmin_t": low.t,
         "lattice_scale": scale,
         "witness": witness,
-        "points": [{"t": p.t, "gap": p.gap, "radius": p.radius} for p in points],
+        "points": [p._asdict() for p in points],
         "meta": _meta(args),
     }
     _emit(doc, args, is_report=False)

@@ -50,7 +50,7 @@ from .errors import (
     NumericalError,
     PreconditionError,
 )
-from .spectral import GapPoint, LimitStatistics, _component_arrays, nonlattice_gap, pressure
+from .spectral import LimitStatistics, _component_arrays, nonlattice_gap, pressure
 from .weights import WeightAssignment, lattice_scale
 
 if TYPE_CHECKING:
@@ -614,6 +614,8 @@ def ldt_rate(
     _require_scalar(weights, "ldt_rate")
     if not epsilon > 0.0:
         raise InvalidArgumentError(f"epsilon must be positive, got {epsilon!r}")
+    if epsilon == math.inf:
+        raise InvalidArgumentError(f"epsilon must be finite, got {epsilon!r}")
     grid = _sorted_grid(n_grid)
     ts = sorted({float(t) for t in t_grid if t > 0.0})
     if not ts:
@@ -1021,22 +1023,6 @@ def _default_gate_grid() -> list[float]:
     return [0.1 + k * 0.05 for k in range(399)]
 
 
-def _rational_lattice_witness(
-    coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
-    weights: WeightAssignment,
-    component: int,
-    scale: int | None,
-) -> GapPoint | None:
-    """The gap at ``t = 2 pi scale``, where the complex transfer matrix of
-    weights on the ``1/scale`` lattice equals the real one entrywise;
-    ``None`` for non-lattice weights (``scale is None``)."""
-    if scale is None:
-        return None
-    t_w = 2.0 * math.pi * scale
-    return nonlattice_gap(coding, decomposition, weights, component, [t_w])[0]
-
-
 def llt_check(
     coding: MarkovCoding,
     decomposition: ComponentDecomposition,
@@ -1050,15 +1036,16 @@ def llt_check(
 ) -> LimitLawReport:
     """Local limit law: interval masses against the Gaussian density scale.
 
-    Gate: the weights must be non-lattice.  Rational-lattice weights are
-    refused directly with the exact witness frequency ``t = 2 pi scale``
-    (there the complex transfer matrix equals the real one entrywise, so
-    the spectral gap vanishes identically); otherwise the gap is scanned
-    over the positive frequencies of ``gate_t_grid`` (default 0.1 to 20,
-    step 0.05; at ``t = 0`` the gap is zero for every weight) and any gap at
-    or below 1e-9 refuses with that witness.  A vanishing-gap frequency means
-    sphere masses concentrate on an arithmetic progression, where interval
-    counts oscillate instead of settling to the continuous profile.
+    Gate: the weights must be non-lattice.  Weights on the ``1/scale``
+    lattice (``lattice_scale`` is not ``None``) are refused before any
+    spectral solve, naming ``t = 2 pi scale``, where ``M(it)`` equals
+    ``M(0)`` entry by entry, so the spectral gap closes exactly; otherwise
+    the gap is scanned over the positive frequencies of ``gate_t_grid``
+    (default 0.1 to 20, step 0.05; at ``t = 0`` the gap is zero for every
+    weight) and any gap at or below 1e-9 refuses with that witness.  A
+    vanishing-gap frequency means sphere masses concentrate on an
+    arithmetic progression, where interval counts oscillate instead of
+    settling to the continuous profile.
 
     Per ``n``: ``q_n = sqrt(n) * count(phi in [a + n tau, b + n tau]) /
     #W_n`` from the binned enumeration (bin at most ``(b - a)/50``), against
@@ -1073,11 +1060,13 @@ def llt_check(
     PreconditionError
         On a lattice witness, or degenerate variance.
     InvalidArgumentError
-        If ``a > b``, the bin width exceeds ``(b - a)/50``, or the gate grid
-        has no positive frequency.
+        If an interval end is not finite, ``a > b``, the bin width exceeds
+        ``(b - a)/50``, or the gate grid has no positive frequency.
     """
     _require_scalar(weights, "llt_check")
     sigma = _require_nondegenerate(stats, "llt_check")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidArgumentError(f"interval ends must be finite: a = {a!r}, b = {b!r}")
     if a > b:
         raise InvalidArgumentError(f"empty interval: a = {a!r} > b = {b!r}")
     grid = _sorted_grid(n_grid)
@@ -1089,28 +1078,23 @@ def llt_check(
         raise InvalidArgumentError("gate grid must contain positive frequencies")
 
     scale = lattice_scale(weights)
-    witness: tuple[float, float] | None = None
-    point = _rational_lattice_witness(
-        coding, decomposition, weights, stats.component, scale
-    )
-    if point is not None and point.gap <= LATTICE_WITNESS_GAP:
-        witness = (point.t, point.gap)
-    gate_points = None
-    if witness is None:
-        gate_points = nonlattice_gap(
-            coding, decomposition, weights, stats.component, gate
-        )
-        for point in gate_points:
-            if point.gap <= LATTICE_WITNESS_GAP:
-                witness = (point.t, point.gap)
-                break
-    if witness is not None:
+    if scale is not None:
         raise PreconditionError(
-            f"lattice-type weights: at frequency t = {witness[0]!r} the "
-            f"complex transfer matrix has spectral radius within {witness[1]:.3e} "
-            "of the growth rate, so the weight concentrates on an arithmetic "
-            "progression and the continuous local limit does not apply"
+            f"lattice-type weights: every weight is a multiple of 1/{scale}, so "
+            f"at frequency t = {2.0 * math.pi * scale!r} the complex transfer "
+            "matrix equals the real one entry by entry; the weight concentrates "
+            "on an arithmetic progression and the continuous local limit does "
+            "not apply"
         )
+    gate_points = nonlattice_gap(coding, decomposition, weights, stats.component, gate)
+    for point in gate_points:
+        if point.gap <= LATTICE_WITNESS_GAP:
+            raise PreconditionError(
+                f"lattice-type weights: at frequency t = {point.t!r} the "
+                f"complex transfer matrix has spectral radius within {point.gap:.3e} "
+                "of the growth rate, so the weight concentrates on an arithmetic "
+                "progression and the continuous local limit does not apply"
+            )
     min_gap = min(p.gap for p in gate_points)
     argmin_t = min(gate_points, key=lambda p: p.gap).t
 
@@ -1134,9 +1118,8 @@ def llt_check(
     for n in grid:
         lo_n, hi_n = a + n * drift, b + n * drift
         intervals.append((lo_n, hi_n, 1e-12 * max(1.0, abs(lo_n), abs(hi_n))))
-    unit = width if scale is None else 1.0 / scale
-    lo = [math.floor((x - fuzz) / unit) - 1 for x, _, fuzz in intervals]
-    hi = [math.ceil((y + fuzz) / unit) + 1 for _, y, fuzz in intervals]
+    lo = [math.floor((x - fuzz) / width) - 1 for x, _, fuzz in intervals]
+    hi = [math.ceil((y + fuzz) / width) + 1 for _, y, fuzz in intervals]
     dists = interval_count_sweep(coding, weights, grid, width, lo, hi)
     target = (b - a) / (math.sqrt(2.0 * math.pi) * sigma)
     rows = []

@@ -17,15 +17,15 @@ Perron root (``pressure``, the ``limit_statistics`` stencil, the scan's root
 at ``s = 0``, and the points that ``ldt``'s Legendre search visits) comes
 from shifted power iteration in Python floats on ``M(s)`` built entry by
 entry with ``math.exp``, the left vector from the transpose; these paths
-never import numpy.  A frequency grid is the broadcast
-``A * exp(sum_j s_j W_j)`` of shape ``(G, d, d)`` (0/1 mask ``A``, weight
-stack ``W``), refused with ``ResourceError`` before it would exceed
-``enumerate.BYTE_BUDGET``.  Its complex radii come from a dense eigensolver
-on an aperiodic component and from a small orthogonal iteration on a
-periodic one, all certified by their residuals and cross-validated against
-the measured growth rate of ``||M^200 x||``.  Derivatives of the pressure
-are computed both by first-order perturbation theory and by central
-differences, and the two routes must agree.
+never import numpy.  A frequency scan stacks ``M(it) = A * exp(itW)`` of a
+scalar weight (0/1 mask ``A``, weight matrix ``W``) over its real
+frequencies ``t``, shape ``(G, d, d)``, refused with ``ResourceError``
+before it would exceed ``enumerate.BYTE_BUDGET``.  Its complex radii come
+from a dense eigensolver on an aperiodic component and from a small
+orthogonal iteration on a periodic one, all certified by their residuals
+and cross-validated against the measured growth rate of ``||M^200 x||``.
+Derivatives of the pressure are computed both by first-order perturbation
+theory and by central differences, and the two routes must agree.
 """
 
 from __future__ import annotations
@@ -186,39 +186,34 @@ class _ComponentArrays(NamedTuple):
             rows[u][v] = entry
         return rows
 
-    def matrices(self, grid: np.ndarray) -> np.ndarray:
-        """``M(s)`` for every row ``s`` of a ``(G, k)`` grid, shape ``(G, d, d)``.
+    def matrices(self, ts: np.ndarray) -> np.ndarray:
+        """``M(it) = A * exp(itW)`` of a scalar weight at every real frequency
+        of ``ts`` (0/1 mask ``A``, weight matrix ``W``), shape ``(G, d, d)``.
 
         Raises ``ResourceError`` before allocating when three complex
         stacks (the matrices, the temporaries that build them or ``eig``'s
         input copy, and ``eig``'s eigenvectors) would exceed ``BYTE_BUDGET``,
-        and ``NumericalError`` naming the first ``s`` (``t`` of ``s = it``
-        for a complex grid) whose matrix has a non-finite entry.
+        and ``NumericalError`` naming the first ``t`` whose matrix has a
+        non-finite entry.
         """
         import numpy as np
         size = len(self.vertices)
-        needed = 3 * 16 * len(grid) * size * size
+        needed = 3 * 16 * len(ts) * size * size
         if needed > BYTE_BUDGET:
             raise ResourceError(
-                f"{len(grid)} matrices of size {size} need {needed} bytes, over "
+                f"{len(ts)} matrices of size {size} need {needed} bytes, over "
                 f"the {BYTE_BUDGET}-byte budget; use a smaller grid"
             )
         mask = np.zeros((size, size))
-        weights = np.zeros((grid.shape[1], size, size))
-        for u, v, w in self.edges:
+        weight = np.zeros((size, size))
+        for u, v, (w,) in self.edges:
             mask[u, v] = 1.0
-            weights[:, u, v] = w
-        imaginary = np.iscomplexobj(grid)
-        # complex exp takes the C library's exp, as math.exp does for a
-        # point; numpy's real exp is a SIMD variant whose last bit varies by CPU
+            weight[u, v] = w
         with np.errstate(over="ignore", invalid="ignore"):  # named below
-            exponent = np.einsum("gk,kij->gij", grid, weights)
-            entries = np.exp(exponent.astype(complex))
-            stack = mask * (entries if imaginary else entries.real)
+            stack = mask * np.exp(1j * ts[:, None, None] * weight)
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
-            coords = (grid.imag if imaginary else grid)[np.argmin(finite)]
-            raise _non_finite("t" if imaginary else "s", coords.tolist())
+            raise _non_finite("t", [float(ts[np.argmin(finite)])])
         return stack
 
 
@@ -532,7 +527,7 @@ def nonlattice_gap(
     radius0 = perron_point(arrays.point((0.0,)))[0]
     period = decomposition.components[component].period
     ts = np.asarray(t_grid, dtype=float)
-    stack = arrays.matrices(1j * ts[:, None])
+    stack = arrays.matrices(ts)
     points = []
     for t, radius in zip(ts.tolist(), _complex_radii(stack, period)):
         gap = radius0 - radius

@@ -48,7 +48,7 @@ class WeightAssignment(NamedTuple):
 
 
 def _as_vector(raw: object, dim: int | None, context: str) -> tuple[Vector, int]:
-    """Normalize a scalar or sequence to a float tuple; return (vector, dim)."""
+    """Normalize a scalar or sequence to a finite float tuple; return (vector, dim)."""
     if isinstance(raw, (int, float, Fraction)):
         vec: Vector = (float(raw),)
     elif isinstance(raw, Sequence) and not isinstance(raw, (str, bytes)):
@@ -57,6 +57,9 @@ def _as_vector(raw: object, dim: int | None, context: str) -> tuple[Vector, int]
         vec = tuple(float(x) for x in raw)
     else:
         raise InvalidArgumentError(f"{context}: value must be a number or a sequence")
+    for x in vec:
+        if not math.isfinite(x):
+            raise InvalidArgumentError(f"{context}: value {x!r} is not finite")
     if dim is not None and len(vec) != dim:
         raise InvalidArgumentError(
             f"{context}: value has {len(vec)} coordinates, expected {dim}"

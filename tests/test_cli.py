@@ -178,6 +178,7 @@ class TestPipelines:
         )
         assert code == 3
         assert "lattice" in err
+        assert "t = 6.283185307179586 " in err
 
     def test_drifting_llt_passes(self, capsys, tmp_path, free2):
         # target-letter weights a = b = 1, A = sqrt 2, B = 1/2 drift by 0.9786
@@ -323,6 +324,22 @@ class TestScanLattice:
         assert (code, out) == (3, "")
         assert "non-finite entry at t=2.0;" in err
 
+    def test_infinite_frequency_prints_one_error_line(self):
+        # i * inf has a NaN real part; numpy must not warn about it first
+        done = subprocess.run(
+            [sys.executable, "-m", "hypstat.cli", "scan-lattice", "--coding", "free:2",
+             "--weights", "hom:a=1,b=0.5", "--tgrid", "1,inf"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr.splitlines() == [
+            "hypstat: error: M(it) has a non-finite entry at t=inf; "
+            "the weights times t are too large for exp"
+        ]
+
 
 class TestNonFiniteTilts:
     # exp(0.5 * 1e308) and the stencil's exp(1e-4 * 1e200) overflow
@@ -449,6 +466,44 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert "cell bound" in err
 
+    @pytest.mark.parametrize("weights", ["hom:a=nan,b=0", "hom:a=inf,b=0", "hom:a=1|-inf,b=0|1"])
+    @pytest.mark.parametrize("command", [["dist", "--n", "3"], ["stats"]], ids=["dist", "stats"])
+    def test_non_finite_weight_spec_exits_two(self, capsys, command, weights):
+        code, out, err = run_cli(
+            capsys, [command[0], "--coding", "free:2", "--weights", weights, *command[1:]]
+        )
+        assert (code, out) == (2, "")
+        assert "is not finite" in err
+
+    # Python's json reads NaN and Infinity
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_weights_file_exits_three(self, capsys, tmp_path, value):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"dim": 1, "by_generator": {"a": value, "b": 0}}))
+        code, out, err = run_cli(
+            capsys, ["dist", "--coding", "free:2", "--weights", str(path), "--n", "3"]
+        )
+        assert (code, out) == (3, "")
+        assert f"value {value!r} is not finite" in err
+
+    def test_infinite_epsilon_exits_three(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["ldt", "--coding", "free:2", "--weights", "hom:a=1,b=0", "--epsilon", "inf"],
+        )
+        assert (code, out) == (3, "")
+        assert "epsilon must be finite" in err
+
+    @pytest.mark.parametrize("interval", ["nan,1", "-inf,1", "-1,inf"])
+    def test_non_finite_interval_exits_three(self, capsys, interval):
+        code, out, err = run_cli(
+            capsys,
+            ["llt", "--coding", "free:2", "--weights", "hom:a=1,b=0.7071067811865476",
+             f"--interval={interval}", "--ngrid", "50"],
+        )
+        assert (code, out) == (3, "")
+        assert "interval ends must be finite" in err
+
     def test_unbounded_cell_sides(self):
         whole = ((None, None), (None, None))
         assert cli._parse_cell("-inf,inf,,") == cli._parse_cell(",, -Infinity ,+inf") == whole
@@ -514,6 +569,33 @@ class TestProcessEntry:
         assert done.stdout.split() == ["0", "True", "True"]
 
 
+def _exit_code_and_numpy(argv: list[str]) -> list[str]:
+    """The exit code of ``hypstat *argv`` in a child process, and whether it
+    loaded numpy, as ``[code, "True" | "False"]``."""
+    # runpy runs the module as `python -m hypstat.cli` does
+    probe = "\n".join(
+        [
+            "import contextlib, io, runpy, sys",
+            f"sys.argv = ['hypstat', *{argv!r}]",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    try:",
+            "        runpy.run_module('hypstat.cli', run_name='__main__')",
+            "    except SystemExit as done:",
+            "        code = done.code",
+            "print(code, 'numpy' in sys.modules)",
+        ]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
 class TestImports:
     # these commands solve only points on small matrices, in Python floats
     # (ldt at the points of its Legendre search), and run their exact DPs
@@ -545,28 +627,11 @@ class TestImports:
         ids=lambda argv: argv[0],
     )
     def test_point_commands_leave_numpy_unloaded(self, argv):
-        # runpy runs the module as `python -m hypstat.cli` does
-        probe = "\n".join(
-            [
-                "import contextlib, io, runpy, sys",
-                f"sys.argv = ['hypstat', *{argv!r}]",
-                "with contextlib.redirect_stdout(io.StringIO()):",
-                "    try:",
-                "        runpy.run_module('hypstat.cli', run_name='__main__')",
-                "    except SystemExit as done:",
-                "        code = done.code",
-                "print(code, 'numpy' in sys.modules)",
-            ]
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            env=_child_env(),
-            timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "False"]
+        assert _exit_code_and_numpy(argv) == ["0", "False"]
+
+    def test_lattice_llt_refuses_before_loading_numpy(self):
+        argv = ["llt", "--coding", "free:2", "--weights", "hom:a=1,b=0", "--interval=-0.5,0.5"]
+        assert _exit_code_and_numpy(argv) == ["3", "False"]
 
     def test_cli_import_loads_every_layer(self):
         # perfbench/trace_child.py looks each layer module up in sys.modules

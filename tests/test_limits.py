@@ -568,6 +568,14 @@ class TestLlt:
         with pytest.raises(hs.PreconditionError, match="lattice"):
             hs.llt_check(free2, free2_decomp, aexp, aexp_stats, -0.5, 0.5, [50])
 
+    def test_gate_names_two_pi_times_the_lattice_scale(self, free2, free2_decomp):
+        # a = 1/4 and b = 3/4 lie on the 1/4 lattice: M(8 pi i) = M(0)
+        weights = hs.weights_from_homomorphism(free2, {"a": 0.25, "b": 0.75})
+        stats = hs.limit_statistics(free2, free2_decomp, weights)
+        message = f"multiple of 1/4, so at frequency t = {8.0 * math.pi!r} "
+        with pytest.raises(hs.PreconditionError, match=message):
+            hs.llt_check(free2, free2_decomp, weights, stats, -0.5, 0.5, [50])
+
     def test_gate_records_minimum(self, free2, free2_decomp, proj, proj_stats):
         report = hs.llt_check(
             free2, free2_decomp, proj, proj_stats, -0.5, 0.5, [60],

@@ -197,7 +197,7 @@ def scan_stack(coding, weights):
     decomposition = hs.decompose_components(coding)
     arrays = _component_arrays(coding, decomposition, weights, 0)
     ts = np.array(_default_gate_grid())
-    return arrays.matrices(1j * ts[:, None]), decomposition.components[0].period
+    return arrays.matrices(ts), decomposition.components[0].period
 
 
 def z2z3_scan_stack():

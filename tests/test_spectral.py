@@ -1,5 +1,6 @@
 """Tests for transfer matrices, pressure, drift, variance, and gap scans."""
 
+import cmath
 import math
 import re
 
@@ -20,9 +21,15 @@ AIND_SIGMA2 = 0.28125  # Richardson-extrapolated oracle: 0.28125000022842056
 
 
 def transfer_matrices(coding, decomposition, weights, component, grid):
-    """``M(s)`` of a component at each row ``s`` of ``grid``, shape ``(G, d, d)``."""
+    """``M(s)`` of a scalar weight's component at each complex ``s`` of
+    ``grid``, shape ``(G, d, d)``, built entry by entry from its edges."""
     arrays = _component_arrays(coding, decomposition, weights, component)
-    return arrays.matrices(np.array(grid))
+    size = len(arrays.vertices)
+    stack = np.zeros((len(grid), size, size), dtype=complex)
+    for g, s in enumerate(grid):
+        for u, v, (w,) in arrays.edges:
+            stack[g, u, v] = cmath.exp(s * w)
+    return stack
 
 
 class TestTransferMatrix:
@@ -30,13 +37,6 @@ class TestTransferMatrix:
         comp = free2_decomp.maximal_indices[0]
         arrays = _component_arrays(free2, free2_decomp, aexp, comp)
         assert perron_point(arrays.point((0.0,)))[0] == pytest.approx(3.0, abs=1e-9)
-
-    def test_point_builder_matches_the_grid_builder(self, free2, free2_decomp, aind):
-        # math.exp and numpy's complex exp both take the C library's exp
-        comp = free2_decomp.maximal_indices[0]
-        arrays = _component_arrays(free2, free2_decomp, aind, comp)
-        stack = transfer_matrices(free2, free2_decomp, aind, comp, [[0.3], [-1.7]])
-        assert [arrays.point((0.3,)), arrays.point((-1.7,))] == stack.tolist()
 
     def test_mask_excludes_other_maximal(self, mirror, mirror_decomp, mirror_hom):
         first = mirror_decomp.maximal_indices[0]
@@ -87,7 +87,7 @@ class TestTransferMatrix:
 
     def test_complex_radius_matches_oracle(self, free2, free2_decomp, aexp):
         comp = free2_decomp.maximal_indices[0]
-        stack = transfer_matrices(free2, free2_decomp, aexp, comp, [[0.4 + 1.3j]])
+        stack = transfer_matrices(free2, free2_decomp, aexp, comp, [0.4 + 1.3j])
         (radius,) = _complex_radii(stack, 1)
         assert radius == pytest.approx(COMPLEX_RADIUS_AEXP, abs=1e-6)
 
@@ -95,7 +95,7 @@ class TestTransferMatrix:
         # integer weights at t = 2 pi: entries all return to their s = 0
         # values, so the twisted radius equals the growth rate
         comp = free2_decomp.maximal_indices[0]
-        stack = transfer_matrices(free2, free2_decomp, aexp, comp, [[2j * math.pi]])
+        stack = transfer_matrices(free2, free2_decomp, aexp, comp, [2j * math.pi])
         assert _complex_radii(stack, 1)[0] == pytest.approx(3.0, abs=1e-9)
 
 
@@ -215,14 +215,27 @@ class TestNonlatticeGap:
         comp = free2_decomp.maximal_indices[0]
         ts = [0.1 + 0.05 * k for k in range(59)]
         points = hs.nonlattice_gap(free2, free2_decomp, weights, comp, ts)
-        zero = transfer_matrices(free2, free2_decomp, weights, comp, [[0.0]])
-        radius0 = perron_point(zero[0].tolist())[0]
+        arrays = _component_arrays(free2, free2_decomp, weights, comp)
+        radius0 = perron_point(arrays.point((0.0,)))[0]
         for t, point in zip(ts, points):
-            stack = transfer_matrices(free2, free2_decomp, weights, comp, [[1j * t]])
+            stack = arrays.matrices(np.array([t]))
             (radius,) = _complex_radii(stack, 1)
             assert point.t == t
             assert point.radius == pytest.approx(radius, rel=0.0, abs=1e-12)
             assert point.gap == pytest.approx(radius0 - radius, rel=0.0, abs=1e-12)
+
+    def test_scan_matches_the_entrywise_matrices(self, free2, free2_decomp, aind):
+        comp = free2_decomp.maximal_indices[0]
+        ts = [0.3, -1.7, 2.0 * math.pi]
+        stack = _component_arrays(free2, free2_decomp, aind, comp).matrices(np.array(ts))
+        expected = transfer_matrices(free2, free2_decomp, aind, comp, [1j * t for t in ts])
+        np.testing.assert_allclose(stack, expected, rtol=0.0, atol=1e-15)
+
+    def test_infinite_frequency_names_t(self, free2, free2_decomp, proj):
+        # i * inf is NaN in its real part; numpy must not warn before the error
+        comp = free2_decomp.maximal_indices[0]
+        with pytest.raises(hs.NumericalError, match=re.escape("entry at t=inf;")):
+            hs.nonlattice_gap(free2, free2_decomp, proj, comp, [1.0, math.inf])
 
     def test_integer_weights_vanish_at_two_pi(self, free2, free2_decomp, aexp):
         comp = free2_decomp.maximal_indices[0]

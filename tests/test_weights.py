@@ -1,6 +1,7 @@
 """Tests for weight assignments: constructors, lattice detection, serialization."""
 
 import json
+import math
 
 import pytest
 
@@ -44,6 +45,11 @@ class TestHomomorphism:
     def test_mixed_dimension_rejected(self, free2):
         with pytest.raises(hs.InvalidArgumentError):
             hs.weights_from_homomorphism(free2, {"a": (1, 0), "b": 1})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, (1.0, -math.inf)])
+    def test_non_finite_value_rejected(self, free2, value):
+        with pytest.raises(hs.InvalidArgumentError, match="is not finite"):
+            hs.weights_from_homomorphism(free2, {"a": value, "b": 0})
 
 
 class TestWordLength:
