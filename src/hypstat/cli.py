@@ -48,11 +48,12 @@ from .coding import (
     validate_coding,
 )
 from .enumerate import (
+    BYTE_BUDGET,
     distribution,
     distribution_overcounted,
     distribution_to_json,
 )
-from .errors import HypstatError, PreconditionError
+from .errors import HypstatError, PreconditionError, ResourceError
 from .limits import (
     LimitLawReport,
     _default_gate_grid,
@@ -131,6 +132,16 @@ def _weights_from(spec: str, coding: MarkovCoding):
     return load_weights(Path(spec), coding)
 
 
+def _refuse_huge_grid(text: str, points: float, largest: object) -> None:
+    """Refuse a range grid whose list would exceed ``BYTE_BUDGET``: a
+    pointer and an object no larger than ``largest`` for each of ``points``."""
+    if points * (8 + sys.getsizeof(largest)) > BYTE_BUDGET:
+        raise ResourceError(
+            f"grid {text!r} would take over {BYTE_BUDGET} bytes as a list; "
+            "use a larger step or a shorter range"
+        )
+
+
 def _parse_int_grid(text: str) -> list[int]:
     try:
         if ":" in text:
@@ -143,6 +154,7 @@ def _parse_int_grid(text: str) -> list[int]:
                 raise ValueError
             if step < 1 or hi < lo:
                 raise ValueError
+            _refuse_huge_grid(text, (hi - lo) // step + 1, hi)
             grid = list(range(lo, hi + 1, step))
         else:
             grid = [int(p) for p in text.split(",")]
@@ -160,8 +172,12 @@ def _parse_float_grid(text: str) -> list[float]:
         if ":" in text:
             lo_s, hi_s, step_s = text.split(":")
             lo, hi, step = float(lo_s), float(hi_s), float(step_s)
+            if not all(map(math.isfinite, (lo, hi, step))):
+                raise UsageError(f"grid {text!r} needs a finite lo, hi and step")
             if step <= 0.0 or hi < lo:
                 raise ValueError
+            # refuses a quotient that overflows to inf before floor() sees it
+            _refuse_huge_grid(text, (hi - lo) / step + 1.0, 0.0)
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
             grid = [lo + k * step for k in range(count)]
         else:

@@ -16,6 +16,10 @@ formed at report time.  Three value models are supported:
 * moment accumulation - first and second moments are computed by an exact
   sum recurrence without materializing the distribution.
 
+One edge filter, ``_transitions``, lists the edges every DP walks, and one
+edge table, ``_edge_table``, gives the distributions each edge's integer
+value, exact on the ``1/scale`` lattice or rounded once onto a bin.
+
 One engine enumerates every lattice, scalar or vector.  Values are
 enumerated in a reduced basis of the lattice their offsets span (an echelon
 basis, pairwise Lagrange-Gauss reduced, then changed while a move lowers
@@ -209,42 +213,22 @@ class WordDistribution(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _quantized_values(
-    weights: WeightAssignment, bin_width: float
-) -> dict[tuple[str, str], tuple[int, ...]]:
-    """Edge values rounded once (half to even) onto the bin lattice."""
-    if not (bin_width > 0.0) or not math.isfinite(bin_width):
-        raise InvalidArgumentError(f"bin width must be positive, got {bin_width!r}")
-    return {
-        key: tuple(round(x / bin_width) for x in vec)
-        for key, vec in weights.edge_values.items()
-    }
-
-
-def _allowed_vertices(
-    coding: MarkovCoding, avoiding: ComponentDecomposition | None
-) -> set[str]:
-    allowed = set(coding.core_vertices)
-    if avoiding is not None:
-        for i in avoiding.maximal_indices:
-            allowed -= set(avoiding.components[i].vertices)
-    return allowed
-
-
 def _transitions(
     coding: MarkovCoding,
-    table: dict[tuple[str, str], tuple[int, ...]],
-    allowed: set[str],
-) -> list[tuple[str, str, tuple[int, ...]]]:
-    """(source, target, value) for every usable edge."""
-    out = []
-    for edge in coding.edges:
-        if edge.target not in allowed:
-            continue
-        if edge.source != START_VERTEX and edge.source not in allowed:
-            continue
-        out.append((edge.source, edge.target, table[(edge.source, edge.target)]))
-    return out
+    table: dict[tuple[str, str], tuple],
+    avoiding: ComponentDecomposition | None = None,
+) -> list[tuple[str, str, tuple]]:
+    """(source, target, value) for every edge, in edge order; with
+    ``avoiding``, only the edges off its maximal components."""
+    banned = set()
+    if avoiding is not None:
+        for i in avoiding.maximal_indices:
+            banned.update(avoiding.components[i].vertices)
+    return [
+        (e.source, e.target, table[(e.source, e.target)])
+        for e in coding.edges
+        if e.source not in banned and e.target not in banned
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +644,7 @@ def weighted_counts(
     if scale is None:
         raise InvalidArgumentError("weighted counts need lattice weights")
     table = scaled_integer_values(weights, scale)
-    transitions = _transitions(coding, table, set(coding.core_vertices))
-    edges, step, decode, *_ = _flatten(transitions, n)
+    edges, step, decode, *_ = _flatten(_transitions(coding, table), n)
     for _level, _first, state, total in _digit_levels(_plan(edges, step, n)):
         pass  # only the last level is read
     acc = _summed_planes(state, 0, n * step)
@@ -703,35 +686,41 @@ def weighted_counts(
 # ---------------------------------------------------------------------------
 
 
-def _default_bin_width(
-    weights: WeightAssignment, n: int
-) -> float:
-    spans = [vec[0] for vec in weights.edge_values.values()]
-    span = (max(spans) - min(spans)) if spans else 0.0
-    if span <= 0.0:
-        raise InvalidArgumentError(
-            "cannot infer a default bin width for constant weights; pass one"
-        )
-    return max(1, n) * span / _DEFAULT_BIN_DENOMINATOR
-
-
-def _plan_distribution(
+def _edge_table(
     weights: WeightAssignment, n: int, bin_width: float | None
-) -> tuple[str, int | None, float | None]:
-    """Pick (kind, scale, width): lattice weights enumerate exactly."""
+) -> tuple[str, int | None, float | None, dict[tuple[str, str], tuple[int, ...]]]:
+    """``(kind, scale, width, table)``: the integer value of every edge.
+
+    Lattice weights are exact on the ``1/scale`` lattice and ignore
+    ``bin_width``; scalar real weights are rounded once (half to even) onto
+    bins of ``bin_width`` (default: ``n`` times their range over 200).
+    """
     scale = lattice_scale(weights)
     if scale is not None:
-        # exact enumeration wins; an explicit bin width is ignored
-        return "exact-lattice", scale, None
+        return "exact-lattice", scale, None, scaled_integer_values(weights, scale)
     if weights.dim != 1:
         raise InvalidArgumentError(
             "real-valued vector weights are not enumerable; only scalar "
             "weights support binning"
         )
-    width = bin_width if bin_width is not None else _default_bin_width(weights, n)
-    if not (width > 0.0):
+    width = bin_width
+    if width is None:
+        values = [vec[0] for vec in weights.edge_values.values()]
+        span = max(values) - min(values) if values else 0.0
+        if span <= 0.0:
+            raise InvalidArgumentError(
+                "cannot infer a default bin width for constant weights; pass one"
+            )
+        width = max(1, n) * span / _DEFAULT_BIN_DENOMINATOR
+    if not (width > 0.0) or not math.isfinite(width):
         raise InvalidArgumentError(f"bin width must be positive, got {width!r}")
-    return "binned-real", None, width
+    table = {key: (round(vec[0] / width),) for key, vec in weights.edge_values.items()}
+    if len(set(table.values())) == 1 < len(set(weights.edge_values.values())):
+        raise InvalidArgumentError(
+            f"bin width {width!r} rounds every edge value to the same slot; "
+            "pass a smaller bin"
+        )
+    return "binned-real", None, width, table
 
 
 def _radii(ns: Sequence[int]) -> list[int]:
@@ -758,20 +747,10 @@ def _sweep(
     """
     order = _radii(ns)
     n_max = order[-1] if order else 1
-    kind, scale, width = _plan_distribution(weights, n_max, bin_width)
+    kind, scale, width, table = _edge_table(weights, n_max, bin_width)
     if not order:
         return []
-    if kind == "exact-lattice":
-        table = scaled_integer_values(weights, scale)
-    else:
-        table = _quantized_values(weights, width)
-        if len(set(table.values())) == 1 < len(set(weights.edge_values.values())):
-            raise InvalidArgumentError(
-                f"bin width {width!r} rounds every edge value to the same slot; "
-                "pass a smaller bin"
-            )
-    transitions = _transitions(coding, table, _allowed_vertices(coding, avoiding))
-    edges, step, decode, origin, basis = _flatten(transitions, n_max)
+    edges, step, decode, origin, basis = _flatten(_transitions(coding, table, avoiding), n_max)
     keep = slots = None
     if windows is not None:
         # each window in slots of its level, then the hull of the slots of
@@ -919,12 +898,9 @@ def moment_sweep(
     if not order:
         return []
     scale = lattice_scale(weights)
-    if scale is not None:
-        table: dict = scaled_integer_values(weights, scale)
-    else:
-        table = dict(weights.edge_values)
+    table = weights.edge_values if scale is None else scaled_integer_values(weights, scale)
     k, zero = weights.dim, 0 if scale is not None else 0.0
-    transitions = _transitions(coding, table, set(coding.core_vertices))
+    transitions = _transitions(coding, table)
 
     def fresh(count: int) -> list:
         return [count, [zero] * k, [[zero] * k for _ in range(k)]]
@@ -981,11 +957,9 @@ def log_weighted_sum_sweep(
     order = _radii(ns)
     if not order:
         return []
-    factors = {
-        key: math.exp(t * vec[0]) for key, vec in weights.edge_values.items()
-    }
     transitions = [
-        (e.source, e.target, factors[(e.source, e.target)]) for e in coding.edges
+        (source, target, math.exp(t * vec[0]))
+        for source, target, vec in _transitions(coding, weights.edge_values)
     ]
     state: dict[str, float] = {START_VERTEX: 1.0}
     log_scale = 0.0

@@ -617,6 +617,9 @@ def ldt_rate(
     if epsilon == math.inf:
         raise InvalidArgumentError(f"epsilon must be finite, got {epsilon!r}")
     grid = _sorted_grid(n_grid)
+    for t in t_grid:
+        if not math.isfinite(t):
+            raise InvalidArgumentError(f"t grid entries must be finite, got {float(t)!r}")
     ts = sorted({float(t) for t in t_grid if t > 0.0})
     if not ts:
         raise InvalidArgumentError("t grid must contain positive entries")
@@ -1234,23 +1237,21 @@ def degeneracy_check(
 
     span_values = [vec[0] for vec in weights.edge_values.values()]
     span = max(span_values) - min(span_values) if span_values else 0.0
-    scale = lattice_scale(weights)
     allowance = 1e-9
-    bin_width = None
-    if scale is None:
-        # real weights enumerate through a bin lattice; widen the
-        # comparison by the worst-case quantization drift
-        bin_width = n_cap * span / 2000.0
-        allowance += 2.0 * n_cap * bin_width
     widths = [0.0, 0.0]
-    # constant real weights give every sphere a single value
-    if scale is not None or span > 0.0:
+    # constant weights give every sphere a single value; lattice weights
+    # enumerate exactly and ignore the bin width
+    if span > 0.0:
+        dists = distribution_sweep(coding, weights, [half, n_cap], n_cap * span / 2000.0)
         widths = [
             float(d.exact_value(d.support_scaled[-1]) - d.exact_value(d.support_scaled[0]))
             if d.support_scaled
             else 0.0
-            for d in distribution_sweep(coding, weights, [half, n_cap], bin_width)
+            for d in dists
         ]
+        # real weights enumerate through a bin lattice; widen the
+        # comparison by the worst-case quantization drift
+        allowance += 2.0 * n_cap * (dists[0].bin_width or 0.0)
     range_degenerate = widths[1] <= widths[0] + allowance
 
     if range_degenerate != spectral_degenerate:

@@ -153,7 +153,11 @@ def _real_parameter(s: object, dim: int) -> tuple[float, ...]:
         )
     if any(x.imag != 0.0 for x in vec):
         raise InvalidArgumentError("pressure is defined for real parameters only")
-    return tuple(x.real for x in vec)
+    real = tuple(x.real for x in vec)
+    if not all(map(math.isfinite, real)):
+        at = real[0] if dim == 1 else real
+        raise InvalidArgumentError(f"parameter s must be finite, got s={at!r}")
+    return real
 
 
 def _non_finite(name: str, coords: Sequence[float]) -> NumericalError:

@@ -149,6 +149,13 @@ def proj(free2):
 
 
 @pytest.fixture(scope="session")
+def root_half(free2):
+    """b = 1/sqrt 2 lies on no lattice: moment sums run in floats and
+    distributions through bins."""
+    return hs.weights_from_homomorphism(free2, {"a": 1, "b": math.sqrt(2) / 2})
+
+
+@pytest.fixture(scope="session")
 def mirror_hom(mirror):
     return hs.weights_from_homomorphism(mirror, {"a": 1, "b": 0, "t": 0})
 
@@ -181,6 +188,11 @@ def rank1_stats(free2, free2_decomp, rank1):
 @pytest.fixture(scope="session")
 def proj_stats(free2, free2_decomp, proj):
     return hs.limit_statistics(free2, free2_decomp, proj)
+
+
+@pytest.fixture(scope="session")
+def root_half_stats(free2, free2_decomp, root_half):
+    return hs.limit_statistics(free2, free2_decomp, root_half)
 
 
 @pytest.fixture(scope="session")

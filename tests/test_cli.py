@@ -504,6 +504,65 @@ class TestUsageErrors:
         assert (code, out) == (3, "")
         assert "interval ends must be finite" in err
 
+    # an infinite end or step made floor((hi - lo) / step) raise OverflowError
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["scan-lattice", "--weights", "hom:a=1,b=0.5", "--tgrid", "1:inf:1"],
+            ["llt", "--weights", "hom:a=1,b=0.7071067811865476", "--interval=-0.5,0.5",
+             "--gate-grid", "1:inf:1"],
+            ["pressure", "--weights", "hom:a=1,b=0", "--s", "1:inf:1"],
+            ["ldt", "--weights", "hom:a=1,b=0", "--epsilon", "0.4", "--tgrid", "0:inf:1"],
+            ["pressure", "--weights", "hom:a=1,b=0", "--s", "0:1:nan"],
+        ],
+        ids=["scan-lattice", "llt", "pressure", "ldt", "nan-step"],
+    )
+    def test_non_finite_range_grid_exits_two(self, capsys, command):
+        code, out, err = run_cli(capsys, [command[0], "--coding", "free:2", *command[1:]])
+        assert (code, out) == (2, "")
+        assert "needs a finite lo, hi and step" in err
+
+    # each list would take several GB; the child's address space is capped
+    # at 400 MB, so a missing guard fails there with MemoryError instead of
+    # taking the machine's memory
+    @pytest.mark.parametrize(
+        "command",
+        [["pressure", "--s", "0:1:1e-8"], ["averaging", "--ngrid", "1:100000000"]],
+        ids=["float-grid", "int-grid"],
+    )
+    def test_oversized_range_grid_exits_three_before_building(self, command):
+        argv = [command[0], "--coding", "free:2", "--weights", "hom:a=1,b=0", *command[1:]]
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+            "from hypstat import cli\n"
+            f"sys.exit(cli.main({argv!r}))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=_child_env(), capture_output=True,
+            text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert f"would take over {cli.BYTE_BUDGET} bytes as a list" in done.stderr
+
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_non_finite_pressure_parameter_exits_three(self, capsys, s):
+        code, out, err = run_cli(
+            capsys,
+            ["pressure", "--coding", "free:2", "--weights", "hom:a=1,b=0", "--s", s],
+        )
+        assert (code, out) == (3, "")
+        assert err == f"hypstat: error: parameter s must be finite, got s={float(s)!r}\n"
+
+    def test_infinite_ldt_frequency_exits_three(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["ldt", "--coding", "free:2", "--weights", "hom:a=1,b=0", "--epsilon", "0.4",
+             "--tgrid", "0.5,1,inf"],
+        )
+        assert (code, out) == (3, "")
+        assert "t grid entries must be finite, got inf" in err
+
     def test_unbounded_cell_sides(self):
         whole = ((None, None), (None, None))
         assert cli._parse_cell("-inf,inf,,") == cli._parse_cell(",, -Infinity ,+inf") == whole

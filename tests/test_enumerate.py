@@ -115,6 +115,35 @@ class TestBinnedDistribution:
         assert len(dist.support_scaled) == 1
         assert dist.total == 36
 
+    def test_binned_moments_sum_the_bin_centres(self, free2, root_half):
+        width = 0.05
+        dist = hs.distribution(free2, root_half, 8, bin_width=width)
+        md = dist.moments()
+        centres = [(q * width, c) for q, c in zip(dist.support_scaled, dist.counts)]
+        assert md.count == dist.total == sum(c for _, c in centres)
+        # the first sum cancels to 0 by symmetry, so it is compared on the
+        # scale of the sum of its absolute terms
+        scale = math.fsum(c * abs(x) for x, c in centres)
+        assert md.first[0] == pytest.approx(
+            math.fsum(c * x for x, c in centres), rel=1e-12, abs=1e-12 * scale
+        )
+        assert md.second[0][0] == pytest.approx(
+            math.fsum(c * x * x for x, c in centres), rel=1e-12
+        )
+
+    # the default bin is n * range / 200 per edge, so the rounding drift
+    # n * bin / 2 grows like n**2: at n = 196 the bin is 1.96, b = 0.7071
+    # rounds to 0 and a = 1 to one bin, and the binned Var/n is 3.83
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the default bin width n * range / 200 enumerates another "
+        "weight's law at large n",
+    )
+    def test_default_bin_keeps_the_variance(self, free2, root_half, root_half_stats):
+        md = hs.distribution(free2, root_half, 196).moments()
+        variance = md.second[0][0] / md.count - (md.first[0] / md.count) ** 2
+        assert variance / 196 == pytest.approx(root_half_stats.sigma2, rel=0.1)
+
     def test_real_vector_weights_rejected(self, free2):
         w = hs.weights_from_homomorphism(
             free2, {"a": (1.0, 0.0), "b": (0.0, math.sqrt(2))}
@@ -177,6 +206,24 @@ class TestMoments:
         from_dist = hs.distribution(free2, abel, 3).moments()
         assert md.first == from_dist.first
         assert md.second == from_dist.second
+
+    def test_real_weights_accumulate_floats(self, free2, root_half):
+        words = oracles.brute_force_oracle(free2, root_half, 8)
+        sweep = hs.moment_sweep(free2, root_half, range(9))
+        assert [md.n for md in sweep] == list(range(9))
+        for md in sweep:
+            values = [value[0] for n, _word, value in words if n == md.n]
+            assert md.count == len(values)
+            # the first sum cancels to 0 by symmetry, so it is compared on
+            # the scale of the sum of its absolute terms
+            scale = math.fsum(map(abs, values))
+            assert md.first[0] == pytest.approx(
+                math.fsum(values), rel=1e-12, abs=1e-12 * scale
+            )
+            assert md.second[0][0] == pytest.approx(
+                math.fsum(v * v for v in values), rel=1e-12
+            )
+            assert md.mean() == (md.first[0] / md.count,)
 
     def test_empty_sphere_mean_rejected(self, free1):
         md = hs.moment_sweep(free1, hs.weights_word_length(free1), [0])[0]

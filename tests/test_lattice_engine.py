@@ -35,10 +35,10 @@ from hypstat.enumerate import (
     _PACKED_BITS,
     _digit_levels,
     _slot_counts,
+    _edge_table,
     _flatten,
     _packed_levels,
     _plan,
-    _quantized_values,
     _transitions,
     interval_count_sweep,
     weighted_counts,
@@ -95,8 +95,7 @@ def weighted_sum(histogram, w):
 
 def flattened(coding, weights, n_max):
     """The engine's ``(edges, step, decode, origin, basis)`` for a lattice weight."""
-    table = hs.scaled_integer_values(weights, hs.lattice_scale(weights))
-    return _flatten(_transitions(coding, table, set(coding.core_vertices)), n_max)
+    return _flatten(_transitions(coding, _edge_table(weights, n_max, None)[3]), n_max)
 
 
 def assert_equal_to_dict_oracle(coding, weights, ns):
@@ -173,13 +172,10 @@ def engine_plans(draw):
         entry = st.integers(-4, 4).map(lambda k: k / 2)
     value = st.tuples(*[entry] * dim) if dim > 1 else entry
     weights = hs.weights_from_edge_table(coding, {p: draw(value) for p in pairs})
-    if kind == "binned":
-        table = _quantized_values(weights, 0.25)
-    else:
-        table = hs.scaled_integer_values(weights, hs.lattice_scale(weights))
     n_max = draw(st.integers(0, 32 if dim == 1 else 8))
-    transitions = _transitions(coding, table, set(coding.core_vertices))
-    engine_edges, step, *_ = _flatten(transitions, n_max)
+    # lattice tables ignore the bin width
+    table = _edge_table(weights, n_max, 0.25)[3]
+    engine_edges, step, *_ = _flatten(_transitions(coding, table), n_max)
     keep = None
     if draw(st.booleans()):
         keep = []
@@ -331,12 +327,8 @@ class TestMirror:
 
         def edges_of(table):
             weights = hs.weights_from_edge_table(coding, table)
-            scale = hs.lattice_scale(weights)
-            if scale is None:
-                values = _quantized_values(weights, 0.01)
-            else:
-                values = hs.scaled_integer_values(weights, scale)
-            return _flatten(_transitions(coding, values, set(coding.core_vertices)), 10)[:2]
+            values = _edge_table(weights, 10, 0.01)[3]
+            return _flatten(_transitions(coding, values), 10)[:2]
 
         edges, step = edges_of(table)
         assert _plan(edges, step, 10).mirror == mirror

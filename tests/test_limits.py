@@ -178,6 +178,15 @@ class TestAveraging:
         with pytest.raises(hs.InvalidArgumentError):
             hs.averaging_table(free2, aexp, aexp_stats, [])
 
+    def test_real_weight_means_are_floats(self, free2, root_half, root_half_stats):
+        grid = [10, 20, 30, 40]
+        report = hs.averaging_table(free2, root_half, root_half_stats, grid)
+        assert report.passed
+        # the mean of a homomorphism is 0; its float sums cancel to rounding
+        for row, md in zip(report.rows, hs.moment_sweep(free2, root_half, grid)):
+            assert row["mean"] == str(md.first[0] / md.count)
+            assert abs(row["observed"]) < 1e-15
+
     @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=12))
     def test_median_has_the_bits_of_statistics_median(self, residuals):
         assert _median(residuals) == statistics.median(residuals)
@@ -472,6 +481,29 @@ class TestMclt:
         with pytest.raises(hs.InvalidArgumentError, match="2-d"):
             hs.mclt_check(free3, decomp, weights, stats, [10], cell_grid=[cell])
 
+    def test_real_three_dimensional_table_checks_float_covariances(
+        self, free2, free2_decomp
+    ):
+        # the a and b exponents and sqrt 2 times the indicator of the letters
+        # a and A: an edge function, since on free:2 a homomorphism's third
+        # coordinate would be degenerate
+        exponents = {"a": (1, 0), "A": (-1, 0), "b": (0, 1), "B": (0, -1)}
+        table = {
+            (e.source, e.target): (*exponents[e.label], math.sqrt(2) * (e.label in "aA"))
+            for e in free2.edges
+        }
+        weights = hs.weights_from_edge_table(free2, table)
+        stats = hs.limit_statistics(free2, free2_decomp, weights)
+        assert np.allclose(stats.covariance, np.diag([1.0, 1.0, 0.25]), atol=1e-8)
+        md = hs.moment_sweep(free2, weights, [10])[0]
+        assert isinstance(md.second[2][2], float)
+        report = hs.mclt_check(free2, free2_decomp, weights, stats, [10, 20, 40])
+        assert report.passed
+        assert [c["name"] for c in report.checks] == [
+            "covariance-agreement",
+            "sigma-positive-definite",
+        ]
+
     def test_cells_build_no_python_int_distribution(
         self, free2, free2_decomp, abel, abel_stats, rank1, rank1_stats, monkeypatch
     ):
@@ -561,6 +593,18 @@ class TestLlt:
             assert int(row["count"]) == count > 0
         deviations = [abs(r["observed"] / r["predicted"] - 1.0) for r in report.rows]
         assert deviations == pytest.approx([0.017, 0.011, 0.013], abs=1e-3)
+
+    def test_eight_radii_compare_quartile_maxima(
+        self, free2, free2_decomp, proj, proj_stats
+    ):
+        grid = list(range(30, 101, 10))
+        report = hs.llt_check(free2, free2_decomp, proj, proj_stats, -0.5, 0.5, grid)
+        deviations = [abs(r["observed"] / r["predicted"] - 1.0) for r in report.rows]
+        trend = {c["name"]: c for c in report.checks}["llt-trend"]
+        # two radii per quartile: the last quartile's maximum against the first's
+        assert trend["lhs"] == max(deviations[-2:])
+        assert trend["rhs"] == max(deviations[:2]) + 1e-12
+        assert trend["passed"]
 
     def test_gate_refuses_lattice_weights(
         self, free2, free2_decomp, aexp, aexp_stats

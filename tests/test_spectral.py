@@ -63,10 +63,20 @@ class TestTransferMatrix:
         report = hs.pressure(free2, free2_decomp, aexp, comp, s)
         assert report.pressure == pytest.approx(expected, abs=1e-9)
 
-    @pytest.mark.parametrize("s", [1e308, math.inf, math.nan])
-    def test_non_finite_entry_names_s(self, free2, free2_decomp, aexp, s):
+    # a finite s can overflow exp in an entry; a non-finite s is refused
+    # before M(s) is built, so exp is not blamed for it
+    @pytest.mark.parametrize(
+        "s, error, message",
+        [
+            (1e308, hs.NumericalError, "entry at s=1e+308; the weights times s"),
+            (math.inf, hs.InvalidArgumentError, "parameter s must be finite, got s=inf"),
+            (math.nan, hs.InvalidArgumentError, "parameter s must be finite, got s=nan"),
+        ],
+        ids=["1e+308", "inf", "nan"],
+    )
+    def test_non_finite_entry_names_s(self, free2, free2_decomp, aexp, s, error, message):
         comp = free2_decomp.maximal_indices[0]
-        with pytest.raises(hs.NumericalError, match=re.escape(f"entry at s={s!r};")):
+        with pytest.raises(error, match=re.escape(message)):
             hs.pressure(free2, free2_decomp, aexp, comp, s)
 
     def test_tiny_entries_keep_the_pressure(self):
