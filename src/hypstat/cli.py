@@ -614,7 +614,11 @@ def _add_common(parser, weights: bool = True) -> None:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every command name and help line.  Only ``command``'s
+    subparser gets ``-h`` and its options, as argparse reads no other; every
+    subparser gets them when ``command`` is ``None`` or names no command
+    (``--help``, ``--version``, a typo)."""
     parser = argparse.ArgumentParser(
         prog="hypstat",
         description="Statistical limit laws on word spheres of Markov-coded groups.",
@@ -624,22 +628,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("growth", help="growth rate and sphere counts")
-    _add_common(p, weights=False)
+    def add(name: str, help_text: str, func, weights: bool = True):
+        built = command in (None, name)
+        p = sub.add_parser(name, help=help_text, add_help=built)
+        if not built:
+            # a stand-in that drops the options of a subparser argparse will not read
+            return argparse.Namespace(add_argument=lambda *args, **kwargs: None)
+        p.set_defaults(func=func)
+        _add_common(p, weights)
+        return p
+
+    p = add("growth", "growth rate and sphere counts", cmd_growth, weights=False)
     p.add_argument("--horizon", type=int, default=40, help="count spheres up to here")
-    p.set_defaults(func=cmd_growth)
 
-    p = sub.add_parser("pressure", help="Perron data of the transfer matrix")
-    _add_common(p)
+    p = add("pressure", "Perron data of the transfer matrix", cmd_pressure)
     p.add_argument("--s", default="0", help="parameter (comma list for vectors)")
-    p.set_defaults(func=cmd_pressure)
 
-    p = sub.add_parser("stats", help="drift and variance/covariance")
-    _add_common(p)
-    p.set_defaults(func=cmd_stats)
+    add("stats", "drift and variance/covariance", cmd_stats)
 
-    p = sub.add_parser("dist", help="exact sphere distribution")
-    _add_common(p)
+    p = add("dist", "exact sphere distribution", cmd_dist)
     p.add_argument("--n", type=int, required=True, help="sphere radius")
     p.add_argument("--bin", type=float, default=None, help="bin width (real weights)")
     p.add_argument(
@@ -647,27 +654,19 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the overcounted normalization (multiple maximal components)",
     )
-    p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("averaging", help="sphere means against the drift")
-    _add_common(p)
+    p = add("averaging", "sphere means against the drift", cmd_averaging)
     p.add_argument("--ngrid", default="25:200:25", help="lo:hi[:step] or comma list")
-    p.set_defaults(func=cmd_averaging)
 
-    p = sub.add_parser("clt", help="Kolmogorov distance to the Gaussian")
-    _add_common(p)
+    p = add("clt", "Kolmogorov distance to the Gaussian", cmd_clt)
     p.add_argument("--ngrid", default="16,36,64,100,144,196")
-    p.set_defaults(func=cmd_clt)
 
-    p = sub.add_parser("ldt", help="large-deviation tails against the rate bound")
-    _add_common(p)
+    p = add("ldt", "large-deviation tails against the rate bound", cmd_ldt)
     p.add_argument("--epsilon", type=float, required=True, help="deviation size")
     p.add_argument("--ngrid", default="10:200:10")
     p.add_argument("--tgrid", default="0:2:0.01", help="Chernoff parameter grid")
-    p.set_defaults(func=cmd_ldt)
 
-    p = sub.add_parser("mclt", help="vector CLT: covariance and cell masses")
-    _add_common(p)
+    p = add("mclt", "vector CLT: covariance and cell masses", cmd_mclt)
     p.add_argument("--ngrid", default="25,50,100,200")
     p.add_argument(
         "--cell",
@@ -676,10 +675,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cell a1,b1,a2,b2 (-inf, inf or empty for an unbounded lower, "
         "upper or either side); repeatable",
     )
-    p.set_defaults(func=cmd_mclt)
 
-    p = sub.add_parser("llt", help="local limit law on an interval")
-    _add_common(p)
+    p = add("llt", "local limit law on an interval", cmd_llt)
     p.add_argument("--interval", required=True, help="a,b")
     p.add_argument("--ngrid", default="100,200,300")
     p.add_argument("--bin", type=float, default=None, help="bin width override")
@@ -688,37 +685,27 @@ def _build_parser() -> argparse.ArgumentParser:
         help="frequency grid for the non-lattice gate (t <= 0 is skipped; "
         "default 0.1 to 20 by 0.05)",
     )
-    p.set_defaults(func=cmd_llt)
 
-    p = sub.add_parser("degeneracy", help="two-route variance degeneracy verdict")
-    _add_common(p)
+    p = add("degeneracy", "two-route variance degeneracy verdict", cmd_degeneracy)
     p.add_argument("--ncap", type=int, default=64, help="largest radius checked")
-    p.set_defaults(func=cmd_degeneracy)
 
-    p = sub.add_parser("scan-lattice", help="non-lattice gap over a frequency grid")
-    _add_common(p)
+    p = add("scan-lattice", "non-lattice gap over a frequency grid", cmd_scan_lattice)
     p.add_argument("--tgrid", help="frequency grid (default: llt's --gate-grid)")
-    p.set_defaults(func=cmd_scan_lattice)
 
-    p = sub.add_parser("validate", help="path-to-word bijection check")
-    _add_common(p, weights=False)
+    p = add("validate", "path-to-word bijection check", cmd_validate, weights=False)
     p.add_argument("--depth", type=int, default=8, help="enumeration depth")
-    p.set_defaults(func=cmd_validate)
 
-    return parser
+    return parser if command in (None, *sub.choices) else _build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command line; returns the exit code."""
     raw_argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser = _build_parser(raw_argv[0] if raw_argv else None)
     try:
         args = parser.parse_args(raw_argv)
     except SystemExit as exc:
-        code = exc.code
-        if code in (0, None):
-            return 0
-        return 2
+        return 0 if exc.code in (0, None) else 2
     args.raw_argv = raw_argv
     try:
         return args.func(args)

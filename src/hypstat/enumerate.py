@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import partial
 from itertools import accumulate, permutations
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
@@ -78,6 +77,8 @@ from .errors import InvalidArgumentError, ResourceError
 from .weights import WeightAssignment, lattice_scale, scaled_integer_values
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 #: cap on the bytes of the buffers an exact lattice enumeration allocates,
@@ -130,6 +131,9 @@ class MomentData(NamedTuple):
 def _exact_div(x: object, d: int) -> object:
     if isinstance(x, float):
         return x / d
+    if isinstance(x, int) and x % d == 0:
+        return x // d
+    from fractions import Fraction
     value = Fraction(x) / d
     return int(value) if value.denominator == 1 else value
 
@@ -185,10 +189,11 @@ class WordDistribution(NamedTuple):
             return q / self.scale
         return q * self.bin_width
 
-    def exact_value(self, q: int) -> Fraction:
+    def exact_value(self, q: int) -> int | Fraction:
         """Exact rational value of one lattice coordinate."""
         if self.kind == "exact-lattice":
-            return Fraction(q, self.scale)
+            return _exact_div(q, self.scale)
+        from fractions import Fraction
         return Fraction(q) * Fraction(self.bin_width)
 
     def moments(self) -> MomentData:
@@ -271,6 +276,12 @@ def _echelon(diffs: list[list[int]], k: int):
     return basis, coords
 
 
+def _round_half_even(p: int, q: int) -> int:
+    """``round(Fraction(p, q))`` for ``q > 0``, in integer arithmetic."""
+    floor, rest = divmod(p, q)
+    return floor + (2 * rest > q or (2 * rest == q and floor % 2 == 1))
+
+
 def _reduced_basis(diffs: list[list[int]], k: int, n_max: int):
     """``(basis, coords)`` of the lattice spanned by ``diffs``, small box.
 
@@ -300,7 +311,7 @@ def _reduced_basis(diffs: list[list[int]], k: int, n_max: int):
     while not reduced:
         reduced = True
         for i, j in pairs:
-            q = round(Fraction(_dot(basis[i], basis[j]), _dot(basis[j], basis[j])))
+            q = _round_half_even(_dot(basis[i], basis[j]), _dot(basis[j], basis[j]))
             if q:
                 move(i, j, q)
                 reduced = False

@@ -30,13 +30,13 @@ import bisect
 import functools
 import math
 import operator
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .coding import ComponentDecomposition, MarkovCoding
 from .enumerate import (
     MomentData,
     WordDistribution,
+    _exact_div,
     distribution_overcounted,
     distribution_sweep,
     interval_count_sweep,
@@ -54,6 +54,8 @@ from .spectral import LimitStatistics, _component_arrays, nonlattice_gap, pressu
 from .weights import WeightAssignment, lattice_scale
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 #: spectral-gap threshold below which a frequency witnesses lattice weights
@@ -658,6 +660,7 @@ def ldt_rate(
     rate_plus, t_plus = legendre(+1.0)
     rate_minus, t_minus = legendre(-1.0)
 
+    from fractions import Fraction
     eps_f = Fraction(epsilon)
     drift_f = Fraction(drift)
     tails = [
@@ -791,16 +794,12 @@ def ldt_rate(
 def _empirical_covariance(md: MomentData) -> list[list[float]]:
     """Exact covariance of ``phi / sqrt(n)`` over the sphere, as floats."""
     k = md.dim
-    count = md.count
     cov = [[0.0] * k for _ in range(k)]
     means = md.mean()
     for j in range(k):
         for l in range(k):
-            second = md.second[j][l]
-            if isinstance(second, float) or isinstance(means[j], float):
-                value = float(second) / count - float(means[j]) * float(means[l])
-            else:
-                value = float(Fraction(second) / count - Fraction(means[j]) * Fraction(means[l]))
+            # exact for lattice moments (ints and Fractions); real ones are floats
+            value = float(_exact_div(md.second[j][l], md.count) - means[j] * means[l])
             cov[j][l] = value / md.n
     return cov
 

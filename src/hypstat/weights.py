@@ -17,7 +17,6 @@ its endpoint).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -49,17 +48,20 @@ class WeightAssignment(NamedTuple):
 
 def _as_vector(raw: object, dim: int | None, context: str) -> tuple[Vector, int]:
     """Normalize a scalar or sequence to a finite float tuple; return (vector, dim)."""
-    if isinstance(raw, (int, float, Fraction)):
-        vec: Vector = (float(raw),)
-    elif isinstance(raw, Sequence) and not isinstance(raw, (str, bytes)):
+    # int, float and Fraction have as_integer_ratio, and so has bool, refused below
+    if isinstance(raw, Sequence) and not isinstance(raw, (str, bytes)):
         if not raw:
             raise InvalidArgumentError(f"{context}: empty value vector")
-        vec = tuple(float(x) for x in raw)
+    elif hasattr(raw, "as_integer_ratio"):
+        raw = (raw,)
     else:
         raise InvalidArgumentError(f"{context}: value must be a number or a sequence")
-    for x in vec:
-        if not math.isfinite(x):
-            raise InvalidArgumentError(f"{context}: value {x!r} is not finite")
+    vec: Vector = tuple(float(x) for x in raw)
+    for x, value in zip(raw, vec):
+        if isinstance(x, bool):
+            raise InvalidArgumentError(f"{context}: value {x!r} is a boolean, not a number")
+        if not math.isfinite(value):
+            raise InvalidArgumentError(f"{context}: value {value!r} is not finite")
     if dim is not None and len(vec) != dim:
         raise InvalidArgumentError(
             f"{context}: value has {len(vec)} coordinates, expected {dim}"
@@ -210,8 +212,8 @@ def lattice_scale(weights: WeightAssignment) -> int | None:
     q = 1
     for vec in weights.edge_values.values():
         for x in vec:
-            frac = Fraction(x)
-            q = q * frac.denominator // math.gcd(q, frac.denominator)
+            _, denominator = x.as_integer_ratio()
+            q = q * denominator // math.gcd(q, denominator)
             if q > LATTICE_DENOMINATOR_GUARD:
                 return None
     return q
@@ -225,12 +227,12 @@ def scaled_integer_values(
     for key, vec in weights.edge_values.items():
         ints = []
         for x in vec:
-            frac = Fraction(x) * scale
-            if frac.denominator != 1:
+            numerator, denominator = x.as_integer_ratio()
+            if numerator * scale % denominator:
                 raise InvalidArgumentError(
                     f"{x!r} on edge {key[0]}->{key[1]} is off the 1/{scale} lattice"
                 )
-            ints.append(int(frac))
+            ints.append(numerator * scale // denominator)
         out[key] = tuple(ints)
     return out
 
@@ -257,7 +259,7 @@ def load_weights(source: dict | str | Path, coding: MarkovCoding) -> WeightAssig
     if not isinstance(document, dict):
         raise ValidationError("weights document must be a JSON object")
     declared_dim = document.get("dim")
-    if not isinstance(declared_dim, int) or declared_dim < 1:
+    if not isinstance(declared_dim, int) or isinstance(declared_dim, bool) or declared_dim < 1:
         raise ValidationError("field 'dim' must be a positive integer")
     if ("by_generator" in document) == ("by_edge" in document):
         raise ValidationError(

@@ -486,6 +486,24 @@ class TestUsageErrors:
         assert (code, out) == (3, "")
         assert f"value {value!r} is not finite" in err
 
+    # JSON's true and false are not the numbers 1 and 0
+    @pytest.mark.parametrize("form", ["dim", "by_generator", "by_edge"])
+    def test_boolean_in_weights_file_exits_three(self, capsys, tmp_path, form):
+        rows = hs.dump_weights(hs.weights_word_length(hs.build_free_group_coding(2)))["by_edge"]
+        rows[0]["value"] = [False]
+        doc, field = {
+            "dim": ({"dim": True, "by_generator": {"a": 1, "b": 0}}, "field 'dim'"),
+            "by_generator": ({"dim": 1, "by_generator": {"a": True, "b": 0}}, "value for 'a'"),
+            "by_edge": ({"dim": 1, "by_edge": rows}, "value for edge *->A"),
+        }[form]
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, ["stats", "--coding", "free:2", "--weights", str(path)]
+        )
+        assert (code, out) == (3, "")
+        assert field in err
+
     def test_infinite_epsilon_exits_three(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -574,6 +592,43 @@ class TestUsageErrors:
         assert hs.__version__ in out
 
 
+#: stdout, stderr and exit code of five command lines, recorded when every
+#: subparser still got its options whichever command ran (COLUMNS=80)
+SURFACE = json.loads((Path(__file__).parent / "data" / "cli_surface.json").read_text())
+COMMANDS = [
+    "growth", "pressure", "stats", "dist", "averaging", "clt",
+    "ldt", "mclt", "llt", "degeneracy", "scan-lattice", "validate",
+]
+
+
+class TestCommandLineSurface:
+    # a process adds options only to the subparser it runs
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("case", sorted(SURFACE))
+    def test_recorded_output(self, capsys, case):
+        recorded = SURFACE[case]
+        code, out, err = run_cli(capsys, recorded["argv"])
+        assert (code, out, err) == (recorded["code"], recorded["stdout"], recorded["stderr"])
+
+    # --bogus leaves argv[0] naming no command, so every subparser is built
+    # and growth's own options parse before the top level refuses --bogus
+    @pytest.mark.parametrize(
+        "argv",
+        [[command, "--help"] for command in COMMANDS]
+        + [["--bogus", "growth", "--coding", "free:2"], ["dist", "--coding", "free:2", "--n", "x"]],
+        ids=" ".join,
+    )
+    def test_equals_the_full_build(self, capsys, argv):
+        with pytest.raises(SystemExit) as done:
+            cli._build_parser().parse_args(argv)
+        full = capsys.readouterr()
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (0 if done.value.code == 0 else 2, full.out, full.err)
+
+
 def _child_env() -> dict:
     """The environment of a child ``python`` that imports this ``hypstat``."""
     src = str(Path(hs.__file__).resolve().parents[1])
@@ -628,9 +683,9 @@ class TestProcessEntry:
         assert done.stdout.split() == ["0", "True", "True"]
 
 
-def _exit_code_and_numpy(argv: list[str]) -> list[str]:
+def _exit_code_and_loaded(argv: list[str], modules: tuple[str, ...] = ("numpy",)) -> list[str]:
     """The exit code of ``hypstat *argv`` in a child process, and whether it
-    loaded numpy, as ``[code, "True" | "False"]``."""
+    loaded each of ``modules``, as ``[code, "True" | "False", ...]``."""
     # runpy runs the module as `python -m hypstat.cli` does
     probe = "\n".join(
         [
@@ -641,7 +696,7 @@ def _exit_code_and_numpy(argv: list[str]) -> list[str]:
             "        runpy.run_module('hypstat.cli', run_name='__main__')",
             "    except SystemExit as done:",
             "        code = done.code",
-            "print(code, 'numpy' in sys.modules)",
+            f"print(code, *(m in sys.modules for m in {modules!r}))",
         ]
     )
     done = subprocess.run(
@@ -686,11 +741,56 @@ class TestImports:
         ids=lambda argv: argv[0],
     )
     def test_point_commands_leave_numpy_unloaded(self, argv):
-        assert _exit_code_and_numpy(argv) == ["0", "False"]
+        assert _exit_code_and_loaded(argv) == ["0", "False"]
 
     def test_lattice_llt_refuses_before_loading_numpy(self):
         argv = ["llt", "--coding", "free:2", "--weights", "hom:a=1,b=0", "--interval=-0.5,0.5"]
-        assert _exit_code_and_numpy(argv) == ["3", "False"]
+        assert _exit_code_and_loaded(argv) == ["3", "False"]
+
+    # a rational is formed only for a quotient that is not whole: sphere
+    # means (averaging), value ranges (degeneracy), covariances (mclt) and
+    # ldt's tail bounds; on hom:a=1,b=0 the means and ranges are integers,
+    # and an irrational llt and scan-lattice build arrays but no rational
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["growth", "--coding", "free:2", "--horizon", "12"],
+            ["validate", "--coding", "free:2", "--depth", "6"],
+            ["stats", "--coding", "free:2", "--weights", "hom:a=1,b=0"],
+            ["pressure", "--coding", "free:2", "--weights", "hom:a=1,b=0", "--s", "0.5"],
+            ["dist", "--coding", "free:2", "--weights", "hom:a=1,b=0", "--n", "40"],
+            pytest.param(
+                ["dist", "--coding", "free:2", "--weights", "hom:a=1|0,b=0|1", "--n", "60"],
+                id="dist-vector",
+            ),
+            [
+                "clt", "--coding", "free:2", "--weights", "hom:a=1,b=0",
+                "--ngrid", "16:196:4", "--format", "csv",
+            ],
+            ["averaging", "--coding", "free:2", "--weights", "hom:a=1,b=0"],
+            ["degeneracy", "--coding", "free:2", "--weights", "hom:a=1,b=0"],
+            ["scan-lattice", "--coding", "free:2", "--weights", "hom:a=1,b=0.7071067811865476"],
+            [
+                "llt", "--coding", "free:2", "--weights", "hom:a=1,b=0.7071067811865476",
+                "--interval=-0.5,0.5", "--ngrid", "100:300:100",
+            ],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_commands_without_rationals_leave_fractions_unloaded(self, argv):
+        assert _exit_code_and_loaded(argv, ("fractions", "decimal")) == ["0", "False", "False"]
+
+    def test_cli_import_leaves_fractions_and_decimal_unloaded(self):
+        probe = "import sys, hypstat.cli; print('fractions' in sys.modules, 'decimal' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "False"]
 
     def test_cli_import_loads_every_layer(self):
         # perfbench/trace_child.py looks each layer module up in sys.modules

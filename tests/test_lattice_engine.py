@@ -21,9 +21,10 @@ missed on named codings and weights.
 import math
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypstat as hs
@@ -39,6 +40,7 @@ from hypstat.enumerate import (
     _flatten,
     _packed_levels,
     _plan,
+    _round_half_even,
     _transitions,
     interval_count_sweep,
     weighted_counts,
@@ -454,6 +456,22 @@ class TestDigitPlanes:
         _edges, step, _decode, _origin, basis = flattened(free2, abel, 200)
         assert 200 * step + 1 == 201**2 == 40401
         assert sorted(map(abs, basis[0])) == sorted(map(abs, basis[1])) == [1, 1]
+
+
+class TestReducedBasisRounding:
+    # _reduced_basis rounds its Gram quotients in integers
+    @given(st.integers(-(10**40), 10**40), st.integers(1, 10**20))
+    def test_equals_rounding_the_fraction(self, p, q):
+        assert _round_half_even(p, q) == round(Fraction(p, q))
+
+    @given(st.integers(-(10**20), 10**20), st.integers(1, 10**20))
+    @example(0, 1)
+    @example(-1, 1)
+    @example(1, 3)
+    def test_exact_halves_go_to_the_even_neighbour(self, k, g):
+        # (2k + 1) g / (2g) = k + 1/2 lies halfway between k and k + 1
+        p, q = (2 * k + 1) * g, 2 * g
+        assert _round_half_even(p, q) == round(Fraction(p, q)) == k + k % 2
 
 
 class TestWindows:

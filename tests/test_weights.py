@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -50,6 +51,21 @@ class TestHomomorphism:
     def test_non_finite_value_rejected(self, free2, value):
         with pytest.raises(hs.InvalidArgumentError, match="is not finite"):
             hs.weights_from_homomorphism(free2, {"a": value, "b": 0})
+
+    # bool is an int to Python, and float(True) is 1.0
+    @pytest.mark.parametrize("value", [True, False, (1.0, False)])
+    def test_boolean_value_rejected(self, free2, value):
+        with pytest.raises(hs.InvalidArgumentError, match="is a boolean, not a number"):
+            hs.weights_from_homomorphism(free2, {"a": value, "b": 0})
+
+    def test_int_and_fraction_values_accepted(self, free2):
+        w = hs.weights_from_homomorphism(free2, {"a": Fraction(3, 2), "b": 0})
+        assert w.edge_values[("*", "a")] == (1.5,)
+        assert w.edge_values[("*", "b")] == (0.0,)
+        assert hs.lattice_scale(w) == 2
+        v = hs.weights_from_homomorphism(free2, {"a": (1, Fraction(1, 4)), "b": [0, 2]})
+        assert v.edge_values[("*", "a")] == (1.0, 0.25)
+        assert hs.lattice_scale(v) == 4
 
 
 class TestWordLength:
