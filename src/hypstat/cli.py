@@ -359,18 +359,6 @@ def _emit(doc: dict, args, is_report: bool) -> None:
         sys.stdout.write(payload)
 
 
-def _meta(args) -> dict:
-    return {"argv": list(args.raw_argv), "version": __version__}
-
-
-def _finish_report(report: LimitLawReport, args, command: str) -> int:
-    doc = {"command": command}
-    doc.update(report_to_json(report))
-    doc["meta"] = _meta(args)
-    _emit(doc, args, is_report=True)
-    return 0 if report.passed else 1
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -406,12 +394,11 @@ def _pipeline(args):
     return coding, decomposition, weights, report.statistics[0]
 
 
-def cmd_growth(args) -> int:
+def cmd_growth(args) -> dict:
     coding = _coding_from(args.coding)
     report = growth_rate(coding, args.horizon)
     counts = sphere_counts(coding, min(args.horizon, 20))
-    doc = {
-        "command": "growth",
+    return {
         "lam": report.lam,
         "entropy": report.entropy,
         "lam_ratio": report.lam_ratio,
@@ -419,40 +406,21 @@ def cmd_growth(args) -> int:
         "horizon": report.horizon,
         "ratio_trace": list(report.ratio_trace),
         "counts": {str(n): str(c) for n, c in enumerate(counts)},
-        "meta": _meta(args),
     }
-    _emit(doc, args, is_report=False)
-    return 0
 
 
-def cmd_pressure(args) -> int:
+def cmd_pressure(args) -> dict:
     coding, decomposition, weights = _load_pair(args)
     s = _parse_float_grid(args.s)
     component = _component_of(args, decomposition)
-    report = pressure(coding, decomposition, weights, component, s)
-    doc = {
-        "command": "pressure",
-        "component": report.component,
-        "s": list(report.s),
-        "value": report.value,
-        "pressure": report.pressure,
-        "vertices": list(report.vertices),
-        "right": list(report.right),
-        "left": list(report.left),
-        "iterations": report.iterations,
-        "residual": report.residual,
-        "meta": _meta(args),
-    }
-    _emit(doc, args, is_report=False)
-    return 0
+    return pressure(coding, decomposition, weights, component, s)._asdict()
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> dict:
     coding, decomposition, weights, stats = _pipeline(args)
     # scalar weights print sigma2; vector weights their covariance matrix
     scalar = weights.dim == 1
-    doc = {
-        "command": "stats",
+    return {
         "component": stats.component,
         "drift": list(stats.drift),
         "sigma2": stats.sigma2 if scalar else None,
@@ -461,13 +429,10 @@ def cmd_stats(args) -> int:
         "lam": stats.lam,
         "degenerate": stats.degenerate,
         "positive_definite": None if scalar else not stats.degenerate,
-        "meta": _meta(args),
     }
-    _emit(doc, args, is_report=False)
-    return 0
 
 
-def cmd_dist(args) -> int:
+def cmd_dist(args) -> dict:
     coding, decomposition, weights = _load_pair(args)
     if args.overcounted:
         dist = distribution_overcounted(
@@ -475,30 +440,24 @@ def cmd_dist(args) -> int:
         )
     else:
         dist = distribution(coding, weights, args.n, args.bin)
-    doc = {"command": "dist"}
-    doc.update(distribution_to_json(dist))
-    doc["meta"] = _meta(args)
-    _emit(doc, args, is_report=False)
-    return 0
+    return distribution_to_json(dist)
 
 
-def cmd_averaging(args) -> int:
+def cmd_averaging(args) -> LimitLawReport:
     coding, decomposition, weights, stats = _pipeline(args)
-    report = averaging_table(coding, weights, stats, _parse_int_grid(args.ngrid))
-    return _finish_report(report, args, "averaging")
+    return averaging_table(coding, weights, stats, _parse_int_grid(args.ngrid))
 
 
-def cmd_clt(args) -> int:
+def cmd_clt(args) -> LimitLawReport:
     coding, decomposition, weights, stats = _pipeline(args)
-    report = clt_distance(
+    return clt_distance(
         coding, decomposition, weights, stats, _parse_int_grid(args.ngrid)
     )
-    return _finish_report(report, args, "clt")
 
 
-def cmd_ldt(args) -> int:
+def cmd_ldt(args) -> LimitLawReport:
     coding, decomposition, weights, stats = _pipeline(args)
-    report = ldt_rate(
+    return ldt_rate(
         coding,
         decomposition,
         weights,
@@ -507,22 +466,20 @@ def cmd_ldt(args) -> int:
         _parse_int_grid(args.ngrid),
         _parse_float_grid(args.tgrid),
     )
-    return _finish_report(report, args, "ldt")
 
 
-def cmd_mclt(args) -> int:
+def cmd_mclt(args) -> LimitLawReport:
     coding, decomposition, weights, stats = _pipeline(args)
     cells = [_parse_cell(c) for c in args.cell] if args.cell else None
-    report = mclt_check(
+    return mclt_check(
         coding, decomposition, weights, stats, _parse_int_grid(args.ngrid), cells
     )
-    return _finish_report(report, args, "mclt")
 
 
-def cmd_llt(args) -> int:
+def cmd_llt(args) -> LimitLawReport:
     coding, decomposition, weights, stats = _pipeline(args)
     a, b = _parse_interval(args.interval)
-    report = llt_check(
+    return llt_check(
         coding,
         decomposition,
         weights,
@@ -533,16 +490,14 @@ def cmd_llt(args) -> int:
         bin_width=args.bin,
         gate_t_grid=None if args.gate_grid is None else _parse_float_grid(args.gate_grid),
     )
-    return _finish_report(report, args, "llt")
 
 
-def cmd_degeneracy(args) -> int:
+def cmd_degeneracy(args) -> LimitLawReport:
     coding, decomposition, weights, stats = _pipeline(args)
-    report = degeneracy_check(coding, decomposition, weights, stats, args.ncap)
-    return _finish_report(report, args, "degeneracy")
+    return degeneracy_check(coding, decomposition, weights, stats, args.ncap)
 
 
-def cmd_scan_lattice(args) -> int:
+def cmd_scan_lattice(args) -> dict:
     coding, decomposition, weights = _load_pair(args)
     tgrid = _default_gate_grid() if args.tgrid is None else _parse_float_grid(args.tgrid)
     grid = [t for t in tgrid if t > 0.0]
@@ -555,33 +510,25 @@ def cmd_scan_lattice(args) -> int:
     points = list(nonlattice_gap(coding, decomposition, weights, component, grid + exact))
     witness = points.pop()._asdict() if exact else None
     low = min(points, key=lambda p: p.gap)
-    doc = {
-        "command": "scan-lattice",
+    return {
         "component": component,
         "min_gap": low.gap,
         "argmin_t": low.t,
         "lattice_scale": scale,
         "witness": witness,
         "points": [p._asdict() for p in points],
-        "meta": _meta(args),
     }
-    _emit(doc, args, is_report=False)
-    return 0
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> dict:
     coding = _coding_from(args.coding)
     report = validate_coding(coding, args.depth)
-    doc = {
-        "command": "validate",
+    return {
         "ok": report.ok,
         "depth": report.depth,
         "paths_per_depth": [str(c) for c in report.paths_per_depth],
         "failures": list(report.failures),
-        "meta": _meta(args),
     }
-    _emit(doc, args, is_report=False)
-    return 0 if report.ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -699,16 +646,25 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command line; returns the exit code."""
+    """Run one command line; returns the exit code.
+
+    A ``cmd_*`` handler returns a ``LimitLawReport`` or a document body;
+    ``main`` alone frames it with ``command`` and ``meta``, emits it, and
+    exits 1 when a report failed or ``validate`` found a fault."""
     raw_argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser(raw_argv[0] if raw_argv else None)
     try:
         args = parser.parse_args(raw_argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    args.raw_argv = raw_argv
     try:
-        return args.func(args)
+        result = args.func(args)
+        is_report = isinstance(result, LimitLawReport)
+        body = report_to_json(result) if is_report else result
+        meta = {"argv": raw_argv, "version": __version__}
+        _emit({"command": args.command, **body, "meta": meta}, args, is_report)
+        passed = result.passed if is_report else body.get("ok", True)
+        return 0 if passed else 1
     except UsageError as exc:
         print(f"hypstat: usage error: {exc}", file=sys.stderr)
         return 2

@@ -234,6 +234,21 @@ def check_coding(coding: MarkovCoding) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _read_document(source: dict | str | Path, what: str) -> dict:
+    """The JSON object in the file at ``source``, or ``source`` itself when
+    it is already parsed; ``what`` names the document in errors."""
+    if isinstance(source, (str, Path)):
+        try:
+            source = json.loads(Path(source).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValidationError(
+                f"{what} document parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+    if not isinstance(source, dict):
+        raise ValidationError(f"{what} document must be a JSON object")
+    return source
+
+
 def load_coding(source: dict | str | Path) -> MarkovCoding:
     """Load a coding from a JSON document, file path, or parsed dict.
 
@@ -250,18 +265,7 @@ def load_coding(source: dict | str | Path) -> MarkovCoding:
     MarkovCoding
         The fully validated coding.
     """
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"coding document parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    else:
-        document = source
-    if not isinstance(document, dict):
-        raise ValidationError("coding document must be a JSON object")
+    document = _read_document(source, "coding")
     for field in ("generators", "vertices", "edges"):
         if field not in document:
             raise ValidationError(f"coding document is missing the {field!r} field")

@@ -20,9 +20,7 @@ import math
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-import json
-
-from .coding import MarkovCoding
+from .coding import MarkovCoding, _read_document
 from .errors import InvalidArgumentError, ValidationError
 
 #: largest least-common-denominator for which weights count as lattice
@@ -48,7 +46,6 @@ class WeightAssignment(NamedTuple):
 
 def _as_vector(raw: object, dim: int | None, context: str) -> tuple[Vector, int]:
     """Normalize a scalar or sequence to a finite float tuple; return (vector, dim)."""
-    # int, float and Fraction have as_integer_ratio, and so has bool, refused below
     if isinstance(raw, Sequence) and not isinstance(raw, (str, bytes)):
         if not raw:
             raise InvalidArgumentError(f"{context}: empty value vector")
@@ -56,12 +53,21 @@ def _as_vector(raw: object, dim: int | None, context: str) -> tuple[Vector, int]
         raw = (raw,)
     else:
         raise InvalidArgumentError(f"{context}: value must be a number or a sequence")
-    vec: Vector = tuple(float(x) for x in raw)
-    for x, value in zip(raw, vec):
+    values = []
+    for x in raw:
+        # int, float and Fraction have as_integer_ratio, and so has bool
         if isinstance(x, bool):
             raise InvalidArgumentError(f"{context}: value {x!r} is a boolean, not a number")
+        if not hasattr(x, "as_integer_ratio"):
+            raise InvalidArgumentError(f"{context}: value {x!r} is not a number")
+        try:
+            value = float(x)
+        except OverflowError:
+            raise InvalidArgumentError(f"{context}: value is too large for a float")
         if not math.isfinite(value):
             raise InvalidArgumentError(f"{context}: value {value!r} is not finite")
+        values.append(value)
+    vec: Vector = tuple(values)
     if dim is not None and len(vec) != dim:
         raise InvalidArgumentError(
             f"{context}: value has {len(vec)} coordinates, expected {dim}"
@@ -245,19 +251,7 @@ def load_weights(source: dict | str | Path, coding: MarkovCoding) -> WeightAssig
     builds an edge table.  Generator keys may use the ``"A"`` or ``"a^-1"``
     inverse conventions.
     """
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"weights document parse error at line {exc.lineno}, "
-                f"column {exc.colno}: {exc.msg}"
-            ) from exc
-    else:
-        document = source
-    if not isinstance(document, dict):
-        raise ValidationError("weights document must be a JSON object")
+    document = _read_document(source, "weights")
     declared_dim = document.get("dim")
     if not isinstance(declared_dim, int) or isinstance(declared_dim, bool) or declared_dim < 1:
         raise ValidationError("field 'dim' must be a positive integer")

@@ -100,6 +100,14 @@ def mirror():
 
 
 @pytest.fixture(scope="session")
+def one_edge():
+    # one generator x with no inverse letter; the only word is x
+    return hs.MarkovCoding(
+        generators=("x",), vertices=("*", "x"), edges=(hs.CodingEdge("*", "x", "x"),)
+    )
+
+
+@pytest.fixture(scope="session")
 def free2_decomp(free2):
     return hs.decompose_components(free2)
 

@@ -241,6 +241,24 @@ class TestFileInputs:
         assert doc["total"] == "1946"
         assert doc["overcount_multiplicity"] == 1
 
+    # mirror_hom gives both maximal components the same statistics, so with
+    # no --component the first speaks for all
+    def test_agreeing_components_need_no_component(self, capsys, tmp_path, mirror, mirror_hom):
+        coding_path = tmp_path / "mirror.json"
+        coding_path.write_text(json.dumps(hs.dump_coding(mirror)), encoding="utf-8")
+        weights_path = tmp_path / "weights.json"
+        weights_path.write_text(json.dumps(hs.dump_weights(mirror_hom)), encoding="utf-8")
+        decomposition = hs.decompose_components(mirror)
+        assert len(decomposition.maximal_indices) == 2
+        code, out, err = run_cli(
+            capsys, ["stats", "--coding", str(coding_path), "--weights", str(weights_path)]
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        first = hs.component_consistency(mirror, decomposition, mirror_hom).statistics[0]
+        assert doc["component"] == first.component == decomposition.maximal_indices[0]
+        assert (doc["drift"], doc["sigma2"]) == (list(first.drift), first.sigma2)
+
     def test_missing_coding_file_exits_three(self, capsys, tmp_path):
         code, _out, err = run_cli(
             capsys,
@@ -504,6 +522,27 @@ class TestUsageErrors:
         assert (code, out) == (3, "")
         assert field in err
 
+    # every entry of a vector is held to the rule for a scalar value, and a
+    # JSON integer past the float range is refused rather than overflowing
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (["1.5"], "value '1.5' is not a number"),
+            ([None], "value None is not a number"),
+            (10**400, "value is too large for a float"),
+            ([10**400], "value is too large for a float"),
+        ],
+        ids=["string-entry", "null-entry", "huge-scalar", "huge-entry"],
+    )
+    def test_non_number_in_weights_file_exits_three(self, capsys, tmp_path, value, message):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"dim": 1, "by_generator": {"a": value, "b": 0}}))
+        code, out, err = run_cli(
+            capsys, ["stats", "--coding", "free:2", "--weights", str(path)]
+        )
+        assert (code, out) == (3, "")
+        assert f"value for 'a': {message}" in err
+
     def test_infinite_epsilon_exits_three(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -592,13 +631,30 @@ class TestUsageErrors:
         assert hs.__version__ in out
 
 
-#: stdout, stderr and exit code of five command lines, recorded when every
-#: subparser still got its options whichever command ran (COLUMNS=80)
+#: stdout, stderr, exit code and any ``--out`` file of help, usage errors and
+#: one small run of each command, each format and each exit code, recorded
+#: with COLUMNS=80 before the parser built options lazily and before the
+#: handlers returned their documents to ``main``
 SURFACE = json.loads((Path(__file__).parent / "data" / "cli_surface.json").read_text())
 COMMANDS = [
     "growth", "pressure", "stats", "dist", "averaging", "clt",
     "ldt", "mclt", "llt", "degeneracy", "scan-lattice", "validate",
 ]
+
+
+def _assert_close(got, want, rel: float) -> None:
+    """``got == want`` but for floats, which may differ by ``rel``."""
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=rel, abs=rel)
+    elif isinstance(want, (list, dict)):
+        assert type(got) is type(want) and len(got) == len(want)
+        if isinstance(want, dict):
+            assert list(got) == list(want)
+            got, want = list(got.values()), list(want.values())
+        for g, w in zip(got, want):
+            _assert_close(g, w, rel)
+    else:
+        assert got == want
 
 
 class TestCommandLineSurface:
@@ -608,10 +664,18 @@ class TestCommandLineSurface:
         monkeypatch.setenv("COLUMNS", "80")
 
     @pytest.mark.parametrize("case", sorted(SURFACE))
-    def test_recorded_output(self, capsys, case):
+    def test_recorded_output(self, capsys, monkeypatch, tmp_path, case):
         recorded = SURFACE[case]
+        monkeypatch.chdir(tmp_path)  # a relative --out lands here
         code, out, err = run_cli(capsys, recorded["argv"])
-        assert (code, out, err) == (recorded["code"], recorded["stdout"], recorded["stderr"])
+        assert (code, err) == (recorded["code"], recorded["stderr"])
+        files = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        assert files == recorded.get("files", {})
+        if "float_rel" in recorded:
+            # LAPACK's eig rounds the last digits by BLAS kernel
+            _assert_close(json.loads(out), json.loads(recorded["stdout"]), recorded["float_rel"])
+        else:
+            assert out == recorded["stdout"]
 
     # --bogus leaves argv[0] naming no command, so every subparser is built
     # and growth's own options parse before the top level refuses --bogus

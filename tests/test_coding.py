@@ -155,6 +155,23 @@ class TestLoadAndDump:
         with pytest.raises(hs.ValidationError):
             hs.load_coding(doc)
 
+    # coding and weights files go through one reader, which names the document
+    @pytest.mark.parametrize("what", ["coding", "weights"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "document parse error at line 1, column 2: Expecting property name"),
+            ("[1, 2]", "document must be a JSON object"),
+        ],
+        ids=["malformed", "array"],
+    )
+    def test_file_reader_names_the_document(self, tmp_path, free2, what, text, message):
+        target = tmp_path / f"{what}.json"
+        target.write_text(text, encoding="utf-8")
+        load = hs.load_coding if what == "coding" else lambda path: hs.load_weights(path, free2)
+        with pytest.raises(hs.ValidationError, match=f"^{what} {message}"):
+            load(target)
+
 
 class TestValidateCoding:
     def test_free2_bijection(self, free2):

@@ -244,6 +244,12 @@ class TestWeightedSums:
             )
             assert log_value == pytest.approx(math.log(direct), abs=1e-10)
 
+    def test_log_sweep_at_radius_zero_and_past_the_last_sphere(self, one_edge):
+        # the only word is x, so every sphere past radius 1 is empty
+        w = hs.weights_from_homomorphism(one_edge, {"x": 3})
+        logs = hs.log_weighted_sum_sweep(one_edge, w, 0.5, [0, 1, 2, 5])
+        assert logs == [0.0, 1.5, -math.inf, -math.inf]
+
 
 class TestLatticeMasses2d:
     # mclt's cell proportions read the 2-d lattice masses off the exact

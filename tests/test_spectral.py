@@ -79,6 +79,20 @@ class TestTransferMatrix:
         with pytest.raises(error, match=re.escape(message)):
             hs.pressure(free2, free2_decomp, aexp, comp, s)
 
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            ("0.5", "parameter s must be a number or a sequence"),
+            ((0.5, 0.5), "parameter s has 2 coordinates, expected 1"),
+            (0.5j, "pressure is defined for real parameters only"),
+        ],
+        ids=["string", "wrong-length", "complex"],
+    )
+    def test_parameter_refused(self, free2, free2_decomp, aexp, s, message):
+        comp = free2_decomp.maximal_indices[0]
+        with pytest.raises(hs.InvalidArgumentError, match=re.escape(message)):
+            hs.pressure(free2, free2_decomp, aexp, comp, s)
+
     def test_tiny_entries_keep_the_pressure(self):
         # M(-40) = e^-40 B: an absolute residual target would accept the
         # uniform start's Rayleigh quotient, about 1.7e-3 off in log

@@ -30,6 +30,15 @@ class TestHomomorphism:
         with pytest.raises(hs.InvalidArgumentError):
             hs.weights_from_homomorphism(free2, {"a": 1, "A": 1, "b": 0})
 
+    # with no inverse letter in the coding, "x^-1" means -x
+    def test_inverse_suffix_without_inverse_generator(self, one_edge):
+        w = hs.weights_from_homomorphism(one_edge, {"x^-1": 2})
+        assert w.edge_values == {("*", "x"): (-2.0,)}
+
+    def test_conflicting_values_for_one_generator_rejected(self, one_edge):
+        with pytest.raises(hs.InvalidArgumentError, match="conflicting values .* generator 'x'"):
+            hs.weights_from_homomorphism(one_edge, {"x": 1, "x^-1": 1})
+
     def test_missing_generator_rejected(self, free2):
         with pytest.raises(hs.InvalidArgumentError):
             hs.weights_from_homomorphism(free2, {"a": 1})
@@ -56,6 +65,11 @@ class TestHomomorphism:
     @pytest.mark.parametrize("value", [True, False, (1.0, False)])
     def test_boolean_value_rejected(self, free2, value):
         with pytest.raises(hs.InvalidArgumentError, match="is a boolean, not a number"):
+            hs.weights_from_homomorphism(free2, {"a": value, "b": 0})
+
+    @pytest.mark.parametrize("value", [["1.5"], [None], 10**400, (1.0, 10**400)])
+    def test_non_number_entry_rejected(self, free2, value):
+        with pytest.raises(hs.InvalidArgumentError, match="value for 'a': value"):
             hs.weights_from_homomorphism(free2, {"a": value, "b": 0})
 
     def test_int_and_fraction_values_accepted(self, free2):
