@@ -14,9 +14,8 @@ import math
 import hypstat as hs
 
 coding = hs.build_free_group_coding(2)
-decomposition = hs.decompose_components(coding)
 weights = hs.weights_from_homomorphism(coding, {"a": 1, "b": 0})
-stats = hs.limit_statistics(coding, decomposition, weights)
+stats = hs.limit_statistics(coding, weights)
 
 print(f"drift = {stats.drift[0]:.6f}, sigma^2 = {stats.sigma2:.6f}")
 print()
@@ -24,7 +23,7 @@ print()
 # Exact Kolmogorov distance between the recentered, rescaled sphere law
 # and the standard normal.  The decay is the Berry-Esseen rate 1/sqrt(n).
 grid = (16, 36, 64, 100, 144, 196)
-report = hs.clt_distance(coding, decomposition, weights, stats, grid)
+report = hs.clt_distance(coding, weights, stats, grid)
 print("   n     D_n = ||H_n - N||   sqrt(n) * D_n")
 for row in report.rows:
     n, d = row["n"], row["observed"]
@@ -35,7 +34,7 @@ print()
 # The computable Berry-Esseen bound dominates the exact distance; the
 # bound is conservative but honest.
 for n, T in ((25, 2.5), (100, 5.0)):
-    be = hs.berry_esseen_report(coding, decomposition, weights, stats, n, T)
+    be = hs.berry_esseen_report(coding, weights, stats, n, T)
     (check,) = [c for c in be.checks if c["name"] == "bound-dominates-distance"]
     print(
         f"n = {n:3d}, T = {T}: exact distance {check['lhs']:.5f} "

@@ -14,16 +14,13 @@ import math
 import hypstat as hs
 
 coding = hs.build_free_group_coding(2)
-decomposition = hs.decompose_components(coding)
 weights = hs.weights_from_homomorphism(coding, {"a": 1, "b": 0})
-stats = hs.limit_statistics(coding, decomposition, weights)
+stats = hs.limit_statistics(coding, weights)
 
 epsilon = 0.4
 t_grid = [i * 0.01 for i in range(1, 201)]
 
-report = hs.ldt_rate(
-    coding, decomposition, weights, stats, epsilon, range(10, 201, 10), t_grid
-)
+report = hs.ldt_rate(coding, weights, stats, epsilon, range(10, 201, 10), t_grid)
 rate = report.theory["chernoff_rate_bound"]
 print(f"epsilon = {epsilon}")
 print(f"grid-optimized rate I(epsilon) = {rate:.8f}")
@@ -57,10 +54,8 @@ print()
 # Word-length weights cannot deviate from their drift at all: every tail
 # is exactly empty and the bound holds trivially.
 wordlen = hs.weights_word_length(coding)
-wl_stats = hs.limit_statistics(coding, decomposition, wordlen)
-trivial = hs.ldt_rate(
-    coding, decomposition, wordlen, wl_stats, epsilon, range(10, 101, 10), t_grid
-)
+wl_stats = hs.limit_statistics(coding, wordlen)
+trivial = hs.ldt_rate(coding, wordlen, wl_stats, epsilon, range(10, 101, 10), t_grid)
 empty = all(row["p"] == 0.0 for row in trivial.rows)
 print(f"word-length tails empty at every n: {empty}")
 print(f"degenerate-tail report passed: {trivial.passed}")

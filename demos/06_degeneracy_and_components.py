@@ -13,21 +13,20 @@ checker verifies component by component.
 import hypstat as hs
 
 coding = hs.build_free_group_coding(2)
-decomposition = hs.decompose_components(coding)
 
 # --- degeneracy ------------------------------------------------------------
 wordlen = hs.weights_word_length(coding)
-wl_stats = hs.limit_statistics(coding, decomposition, wordlen)
+wl_stats = hs.limit_statistics(coding, wordlen)
 print(f"word-length sigma^2 = {wl_stats.sigma2} (degenerate: {wl_stats.degenerate})")
-check = hs.degeneracy_check(coding, decomposition, wordlen, wl_stats, 12)
+check = hs.degeneracy_check(coding, wordlen, wl_stats, 12)
 widths = [row["observed"] for row in check.rows]
 print(f"recentered sphere range widths, n <= 12: {sorted(set(widths))}")
 print(f"degeneracy report passed: {check.passed}")
 print()
 
 aexp = hs.weights_from_homomorphism(coding, {"a": 1, "b": 0})
-aexp_stats = hs.limit_statistics(coding, decomposition, aexp)
-check = hs.degeneracy_check(coding, decomposition, aexp, aexp_stats, 12)
+aexp_stats = hs.limit_statistics(coding, aexp)
+check = hs.degeneracy_check(coding, aexp, aexp_stats, 12)
 print(f"a-exponent degenerate: {check.theory['degenerate']} "
       f"(range widths grow; report passed: {check.passed})")
 print()
@@ -59,7 +58,7 @@ mirror_decomp = hs.decompose_components(mirror)
 print(f"mirror coding maximal components: {len(mirror_decomp.maximal_indices)}")
 
 weights = hs.weights_from_homomorphism(mirror, {"a": 1, "b": 0, "t": 0})
-consistency = hs.component_consistency(mirror, mirror_decomp, weights)
+consistency = hs.component_consistency(mirror, weights)
 print(f"drift spread across components: {consistency.max_drift_spread:.2e}")
 print(f"variance spread across components: {consistency.max_variance_spread:.2e}")
 print(f"components consistent: {consistency.consistent}")
@@ -69,7 +68,7 @@ print()
 # paths that avoid every maximal component once more than plain paths do.
 print(" n    paths   H_n   avoiding-maximal")
 for n in range(1, 7):
-    over = hs.distribution_overcounted(mirror, mirror_decomp, weights, n)
+    over = hs.distribution_overcounted(mirror, weights, n)
     plain = hs.distribution(mirror, weights, n)
     extra = (over.total - plain.total) // over.overcount_multiplicity
     print(f"{n:2d}   {sum(plain.counts):6d}  {sum(over.counts):5d}   {extra:6d}")

@@ -1,9 +1,9 @@
 """Command-line front end: run any analysis, emit deterministic reports.
 
 ``hypstat COMMAND --coding SRC [--weights SRC] [options]`` wires the library
-end to end: build or load a coding, decompose it, attach weights, run the
-requested spectral/enumerative/limit-law analysis, and write the result as
-JSON (default), CSV (limit-law tables), or aligned text.
+end to end: build or load a coding, attach weights, run the requested
+spectral/enumerative/limit-law analysis, and write the result as JSON
+(default), CSV (limit-law tables), or aligned text.
 
 Sources
 -------
@@ -297,6 +297,8 @@ def _text_value(value) -> str:
         return _format_float(value)
     if value is None:
         return "-"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_text_value, value)) + "]"
     return str(value)
 
 
@@ -366,32 +368,29 @@ def _emit(doc: dict, args, is_report: bool) -> None:
 
 def _load_pair(args):
     coding = _coding_from(args.coding)
-    decomposition = decompose_components(coding)
-    weights = _weights_from(args.weights, coding)
-    return coding, decomposition, weights
+    return coding, _weights_from(args.weights, coding)
 
 
-def _component_of(args, decomposition) -> int:
-    if getattr(args, "component", None) is not None:
+def _component_of(args, coding) -> int:
+    if args.component is not None:
         return args.component
-    return decomposition.maximal_indices[0]
+    return decompose_components(coding).maximal_indices[0]
 
 
 def _pipeline(args):
-    coding, decomposition, weights = _load_pair(args)
-    component = getattr(args, "component", None)
-    if component is not None or len(decomposition.maximal_indices) < 2:
-        stats = limit_statistics(coding, decomposition, weights, component)
-        return coding, decomposition, weights, stats
+    coding, weights = _load_pair(args)
+    if args.component is not None:
+        return coding, weights, limit_statistics(coding, weights, args.component)
     # no component named: the maximal components must agree to speak for all
-    report = component_consistency(coding, decomposition, weights)
+    # (a single one agrees with itself)
+    report = component_consistency(coding, weights)
     if not report.consistent:
         raise PreconditionError(
             "maximal components disagree (drift spread "
             f"{report.max_drift_spread:.3e}, covariance spread "
             f"{report.max_variance_spread:.3e}); pick one with --component"
         )
-    return coding, decomposition, weights, report.statistics[0]
+    return coding, weights, report.statistics[0]
 
 
 def cmd_growth(args) -> dict:
@@ -410,14 +409,13 @@ def cmd_growth(args) -> dict:
 
 
 def cmd_pressure(args) -> dict:
-    coding, decomposition, weights = _load_pair(args)
+    coding, weights = _load_pair(args)
     s = _parse_float_grid(args.s)
-    component = _component_of(args, decomposition)
-    return pressure(coding, decomposition, weights, component, s)._asdict()
+    return pressure(coding, weights, _component_of(args, coding), s)._asdict()
 
 
 def cmd_stats(args) -> dict:
-    coding, decomposition, weights, stats = _pipeline(args)
+    coding, weights, stats = _pipeline(args)
     # scalar weights print sigma2; vector weights their covariance matrix
     scalar = weights.dim == 1
     return {
@@ -433,33 +431,28 @@ def cmd_stats(args) -> dict:
 
 
 def cmd_dist(args) -> dict:
-    coding, decomposition, weights = _load_pair(args)
+    coding, weights = _load_pair(args)
     if args.overcounted:
-        dist = distribution_overcounted(
-            coding, decomposition, weights, args.n, args.bin
-        )
+        dist = distribution_overcounted(coding, weights, args.n, args.bin)
     else:
         dist = distribution(coding, weights, args.n, args.bin)
     return distribution_to_json(dist)
 
 
 def cmd_averaging(args) -> LimitLawReport:
-    coding, decomposition, weights, stats = _pipeline(args)
+    coding, weights, stats = _pipeline(args)
     return averaging_table(coding, weights, stats, _parse_int_grid(args.ngrid))
 
 
 def cmd_clt(args) -> LimitLawReport:
-    coding, decomposition, weights, stats = _pipeline(args)
-    return clt_distance(
-        coding, decomposition, weights, stats, _parse_int_grid(args.ngrid)
-    )
+    coding, weights, stats = _pipeline(args)
+    return clt_distance(coding, weights, stats, _parse_int_grid(args.ngrid))
 
 
 def cmd_ldt(args) -> LimitLawReport:
-    coding, decomposition, weights, stats = _pipeline(args)
+    coding, weights, stats = _pipeline(args)
     return ldt_rate(
         coding,
-        decomposition,
         weights,
         stats,
         args.epsilon,
@@ -469,19 +462,16 @@ def cmd_ldt(args) -> LimitLawReport:
 
 
 def cmd_mclt(args) -> LimitLawReport:
-    coding, decomposition, weights, stats = _pipeline(args)
+    coding, weights, stats = _pipeline(args)
     cells = [_parse_cell(c) for c in args.cell] if args.cell else None
-    return mclt_check(
-        coding, decomposition, weights, stats, _parse_int_grid(args.ngrid), cells
-    )
+    return mclt_check(coding, weights, stats, _parse_int_grid(args.ngrid), cells)
 
 
 def cmd_llt(args) -> LimitLawReport:
-    coding, decomposition, weights, stats = _pipeline(args)
+    coding, weights, stats = _pipeline(args)
     a, b = _parse_interval(args.interval)
     return llt_check(
         coding,
-        decomposition,
         weights,
         stats,
         a,
@@ -493,21 +483,21 @@ def cmd_llt(args) -> LimitLawReport:
 
 
 def cmd_degeneracy(args) -> LimitLawReport:
-    coding, decomposition, weights, stats = _pipeline(args)
-    return degeneracy_check(coding, decomposition, weights, stats, args.ncap)
+    coding, weights, stats = _pipeline(args)
+    return degeneracy_check(coding, weights, stats, args.ncap)
 
 
 def cmd_scan_lattice(args) -> dict:
-    coding, decomposition, weights = _load_pair(args)
+    coding, weights = _load_pair(args)
     tgrid = _default_gate_grid() if args.tgrid is None else _parse_float_grid(args.tgrid)
     grid = [t for t in tgrid if t > 0.0]
     if not grid:
         raise UsageError("scan grid must contain positive frequencies")
-    component = _component_of(args, decomposition)
+    component = _component_of(args, coding)
     scale = lattice_scale(weights)
     # the exact witness t = 2 pi scale of lattice weights rides last on the scan
     exact = [] if scale is None else [2.0 * math.pi * scale]
-    points = list(nonlattice_gap(coding, decomposition, weights, component, grid + exact))
+    points = list(nonlattice_gap(coding, weights, component, grid + exact))
     witness = points.pop()._asdict() if exact else None
     low = min(points, key=lambda p: p.gap)
     return {

@@ -72,6 +72,7 @@ from .coding import (
     ComponentDecomposition,
     MarkovCoding,
     _path_totals,
+    decompose_components,
 )
 from .errors import InvalidArgumentError, ResourceError
 from .weights import WeightAssignment, lattice_scale, scaled_integer_values
@@ -862,19 +863,20 @@ def distribution(
 
 def distribution_overcounted(
     coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
     weights: WeightAssignment,
     n: int,
     bin_width: float | None = None,
 ) -> WordDistribution:
     """Distribution under the overcounted sphere ``#W_n + (m-1) #N_n``.
 
-    Paths avoiding all ``m`` maximal components are counted ``m`` times in
-    total, matching the normalization in which every maximal component
-    contributes one copy of the transient part.  With a single maximal
-    component this is exactly the plain distribution.
+    Paths avoiding all ``m`` maximal components of
+    ``decompose_components(coding)`` are counted ``m`` times in total,
+    matching the normalization in which every maximal component contributes
+    one copy of the transient part.  With a single maximal component this is
+    exactly the plain distribution.
     """
     plain = distribution_sweep(coding, weights, [n], bin_width)[0]
+    decomposition = decompose_components(coding)
     m = len(decomposition.maximal_indices) - 1
     if m == 0:
         return plain

@@ -32,7 +32,7 @@ import math
 import operator
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .coding import ComponentDecomposition, MarkovCoding
+from .coding import MarkovCoding, decompose_components
 from .enumerate import (
     MomentData,
     WordDistribution,
@@ -334,7 +334,6 @@ def _require_nondegenerate(stats: LimitStatistics, what: str) -> float:
 
 def clt_distance(
     coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
     weights: WeightAssignment,
     stats: LimitStatistics,
     n_grid: Sequence[int],
@@ -470,7 +469,6 @@ def _mean_shift(dist: WordDistribution, drift: float) -> float:
 
 def berry_esseen_report(
     coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
     weights: WeightAssignment,
     stats: LimitStatistics,
     n: int,
@@ -495,7 +493,7 @@ def berry_esseen_report(
     sigma = _require_nondegenerate(stats, "berry_esseen_report")
     if not T > 0.0:
         raise InvalidArgumentError(f"T must be positive, got {T!r}")
-    dist = distribution_overcounted(coding, decomposition, weights, n)
+    dist = distribution_overcounted(coding, weights, n)
     drift = stats.drift[0]
     root = math.sqrt(n)
     xs = np.array([(v - n * drift) / root for v in dist.support])
@@ -578,7 +576,6 @@ def _tail_counts(dist: WordDistribution, lo: Fraction, hi: Fraction) -> tuple[in
 
 def ldt_rate(
     coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
     weights: WeightAssignment,
     stats: LimitStatistics,
     epsilon: float,
@@ -629,13 +626,14 @@ def ldt_rate(
     h = stats.entropy
     component = stats.component
 
+    decomposition = decompose_components(coding)
     edges = _component_arrays(coding, decomposition, weights, component).edges
 
     def objective(sign: float, t: float) -> tuple[float, float]:
         """``f(t)`` and ``f'(t)``: ``P(s)`` is the two-sided Rayleigh quotient
         ``u.M(s)v / u.v`` and ``P'(s) = u.(W o M(s))v / u.M(s)v``."""
         s = sign * t
-        r = pressure(coding, decomposition, weights, component, s)
+        r = pressure(coding, weights, component, s)
         terms = [r.left[u] * math.exp(s * w[0]) * r.right[v] for u, v, w in edges]
         top = math.fsum(terms)
         p = math.log(top / math.fsum(map(operator.mul, r.left, r.right)))
@@ -862,7 +860,6 @@ def _degenerate_direction(sigma: np.ndarray) -> list[float]:
 
 def mclt_check(
     coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
     weights: WeightAssignment,
     stats: LimitStatistics,
     n_grid: Sequence[int],
@@ -1027,7 +1024,6 @@ def _default_gate_grid() -> list[float]:
 
 def llt_check(
     coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
     weights: WeightAssignment,
     stats: LimitStatistics,
     a: float,
@@ -1088,7 +1084,7 @@ def llt_check(
             "on an arithmetic progression and the continuous local limit does "
             "not apply"
         )
-    gate_points = nonlattice_gap(coding, decomposition, weights, stats.component, gate)
+    gate_points = nonlattice_gap(coding, weights, stats.component, gate)
     for point in gate_points:
         if point.gap <= LATTICE_WITNESS_GAP:
             raise PreconditionError(
@@ -1206,7 +1202,6 @@ def llt_check(
 
 def degeneracy_check(
     coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
     weights: WeightAssignment,
     stats: LimitStatistics,
     n_cap: int,

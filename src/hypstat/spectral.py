@@ -12,6 +12,10 @@ data of this family:
   case ``k = 1``),
 * the non-lattice gap ``e^h - rho(M_i(it))`` for the local limit theorem.
 
+Each public function takes ``(coding, weights, ...)`` and reads the
+components off the coding with ``decompose_components``; a ``component``
+argument is an index into that decomposition.
+
 Real and complex parameters take different ``_power`` kernels.  Every real
 Perron root (``pressure``, the ``limit_statistics`` stencil, the scan's root
 at ``s = 0``, and the points that ``ldt``'s Legendre search visits) comes
@@ -36,7 +40,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._power import eig_modulus_batch, growth_log_batch, modulus_batch, perron_point
-from .coding import ComponentDecomposition, MarkovCoding
+from .coding import ComponentDecomposition, MarkovCoding, decompose_components
 from .enumerate import BYTE_BUDGET
 from .errors import InvalidArgumentError, NumericalError, ResourceError
 from .weights import WeightAssignment
@@ -262,7 +266,6 @@ def _complex_radii(stack: np.ndarray, period_hint: int) -> list[float]:
 
 def pressure(
     coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
     weights: WeightAssignment,
     component: int,
     s: object = 0.0,
@@ -277,7 +280,7 @@ def pressure(
         of the two; ``iterations`` adds up both.
     """
     real = _real_parameter(s, weights.dim)
-    arrays = _component_arrays(coding, decomposition, weights, component)
+    arrays = _component_arrays(coding, decompose_components(coding), weights, component)
     m = arrays.point(real)
     value, right, iterations, residual = perron_point(m)
     _, left, left_iterations, left_residual = perron_point(list(zip(*m)))
@@ -311,7 +314,6 @@ def _leading_minors(rows: list[list[float]]) -> list[float]:
 
 def limit_statistics(
     coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
     weights: WeightAssignment,
     component: int | None = None,
 ) -> LimitStatistics:
@@ -335,10 +337,10 @@ def limit_statistics(
     Parameters
     ----------
     coding : MarkovCoding
-    decomposition : ComponentDecomposition
     weights : WeightAssignment
     component : int, optional
-        Defaults to the first maximal component.
+        Defaults to the first maximal component of
+        ``decompose_components(coding)``.
 
     Returns
     -------
@@ -349,6 +351,7 @@ def limit_statistics(
     NumericalError
         If the two drift routes disagree.
     """
+    decomposition = decompose_components(coding)
     idx = decomposition.maximal_indices[0] if component is None else component
     k = weights.dim
     h = _DRIFT_STEP
@@ -374,7 +377,7 @@ def limit_statistics(
     # grad P(0) = u . (W_j v) / (lambda u . v) per coordinate, from the left
     # and right Perron vectors at s = 0, where W_j holds the weights' j-th
     # coordinates on the edges: the derivative of M(s) in s_j
-    zero = pressure(coding, decomposition, weights, idx, (0.0,) * k)
+    zero = pressure(coding, weights, idx, (0.0,) * k)
     lam0, left, right = zero.value, zero.left, zero.right
     arrays = _component_arrays(coding, decomposition, weights, idx)
     uv = sum(map(mul, left, right))
@@ -437,7 +440,6 @@ def limit_statistics(
 
 def component_consistency(
     coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
     weights: WeightAssignment,
 ) -> ComponentConsistencyReport:
     """Compare drift and variance across all maximal components.
@@ -446,10 +448,8 @@ def component_consistency(
     consistency verdict at tolerance 1e-8, and a diagnostic sentence.
     With a single maximal component the check is vacuous.
     """
-    indices = decomposition.maximal_indices
-    stats = tuple(
-        limit_statistics(coding, decomposition, weights, i) for i in indices
-    )
+    indices = decompose_components(coding).maximal_indices
+    stats = tuple(limit_statistics(coding, weights, i) for i in indices)
     pairs = list(itertools.combinations(stats, 2))
     drift_spread = max(
         (abs(x - y) for p, q in pairs for x, y in zip(p.drift, q.drift)),
@@ -487,7 +487,6 @@ def component_consistency(
 
 def nonlattice_gap(
     coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
     weights: WeightAssignment,
     component: int,
     t_grid: Sequence[float],
@@ -503,11 +502,10 @@ def nonlattice_gap(
     Parameters
     ----------
     coding : MarkovCoding
-    decomposition : ComponentDecomposition
     weights : WeightAssignment
         Scalar.
     component : int
-        A maximal component index.
+        A maximal component index of ``decompose_components(coding)``.
     t_grid : sequence of float
 
     Returns
@@ -527,6 +525,7 @@ def nonlattice_gap(
     if weights.dim != 1:
         raise InvalidArgumentError("the non-lattice gap is defined for scalar weights")
     import numpy as np
+    decomposition = decompose_components(coding)
     arrays = _component_arrays(coding, decomposition, weights, component)
     radius0 = perron_point(arrays.point((0.0,)))[0]
     period = decomposition.components[component].period

@@ -169,40 +169,40 @@ def mirror_hom(mirror):
 
 
 @pytest.fixture(scope="session")
-def aexp_stats(free2, free2_decomp, aexp):
-    return hs.limit_statistics(free2, free2_decomp, aexp)
+def aexp_stats(free2, aexp):
+    return hs.limit_statistics(free2, aexp)
 
 
 @pytest.fixture(scope="session")
-def aind_stats(free2, free2_decomp, aind):
-    return hs.limit_statistics(free2, free2_decomp, aind)
+def aind_stats(free2, aind):
+    return hs.limit_statistics(free2, aind)
 
 
 @pytest.fixture(scope="session")
-def wordlen_stats(free2, free2_decomp, wordlen):
-    return hs.limit_statistics(free2, free2_decomp, wordlen)
+def wordlen_stats(free2, wordlen):
+    return hs.limit_statistics(free2, wordlen)
 
 
 @pytest.fixture(scope="session")
-def abel_stats(free2, free2_decomp, abel):
-    return hs.limit_statistics(free2, free2_decomp, abel)
+def abel_stats(free2, abel):
+    return hs.limit_statistics(free2, abel)
 
 
 @pytest.fixture(scope="session")
-def rank1_stats(free2, free2_decomp, rank1):
-    return hs.limit_statistics(free2, free2_decomp, rank1)
+def rank1_stats(free2, rank1):
+    return hs.limit_statistics(free2, rank1)
 
 
 @pytest.fixture(scope="session")
-def proj_stats(free2, free2_decomp, proj):
-    return hs.limit_statistics(free2, free2_decomp, proj)
+def proj_stats(free2, proj):
+    return hs.limit_statistics(free2, proj)
 
 
 @pytest.fixture(scope="session")
-def root_half_stats(free2, free2_decomp, root_half):
-    return hs.limit_statistics(free2, free2_decomp, root_half)
+def root_half_stats(free2, root_half):
+    return hs.limit_statistics(free2, root_half)
 
 
 @pytest.fixture(scope="session")
-def mirror_stats(mirror, mirror_decomp, mirror_hom):
-    return hs.limit_statistics(mirror, mirror_decomp, mirror_hom)
+def mirror_stats(mirror, mirror_hom):
+    return hs.limit_statistics(mirror, mirror_hom)

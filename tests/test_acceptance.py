@@ -104,7 +104,7 @@ def test_criterion_03_variance(free2, free2_decomp, aexp, aexp_stats):
     comp = free2_decomp.maximal_indices[0]
 
     def pressure_at(s):
-        return hs.pressure(free2, free2_decomp, aexp, comp, s).pressure
+        return hs.pressure(free2, aexp, comp, s).pressure
 
     h1, h2 = 1e-3, 5e-4
     d1 = (pressure_at(h1) - pressure_at(-h1)) / (2.0 * h1)
@@ -124,10 +124,10 @@ def test_criterion_03_variance(free2, free2_decomp, aexp, aexp_stats):
 
 
 @criterion(4)
-def test_criterion_04_clt(free2, free2_decomp, aexp, aexp_stats):
+def test_criterion_04_clt(free2, aexp, aexp_stats):
     """sqrt(n) D_n stays within a factor 3 band and D_196 < D_16."""
     grid = (16, 36, 64, 100, 144, 196)
-    report = hs.clt_distance(free2, free2_decomp, aexp, aexp_stats, grid)
+    report = hs.clt_distance(free2, aexp, aexp_stats, grid)
     scaled = [math.sqrt(row["n"]) * row["observed"] for row in report.rows]
     ratio = max(scaled) / min(scaled)
     shrinks = report.rows[-1]["observed"] < report.rows[0]["observed"]
@@ -144,12 +144,12 @@ def test_criterion_04_clt(free2, free2_decomp, aexp, aexp_stats):
 
 
 @criterion(5)
-def test_criterion_05_berry_esseen(free2, free2_decomp, aexp, aexp_stats):
+def test_criterion_05_berry_esseen(free2, aexp, aexp_stats):
     """The computable bound dominates the exact Kolmogorov distance."""
     details = []
     ok = True
     for n, T in ((25, 2.5), (100, 5.0)):
-        report = hs.berry_esseen_report(free2, free2_decomp, aexp, aexp_stats, n, T)
+        report = hs.berry_esseen_report(free2, aexp, aexp_stats, n, T)
         (check,) = [c for c in report.checks if c["name"] == "bound-dominates-distance"]
         ok = ok and report.passed and check["lhs"] <= check["rhs"]
         details.append(f"(n={n}, T={T}): {check['lhs']:.4f} <= {check['rhs']:.4f}")
@@ -159,12 +159,12 @@ def test_criterion_05_berry_esseen(free2, free2_decomp, aexp, aexp_stats):
 
 
 @criterion(6)
-def test_criterion_06_large_deviations(free2, free2_decomp, aexp, aexp_stats,
+def test_criterion_06_large_deviations(free2, aexp, aexp_stats,
                                        wordlen, wordlen_stats):
     """Chernoff bound pointwise for all n <= 200; rate within 25%; empty tails."""
     eps = 0.4
     report = hs.ldt_rate(
-        free2, free2_decomp, aexp, aexp_stats, eps, range(10, 201, 10), T_GRID
+        free2, aexp, aexp_stats, eps, range(10, 201, 10), T_GRID
     )
     rate = report.theory["chernoff_rate_bound"]
     t_plus = report.theory["t_plus"]
@@ -198,7 +198,7 @@ def test_criterion_06_large_deviations(free2, free2_decomp, aexp, aexp_stats,
         worst = max(worst, log_p - float(bound))
 
     trivial = hs.ldt_rate(
-        free2, free2_decomp, wordlen, wordlen_stats, eps, range(10, 201, 10), T_GRID
+        free2, wordlen, wordlen_stats, eps, range(10, 201, 10), T_GRID
     )
     empty = trivial.theory["degenerate_tail"] and all(
         row["p"] == 0.0 for row in trivial.rows
@@ -218,15 +218,15 @@ def test_criterion_06_large_deviations(free2, free2_decomp, aexp, aexp_stats,
 
 
 @criterion(7)
-def test_criterion_07_multidimensional_clt(free2, free2_decomp, abel, abel_stats,
+def test_criterion_07_multidimensional_clt(free2, abel, abel_stats,
                                            rank1, rank1_stats):
     """Abelianized covariance is the identity; rank-one weights fail the PD gate."""
     sigma = np.asarray(abel_stats.covariance)
     sigma_err = float(np.max(np.abs(sigma - np.eye(2))))
-    report = hs.mclt_check(free2, free2_decomp, abel, abel_stats, (25, 50, 100, 200))
+    report = hs.mclt_check(free2, abel, abel_stats, (25, 50, 100, 200))
     (agree,) = [c for c in report.checks if c["name"] == "covariance-agreement"]
     (pd,) = [c for c in report.checks if c["name"] == "sigma-positive-definite"]
-    degenerate = hs.mclt_check(free2, free2_decomp, rank1, rank1_stats, (16,))
+    degenerate = hs.mclt_check(free2, rank1, rank1_stats, (16,))
     (pd_bad,) = [
         c for c in degenerate.checks if c["name"] == "sigma-positive-definite"
     ]
@@ -256,10 +256,10 @@ def test_criterion_07_multidimensional_clt(free2, free2_decomp, abel, abel_stats
 
 
 @criterion(8)
-def test_criterion_08_local_limit(free2, free2_decomp, proj, proj_stats):
+def test_criterion_08_local_limit(free2, proj, proj_stats):
     """Non-lattice gap positive on [0.1, 20]; sqrt(n) interval mass near the target."""
     report = hs.llt_check(
-        free2, free2_decomp, proj, proj_stats, -0.5, 0.5, (100, 200, 300)
+        free2, proj, proj_stats, -0.5, 0.5, (100, 200, 300)
     )
     gate = report.params["gate"]
     min_gap = float(gate["min_gap"])
@@ -282,11 +282,11 @@ def test_criterion_08_local_limit(free2, free2_decomp, proj, proj_stats):
 def test_criterion_09_lattice_gate(free2, free2_decomp, aexp, aexp_stats):
     """Integer weights close the spectral gap at 2 pi and the LLT refuses to run."""
     comp = free2_decomp.maximal_indices[0]
-    (point,) = hs.nonlattice_gap(free2, free2_decomp, aexp, comp, [2.0 * math.pi])
+    (point,) = hs.nonlattice_gap(free2, aexp, comp, [2.0 * math.pi])
     gap_ok = abs(point.gap) <= TOL_RATE
     refused = False
     try:
-        hs.llt_check(free2, free2_decomp, aexp, aexp_stats, -0.5, 0.5, (36,))
+        hs.llt_check(free2, aexp, aexp_stats, -0.5, 0.5, (36,))
     except hs.PreconditionError as exc:
         refused = "lattice" in str(exc)
     ok = gap_ok and refused
@@ -301,25 +301,25 @@ def test_criterion_09_lattice_gate(free2, free2_decomp, aexp, aexp_stats):
 
 
 @criterion(10)
-def test_criterion_10_degeneracy(free2, free2_decomp, aexp, aexp_stats,
+def test_criterion_10_degeneracy(free2, aexp, aexp_stats,
                                  aind, aind_stats, wordlen, wordlen_stats,
-                                 proj, proj_stats, mirror, mirror_decomp,
+                                 proj, proj_stats, mirror,
                                  mirror_hom, mirror_stats):
     """Word length is degenerate with exact zero range; verdicts always agree."""
-    degenerate = hs.degeneracy_check(free2, free2_decomp, wordlen, wordlen_stats, 12)
+    degenerate = hs.degeneracy_check(free2, wordlen, wordlen_stats, 12)
     zero_range = all(row["observed"] == 0.0 for row in degenerate.rows)
     sigma_ok = wordlen_stats.sigma2 < 1e-10
-    nondeg = hs.degeneracy_check(free2, free2_decomp, aexp, aexp_stats, 12)
+    nondeg = hs.degeneracy_check(free2, aexp, aexp_stats, 12)
     shipped = [
-        (free2, free2_decomp, aexp, aexp_stats),
-        (free2, free2_decomp, aind, aind_stats),
-        (free2, free2_decomp, wordlen, wordlen_stats),
-        (free2, free2_decomp, proj, proj_stats),
-        (mirror, mirror_decomp, mirror_hom, mirror_stats),
+        (free2, aexp, aexp_stats),
+        (free2, aind, aind_stats),
+        (free2, wordlen, wordlen_stats),
+        (free2, proj, proj_stats),
+        (mirror, mirror_hom, mirror_stats),
     ]
     agree = True
-    for coding, decomposition, weights, stats in shipped:
-        report = hs.degeneracy_check(coding, decomposition, weights, stats, 12)
+    for coding, weights, stats in shipped:
+        report = hs.degeneracy_check(coding, weights, stats, 12)
         agree = agree and report.passed
     ok = (
         degenerate.passed
@@ -347,11 +347,10 @@ def test_criterion_10_degeneracy(free2, free2_decomp, aexp, aexp_stats,
 
 
 @criterion(11)
-def test_criterion_11_component_consistency(free2, free2_decomp, aexp,
-                                            mirror, mirror_decomp, mirror_hom):
+def test_criterion_11_component_consistency(free2, aexp, mirror, mirror_hom):
     """Symmetric maximal components agree to 1e-8; single components pass vacuously."""
-    report = hs.component_consistency(mirror, mirror_decomp, mirror_hom)
-    single = hs.component_consistency(free2, free2_decomp, aexp)
+    report = hs.component_consistency(mirror, mirror_hom)
+    single = hs.component_consistency(free2, aexp)
     ok = (
         report.consistent
         and len(report.indices) == 2

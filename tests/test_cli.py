@@ -103,6 +103,30 @@ class TestFormats:
         assert "RESULT: PASS" in out
         assert out.count("PASS") >= 3
 
+    # nested lists print their floats as every other float does
+    def test_text_nested_lists(self, capsys):
+        code, out, _err = run_cli(
+            capsys,
+            ["stats", "--coding", "free:2", "--weights", "hom:a=1|0,b=0|1",
+             "--format", "text"],
+        )
+        assert code == 0
+        (line,) = [x for x in out.splitlines() if x.startswith("covariance: ")]
+        rows = line.removeprefix("covariance: ").split("] [")
+        assert rows[0] == "[0.99999999906041959, 0.0"
+        assert rows[1].endswith(", 0.99999999905893944]")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_text_non_finite_nested_entry_exits_three(self, capsys, monkeypatch, value):
+        monkeypatch.setattr(cli, "cmd_stats", lambda args: {"covariance": [[1.0, value]]})
+        code, out, err = run_cli(
+            capsys,
+            ["stats", "--coding", "free:2", "--weights", "hom:a=1|0,b=0|1",
+             "--format", "text"],
+        )
+        assert (code, out) == (3, "")
+        assert err == f"hypstat: error: non-finite float {value!r} in report payload\n"
+
     def test_csv_needs_report_command(self, capsys):
         code, _out, err = run_cli(
             capsys, ["growth", "--coding", "free:2", "--format", "csv"]
@@ -255,9 +279,28 @@ class TestFileInputs:
         )
         assert (code, err) == (0, "")
         doc = json.loads(out)
-        first = hs.component_consistency(mirror, decomposition, mirror_hom).statistics[0]
+        first = hs.component_consistency(mirror, mirror_hom).statistics[0]
         assert doc["component"] == first.component == decomposition.maximal_indices[0]
         assert (doc["drift"], doc["sigma2"]) == (list(first.drift), first.sigma2)
+
+    # a coding whose components are all transient has no maximal component;
+    # the plain sphere law needs none, everything that reads one refuses
+    def test_transient_coding_has_plain_spheres_only(self, capsys, tmp_path):
+        doc = {
+            "generators": ["a"],
+            "vertices": ["*", "p", "q"],
+            "edges": [{"from": "*", "to": "p", "label": "a"}, {"from": "p", "to": "q", "label": "a"}],
+        }
+        path = tmp_path / "transient.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        source = ["--coding", str(path), "--weights", "hom:a=1"]
+        code, out, err = run_cli(capsys, ["dist", *source, "--n", "2"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["counts"] == ["1"]
+        for argv in (["dist", "--n", "2", "--overcounted"], ["stats"], ["pressure"]):
+            code, out, err = run_cli(capsys, [*argv, *source])
+            assert (code, out) == (3, "")
+            assert "every reachable component is transient" in err
 
     def test_missing_coding_file_exits_three(self, capsys, tmp_path):
         code, _out, err = run_cli(
@@ -911,10 +954,9 @@ class TestImports:
                 "        '--weights', 'hom:a=1|0,b=0|1', '--ngrid', '20,40'])",
                 "assert code == 0, code",
                 "c = hs.build_free_group_coding(2)",
-                "d = hs.decompose_components(c)",
                 "w = hs.weights_from_homomorphism(c, {'a': 1, 'b': 0})",
-                "s = hs.limit_statistics(c, d, w)",
-                "assert hs.berry_esseen_report(c, d, w, s, 25, 2.5).passed",
+                "s = hs.limit_statistics(c, w)",
+                "assert hs.berry_esseen_report(c, w, s, 25, 2.5).passed",
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
             ]
         )

@@ -153,9 +153,9 @@ class TestBinnedDistribution:
 
 
 class TestOvercounted:
-    def test_mirror_adds_nonmaximal_paths(self, mirror, mirror_decomp, mirror_hom):
+    def test_mirror_adds_nonmaximal_paths(self, mirror, mirror_hom):
         plain = hs.distribution(mirror, mirror_hom, 6)
-        over = hs.distribution_overcounted(mirror, mirror_decomp, mirror_hom, 6)
+        over = hs.distribution_overcounted(mirror, mirror_hom, 6)
         assert plain.total == 1945
         assert dict(zip(plain.support_scaled, plain.counts)) == MIRROR_HIST_N6
         assert over.total == 1946
@@ -167,9 +167,9 @@ class TestOvercounted:
         # the only maximal-avoiding path of length 6 is the t-word at value 0
         assert {q: d for q, d in diff.items() if d} == {0: 1}
 
-    def test_single_component_is_unchanged(self, free2, free2_decomp, aexp):
+    def test_single_component_is_unchanged(self, free2, aexp):
         plain = hs.distribution(free2, aexp, 5)
-        over = hs.distribution_overcounted(free2, free2_decomp, aexp, 5)
+        over = hs.distribution_overcounted(free2, aexp, 5)
         assert over.overcount_multiplicity == 0
         assert over.total == plain.total
         assert over.counts == plain.counts
@@ -178,7 +178,7 @@ class TestOvercounted:
         # the t-path is the unique maximal-avoiding path of each length
         for n in (1, 4, 6):
             assert oracles.count_avoiding_maximal(mirror, mirror_decomp, n) == 1
-            over = hs.distribution_overcounted(mirror, mirror_decomp, mirror_hom, n)
+            over = hs.distribution_overcounted(mirror, mirror_hom, n)
             plain = hs.distribution(mirror, mirror_hom, n)
             assert over.total - plain.total == over.overcount_multiplicity == 1
 
@@ -255,7 +255,7 @@ class TestLatticeMasses2d:
     # mclt's cell proportions read the 2-d lattice masses off the exact
     # vector distribution at the largest n
     def test_matches_vector_histogram(
-        self, free2, free2_decomp, abel, abel_stats
+        self, free2, abel, abel_stats
     ):
         hist: dict[tuple[int, int], int] = {}
         for length, _word, value in oracles.brute_force_oracle(free2, abel, 3):
@@ -270,14 +270,14 @@ class TestLatticeMasses2d:
         doubled = {q: 2 if q < 0 else 1 if q == 0 else 0 for q in range(-3, 4)}
         inside = sum(doubled[x] * doubled[y] * c for (x, y), c in hist.items())
         expected = float(Fraction(inside, 4 * sum(hist.values())))
-        report = hs.mclt_check(free2, free2_decomp, abel, abel_stats, [3])
+        report = hs.mclt_check(free2, abel, abel_stats, [3])
         assert report.theory["cells"][0]["empirical"] == expected
 
-    def test_scalar_weights_rejected(self, free2, free2_decomp, aexp, aexp_stats):
+    def test_scalar_weights_rejected(self, free2, aexp, aexp_stats):
         cell = ((None, 0.0), (None, 0.0))
         with pytest.raises(hs.PreconditionError):
             hs.mclt_check(
-                free2, free2_decomp, aexp, aexp_stats, [3], cell_grid=[cell]
+                free2, aexp, aexp_stats, [3], cell_grid=[cell]
             )
 
 

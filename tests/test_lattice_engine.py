@@ -221,7 +221,7 @@ class TestLevelLoops:
             seen += 1
         assert seen == len(plan.spans)
 
-    def test_the_plan_picks_the_loop(self, free2, free2_decomp, abel, monkeypatch):
+    def test_the_plan_picks_the_loop(self, free2, abel, monkeypatch):
         ran = []
         for name in ("_digit_levels", "_packed_levels"):
             loop = getattr(engine, name)
@@ -238,8 +238,8 @@ class TestLevelLoops:
         # llt's windowed sweep to n = 300 runs above it
         ran.clear()
         beta = hs.weights_from_homomorphism(free2, {"a": 1, "b": 1 / math.sqrt(2)})
-        stats = hs.limit_statistics(free2, free2_decomp, beta)
-        hs.llt_check(free2, free2_decomp, beta, stats, -0.5, 0.5, [100, 200, 300])
+        stats = hs.limit_statistics(free2, beta)
+        hs.llt_check(free2, beta, stats, -0.5, 0.5, [100, 200, 300])
         assert ran == ["_digit_levels"]
         # mclt's cell masses run on the planes; at n = 200 their plan is
         # above the limit too
@@ -342,9 +342,9 @@ class TestMirror:
         moved = {**table, key: (table[key][0] + 1, *table[key][1:])}
         assert _plan(*edges_of(moved), 10).mirror is None
 
-    def test_an_asymmetric_llt_window(self, free2, free2_decomp, monkeypatch):
+    def test_an_asymmetric_llt_window(self, free2, monkeypatch):
         beta = hs.weights_from_homomorphism(free2, {"a": 1, "b": 1 / math.sqrt(2)})
-        stats = hs.limit_statistics(free2, free2_decomp, beta)
+        stats = hs.limit_statistics(free2, beta)
         mirrors, loop = [], engine._digit_levels
 
         def spy(plan):
@@ -355,7 +355,7 @@ class TestMirror:
         rows = []
         for found in (engine._mirror, lambda groups, step: None):
             monkeypatch.setattr(engine, "_mirror", found)
-            report = hs.llt_check(free2, free2_decomp, beta, stats, -0.3, 0.7, [100, 200, 300])
+            report = hs.llt_check(free2, beta, stats, -0.3, 0.7, [100, 200, 300])
             rows.append(report.rows)
         assert mirrors[0] is not None and mirrors[1] is None
         assert rows[0] == rows[1]

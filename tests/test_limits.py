@@ -88,7 +88,7 @@ def full_legendre_scan(coding, decomposition, weights, stats, epsilon, ts, sign)
     best = (-math.inf, ts[0])
     for t in ts:
         s = sign * t
-        r = hs.pressure(coding, decomposition, weights, stats.component, s)
+        r = hs.pressure(coding, weights, stats.component, s)
         top = math.fsum(r.left[u] * math.exp(s * w[0]) * r.right[v] for u, v, w in edges)
         p = math.log(top / math.fsum(a * b for a, b in zip(r.left, r.right)))
         value = t * epsilon - (p - stats.entropy - sign * t * stats.drift[0])
@@ -146,7 +146,7 @@ class TestReportPlumbing:
 
     def test_rows_carry_standard_keys(self, free2, aexp, aexp_stats):
         report = hs.clt_distance(
-            free2, hs.decompose_components(free2), aexp, aexp_stats, [16, 36]
+            free2, aexp, aexp_stats, [16, 36]
         )
         for row in report.rows:
             assert {"n", "observed", "predicted", "residual"} <= set(row)
@@ -207,8 +207,8 @@ class TestKolmogorovDistance:
 
 
 class TestClt:
-    def test_small_grid_report(self, free2, free2_decomp, aexp, aexp_stats):
-        report = hs.clt_distance(free2, free2_decomp, aexp, aexp_stats, [16, 36])
+    def test_small_grid_report(self, free2, aexp, aexp_stats):
+        report = hs.clt_distance(free2, aexp, aexp_stats, [16, 36])
         assert report.law == "clt"
         assert report.passed
         # rows must agree with the direct distance computation
@@ -217,49 +217,49 @@ class TestClt:
             direct = hs.kolmogorov_distance(dist, 0.0, aexp_stats.sigma2**0.5)
             assert row["observed"] == pytest.approx(direct, abs=1e-12)
 
-    def test_degenerate_weights_refused(self, free2, free2_decomp, wordlen, wordlen_stats):
+    def test_degenerate_weights_refused(self, free2, wordlen, wordlen_stats):
         with pytest.raises(hs.PreconditionError, match="degenera"):
-            hs.clt_distance(free2, free2_decomp, wordlen, wordlen_stats, [16, 36])
+            hs.clt_distance(free2, wordlen, wordlen_stats, [16, 36])
 
-    def test_vector_weights_refused(self, free2, free2_decomp, abel, abel_stats):
+    def test_vector_weights_refused(self, free2, abel, abel_stats):
         with pytest.raises(hs.InvalidArgumentError):
-            hs.clt_distance(free2, free2_decomp, abel, abel_stats, [16, 36])
+            hs.clt_distance(free2, abel, abel_stats, [16, 36])
 
 
 class TestBerryEsseen:
-    def test_bound_dominates_distance(self, free2, free2_decomp, aexp, aexp_stats):
-        report = hs.berry_esseen_report(free2, free2_decomp, aexp, aexp_stats, 16, 2.0)
+    def test_bound_dominates_distance(self, free2, aexp, aexp_stats):
+        report = hs.berry_esseen_report(free2, aexp, aexp_stats, 16, 2.0)
         bound = report.rows[0]["predicted"]
-        dist = hs.distribution_overcounted(free2, free2_decomp, aexp, 16)
+        dist = hs.distribution_overcounted(free2, aexp, 16)
         observed = hs.kolmogorov_distance(dist, 0.0, 1.0)
         assert bound >= observed
 
-    def test_report_structure(self, free2, free2_decomp, aexp, aexp_stats):
+    def test_report_structure(self, free2, aexp, aexp_stats):
         report = hs.berry_esseen_report(
-            free2, free2_decomp, aexp, aexp_stats, 16, 2.0
+            free2, aexp, aexp_stats, 16, 2.0
         )
         assert report.law == "berry-esseen-bound"
         assert report.passed
         names = [c["name"] for c in report.checks]
         assert "bound-dominates-distance" in names
 
-    def test_overcounted_mirror_sound(self, mirror, mirror_decomp, mirror_hom, mirror_stats):
+    def test_overcounted_mirror_sound(self, mirror, mirror_hom, mirror_stats):
         report = hs.berry_esseen_report(
-            mirror, mirror_decomp, mirror_hom, mirror_stats, 8, 1.5
+            mirror, mirror_hom, mirror_stats, 8, 1.5
         )
         assert report.passed
 
     def test_report_builds_the_law_once(
-        self, free2, free2_decomp, aexp, aexp_stats, monkeypatch
+        self, free2, aexp, aexp_stats, monkeypatch
     ):
         radii = []
 
-        def counted(coding, decomposition, weights, n):
+        def counted(coding, weights, n):
             radii.append(n)
-            return hs.distribution_overcounted(coding, decomposition, weights, n)
+            return hs.distribution_overcounted(coding, weights, n)
 
         monkeypatch.setattr("hypstat.limits.distribution_overcounted", counted)
-        report = hs.berry_esseen_report(free2, free2_decomp, aexp, aexp_stats, 16, 2.0)
+        report = hs.berry_esseen_report(free2, aexp, aexp_stats, 16, 2.0)
         assert report.passed
         assert radii == [16]
 
@@ -287,11 +287,11 @@ class TestQuadrature:
 
 class TestLdt:
     def test_rate_matches_legendre_oracle(
-        self, free2, free2_decomp, aexp, aexp_stats
+        self, free2, aexp, aexp_stats
     ):
         t_grid = [k * 0.01 for k in range(0, 201)]
         report = hs.ldt_rate(
-            free2, free2_decomp, aexp, aexp_stats, 0.4,
+            free2, aexp, aexp_stats, 0.4,
             list(range(10, 101, 10)), t_grid,
         )
         assert report.passed
@@ -305,10 +305,10 @@ class TestLdt:
         )
 
     def test_pointwise_bound_is_exact_inequality(
-        self, free2, free2_decomp, aexp, aexp_stats
+        self, free2, aexp, aexp_stats
     ):
         report = hs.ldt_rate(
-            free2, free2_decomp, aexp, aexp_stats, 0.4,
+            free2, aexp, aexp_stats, 0.4,
             [10, 20, 30], [k * 0.01 for k in range(0, 201)],
         )
         names = {c["name"]: c for c in report.checks}
@@ -316,21 +316,21 @@ class TestLdt:
         assert names["chernoff-pointwise-fitted"]["passed"]
 
     def test_word_length_tails_are_empty(
-        self, free2, free2_decomp, wordlen, wordlen_stats
+        self, free2, wordlen, wordlen_stats
     ):
         # every word of length n has weight n, so no epsilon has a tail
         report = hs.ldt_rate(
-            free2, free2_decomp, wordlen, wordlen_stats, 0.4,
+            free2, wordlen, wordlen_stats, 0.4,
             [10, 20], [k * 0.01 for k in range(0, 101)],
         )
         assert_degenerate_tail_document(report, [10, 20])
 
     def test_unreachable_epsilon_is_a_degenerate_tail(
-        self, free2, free2_decomp, aexp, aexp_stats
+        self, free2, aexp, aexp_stats
     ):
         # |phi| <= n on the sphere of radius n, so epsilon = 3.5 is unreachable
         report = hs.ldt_rate(
-            free2, free2_decomp, aexp, aexp_stats, 3.5,
+            free2, aexp, aexp_stats, 3.5,
             [10, 20, 30], [k * 0.01 for k in range(0, 101)],
         )
         assert_degenerate_tail_document(report, [10, 20, 30])
@@ -359,11 +359,11 @@ class TestLdt:
                         assert _tail_counts(dist, lo, hi) == fraction_tails(dist, lo, hi)
 
     def test_nonpositive_epsilon_rejected(
-        self, free2, free2_decomp, aexp, aexp_stats
+        self, free2, aexp, aexp_stats
     ):
         with pytest.raises(hs.InvalidArgumentError):
             hs.ldt_rate(
-                free2, free2_decomp, aexp, aexp_stats, 0.0, [10], [0.0, 0.1]
+                free2, aexp, aexp_stats, 0.0, [10], [0.0, 0.1]
             )
 
     @settings(settings.get_profile("hypstat"), max_examples=30)
@@ -383,8 +383,8 @@ class TestLdt:
     @example(case=(2, [1, 0]), epsilon=0.4, ts=[0.1, 0.465162029, 0.465162043, 1.0])
     def test_search_returns_the_first_maximum_of_a_full_scan(self, case, epsilon, ts):
         coding, decomposition, weights = ldt_case(*case)
-        stats = hs.limit_statistics(coding, decomposition, weights)
-        theory = hs.ldt_rate(coding, decomposition, weights, stats, epsilon, [4], ts).theory
+        stats = hs.limit_statistics(coding, weights)
+        theory = hs.ldt_rate(coding, weights, stats, epsilon, [4], ts).theory
         for sign, tail in ((1.0, "plus"), (-1.0, "minus")):
             value, t = full_legendre_scan(coding, decomposition, weights, stats, epsilon, ts, sign)
             assert theory[f"rate_{tail}"] == value
@@ -392,48 +392,48 @@ class TestLdt:
             assert theory.get(f"t_{tail}", t) == t
 
     def test_search_solves_logarithmically_many_points(
-        self, monkeypatch, free2, free2_decomp, aexp, aexp_stats
+        self, monkeypatch, free2, aexp, aexp_stats
     ):
         # ldt_rate calls spectral.pressure through the name limits binds
         signs = []
 
-        def spy(coding, decomposition, weights, component, s):
+        def spy(coding, weights, component, s):
             signs.append(math.copysign(1.0, s))
-            return hs.spectral.pressure(coding, decomposition, weights, component, s)
+            return hs.spectral.pressure(coding, weights, component, s)
 
         monkeypatch.setattr(hs.limits, "pressure", spy)
         ts = [k * 0.001 for k in range(1, 2001)]
-        hs.ldt_rate(free2, free2_decomp, aexp, aexp_stats, 0.4, [10], ts)
+        hs.ldt_rate(free2, aexp, aexp_stats, 0.4, [10], ts)
         bound = 2 * (math.ceil(math.log2(len(ts))) + 3)
         assert 0 < signs.count(1.0) <= bound
         assert 0 < signs.count(-1.0) <= bound
 
-    def test_rate_matches_the_closed_form_pressure(self, free2, free2_decomp):
+    def test_rate_matches_the_closed_form_pressure(self, free2):
         weights = hs.weights_from_homomorphism(free2, {"a": 1, "b": 0.5})
-        stats = hs.limit_statistics(free2, free2_decomp, weights)
+        stats = hs.limit_statistics(free2, weights)
         ts = cli._parse_float_grid("0:2:0.01")
-        theory = hs.ldt_rate(free2, free2_decomp, weights, stats, 0.3, [10, 20], ts).theory
+        theory = hs.ldt_rate(free2, weights, stats, 0.3, [10, 20], ts).theory
         exact = oracles.closed_free_legendre([1, 0.5], 0.3, [t for t in ts if t > 0])
         for key in ("rate_plus", "rate_minus", "chernoff_rate_bound"):
             with mpmath.workdps(50):
                 assert abs(mpmath.mpf(theory[key]) - exact) <= 1e-15, key
 
-    def test_only_visited_points_are_built(self, free2, free2_decomp):
+    def test_only_visited_points_are_built(self, free2):
         # exp(400 t) overflows from t = 1.78 on; the search opens at the
         # middle grid point and, with f' < 0 there, never goes right of it
         weights = hs.weights_from_homomorphism(free2, {"a": 400, "b": 0})
-        stats = hs.limit_statistics(free2, free2_decomp, weights)
+        stats = hs.limit_statistics(free2, weights)
         with pytest.raises(hs.NumericalError, match=r"entry at s=2\.0;"):
-            hs.ldt_rate(free2, free2_decomp, weights, stats, 0.4, [10], [1.0, 2.0, 3.0])
-        report = hs.ldt_rate(free2, free2_decomp, weights, stats, 0.4, [10], [0.5, 1.0, 2.0])
+            hs.ldt_rate(free2, weights, stats, 0.4, [10], [1.0, 2.0, 3.0])
+        report = hs.ldt_rate(free2, weights, stats, 0.4, [10], [0.5, 1.0, 2.0])
         assert (report.theory["t_plus"], report.theory["t_minus"]) == (0.5, 0.5)
 
 
 class TestMclt:
     def test_identity_covariance_small_grid(
-        self, free2, free2_decomp, abel, abel_stats
+        self, free2, abel, abel_stats
     ):
-        report = hs.mclt_check(free2, free2_decomp, abel, abel_stats, [25, 50])
+        report = hs.mclt_check(free2, abel, abel_stats, [25, 50])
         assert report.passed
         names = {c["name"]: c for c in report.checks}
         assert names["sigma-positive-definite"]["passed"]
@@ -444,32 +444,31 @@ class TestMclt:
         assert report.theory["cells"][0]["empirical"] == 0.25
 
     def test_rank_one_fails_positive_definite(
-        self, free2, free2_decomp, rank1, rank1_stats
+        self, free2, rank1, rank1_stats
     ):
-        report = hs.mclt_check(free2, free2_decomp, rank1, rank1_stats, [16])
+        report = hs.mclt_check(free2, rank1, rank1_stats, [16])
         assert not report.passed
         names = {c["name"]: c for c in report.checks}
         assert not names["sigma-positive-definite"]["passed"]
         assert report.theory["degenerate_direction"] is not None
 
-    def test_scalar_weights_refused(self, free2, free2_decomp, aexp, aexp_stats):
+    def test_scalar_weights_refused(self, free2, aexp, aexp_stats):
         with pytest.raises(hs.PreconditionError):
-            hs.mclt_check(free2, free2_decomp, aexp, aexp_stats, [16])
+            hs.mclt_check(free2, aexp, aexp_stats, [16])
 
     def test_statistics_of_another_dimension_refused(
-        self, free2, free2_decomp, abel, aexp_stats
+        self, free2, abel, aexp_stats
     ):
         with pytest.raises(hs.InvalidArgumentError, match="dimension 1"):
-            hs.mclt_check(free2, free2_decomp, abel, aexp_stats, [16])
+            hs.mclt_check(free2, abel, aexp_stats, [16])
 
     def test_three_dimensional_weights_check_covariance_only(self):
         free3 = hs.build_free_group_coding(3)
-        decomp = hs.decompose_components(free3)
         weights = hs.weights_from_homomorphism(
             free3, {"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1)}
         )
-        stats = hs.limit_statistics(free3, decomp, weights)
-        report = hs.mclt_check(free3, decomp, weights, stats, [10, 20])
+        stats = hs.limit_statistics(free3, weights)
+        report = hs.mclt_check(free3, weights, stats, [10, 20])
         assert report.passed
         assert [c["name"] for c in report.checks] == [
             "covariance-agreement",
@@ -479,10 +478,10 @@ class TestMclt:
         assert report.theory["cells"] == []
         cell = ((None, 0.0), (None, 0.0))
         with pytest.raises(hs.InvalidArgumentError, match="2-d"):
-            hs.mclt_check(free3, decomp, weights, stats, [10], cell_grid=[cell])
+            hs.mclt_check(free3, weights, stats, [10], cell_grid=[cell])
 
     def test_real_three_dimensional_table_checks_float_covariances(
-        self, free2, free2_decomp
+        self, free2
     ):
         # the a and b exponents and sqrt 2 times the indicator of the letters
         # a and A: an edge function, since on free:2 a homomorphism's third
@@ -493,11 +492,11 @@ class TestMclt:
             for e in free2.edges
         }
         weights = hs.weights_from_edge_table(free2, table)
-        stats = hs.limit_statistics(free2, free2_decomp, weights)
+        stats = hs.limit_statistics(free2, weights)
         assert np.allclose(stats.covariance, np.diag([1.0, 1.0, 0.25]), atol=1e-8)
         md = hs.moment_sweep(free2, weights, [10])[0]
         assert isinstance(md.second[2][2], float)
-        report = hs.mclt_check(free2, free2_decomp, weights, stats, [10, 20, 40])
+        report = hs.mclt_check(free2, weights, stats, [10, 20, 40])
         assert report.passed
         assert [c["name"] for c in report.checks] == [
             "covariance-agreement",
@@ -505,7 +504,7 @@ class TestMclt:
         ]
 
     def test_cells_build_no_python_int_distribution(
-        self, free2, free2_decomp, abel, abel_stats, rank1, rank1_stats, monkeypatch
+        self, free2, abel, abel_stats, rank1, rank1_stats, monkeypatch
     ):
         cells = [((None, 0.0), (None, 0.0)), ((-3.0, 3.0), (-3.0, 3.0))]
         # the cell proportions from the exact distribution, before patching
@@ -520,25 +519,25 @@ class TestMclt:
                 )
                 inside += w1 * w2 * c
             expected.append(inside / (4 * dist.total))
-        rank1_report = hs.mclt_check(free2, free2_decomp, rank1, rank1_stats, [100])
+        rank1_report = hs.mclt_check(free2, rank1, rank1_stats, [100])
 
         def refuse(*_args):
             raise AssertionError("mclt_check built a Python-int distribution")
 
         monkeypatch.setattr(engine, "_slot_counts", refuse)
         report = hs.mclt_check(
-            free2, free2_decomp, abel, abel_stats, [200], cell_grid=cells
+            free2, abel, abel_stats, [200], cell_grid=cells
         )
         assert [c["empirical"] for c in report.theory["cells"]] == expected
         assert expected[0] == 0.25
         assert report.passed
-        again = hs.mclt_check(free2, free2_decomp, rank1, rank1_stats, [100])
+        again = hs.mclt_check(free2, rank1, rank1_stats, [100])
         assert hs.report_to_json(again) == hs.report_to_json(rank1_report)
 
-    def test_explicit_cell(self, free2, free2_decomp, abel, abel_stats):
+    def test_explicit_cell(self, free2, abel, abel_stats):
         cell = ((-3.0, 3.0), (-3.0, 3.0))
         report = hs.mclt_check(
-            free2, free2_decomp, abel, abel_stats, [36], cell_grid=[cell]
+            free2, abel, abel_stats, [36], cell_grid=[cell]
         )
         names = {c["name"]: c for c in report.checks}
         assert "cell-agreement-0" in names
@@ -547,10 +546,10 @@ class TestMclt:
 
 class TestLlt:
     def test_row_matches_manual_binned_mass(
-        self, free2, free2_decomp, proj, proj_stats
+        self, free2, proj, proj_stats
     ):
         report = hs.llt_check(
-            free2, free2_decomp, proj, proj_stats, -0.5, 0.5, [100]
+            free2, proj, proj_stats, -0.5, 0.5, [100]
         )
         (row,) = report.rows
         width = report.params["bin_width"]
@@ -568,13 +567,13 @@ class TestLlt:
         assert row["predicted"] == pytest.approx(LLT_TARGET, abs=1e-7)
 
     def test_drifting_weight_counts_the_recentred_interval(
-        self, free2, free2_decomp, drifting
+        self, free2, drifting
     ):
-        stats = hs.limit_statistics(free2, free2_decomp, drifting)
+        stats = hs.limit_statistics(free2, drifting)
         drift = stats.drift[0]
         assert drift == pytest.approx(0.97855339, abs=1e-8)
         report = hs.llt_check(
-            free2, free2_decomp, drifting, stats, -1.0, 1.0, [100, 200, 300]
+            free2, drifting, stats, -1.0, 1.0, [100, 200, 300]
         )
         # [a, b] is moved to [a + n drift, b + n drift], where the mass is
         assert report.passed
@@ -595,10 +594,10 @@ class TestLlt:
         assert deviations == pytest.approx([0.017, 0.011, 0.013], abs=1e-3)
 
     def test_eight_radii_compare_quartile_maxima(
-        self, free2, free2_decomp, proj, proj_stats
+        self, free2, proj, proj_stats
     ):
         grid = list(range(30, 101, 10))
-        report = hs.llt_check(free2, free2_decomp, proj, proj_stats, -0.5, 0.5, grid)
+        report = hs.llt_check(free2, proj, proj_stats, -0.5, 0.5, grid)
         deviations = [abs(r["observed"] / r["predicted"] - 1.0) for r in report.rows]
         trend = {c["name"]: c for c in report.checks}["llt-trend"]
         # two radii per quartile: the last quartile's maximum against the first's
@@ -607,22 +606,22 @@ class TestLlt:
         assert trend["passed"]
 
     def test_gate_refuses_lattice_weights(
-        self, free2, free2_decomp, aexp, aexp_stats
+        self, free2, aexp, aexp_stats
     ):
         with pytest.raises(hs.PreconditionError, match="lattice"):
-            hs.llt_check(free2, free2_decomp, aexp, aexp_stats, -0.5, 0.5, [50])
+            hs.llt_check(free2, aexp, aexp_stats, -0.5, 0.5, [50])
 
-    def test_gate_names_two_pi_times_the_lattice_scale(self, free2, free2_decomp):
+    def test_gate_names_two_pi_times_the_lattice_scale(self, free2):
         # a = 1/4 and b = 3/4 lie on the 1/4 lattice: M(8 pi i) = M(0)
         weights = hs.weights_from_homomorphism(free2, {"a": 0.25, "b": 0.75})
-        stats = hs.limit_statistics(free2, free2_decomp, weights)
+        stats = hs.limit_statistics(free2, weights)
         message = f"multiple of 1/4, so at frequency t = {8.0 * math.pi!r} "
         with pytest.raises(hs.PreconditionError, match=message):
-            hs.llt_check(free2, free2_decomp, weights, stats, -0.5, 0.5, [50])
+            hs.llt_check(free2, weights, stats, -0.5, 0.5, [50])
 
-    def test_gate_records_minimum(self, free2, free2_decomp, proj, proj_stats):
+    def test_gate_records_minimum(self, free2, proj, proj_stats):
         report = hs.llt_check(
-            free2, free2_decomp, proj, proj_stats, -0.5, 0.5, [60],
+            free2, proj, proj_stats, -0.5, 0.5, [60],
             gate_t_grid=[0.5, 1.0, 1.5],
         )
         gate = report.params["gate"]
@@ -647,11 +646,11 @@ class TestLlt:
 
     @pytest.mark.parametrize("gate", [[], [0.0], [-1.0, 0.0]])
     def test_gate_without_positive_frequency_rejected(
-        self, free2, free2_decomp, proj, proj_stats, gate
+        self, free2, proj, proj_stats, gate
     ):
         with pytest.raises(hs.InvalidArgumentError, match="positive"):
             hs.llt_check(
-                free2, free2_decomp, proj, proj_stats, -0.5, 0.5, [60],
+                free2, proj, proj_stats, -0.5, 0.5, [60],
                 gate_t_grid=gate,
             )
 
@@ -667,74 +666,88 @@ class TestLlt:
         # t* = 2 pi / (1 + sqrt 2) = 2.6026, between the grid's 2.60 (gap
         # 3.4e-6) and 2.65
         coding = build_z2z3_coding()
-        decomposition = hs.decompose_components(coding)
         weights = target_letter_weights(coding, {"s": 0.25, "t": 1.0, "T": -math.sqrt(2)})
-        stats = hs.limit_statistics(coding, decomposition, weights)
+        stats = hs.limit_statistics(coding, weights)
         with pytest.raises(hs.PreconditionError):
-            hs.llt_check(coding, decomposition, weights, stats, -1.0, 1.0, [20])
+            hs.llt_check(coding, weights, stats, -1.0, 1.0, [20])
 
-    def test_zero_length_interval(self, free2, free2_decomp, proj, proj_stats):
+    @pytest.mark.xfail(
+        strict=True,
+        raises=hs.PreconditionError,
+        reason="the gate compares the gap with an absolute 1e-9, and near t = 0 "
+        "every weight's gap is about sigma^2 t^2 / 2, so a non-lattice weight is "
+        "refused at t = 1e-5 (ROADMAP item 3, second symptom)",
+    )
+    def test_gate_accepts_a_non_lattice_weight_near_zero_frequency(self, free2):
+        weights = hs.weights_from_homomorphism(free2, {"a": 1, "b": 0.7071067811865476})
+        stats = hs.limit_statistics(free2, weights)
         report = hs.llt_check(
-            free2, free2_decomp, proj, proj_stats, 0.3, 0.3, [60]
+            free2, weights, stats, -0.5, 0.5, [20], gate_t_grid=[1e-5, 0.5]
+        )
+        assert report.law == "llt"
+
+    def test_zero_length_interval(self, free2, proj, proj_stats):
+        report = hs.llt_check(
+            free2, proj, proj_stats, 0.3, 0.3, [60]
         )
         assert report.passed
         assert [c["name"] for c in report.checks] == ["llt-zero-target"]
 
     def test_reversed_interval_rejected(
-        self, free2, free2_decomp, proj, proj_stats
+        self, free2, proj, proj_stats
     ):
         with pytest.raises(hs.InvalidArgumentError):
-            hs.llt_check(free2, free2_decomp, proj, proj_stats, 0.5, -0.5, [60])
+            hs.llt_check(free2, proj, proj_stats, 0.5, -0.5, [60])
 
-    def test_oversized_bin_rejected(self, free2, free2_decomp, proj, proj_stats):
+    def test_oversized_bin_rejected(self, free2, proj, proj_stats):
         with pytest.raises(hs.InvalidArgumentError):
             hs.llt_check(
-                free2, free2_decomp, proj, proj_stats, -0.5, 0.5, [60],
+                free2, proj, proj_stats, -0.5, 0.5, [60],
                 bin_width=0.5,
             )
 
 
 class TestDegeneracy:
     def test_word_length_degenerate(
-        self, free2, free2_decomp, wordlen, wordlen_stats
+        self, free2, wordlen, wordlen_stats
     ):
         report = hs.degeneracy_check(
-            free2, free2_decomp, wordlen, wordlen_stats, 16
+            free2, wordlen, wordlen_stats, 16
         )
         assert report.passed
         assert report.theory["degenerate"] is True
         assert all(row["observed"] == 0.0 for row in report.rows)
 
     def test_a_exponent_nondegenerate(
-        self, free2, free2_decomp, aexp, aexp_stats
+        self, free2, aexp, aexp_stats
     ):
-        report = hs.degeneracy_check(free2, free2_decomp, aexp, aexp_stats, 16)
+        report = hs.degeneracy_check(free2, aexp, aexp_stats, 16)
         assert report.passed
         assert report.theory["degenerate"] is False
 
     def test_real_nonlattice_nondegenerate(
-        self, free2, free2_decomp, proj, proj_stats
+        self, free2, proj, proj_stats
     ):
-        report = hs.degeneracy_check(free2, free2_decomp, proj, proj_stats, 8)
+        report = hs.degeneracy_check(free2, proj, proj_stats, 8)
         assert report.passed
         assert report.theory["degenerate"] is False
 
-    def test_constant_real_weights_degenerate(self, free2, free2_decomp):
+    def test_constant_real_weights_degenerate(self, free2):
         table = {
             (e.source, e.target): math.sqrt(2)
             for e in free2.edges
         }
         weights = hs.weights_from_edge_table(free2, table)
-        stats = hs.limit_statistics(free2, free2_decomp, weights)
-        report = hs.degeneracy_check(free2, free2_decomp, weights, stats, 16)
+        stats = hs.limit_statistics(free2, weights)
+        report = hs.degeneracy_check(free2, weights, stats, 16)
         assert report.passed
         assert report.theory["degenerate"] is True
 
-    def test_disagreeing_verdicts_raise(self, free2, free2_decomp):
+    def test_disagreeing_verdicts_raise(self, free2):
         # variance 1e-10 clamps to zero spectrally, yet the sphere range
         # genuinely grows: the two verdicts disagree and must say so loudly
         weights = hs.weights_from_homomorphism(free2, {"a": 1e-5, "b": 0})
-        stats = hs.limit_statistics(free2, free2_decomp, weights)
+        stats = hs.limit_statistics(free2, weights)
         assert stats.degenerate
         with pytest.raises(hs.InconsistencyError, match="disagree"):
-            hs.degeneracy_check(free2, free2_decomp, weights, stats, 16)
+            hs.degeneracy_check(free2, weights, stats, 16)

@@ -1,6 +1,7 @@
 """Tests for transfer matrices, pressure, drift, variance, and gap scans."""
 
 import cmath
+import inspect
 import math
 import re
 
@@ -48,7 +49,7 @@ class TestTransferMatrix:
 
     def test_pressure_at_zero_is_entropy(self, free2, free2_decomp, aexp):
         comp = free2_decomp.maximal_indices[0]
-        report = hs.pressure(free2, free2_decomp, aexp, comp, 0.0)
+        report = hs.pressure(free2, aexp, comp, 0.0)
         assert report.pressure == pytest.approx(math.log(3.0), abs=1e-9)
         assert report.value == pytest.approx(3.0, abs=1e-9)
 
@@ -60,7 +61,7 @@ class TestTransferMatrix:
         self, free2, free2_decomp, aexp, s, expected
     ):
         comp = free2_decomp.maximal_indices[0]
-        report = hs.pressure(free2, free2_decomp, aexp, comp, s)
+        report = hs.pressure(free2, aexp, comp, s)
         assert report.pressure == pytest.approx(expected, abs=1e-9)
 
     # a finite s can overflow exp in an entry; a non-finite s is refused
@@ -77,7 +78,7 @@ class TestTransferMatrix:
     def test_non_finite_entry_names_s(self, free2, free2_decomp, aexp, s, error, message):
         comp = free2_decomp.maximal_indices[0]
         with pytest.raises(error, match=re.escape(message)):
-            hs.pressure(free2, free2_decomp, aexp, comp, s)
+            hs.pressure(free2, aexp, comp, s)
 
     @pytest.mark.parametrize(
         "s, message",
@@ -91,7 +92,7 @@ class TestTransferMatrix:
     def test_parameter_refused(self, free2, free2_decomp, aexp, s, message):
         comp = free2_decomp.maximal_indices[0]
         with pytest.raises(hs.InvalidArgumentError, match=re.escape(message)):
-            hs.pressure(free2, free2_decomp, aexp, comp, s)
+            hs.pressure(free2, aexp, comp, s)
 
     def test_tiny_entries_keep_the_pressure(self):
         # M(-40) = e^-40 B: an absolute residual target would accept the
@@ -100,13 +101,13 @@ class TestTransferMatrix:
         decomposition = hs.decompose_components(coding)
         weights = hs.weights_word_length(coding)
         comp = decomposition.maximal_indices[0]
-        at_zero = hs.pressure(coding, decomposition, weights, comp, 0.0).pressure
-        tilted = hs.pressure(coding, decomposition, weights, comp, -40.0).pressure
+        at_zero = hs.pressure(coding, weights, comp, 0.0).pressure
+        tilted = hs.pressure(coding, weights, comp, -40.0).pressure
         assert tilted == pytest.approx(at_zero - 40.0, rel=0.0, abs=1e-12)
 
     def test_pressure_indicator_weights(self, free2, free2_decomp, aind):
         comp = free2_decomp.maximal_indices[0]
-        report = hs.pressure(free2, free2_decomp, aind, comp, 0.5)
+        report = hs.pressure(free2, aind, comp, 0.5)
         assert report.pressure == pytest.approx(PRESSURE_AIND_05, abs=1e-9)
 
     def test_complex_radius_matches_oracle(self, free2, free2_decomp, aexp):
@@ -168,10 +169,9 @@ class TestDriftAndVariance:
             coding = hs.build_free_group_coding(2)
             one, two = ((1, 0), (0, 1)) if case == "free2-k2" else (1, 0)
             weights = hs.weights_from_homomorphism(coding, {"a": one, "b": two})
-        decomposition = hs.decompose_components(coding)
-        stats = hs.limit_statistics(coding, decomposition, weights)
+        stats = hs.limit_statistics(coding, weights)
         zero = hs.pressure(
-            coding, decomposition, weights, stats.component, (0.0,) * weights.dim
+            coding, weights, stats.component, (0.0,) * weights.dim
         )
         assert stats.lam == zero.value
         assert stats.entropy == zero.pressure
@@ -197,16 +197,47 @@ class TestCovarianceMatrix:
         assert sigma[0, 0] == pytest.approx(1.0, abs=1e-6)
 
 
+class TestStructureFromTheCoding:
+    # each function reads the maximal components off its coding, so no
+    # decomposition of another coding can be passed beside it
+    def test_no_public_callable_takes_a_decomposition(self):
+        takers = [
+            name
+            for name in hs.__all__
+            if callable(obj := getattr(hs, name))
+            and not (isinstance(obj, type) and issubclass(obj, BaseException))
+            and "decomposition" in inspect.signature(obj).parameters
+        ]
+        assert takers == []
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "pressure", "limit_statistics", "component_consistency", "nonlattice_gap",
+            "distribution_overcounted", "clt_distance", "berry_esseen_report",
+            "ldt_rate", "mclt_check", "llt_check", "degeneracy_check",
+        ],
+    )
+    def test_coding_then_weights(self, name):
+        assert list(inspect.signature(getattr(hs, name)).parameters)[:2] == [
+            "coding", "weights",
+        ]
+
+    def test_pressure_reports_its_own_coding(self, free2):
+        weights = hs.weights_from_homomorphism(free2, {"a": 1, "b": 0})
+        assert hs.pressure(free2, weights, 0, 0.5).vertices == ("a", "A", "b", "B")
+
+
 class TestComponentConsistency:
     def test_mirror_components_agree(self, mirror, mirror_decomp, mirror_hom):
-        report = hs.component_consistency(mirror, mirror_decomp, mirror_hom)
+        report = hs.component_consistency(mirror, mirror_hom)
         assert report.consistent
         assert report.indices == mirror_decomp.maximal_indices
         assert report.max_drift_spread <= 1e-8
         assert report.max_variance_spread <= 1e-8
 
-    def test_single_component_vacuous(self, free2, free2_decomp, aexp):
-        report = hs.component_consistency(free2, free2_decomp, aexp)
+    def test_single_component_vacuous(self, free2, aexp):
+        report = hs.component_consistency(free2, aexp)
         assert report.consistent
         assert len(report.indices) == 1
 
@@ -218,8 +249,7 @@ class TestComponentConsistency:
             for e in mirror.edges
         }
         weights = hs.weights_from_edge_table(mirror, table)
-        decomp = hs.decompose_components(mirror)
-        report = hs.component_consistency(mirror, decomp, weights)
+        report = hs.component_consistency(mirror, weights)
         assert not report.consistent
         assert report.max_drift_spread == pytest.approx(0.25, abs=1e-6)
         assert "synthetic" in report.diagnostic or "asymmetry" in report.diagnostic
@@ -229,7 +259,7 @@ class TestNonlatticeGap:
     def test_projection_gap_positive(self, free2, free2_decomp, proj):
         comp = free2_decomp.maximal_indices[0]
         ts = [0.1 * k for k in range(1, 31)]
-        points = hs.nonlattice_gap(free2, free2_decomp, proj, comp, ts)
+        points = hs.nonlattice_gap(free2, proj, comp, ts)
         assert len(points) == len(ts)
         assert all(p.gap > 0.0 for p in points)
         assert all(p.radius < 3.0 for p in points)
@@ -238,7 +268,7 @@ class TestNonlatticeGap:
         weights = hs.weights_from_homomorphism(free2, {"a": 1, "b": 1})
         comp = free2_decomp.maximal_indices[0]
         ts = [0.1 + 0.05 * k for k in range(59)]
-        points = hs.nonlattice_gap(free2, free2_decomp, weights, comp, ts)
+        points = hs.nonlattice_gap(free2, weights, comp, ts)
         arrays = _component_arrays(free2, free2_decomp, weights, comp)
         radius0 = perron_point(arrays.point((0.0,)))[0]
         for t, point in zip(ts, points):
@@ -259,12 +289,12 @@ class TestNonlatticeGap:
         # i * inf is NaN in its real part; numpy must not warn before the error
         comp = free2_decomp.maximal_indices[0]
         with pytest.raises(hs.NumericalError, match=re.escape("entry at t=inf;")):
-            hs.nonlattice_gap(free2, free2_decomp, proj, comp, [1.0, math.inf])
+            hs.nonlattice_gap(free2, proj, comp, [1.0, math.inf])
 
     def test_integer_weights_vanish_at_two_pi(self, free2, free2_decomp, aexp):
         comp = free2_decomp.maximal_indices[0]
         (point,) = hs.nonlattice_gap(
-            free2, free2_decomp, aexp, comp, [2.0 * math.pi]
+            free2, aexp, comp, [2.0 * math.pi]
         )
         assert abs(point.gap) <= 1e-9
         assert point.radius == pytest.approx(3.0, abs=1e-9)
@@ -280,4 +310,4 @@ class TestStackBudget:
         comp = free2_decomp.maximal_indices[0]
         ts = np.linspace(0.1, 20.0, self.POINTS)
         with pytest.raises(hs.ResourceError, match="byte budget"):
-            hs.nonlattice_gap(free2, free2_decomp, proj, comp, ts)
+            hs.nonlattice_gap(free2, proj, comp, ts)
