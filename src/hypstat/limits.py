@@ -32,7 +32,7 @@ import math
 import operator
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .coding import MarkovCoding, decompose_components
+from .coding import MarkovCoding
 from .enumerate import (
     MomentData,
     WordDistribution,
@@ -50,7 +50,7 @@ from .errors import (
     NumericalError,
     PreconditionError,
 )
-from .spectral import LimitStatistics, _component_arrays, nonlattice_gap, pressure
+from .spectral import LimitStatistics, _component, nonlattice_gap
 from .weights import WeightAssignment, lattice_scale
 
 if TYPE_CHECKING:
@@ -624,20 +624,17 @@ def ldt_rate(
         raise InvalidArgumentError("t grid must contain positive entries")
     drift = stats.drift[0]
     h = stats.entropy
-    component = stats.component
-
-    decomposition = decompose_components(coding)
-    edges = _component_arrays(coding, decomposition, weights, component).edges
+    comp = _component(coding, weights, stats.component)
 
     def objective(sign: float, t: float) -> tuple[float, float]:
         """``f(t)`` and ``f'(t)``: ``P(s)`` is the two-sided Rayleigh quotient
         ``u.M(s)v / u.v`` and ``P'(s) = u.(W o M(s))v / u.M(s)v``."""
         s = sign * t
-        r = pressure(coding, weights, component, s)
-        terms = [r.left[u] * math.exp(s * w[0]) * r.right[v] for u, v, w in edges]
+        _, right, left, _, _ = comp.solve((s,))
+        terms = [left[u] * math.exp(s * w[0]) * right[v] for u, v, w in comp.edges]
         top = math.fsum(terms)
-        p = math.log(top / math.fsum(map(operator.mul, r.left, r.right)))
-        slope = math.fsum(x * w[0] for x, (_, _, w) in zip(terms, edges)) / top
+        p = math.log(top / math.fsum(map(operator.mul, left, right)))
+        slope = math.fsum(x * w[0] for x, (_, _, w) in zip(terms, comp.edges)) / top
         return t * epsilon - (p - h - sign * t * drift), epsilon + sign * (drift - slope)
 
     def legendre(sign: float) -> tuple[float, float]:

@@ -12,16 +12,17 @@ data of this family:
   case ``k = 1``),
 * the non-lattice gap ``e^h - rho(M_i(it))`` for the local limit theorem.
 
-Each public function takes ``(coding, weights, ...)`` and reads the
-components off the coding with ``decompose_components``; a ``component``
-argument is an index into that decomposition.
+Each public function takes ``(coding, weights, ...)``; a ``component``
+argument is an index into ``decompose_components(coding)``.  Every solve
+reads one ``_Component`` record (index, masked vertices, edges and period),
+which ``_component`` builds from a single decomposition.
 
 Real and complex parameters take different ``_power`` kernels.  Every real
 Perron root (``pressure``, the ``limit_statistics`` stencil, the scan's root
 at ``s = 0``, and the points that ``ldt``'s Legendre search visits) comes
 from shifted power iteration in Python floats on ``M(s)`` built entry by
-entry with ``math.exp``, the left vector from the transpose; these paths
-never import numpy.  A frequency scan stacks ``M(it) = A * exp(itW)`` of a
+entry with ``math.exp`` (``_Component.point``); ``_Component.solve`` adds
+the left vector from the transpose.  These paths never import numpy.  A frequency scan stacks ``M(it) = A * exp(itW)`` of a
 scalar weight (0/1 mask ``A``, weight matrix ``W``) over its real
 frequencies ``t``, shape ``(G, d, d)``, refused with ``ResourceError``
 before it would exceed ``enumerate.BYTE_BUDGET``.  Its complex radii come
@@ -40,7 +41,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._power import eig_modulus_batch, growth_log_batch, modulus_batch, perron_point
-from .coding import ComponentDecomposition, MarkovCoding, decompose_components
+from .coding import MarkovCoding, decompose_components
 from .enumerate import BYTE_BUDGET
 from .errors import InvalidArgumentError, NumericalError, ResourceError
 from .weights import WeightAssignment
@@ -172,12 +173,14 @@ def _non_finite(name: str, coords: Sequence[float]) -> NumericalError:
     )
 
 
-class _ComponentArrays(NamedTuple):
-    """One maximal component's masked vertex set and its edges ``(u, v, w)``:
-    row, column and weight vector."""
+class _Component(NamedTuple):
+    """One maximal component: its index, masked vertex set, edges ``(u, v, w)``
+    (row, column and weight vector) and period."""
 
+    index: int
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int, tuple[float, ...]], ...]
+    period: int
 
     def point(self, s: Sequence[float]) -> list[list[float]]:
         """``M(s)`` at one real ``s`` as rows of Python floats; raises
@@ -193,6 +196,17 @@ class _ComponentArrays(NamedTuple):
                 raise _non_finite("s", s)
             rows[u][v] = entry
         return rows
+
+    def solve(
+        self, s: Sequence[float]
+    ) -> tuple[float, tuple[float, ...], tuple[float, ...], int, float]:
+        """``(value, right, left, iterations, residual)`` of ``M(s)`` at one
+        real ``s``: the left vector is the right one of the transpose, and
+        the iterations and the residual cover both solves."""
+        m = self.point(s)
+        value, right, iterations, residual = perron_point(m)
+        _, left, more, other = perron_point(list(zip(*m)))
+        return value, tuple(right), tuple(left), iterations + more, max(residual, other)
 
     def matrices(self, ts: np.ndarray) -> np.ndarray:
         """``M(it) = A * exp(itW)`` of a scalar weight at every real frequency
@@ -225,20 +239,20 @@ class _ComponentArrays(NamedTuple):
         return stack
 
 
-def _component_arrays(
-    coding: MarkovCoding,
-    decomposition: ComponentDecomposition,
-    weights: WeightAssignment,
-    component: int,
-) -> _ComponentArrays:
-    mask = decomposition.mask_for(component)
-    index = {v: j for j, v in enumerate(mask)}
+def _component(
+    coding: MarkovCoding, weights: WeightAssignment, component: int | None = None
+) -> _Component:
+    """Maximal component ``component`` (by default the first) of the coding."""
+    decomposition = decompose_components(coding)
+    index = decomposition.maximal_indices[0] if component is None else component
+    mask = decomposition.mask_for(index)
+    position = {v: j for j, v in enumerate(mask)}
     edges = tuple(
-        (index[e.source], index[e.target], weights.edge_values[(e.source, e.target)])
+        (position[e.source], position[e.target], weights.edge_values[(e.source, e.target)])
         for e in coding.edges
-        if e.source in index and e.target in index
+        if e.source in position and e.target in position
     )
-    return _ComponentArrays(vertices=mask, edges=edges)
+    return _Component(index, mask, edges, decomposition.components[index].period)
 
 
 def _complex_radii(stack: np.ndarray, period_hint: int) -> list[float]:
@@ -280,20 +294,18 @@ def pressure(
         of the two; ``iterations`` adds up both.
     """
     real = _real_parameter(s, weights.dim)
-    arrays = _component_arrays(coding, decompose_components(coding), weights, component)
-    m = arrays.point(real)
-    value, right, iterations, residual = perron_point(m)
-    _, left, left_iterations, left_residual = perron_point(list(zip(*m)))
+    comp = _component(coding, weights, component)
+    value, right, left, iterations, residual = comp.solve(real)
     return PressureReport(
-        component=component,
+        component=comp.index,
         s=real,
         value=value,
         pressure=math.log(value),
-        vertices=arrays.vertices,
-        right=tuple(right),
-        left=tuple(left),
-        iterations=iterations + left_iterations,
-        residual=max(residual, left_residual),
+        vertices=comp.vertices,
+        right=right,
+        left=left,
+        iterations=iterations,
+        residual=residual,
     )
 
 
@@ -324,9 +336,9 @@ def limit_statistics(
     required).  The Hessian of the pressure comes from Richardson-
     extrapolated second differences in a cancellation-safe product form
     (diagonal) and four-point cross stencils (off-diagonal), symmetrized.
-    The Perron root and both vectors at ``s = 0`` come from one
-    ``pressure`` call; every other stencil point is one ``perron_point``
-    solve in Python floats.
+    The Perron root and both vectors at ``s = 0`` come from one two-sided
+    solve; every other stencil point is one ``perron_point`` solve in
+    Python floats.
 
     Scalar weights are the case ``k = 1``: ``covariance`` is the 1 x 1
     matrix of ``P''(0)``, also read as ``sigma2``.  ``degenerate`` means
@@ -351,8 +363,7 @@ def limit_statistics(
     NumericalError
         If the two drift routes disagree.
     """
-    decomposition = decompose_components(coding)
-    idx = decomposition.maximal_indices[0] if component is None else component
+    comp = _component(coding, weights, component)
     k = weights.dim
     h = _DRIFT_STEP
     h2 = _VARIANCE_STEP
@@ -366,53 +377,39 @@ def limit_statistics(
     def unit(j: int, scale: float) -> tuple[float, ...]:
         return pair(j, j, scale, scale)
 
-    points = []
-    for j in range(k):
-        for step in (h, h2 / 2, h2):
-            points += [unit(j, step), unit(j, -step)]
-        for l in range(j + 1, k):
-            for step in (h2 / 4, h2 / 2):
-                for sj, sl in ((1, 1), (1, -1), (-1, -1), (-1, 1)):
-                    points.append(pair(j, l, sj * step, sl * step))
     # grad P(0) = u . (W_j v) / (lambda u . v) per coordinate, from the left
     # and right Perron vectors at s = 0, where W_j holds the weights' j-th
     # coordinates on the edges: the derivative of M(s) in s_j
-    zero = pressure(coding, weights, idx, (0.0,) * k)
-    lam0, left, right = zero.value, zero.left, zero.right
-    arrays = _component_arrays(coding, decomposition, weights, idx)
+    lam0, right, left, _, _ = comp.solve((0.0,) * k)
     uv = sum(map(mul, left, right))
     drift_pert = [
-        math.fsum(left[u] * w[j] * right[v] for u, v, w in arrays.edges) / (lam0 * uv)
+        math.fsum(left[u] * w[j] * right[v] for u, v, w in comp.edges) / (lam0 * uv)
         for j in range(k)
     ]
-    lam_at = {p: perron_point(arrays.point(p))[0] for p in points}
 
-    for j in range(k):
-        fd = (
-            math.log(lam_at[unit(j, h)]) - math.log(lam_at[unit(j, -h)])
-        ) / (2.0 * h)
-        if abs(drift_pert[j] - fd) > DRIFT_ROUTE_TOL:
-            raise NumericalError(
-                f"drift routes disagree in coordinate {j}: perturbation "
-                f"{drift_pert[j]!r} vs central difference {fd!r}"
-            )
+    def lam_at(p: tuple[float, ...]) -> float:
+        return perron_point(comp.point(p))[0]
 
     def diag_entry(j: int, step: float) -> float:
         # cancellation-safe (P(h) - 2 P(0) + P(-h)) / h^2 from Perron roots
-        ratio = (lam_at[unit(j, step)] / lam0) * (lam_at[unit(j, -step)] / lam0) - 1.0
+        ratio = (lam_at(unit(j, step)) / lam0) * (lam_at(unit(j, -step)) / lam0) - 1.0
         return math.log1p(ratio) / (step * step)
 
     def cross_entry(j: int, l: int, step: float) -> float:
         def at(sj: float, sl: float) -> float:
-            return lam_at[pair(j, l, sj, sl)]
+            return lam_at(pair(j, l, sj, sl))
 
         ratio = (at(step, step) / at(step, -step)) * (
             at(-step, -step) / at(-step, step)
         ) - 1.0
         return math.log1p(ratio) / (4.0 * step * step)
 
+    # each stencil point is read, so solved, once, and all before the drift check
+    fd = []
     hess = [[0.0] * k for _ in range(k)]
     for j in range(k):
+        plus, minus = lam_at(unit(j, h)), lam_at(unit(j, -h))
+        fd.append((math.log(plus) - math.log(minus)) / (2.0 * h))
         hess[j][j] = (4.0 * diag_entry(j, h2 / 2) - diag_entry(j, h2)) / 3.0
         for l in range(j + 1, k):
             # the four-point stencil spans 2*step diagonally, so halved
@@ -421,6 +418,12 @@ def limit_statistics(
                 4.0 * cross_entry(j, l, h2 / 4) - cross_entry(j, l, h2 / 2)
             ) / 3.0
             hess[j][l] = hess[l][j] = value
+    for j in range(k):
+        if abs(drift_pert[j] - fd[j]) > DRIFT_ROUTE_TOL:
+            raise NumericalError(
+                f"drift routes disagree in coordinate {j}: perturbation "
+                f"{drift_pert[j]!r} vs central difference {fd[j]!r}"
+            )
     scale = max(1.0, *(hess[j][j] for j in range(k)))
     degenerate = any(
         minor <= DEGENERACY_CLAMP * scale**m
@@ -429,10 +432,10 @@ def limit_statistics(
     if degenerate and k == 1:
         hess[0][0] = 0.0
     return LimitStatistics(
-        component=idx,
+        component=comp.index,
         drift=tuple(drift_pert),
         covariance=tuple(map(tuple, hess)),
-        entropy=zero.pressure,
+        entropy=math.log(lam0),
         lam=lam0,
         degenerate=degenerate,
     )
@@ -525,14 +528,12 @@ def nonlattice_gap(
     if weights.dim != 1:
         raise InvalidArgumentError("the non-lattice gap is defined for scalar weights")
     import numpy as np
-    decomposition = decompose_components(coding)
-    arrays = _component_arrays(coding, decomposition, weights, component)
-    radius0 = perron_point(arrays.point((0.0,)))[0]
-    period = decomposition.components[component].period
+    comp = _component(coding, weights, component)
+    radius0 = perron_point(comp.point((0.0,)))[0]
     ts = np.asarray(t_grid, dtype=float)
-    stack = arrays.matrices(ts)
+    stack = comp.matrices(ts)
     points = []
-    for t, radius in zip(ts.tolist(), _complex_radii(stack, period)):
+    for t, radius in zip(ts.tolist(), _complex_radii(stack, comp.period)):
         gap = radius0 - radius
         if gap < -1e-9:
             raise NumericalError(

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hypstat as hs
-from conftest import build_z2z3_coding
+from conftest import build_z2z3_coding, target_letter_weights
 from hypstat import cli
 
 
@@ -311,19 +311,22 @@ class TestFileInputs:
         assert err != ""
 
 
+def skew_weights(mirror):
+    """The mirror coding with +1 on edges into a1, -1 on edges into A1 and 0
+    elsewhere: component 2 (the copy-1 letters) varies, component 1 does not."""
+    values = {"a1": 1, "A1": -1}
+    table = {(e.source, e.target): values.get(e.target, 0) for e in mirror.edges}
+    return hs.weights_from_edge_table(mirror, table)
+
+
 class TestDisagreeingComponents:
-    # the mirror coding with +1 on edges into a1, -1 on edges into A1 and 0
-    # elsewhere: component 2 (the copy-1 letters) varies, component 1 does not
     @pytest.fixture
     def sources(self, tmp_path, mirror):
-        values = {"a1": 1, "A1": -1}
-        table = {(e.source, e.target): values.get(e.target, 0) for e in mirror.edges}
         coding_path = tmp_path / "mirror.json"
         coding_path.write_text(json.dumps(hs.dump_coding(mirror)), encoding="utf-8")
         weights_path = tmp_path / "skew.json"
         weights_path.write_text(
-            json.dumps(hs.dump_weights(hs.weights_from_edge_table(mirror, table))),
-            encoding="utf-8",
+            json.dumps(hs.dump_weights(skew_weights(mirror))), encoding="utf-8"
         )
         return ["--coding", str(coding_path), "--weights", f"edges:@{weights_path}"]
 
@@ -340,6 +343,53 @@ class TestDisagreeingComponents:
         doc = json.loads(out)
         assert doc["component"] == 2
         assert not doc["degenerate"]
+
+
+#: stdout of the component paths that no ``cli_surface.json`` case covers:
+#: the period-2 component of Z/2*Z/3 weighted by the target letter (s 0, t 1,
+#: T -1), and the mirror coding's second maximal component under the skew
+#: weights; argv names files in the working directory
+COMPONENT_PINS = {
+    "z2z3-stats": (
+        ["stats", "--coding", "z2z3.json", "--weights", "z2z3_w.json"],
+        '{"command": "stats", "component": 0, "drift": [0.0], "sigma2": 0.49999999993787192, "covariance": null, "entropy": 0.34657359027997259, "lam": 1.4142135623730949, "degenerate": false, "positive_definite": null, "meta": {"argv": ["stats", "--coding", "z2z3.json", "--weights", "z2z3_w.json"], "version": "1.0.0"}}\n',
+    ),
+    "z2z3-pressure": (
+        ["pressure", "--coding", "z2z3.json", "--weights", "z2z3_w.json", "--s", "0.5"],
+        '{"command": "pressure", "component": 0, "s": [0.5], "value": 1.5017496230772849, "pressure": 0.40663084375911268, "vertices": ["s", "t", "T"], "right": [0.42885693859447027, 0.28557153070276481, 0.28557153070276481], "left": [0.3997202560861976, 0.43883965636598737, 0.16144008754781497], "iterations": 72, "residual": 7.7668110348638956e-14, "meta": {"argv": ["pressure", "--coding", "z2z3.json", "--weights", "z2z3_w.json", "--s", "0.5"], "version": "1.0.0"}}\n',
+    ),
+    "mirror-stats-2": (
+        ["stats", "--coding", "mirror.json", "--weights", "edges:@skew.json", "--component", "2"],
+        '{"command": "stats", "component": 2, "drift": [0.0], "sigma2": 0.99999999905745918, "covariance": null, "entropy": 1.0986122886681098, "lam": 3.0000000000000004, "degenerate": false, "positive_definite": null, "meta": {"argv": ["stats", "--coding", "mirror.json", "--weights", "edges:@skew.json", "--component", "2"], "version": "1.0.0"}}\n',
+    ),
+    "mirror-pressure-2": (
+        ["pressure", "--coding", "mirror.json", "--weights", "edges:@skew.json", "--component", "2"],
+        '{"command": "pressure", "component": 2, "s": [0.0], "value": 3.0000000000000004, "pressure": 1.0986122886681098, "vertices": ["a1", "A1", "b1", "B1", "t1", "t2"], "right": [0.24999999999999481, 0.24999999999999481, 0.24999999999999481, 0.24999999999999481, 1.0351524645125365e-14, 1.0351524645125365e-14], "left": [0.24999999999999481, 0.24999999999999481, 0.24999999999999481, 0.24999999999999481, 1.0351524645125365e-14, 1.0351524645125365e-14], "iterations": 152, "residual": 8.2812197161004647e-14, "meta": {"argv": ["pressure", "--coding", "mirror.json", "--weights", "edges:@skew.json", "--component", "2"], "version": "1.0.0"}}\n',
+    ),
+}
+
+
+class TestComponentPaths:
+    @pytest.fixture
+    def sources(self, monkeypatch, tmp_path, mirror):
+        monkeypatch.chdir(tmp_path)
+        z2z3 = build_z2z3_coding()
+        docs = {
+            "z2z3.json": hs.dump_coding(z2z3),
+            "z2z3_w.json": hs.dump_weights(
+                target_letter_weights(z2z3, {"s": 0, "t": 1, "T": -1})
+            ),
+            "mirror.json": hs.dump_coding(mirror),
+            "skew.json": hs.dump_weights(skew_weights(mirror)),
+        }
+        for name, doc in docs.items():
+            Path(name).write_text(json.dumps(doc), encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv, stdout", COMPONENT_PINS.values(), ids=list(COMPONENT_PINS)
+    )
+    def test_recorded_output(self, capsys, sources, argv, stdout):
+        assert run_cli(capsys, argv) == (0, stdout, "")
 
 
 class TestScanLattice:

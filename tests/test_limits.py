@@ -25,7 +25,7 @@ from hypstat.limits import (
     _quadrature,
     _tail_counts,
 )
-from hypstat.spectral import _component_arrays
+from hypstat.spectral import _Component, _component
 
 # [DERIVED] scipy-ndtr Kolmogorov oracle values from tests/oracles.py
 KS_AEXP_N4 = 0.10185185185185186
@@ -64,27 +64,26 @@ QUARTERS = st.integers(-8, 8).map(lambda k: k / 4)
 
 @functools.cache
 def ldt_coding(rank):
-    coding = build_z2z3_coding() if rank == "z2z3" else hs.build_free_group_coding(rank)
-    return coding, hs.decompose_components(coding)
+    return build_z2z3_coding() if rank == "z2z3" else hs.build_free_group_coding(rank)
 
 
 def ldt_case(rank, values):
-    """(coding, decomposition, weights): a homomorphism on the free group of
-    this rank, or Z/2*Z/3 weighted by its target letter (s = 0, t = 1,
-    T = -1) for ``rank == "z2z3"``."""
-    coding, decomposition = ldt_coding(rank)
+    """(coding, weights): a homomorphism on the free group of this rank, or
+    Z/2*Z/3 weighted by its target letter (s = 0, t = 1, T = -1) for
+    ``rank == "z2z3"``."""
+    coding = ldt_coding(rank)
     if rank == "z2z3":
         weights = target_letter_weights(coding, {"s": 0, "t": 1, "T": -1})
     else:
         weights = hs.weights_from_homomorphism(coding, dict(zip("abc", values)))
-    return coding, decomposition, weights
+    return coding, weights
 
 
-def full_legendre_scan(coding, decomposition, weights, stats, epsilon, ts, sign):
+def full_legendre_scan(coding, weights, stats, epsilon, ts, sign):
     """First maximum ``(value, t)`` of ``t eps - (P(sign t) - h - sign t drift)``
     over every grid point, with ``P`` the two-sided Rayleigh quotient
     ``log(u.M(s)v / u.v)`` of ``spectral.pressure``'s vectors."""
-    edges = _component_arrays(coding, decomposition, weights, stats.component).edges
+    edges = _component(coding, weights, stats.component).edges
     best = (-math.inf, ts[0])
     for t in ts:
         s = sign * t
@@ -382,11 +381,11 @@ class TestLdt:
     @example(case=(2, [1, 0]), epsilon=0.4, ts=[0.1, 0.465162044906, 0.465162051906, 1.0])
     @example(case=(2, [1, 0]), epsilon=0.4, ts=[0.1, 0.465162029, 0.465162043, 1.0])
     def test_search_returns_the_first_maximum_of_a_full_scan(self, case, epsilon, ts):
-        coding, decomposition, weights = ldt_case(*case)
+        coding, weights = ldt_case(*case)
         stats = hs.limit_statistics(coding, weights)
         theory = hs.ldt_rate(coding, weights, stats, epsilon, [4], ts).theory
         for sign, tail in ((1.0, "plus"), (-1.0, "minus")):
-            value, t = full_legendre_scan(coding, decomposition, weights, stats, epsilon, ts, sign)
+            value, t = full_legendre_scan(coding, weights, stats, epsilon, ts, sign)
             assert theory[f"rate_{tail}"] == value
             # a degenerate tail reports no t
             assert theory.get(f"t_{tail}", t) == t
@@ -394,14 +393,14 @@ class TestLdt:
     def test_search_solves_logarithmically_many_points(
         self, monkeypatch, free2, aexp, aexp_stats
     ):
-        # ldt_rate calls spectral.pressure through the name limits binds
         signs = []
+        solve = _Component.solve
 
-        def spy(coding, weights, component, s):
-            signs.append(math.copysign(1.0, s))
-            return hs.spectral.pressure(coding, weights, component, s)
+        def spy(record, s):
+            signs.append(math.copysign(1.0, s[0]))
+            return solve(record, s)
 
-        monkeypatch.setattr(hs.limits, "pressure", spy)
+        monkeypatch.setattr(_Component, "solve", spy)
         ts = [k * 0.001 for k in range(1, 2001)]
         hs.ldt_rate(free2, aexp, aexp_stats, 0.4, [10], ts)
         bound = 2 * (math.ceil(math.log2(len(ts))) + 3)

@@ -33,7 +33,7 @@ from hypstat._power import (
     perron_point,
 )
 from hypstat.limits import _default_gate_grid
-from hypstat.spectral import _component_arrays
+from hypstat.spectral import _component
 from oracles import eig_radius
 
 PROPERTY = settings(settings.get_profile("hypstat"), max_examples=60)
@@ -194,10 +194,8 @@ def loop_growth_log(matrix, steps=200):
 
 def scan_stack(coding, weights):
     """The default llt gate grid's stack ``M(it)`` and the component period."""
-    decomposition = hs.decompose_components(coding)
-    arrays = _component_arrays(coding, decomposition, weights, 0)
-    ts = np.array(_default_gate_grid())
-    return arrays.matrices(ts), decomposition.components[0].period
+    comp = _component(coding, weights)
+    return comp.matrices(np.array(_default_gate_grid())), comp.period
 
 
 def z2z3_scan_stack():

@@ -4,13 +4,14 @@ import cmath
 import inspect
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
 import hypstat as hs
 from hypstat._power import perron_point
-from hypstat.spectral import _complex_radii, _component_arrays
+from hypstat.spectral import _complex_radii, _component
 from conftest import build_z2z3_coding, target_letter_weights
 
 # [DERIVED] eigenvalue-solver oracle values from tests/oracles.py
@@ -21,14 +22,14 @@ COMPLEX_RADIUS_AEXP = 2.381049726375522  # at s = 0.4 + 1.3j
 AIND_SIGMA2 = 0.28125  # Richardson-extrapolated oracle: 0.28125000022842056
 
 
-def transfer_matrices(coding, decomposition, weights, component, grid):
+def transfer_matrices(coding, weights, component, grid):
     """``M(s)`` of a scalar weight's component at each complex ``s`` of
     ``grid``, shape ``(G, d, d)``, built entry by entry from its edges."""
-    arrays = _component_arrays(coding, decomposition, weights, component)
-    size = len(arrays.vertices)
+    record = _component(coding, weights, component)
+    size = len(record.vertices)
     stack = np.zeros((len(grid), size, size), dtype=complex)
     for g, s in enumerate(grid):
-        for u, v, (w,) in arrays.edges:
+        for u, v, (w,) in record.edges:
             stack[g, u, v] = cmath.exp(s * w)
     return stack
 
@@ -36,13 +37,13 @@ def transfer_matrices(coding, decomposition, weights, component, grid):
 class TestTransferMatrix:
     def test_adjacency_radius(self, free2, free2_decomp, aexp):
         comp = free2_decomp.maximal_indices[0]
-        arrays = _component_arrays(free2, free2_decomp, aexp, comp)
-        assert perron_point(arrays.point((0.0,)))[0] == pytest.approx(3.0, abs=1e-9)
+        record = _component(free2, aexp, comp)
+        assert perron_point(record.point((0.0,)))[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_mask_excludes_other_maximal(self, mirror, mirror_decomp, mirror_hom):
         first = mirror_decomp.maximal_indices[0]
-        arrays = _component_arrays(mirror, mirror_decomp, mirror_hom, first)
-        vertices = arrays.vertices
+        record = _component(mirror, mirror_hom, first)
+        vertices = record.vertices
         excluded = set(mirror_decomp.components[mirror_decomp.maximal_indices[1]].vertices)
         assert excluded.isdisjoint(vertices)
         assert {"t1", "t2"} <= set(vertices)
@@ -112,7 +113,7 @@ class TestTransferMatrix:
 
     def test_complex_radius_matches_oracle(self, free2, free2_decomp, aexp):
         comp = free2_decomp.maximal_indices[0]
-        stack = transfer_matrices(free2, free2_decomp, aexp, comp, [0.4 + 1.3j])
+        stack = transfer_matrices(free2, aexp, comp, [0.4 + 1.3j])
         (radius,) = _complex_radii(stack, 1)
         assert radius == pytest.approx(COMPLEX_RADIUS_AEXP, abs=1e-6)
 
@@ -120,7 +121,7 @@ class TestTransferMatrix:
         # integer weights at t = 2 pi: entries all return to their s = 0
         # values, so the twisted radius equals the growth rate
         comp = free2_decomp.maximal_indices[0]
-        stack = transfer_matrices(free2, free2_decomp, aexp, comp, [2j * math.pi])
+        stack = transfer_matrices(free2, aexp, comp, [2j * math.pi])
         assert _complex_radii(stack, 1)[0] == pytest.approx(3.0, abs=1e-9)
 
 
@@ -227,6 +228,42 @@ class TestStructureFromTheCoding:
         weights = hs.weights_from_homomorphism(free2, {"a": 1, "b": 0})
         assert hs.pressure(free2, weights, 0, 0.5).vertices == ("a", "A", "b", "B")
 
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of ``decompose_components`` and ``perron_point`` calls,
+        wherever a module binds them."""
+        calls = {"decompose_components": 0, "perron_point": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        decompose = counted("decompose_components", hs.coding.decompose_components)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("hypstat") and hasattr(module, "decompose_components"):
+                monkeypatch.setattr(module, "decompose_components", decompose)
+        monkeypatch.setattr(hs.spectral, "perron_point", counted("perron_point", perron_point))
+        return calls
+
+    # one decomposition per call, not one per solve, and one solve per
+    # stencil point: two for the two-sided point s = 0 and one for each of
+    # the 6 k + 8 k (k - 1) / 2 others
+    @pytest.mark.parametrize(
+        "values, solves",
+        [({"a": 1, "b": 0}, 6 + 2), ({"a": (1, 0), "b": (0, 1)}, 20 + 2)],
+        ids=["k=1", "k=2"],
+    )
+    def test_statistics_decompose_once(self, free2, calls, values, solves):
+        hs.limit_statistics(free2, hs.weights_from_homomorphism(free2, values))
+        assert calls == {"decompose_components": 1, "perron_point": solves}
+
+    def test_ldt_decomposes_once(self, free2, aexp, aexp_stats, calls):
+        hs.ldt_rate(free2, aexp, aexp_stats, 0.4, [10], [k * 0.01 for k in range(1, 201)])
+        assert calls["decompose_components"] == 1
+
 
 class TestComponentConsistency:
     def test_mirror_components_agree(self, mirror, mirror_decomp, mirror_hom):
@@ -269,10 +306,10 @@ class TestNonlatticeGap:
         comp = free2_decomp.maximal_indices[0]
         ts = [0.1 + 0.05 * k for k in range(59)]
         points = hs.nonlattice_gap(free2, weights, comp, ts)
-        arrays = _component_arrays(free2, free2_decomp, weights, comp)
-        radius0 = perron_point(arrays.point((0.0,)))[0]
+        record = _component(free2, weights, comp)
+        radius0 = perron_point(record.point((0.0,)))[0]
         for t, point in zip(ts, points):
-            stack = arrays.matrices(np.array([t]))
+            stack = record.matrices(np.array([t]))
             (radius,) = _complex_radii(stack, 1)
             assert point.t == t
             assert point.radius == pytest.approx(radius, rel=0.0, abs=1e-12)
@@ -281,8 +318,8 @@ class TestNonlatticeGap:
     def test_scan_matches_the_entrywise_matrices(self, free2, free2_decomp, aind):
         comp = free2_decomp.maximal_indices[0]
         ts = [0.3, -1.7, 2.0 * math.pi]
-        stack = _component_arrays(free2, free2_decomp, aind, comp).matrices(np.array(ts))
-        expected = transfer_matrices(free2, free2_decomp, aind, comp, [1j * t for t in ts])
+        stack = _component(free2, aind, comp).matrices(np.array(ts))
+        expected = transfer_matrices(free2, aind, comp, [1j * t for t in ts])
         np.testing.assert_allclose(stack, expected, rtol=0.0, atol=1e-15)
 
     def test_infinite_frequency_names_t(self, free2, free2_decomp, proj):
