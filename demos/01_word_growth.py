@@ -35,8 +35,8 @@ print(f"growth rate lambda = {report.lam:.12f}")
 print(f"entropy h = log lambda = {report.entropy:.12f} (log 3 = {math.log(3):.12f})")
 print()
 
-# validate_coding walks every path of bounded length and checks that the
-# spelled words are reduced, distinct, and exhaustive.
+# validate_coding checks that no two paths of bounded length spell the same
+# word: one breadth-first pass looks for a repeated label at each vertex.
 check = hs.validate_coding(coding, 6)
 print(f"coding valid to depth {check.depth}: {check.ok}")
 print("paths per depth:", list(check.paths_per_depth))

@@ -39,6 +39,7 @@ from typing import Sequence
 
 from . import __version__
 from .coding import (
+    BYTE_BUDGET,
     MarkovCoding,
     build_free_group_coding,
     decompose_components,
@@ -48,7 +49,6 @@ from .coding import (
     validate_coding,
 )
 from .enumerate import (
-    BYTE_BUDGET,
     distribution,
     distribution_overcounted,
     distribution_to_json,
@@ -411,7 +411,7 @@ def cmd_growth(args) -> dict:
 def cmd_pressure(args) -> dict:
     coding, weights = _load_pair(args)
     s = _parse_float_grid(args.s)
-    return pressure(coding, weights, _component_of(args, coding), s)._asdict()
+    return pressure(coding, weights, args.component, s)._asdict()
 
 
 def cmd_stats(args) -> dict:
@@ -630,7 +630,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p.add_argument("--tgrid", help="frequency grid (default: llt's --gate-grid)")
 
     p = add("validate", "path-to-word bijection check", cmd_validate, weights=False)
-    p.add_argument("--depth", type=int, default=8, help="enumeration depth")
+    p.add_argument("--depth", type=int, default=8, help="largest path length checked")
 
     return parser if command in (None, *sub.choices) else _build_parser()
 

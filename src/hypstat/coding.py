@@ -19,7 +19,9 @@ one Boolean reachability closure of the ``"*"``-plus-core adjacency, built
 by Warshall's algorithm in O(V^3) for V core vertices.  Components are
 listed sinks first: the reverse of the topological order that always takes
 the ready component with the smallest first vertex.  All exact path counts
-from ``"*"`` come from one big-integer DP, ``_path_totals``.
+from ``"*"`` come from one big-integer DP, ``_path_totals``, refused before
+its first level over ``BYTE_BUDGET`` bytes; validation enumerates no paths,
+only the vertices, in one breadth-first pass.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ START_VERTEX = "*"
 MAXIMALITY_RTOL = 1e-9
 #: codings with growth rate <= 1 + this are flagged elementary
 ELEMENTARY_RTOL = 1e-9
-_PATH_GUARD = 10**7
+#: cap on the bytes of exact counts, lattice enumerations, frequency stacks
+#: and range grids, checked before they are built
+BYTE_BUDGET = 2**30
 
 
 # ---------------------------------------------------------------------------
@@ -316,55 +320,40 @@ def dump_coding(coding: MarkovCoding) -> dict:
 
 
 def validate_coding(coding: MarkovCoding, depth: int) -> CodingValidationReport:
-    """Check that distinct paths from ``"*"`` spell distinct words.
+    """Check that distinct paths from ``"*"`` of length ``<= depth`` spell
+    distinct words.
 
-    Enumerates every label path from the start vertex up to ``depth`` and
-    verifies injectivity of the path-to-word map.
-
-    Parameters
-    ----------
-    coding : MarkovCoding
-    depth : int
-        Maximum path length to enumerate; total paths are guarded at 1e7.
-
-    Returns
-    -------
-    CodingValidationReport
+    Two distinct paths spell one word iff, where they first part, a vertex
+    has two out-edges with the same label, so one breadth-first pass looks
+    for a repeated label at each vertex within ``depth - 1`` steps of
+    ``"*"``.  ``paths_per_depth`` is ``sphere_counts(coding, depth)``; each
+    failure names the first shortest path to such a vertex, extended by the
+    label's first edge and by a later one, at the depth where they collide.
     """
     if depth < 0:
         raise InvalidArgumentError(f"depth must be >= 0, got {depth}")
+    counts = sphere_counts(coding, depth)
     out_edges = coding.out_edges
-    failures: list[str] = []
-    frontier: list[tuple[tuple[str, ...], tuple[str, ...]]] = [((START_VERTEX,), ())]
-    counts = [1]
-    total = 1
-    for level in range(1, depth + 1):
-        nxt: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-        for path, labels in frontier:
-            for edge in out_edges[path[-1]]:
-                nxt.append(((*path, edge.target), (*labels, edge.label)))
-        total += len(nxt)
-        if total > _PATH_GUARD:
-            raise ResourceError(
-                f"path enumeration exceeds the {_PATH_GUARD} guard at depth {level}"
-            )
-        seen: dict[tuple[str, ...], tuple[str, ...]] = {}
-        for path, labels in nxt:
-            if labels in seen:
+    # breadth first: each vertex's distance, first shortest path and its word
+    reached = {START_VERTEX: (0, START_VERTEX, "")}
+    queue, failures = [START_VERTEX], []
+    for vertex in queue:
+        distance, path, word = reached[vertex]
+        if distance == depth:
+            break
+        first = {}
+        for edge in out_edges[vertex]:
+            if edge.label in first:
                 failures.append(
-                    f"depth {level}: label word {''.join(labels)!r} spelled by paths "
-                    f"{' -> '.join(seen[labels])} and {' -> '.join(path)}"
+                    f"depth {distance + 1}: label word {word + edge.label!r} spelled by paths "
+                    f"{path} -> {first[edge.label]} and {path} -> {edge.target}"
                 )
             else:
-                seen[labels] = path
-        counts.append(len(nxt))
-        frontier = nxt
-    return CodingValidationReport(
-        ok=not failures,
-        depth=depth,
-        paths_per_depth=tuple(counts),
-        failures=tuple(failures),
-    )
+                first[edge.label] = edge.target
+            if edge.target not in reached:
+                reached[edge.target] = (distance + 1, f"{path} -> {edge.target}", word + edge.label)
+                queue.append(edge.target)
+    return CodingValidationReport(not failures, depth, tuple(counts), tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +503,22 @@ def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
 
 def _path_totals(pairs: list[tuple[str, str]], n_max: int) -> list[int]:
     """Exact numbers of paths from ``"*"`` of length ``0..n_max`` along the
-    ``(source, target)`` edge ``pairs``, by big-integer dynamic programming."""
+    ``(source, target)`` edge ``pairs``, by big-integer dynamic programming;
+    refused before the first level over ``BYTE_BUDGET``, since level ``L``
+    counts at most ``fan**L`` paths for the largest out-degree ``fan``."""
     succ: dict[str, list[str]] = {}
     for source, target in pairs:
         succ.setdefault(source, []).append(target)
+    fan = max(map(len, succ.values()), default=1)
+    # the totals and two levels of one count per vertex, each int 32 bytes
+    # plus 4 per 30 bits of the last level's n_max * log2(fan)
+    ints = n_max + 1 + 2 * len({v for pair in pairs for v in pair})
+    if (needed := ints * (32 + math.log2(fan) * n_max / 7.5)) > BYTE_BUDGET:
+        raise ResourceError(
+            f"the exact path counts to length {n_max} could hold about "
+            f"{int(needed)} bytes, over the {BYTE_BUDGET}-byte budget; use a "
+            "smaller length"
+        )
     paths, totals = {START_VERTEX: 1}, [1]
     for _ in range(n_max):
         nxt: dict[str, int] = {}

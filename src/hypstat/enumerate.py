@@ -68,6 +68,7 @@ from itertools import accumulate, permutations
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .coding import (
+    BYTE_BUDGET,
     START_VERTEX,
     ComponentDecomposition,
     MarkovCoding,
@@ -82,9 +83,6 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-#: cap on the bytes of the buffers an exact lattice enumeration allocates,
-#: checked before allocating them (see the module docstring)
-BYTE_BUDGET = 2**30
 #: bits per digit of the exact engine: a uint64 holds one digit and leaves
 #: 16 bits for the sums of up to 65535 incoming edges between carries
 _DIGIT_BITS = 48

@@ -25,7 +25,7 @@ entry with ``math.exp`` (``_Component.point``); ``_Component.solve`` adds
 the left vector from the transpose.  These paths never import numpy.  A frequency scan stacks ``M(it) = A * exp(itW)`` of a
 scalar weight (0/1 mask ``A``, weight matrix ``W``) over its real
 frequencies ``t``, shape ``(G, d, d)``, refused with ``ResourceError``
-before it would exceed ``enumerate.BYTE_BUDGET``.  Its complex radii come
+before it would exceed ``coding.BYTE_BUDGET``.  Its complex radii come
 from a dense eigensolver on an aperiodic component and from a small
 orthogonal iteration on a periodic one, all certified by their residuals
 and cross-validated against the measured growth rate of ``||M^200 x||``.
@@ -41,8 +41,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._power import eig_modulus_batch, growth_log_batch, modulus_batch, perron_point
-from .coding import MarkovCoding, decompose_components
-from .enumerate import BYTE_BUDGET
+from .coding import BYTE_BUDGET, MarkovCoding, decompose_components
 from .errors import InvalidArgumentError, NumericalError, ResourceError
 from .weights import WeightAssignment
 
@@ -281,10 +280,11 @@ def _complex_radii(stack: np.ndarray, period_hint: int) -> list[float]:
 def pressure(
     coding: MarkovCoding,
     weights: WeightAssignment,
-    component: int,
+    component: int | None = None,
     s: object = 0.0,
 ) -> PressureReport:
-    """Pressure ``P(s) = log lambda(s)`` of one maximal component at real ``s``.
+    """Pressure ``P(s) = log lambda(s)`` of one maximal component (by
+    default the first) at real ``s``.
 
     Returns
     -------

@@ -12,8 +12,9 @@ the derived constants that the test modules freeze as literals:
 
 Test modules import only the cheap recomputation helpers (word histograms
 on small spheres, the word walk of ``brute_force_oracle`` over any coding,
-and the path count of ``count_avoiding_maximal``); every expensive or
-floating-point result is frozen.
+the path-by-path injectivity check of ``validate_by_paths``, and the path
+count of ``count_avoiding_maximal``); every expensive or floating-point
+result is frozen.
 """
 
 from __future__ import annotations
@@ -184,6 +185,42 @@ def brute_force_oracle(coding, weights, n_cap):
             stack.append((edge.target, length + 1, word + edge.label, nxt))
     out.sort()
     return out
+
+
+def validate_by_paths(coding, depth):
+    """``validate_coding`` by listing every path from ``"*"`` and its word.
+
+    Level by level to ``depth``, each path whose word an earlier path of
+    the same level already spelled adds a failure line naming both paths.
+    Returns ``(ok, paths_per_depth, failures)``; the paths enumerated are
+    guarded at 1e7.
+    """
+    out_edges = coding.out_edges
+    failures = []
+    frontier = [((hs.START_VERTEX,), ())]
+    counts = [1]
+    for level in range(1, depth + 1):
+        nxt = [
+            ((*path, edge.target), (*labels, edge.label))
+            for path, labels in frontier
+            for edge in out_edges[path[-1]]
+        ]
+        if sum(counts) + len(nxt) > BRUTE_FORCE_GUARD:
+            raise hs.ResourceError(
+                f"path enumeration exceeds the {BRUTE_FORCE_GUARD} guard at depth {level}"
+            )
+        seen = {}
+        for path, labels in nxt:
+            if labels in seen:
+                failures.append(
+                    f"depth {level}: label word {''.join(labels)!r} spelled by paths "
+                    f"{' -> '.join(seen[labels])} and {' -> '.join(path)}"
+                )
+            else:
+                seen[labels] = path
+        counts.append(len(nxt))
+        frontier = nxt
+    return not failures, tuple(counts), tuple(failures)
 
 
 def eig_radius(matrix):

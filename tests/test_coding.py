@@ -1,11 +1,17 @@
 """Tests for coding graphs: construction, validation, decomposition, growth."""
 
+import inspect
 import math
+import re
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypstat as hs
+import oracles
 from conftest import build_mirror_coding, build_z2z3_coding
 
 # dump_coding(build_free_group_coding(2)) as written before codings dropped
@@ -173,6 +179,31 @@ class TestLoadAndDump:
             load(target)
 
 
+FAILURE = re.compile(r"depth (\d+): label word ('.*') spelled by paths (.+) and (.+)")
+
+
+def first_depth(failures):
+    return int(FAILURE.fullmatch(failures[0]).group(1))
+
+
+@st.composite
+def small_codings(draw):
+    """1-5 core vertices over 1-3 labels, at most one edge per vertex pair;
+    a deterministic coding repeats no label at a vertex."""
+    core = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+    labels = "xyz"[: draw(st.integers(1, 3))]
+    deterministic = draw(st.booleans())
+    edges = []
+    for source in ["*", *core]:
+        used = set()
+        for target in core:
+            label = draw(st.sampled_from(["", *labels]))
+            if label and not (deterministic and label in used):
+                used.add(label)
+                edges.append(hs.CodingEdge(source, target, label))
+    return hs.MarkovCoding(tuple(labels), ("*", *core), tuple(edges))
+
+
 class TestValidateCoding:
     def test_free2_bijection(self, free2):
         report = hs.validate_coding(free2, 6)
@@ -180,11 +211,91 @@ class TestValidateCoding:
         assert report.failures == ()
         assert list(report.paths_per_depth) == FREE2_COUNTS[:7]
 
+    def test_free2_bijection_at_depth_200(self, free2):
+        report = hs.validate_coding(free2, 200)
+        assert report.ok
+        assert report.paths_per_depth[200] == 4 * 3**199
+
     def test_mirror_is_not_injective_on_words(self, mirror):
         # two copies spell every reduced word twice, so the word map is not
-        # injective; the validator must say so rather than crash
+        # injective; the validator names the four repeated labels at "*",
+        # where every colliding pair of paths parts
         report = hs.validate_coding(mirror, 3)
         assert not report.ok
+        assert report.paths_per_depth == (1, 9, 25, 73)
+        assert report.failures == tuple(
+            f"depth 1: label word {x!r} spelled by paths * -> {x}1 and * -> {x}2"
+            for x in "aAbB"
+        )
+
+    @settings(settings.get_profile("hypstat"), max_examples=300)
+    @given(small_codings(), st.integers(0, 6))
+    def test_matches_the_path_enumeration(self, coding, depth):
+        ok, counts, failures = oracles.validate_by_paths(coding, depth)
+        report = hs.validate_coding(coding, depth)
+        assert (report.ok, report.paths_per_depth) == (ok, counts)
+        if failures:
+            assert first_depth(report.failures) == first_depth(failures)
+        label = {(e.source, e.target): e.label for e in coding.edges}
+        for line in report.failures:
+            level, word, *paths = FAILURE.fullmatch(line).groups()
+            one, two = (path.split(" -> ") for path in paths)
+            assert one != two
+            assert len(one) == len(two) == int(level) + 1
+            for path in (one, two):
+                assert path[0] == "*"
+                assert repr("".join(map(label.get, zip(path, path[1:])))) == word
+
+
+@pytest.fixture
+def dp_lines():
+    """The source lines ``_path_totals`` runs while the fixture is active,
+    and the line of its level loop."""
+    function = hs.coding._path_totals
+    source, start = inspect.getsourcelines(function)
+    loop = start + next(i for i, text in enumerate(source) if "for _ in range(n_max)" in text)
+    lines = []
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines.append(frame.f_lineno)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is function.__code__ else None)
+    try:
+        yield lines, loop
+    finally:
+        sys.settrace(previous)
+
+
+class TestCountBudget:
+    # every exact count reads the path totals, which refuse before their
+    # first level when the counts could outgrow the budget; free:2 to length
+    # 8 needs over 600 bytes by that estimate
+    @pytest.mark.parametrize(
+        "count",
+        [
+            lambda free2: hs.sphere_counts(free2, 8),
+            lambda free2: hs.growth_rate(free2, 8),
+            lambda free2: hs.validate_coding(free2, 8),
+            lambda free2: hs.distribution(
+                free2, hs.weights_from_homomorphism(free2, {"a": 1, "b": 0}), 8
+            ),
+        ],
+        ids=["sphere_counts", "growth_rate", "validate_coding", "distribution"],
+    )
+    def test_lowered_budget_refuses_before_the_first_level(
+        self, monkeypatch, free2, dp_lines, count
+    ):
+        monkeypatch.setattr(hs.coding, "BYTE_BUDGET", 100)
+        with pytest.raises(hs.ResourceError, match="over the 100-byte budget"):
+            count(free2)
+        lines, loop = dp_lines
+        assert lines and max(lines) < loop
+
+    def test_the_budget_admits_long_counts(self, free2):
+        assert hs.sphere_counts(free2, 8000)[8000] == 4 * 3**7999
 
 
 class TestDecomposition:

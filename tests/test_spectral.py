@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hypstat as hs
+from hypstat import cli
 from hypstat._power import perron_point
 from hypstat.spectral import _complex_radii, _component
 from conftest import build_z2z3_coding, target_letter_weights
@@ -262,6 +263,12 @@ class TestStructureFromTheCoding:
 
     def test_ldt_decomposes_once(self, free2, aexp, aexp_stats, calls):
         hs.ldt_rate(free2, aexp, aexp_stats, 0.4, [10], [k * 0.01 for k in range(1, 201)])
+        assert calls["decompose_components"] == 1
+
+    # with no --component the library call picks the first maximal one
+    def test_pressure_command_decomposes_once(self, calls, capsys):
+        argv = ["pressure", "--coding", "free:2", "--weights", "hom:a=1,b=0", "--s", "0.5"]
+        assert cli.main(argv) == 0
         assert calls["decompose_components"] == 1
 
 
