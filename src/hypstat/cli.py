@@ -42,7 +42,6 @@ from .coding import (
     BYTE_BUDGET,
     MarkovCoding,
     build_free_group_coding,
-    decompose_components,
     growth_rate,
     load_coding,
     sphere_counts,
@@ -65,7 +64,9 @@ from .limits import (
     mclt_check,
     report_to_json,
 )
-from .spectral import component_consistency, limit_statistics, nonlattice_gap, pressure
+from .spectral import (
+    _component, component_consistency, limit_statistics, nonlattice_gap, pressure
+)
 from .weights import (
     lattice_scale,
     load_weights,
@@ -371,12 +372,6 @@ def _load_pair(args):
     return coding, _weights_from(args.weights, coding)
 
 
-def _component_of(args, coding) -> int:
-    if args.component is not None:
-        return args.component
-    return decompose_components(coding).maximal_indices[0]
-
-
 def _pipeline(args):
     coding, weights = _load_pair(args)
     if args.component is not None:
@@ -493,7 +488,7 @@ def cmd_scan_lattice(args) -> dict:
     grid = [t for t in tgrid if t > 0.0]
     if not grid:
         raise UsageError("scan grid must contain positive frequencies")
-    component = _component_of(args, coding)
+    component = _component(coding, weights, args.component).index
     scale = lattice_scale(weights)
     # the exact witness t = 2 pi scale of lattice weights rides last on the scan
     exact = [] if scale is None else [2.0 * math.pi * scale]

@@ -11,17 +11,19 @@ each read, so a function that walks paths reads ``out_edges`` once.
 The working matrix is ``B``, the 0/1 transition matrix of the graph with
 the ``"*"`` row and column removed.  The structural analysis decomposes
 ``B`` into strongly connected components, flags the components of maximal
-spectral radius (growth-rate components), computes their periods, and
-exposes the per-component vertex masks used by the transfer matrices.
-Every graph question it asks (reachability from ``"*"``, the components,
-their order, whether one maximal component reaches another) is read off
-one Boolean reachability closure of the ``"*"``-plus-core adjacency, built
-by Warshall's algorithm in O(V^3) for V core vertices.  Components are
-listed sinks first: the reverse of the topological order that always takes
-the ready component with the smallest first vertex.  All exact path counts
-from ``"*"`` come from one big-integer DP, ``_path_totals``, refused before
-its first level over ``BYTE_BUDGET`` bytes; validation enumerates no paths,
-only the vertices, in one breadth-first pass.
+spectral radius (growth-rate components) and computes their periods; the
+transfer matrices (``spectral``) and the overcounted sphere (``enumerate``)
+read their vertex sets off these components.  Every graph question it asks
+(reachability from ``"*"``, the components, their order, whether one
+maximal component reaches another) is read off one Boolean reachability
+closure of the ``"*"``-plus-core adjacency, built by Warshall's algorithm
+in O(V^3) for V core vertices.  Components are listed sinks first: the
+reverse of the topological order that always takes the ready component
+with the smallest first vertex.  All exact path counts from ``"*"`` come
+from one big-integer DP, ``_path_totals``, which yields them level by level
+and is refused before its first level over ``BYTE_BUDGET`` bytes;
+validation enumerates no paths, only the vertices, in one breadth-first
+pass.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from ._power import perron_point
 from .errors import (
@@ -111,29 +113,18 @@ class ComponentDecomposition(NamedTuple):
 
     ``components`` are listed in reverse topological order of the
     condensation (sink components first), ties broken by smallest contained
-    vertex index, matching the lower-triangular block form of ``B``.
-    ``masks[j]`` lists, for the ``j``-th maximal component, the core
-    vertices kept by its transfer-matrix mask: everything except the
-    vertices of the *other* maximal components.
+    vertex index, matching the lower-triangular block form of ``B``;
+    together they cover exactly the core vertices reachable from ``"*"``.
     """
 
     components: tuple[Component, ...]
     lam: float
     entropy: float
     maximal_indices: tuple[int, ...]
-    masks: tuple[tuple[str, ...], ...]
 
     @property
     def elementary(self) -> bool:
         return self.lam <= 1.0 + ELEMENTARY_RTOL
-
-    def mask_for(self, index: int) -> tuple[str, ...]:
-        """Mask vertices for the maximal component with component index ``index``."""
-        if index not in self.maximal_indices:
-            raise InvalidArgumentError(
-                f"component {index} is not maximal; masks exist only for maximal components"
-            )
-        return self.masks[self.maximal_indices.index(index)]
 
 
 class CodingValidationReport(NamedTuple):
@@ -382,7 +373,7 @@ def _component_period(vertices: list[str], succ: dict[str, list[str]]) -> int:
 
 
 def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
-    """Strongly connected components of ``B``, maximality flags, periods, masks.
+    """Strongly connected components of ``B``, maximality flags and periods.
 
     One Boolean reachability closure answers every graph question.  Over
     ``("*", *core_vertices)``, Warshall's algorithm turns the 0/1 adjacency
@@ -408,8 +399,7 @@ def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
         group).
     """
     check_coding(coding)
-    core = coding.core_vertices
-    names = (START_VERTEX, *core)
+    names = (START_VERTEX, *coding.core_vertices)
     index = {v: i for i, v in enumerate(names)}
     # row i of each table is a bitset over the columns
     adjacency = [0] * len(names)
@@ -479,20 +469,11 @@ def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
                     "path; a strongly Markov coding of a group cannot do this "
                     f"(components {i} and {j})"
                 )
-
-    masks = []
-    for i in maximal_indices:
-        forbidden = set()
-        for j in maximal_indices:
-            if j != i:
-                forbidden.update(components[j].vertices)
-        masks.append(tuple(v for v in core if v in members and v not in forbidden))
     return ComponentDecomposition(
         components=components,
         lam=lam,
         entropy=math.log(lam),
         maximal_indices=maximal_indices,
-        masks=tuple(masks),
     )
 
 
@@ -501,11 +482,12 @@ def decompose_components(coding: MarkovCoding) -> ComponentDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _path_totals(pairs: list[tuple[str, str]], n_max: int) -> list[int]:
+def _path_totals(pairs: list[tuple[str, str]], n_max: int) -> Iterator[int]:
     """Exact numbers of paths from ``"*"`` of length ``0..n_max`` along the
-    ``(source, target)`` edge ``pairs``, by big-integer dynamic programming;
-    refused before the first level over ``BYTE_BUDGET``, since level ``L``
-    counts at most ``fan**L`` paths for the largest out-degree ``fan``."""
+    ``(source, target)`` edge ``pairs``, yielded level by level, by
+    big-integer dynamic programming; refused before the first level over
+    ``BYTE_BUDGET``, since level ``L`` counts at most ``fan**L`` paths for
+    the largest out-degree ``fan``."""
     succ: dict[str, list[str]] = {}
     for source, target in pairs:
         succ.setdefault(source, []).append(target)
@@ -519,22 +501,22 @@ def _path_totals(pairs: list[tuple[str, str]], n_max: int) -> list[int]:
             f"{int(needed)} bytes, over the {BYTE_BUDGET}-byte budget; use a "
             "smaller length"
         )
-    paths, totals = {START_VERTEX: 1}, [1]
+    paths = {START_VERTEX: 1}
+    yield 1
     for _ in range(n_max):
         nxt: dict[str, int] = {}
         for v, c in paths.items():
             for w in succ.get(v, ()):
                 nxt[w] = nxt.get(w, 0) + c
-        totals.append(sum(nxt.values()))
+        yield sum(nxt.values())
         paths = nxt
-    return totals
 
 
 def sphere_counts(coding: MarkovCoding, n_max: int) -> list[int]:
     """Exact ``[#W_0, ..., #W_{n_max}]`` by big-integer dynamic programming."""
     if n_max < 0:
         raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
-    return _path_totals([(e.source, e.target) for e in coding.edges], n_max)
+    return list(_path_totals([(e.source, e.target) for e in coding.edges], n_max))
 
 
 def growth_rate(coding: MarkovCoding, horizon: int) -> GrowthReport:

@@ -31,18 +31,19 @@ counts stay exact.  A level holds one row of slot counts per vertex, and an
 edge adds its source's row shifted by the edge's offset.
 
 One plan, fixed before the first level, feeds two level loops: per-vertex
-path counts give every level's total (``#W_n``) and so its count bits,
-``interval_count_sweep``'s windows give the slots each level keeps, and the
-bytes are checked against ``BYTE_BUDGET`` before anything is allocated, so
-oversized requests raise ``ResourceError``.  Small DPs run on packed Python
-ints, one per vertex, of byte-aligned fields wide enough for the largest
-total, so no field carries and numpy is never imported.  Large ones run on
-``uint64`` digit planes, one row per 48-bit digit, whose 16 spare bits
-absorb the incoming sums between carries (every 10 levels on free:2, whose
-targets take 3 edges from targets after level 1), so a level is a few numpy
-slice adds.  The plan's count bits choose the loop at a measured crossover
-(``_PACKED_BITS``).  Either loop builds Python ints only for the wanted
-slots of the wanted levels.  ``weighted_counts`` (the cell masses of
+path counts give every level's total (``#W_n``) and so its count bits, and
+``interval_count_sweep``'s windows give the slots each level keeps.  Each
+level is sized as its total arrives, live bytes against ``BYTE_BUDGET`` and
+running digit additions against ``_WORK_BUDGET``, so an oversized request
+raises ``ResourceError`` before any DP level runs.  Small DPs run on packed
+Python ints, one per vertex, of byte-aligned fields wide enough for the
+largest total, so no field carries and numpy is never imported.  Large ones
+run on ``uint64`` digit planes, one row per 48-bit digit, whose 16 spare
+bits absorb the incoming sums between carries (every 10 levels on free:2,
+whose targets take 3 edges from targets after level 1), so a level is a few
+numpy slice adds.  The plan's count bits choose the loop at a measured
+crossover (``_PACKED_BITS``).  Either loop builds Python ints only for the
+wanted slots of the wanted levels.  ``weighted_counts`` (the cell masses of
 ``mclt``) runs on the planes and builds no distribution: it weights every
 slot of the carried last level by a product of per-axis integer weights and
 dots each digit row with them in ``uint64`` chunks.
@@ -64,13 +65,12 @@ from __future__ import annotations
 import math
 import operator
 from functools import partial
-from itertools import accumulate, permutations
+from itertools import permutations
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .coding import (
     BYTE_BUDGET,
     START_VERTEX,
-    ComponentDecomposition,
     MarkovCoding,
     _path_totals,
     decompose_components,
@@ -97,6 +97,10 @@ _DIGIT_CEILING = 2**64 - 2**16
 #: less than the ~90 ms numpy import they spare; from 2**32 (llt's windowed
 #: sweeps, mclt's 2-d n = 200) they took 6-19x the mirrored planes'
 _PACKED_BITS = 2**27
+#: cap on one DP's digit additions (digits times kept slots times targets,
+#: summed over the levels); the largest shipped plan, llt's windowed sweep
+#: on exact-scalar, makes about 1e8
+_WORK_BUDGET = 2**32
 #: denominator of the default bin width for real scalar weights
 _DEFAULT_BIN_DENOMINATOR = 200
 
@@ -218,21 +222,10 @@ class WordDistribution(NamedTuple):
 
 
 def _transitions(
-    coding: MarkovCoding,
-    table: dict[tuple[str, str], tuple],
-    avoiding: ComponentDecomposition | None = None,
+    coding: MarkovCoding, table: dict[tuple[str, str], tuple]
 ) -> list[tuple[str, str, tuple]]:
-    """(source, target, value) for every edge, in edge order; with
-    ``avoiding``, only the edges off its maximal components."""
-    banned = set()
-    if avoiding is not None:
-        for i in avoiding.maximal_indices:
-            banned.update(avoiding.components[i].vertices)
-    return [
-        (e.source, e.target, table[(e.source, e.target)])
-        for e in coding.edges
-        if e.source not in banned and e.target not in banned
-    ]
+    """(source, target, value) for every edge, in edge order."""
+    return [(e.source, e.target, table[(e.source, e.target)]) for e in coding.edges]
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +431,13 @@ def _mirror(groups: dict[str, dict[int, list[str]]], step: int) -> dict[str, str
 
 def _plan(edges: list, step: int, n_max: int, keep: list | None = None) -> _Plan:
     """Plan levels ``0..n_max``, keeping slots ``keep[L]`` of level ``L`` (or
-    their mirror hull) if given; refuse digit planes (which outsize packed
-    ints) over ``BYTE_BUDGET``."""
+    their mirror hull) if given; refused at the first level whose digit
+    planes (which outsize packed ints) exceed ``BYTE_BUDGET`` or whose
+    running digit additions exceed ``_WORK_BUDGET``."""
     groups: dict[str, dict[int, list[str]]] = {}
     for source, target, offset in edges:
         groups.setdefault(target, {}).setdefault(offset, []).append(source)
     mirror = _mirror(groups, step)
-    totals = _path_totals([(s, t) for s, t, _ in edges], n_max)
     first, top, spans = 0, 0, []
     for level in range(n_max + 1):
         if level:
@@ -461,15 +454,23 @@ def _plan(edges: list, step: int, n_max: int, keep: list | None = None) -> _Plan
     # two slots or more empties its level and leaves the rest asymmetric
     if any(a + b != level * step for level, (a, b, _) in enumerate(spans)):
         mirror = None
-    bits = list(accumulate((c.bit_length() for c in totals), max))
-    digits = [-(-b // _DIGIT_BITS) for b in bits]
-    size = max((d * w for d, (*_, w) in zip(digits[1:], spans[1:])), default=0)
-    if (live := 16 * len(groups) * size) > BYTE_BUDGET:
-        raise ResourceError(
-            f"the lattice enumeration would hold about {live} bytes live, over the "
-            f"{BYTE_BUDGET}-byte budget; use a coarser bin or a smaller n"
-        )
-    field = -(-bits[-1] // 8) * 8
+    totals, digits, bits, size, work = [], [], 0, 0, 0
+    for level, total in enumerate(_path_totals([(s, t) for s, t, _ in edges], n_max)):
+        totals.append(total)
+        bits = max(bits, total.bit_length())
+        digits.append(-(-bits // _DIGIT_BITS))
+        if not level:
+            continue
+        first, top, width = spans[level]
+        size = max(size, digits[level] * width)
+        work += digits[level] * (top - first + 1) * len(groups)
+        if (live := 16 * len(groups) * size) > BYTE_BUDGET or work > _WORK_BUDGET:
+            raise ResourceError(
+                f"level {level} of the lattice enumeration would hold about {live} bytes "
+                f"live after about {work} digit additions, over the {BYTE_BUDGET}-byte "
+                f"or {_WORK_BUDGET}-addition budget; use a coarser bin or a smaller n"
+            )
+    field = -(-bits // 8) * 8
     slots = sum(width for *_, width in spans[1:])
     return _Plan(groups, totals, spans, digits, field, field * len(groups) * slots, mirror)
 
@@ -746,7 +747,6 @@ def _sweep(
     weights: WeightAssignment,
     ns: Sequence[int],
     bin_width: float | None,
-    avoiding: ComponentDecomposition | None = None,
     windows: dict[int, tuple[int, int]] | None = None,
 ) -> list[WordDistribution]:
     """Plan once, run the engine, and decode the sorted distinct radii.
@@ -760,7 +760,7 @@ def _sweep(
     kind, scale, width, table = _edge_table(weights, n_max, bin_width)
     if not order:
         return []
-    edges, step, decode, origin, basis = _flatten(_transitions(coding, table, avoiding), n_max)
+    edges, step, decode, origin, basis = _flatten(_transitions(coding, table), n_max)
     keep = slots = None
     if windows is not None:
         # each window in slots of its level, then the hull of the slots of
@@ -870,15 +870,23 @@ def distribution_overcounted(
     Paths avoiding all ``m`` maximal components of
     ``decompose_components(coding)`` are counted ``m`` times in total,
     matching the normalization in which every maximal component contributes
-    one copy of the transient part.  With a single maximal component this is
-    exactly the plain distribution.
+    one copy of the transient part.  The avoiding paths are the paths of the
+    coding without the maximal components' vertices and their edges, which
+    ``distribution_sweep`` enumerates with the same scale or bin width.  With a
+    single maximal component this is exactly the plain distribution.
     """
     plain = distribution_sweep(coding, weights, [n], bin_width)[0]
     decomposition = decompose_components(coding)
     m = len(decomposition.maximal_indices) - 1
     if m == 0:
         return plain
-    avoid = _sweep(coding, weights, [n], bin_width, avoiding=decomposition)[0]
+    comps = decomposition.components
+    banned = {v for i in decomposition.maximal_indices for v in comps[i].vertices}
+    transient = coding._replace(
+        vertices=tuple(v for v in coding.vertices if v not in banned),
+        edges=tuple(e for e in coding.edges if not {e.source, e.target} & banned),
+    )
+    avoid = distribution_sweep(transient, weights, [n], bin_width)[0]
     merged = dict(zip(plain.support_scaled, plain.counts))
     for q, c in zip(avoid.support_scaled, avoid.counts):
         merged[q] = merged.get(q, 0) + m * c

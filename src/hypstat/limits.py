@@ -1137,11 +1137,8 @@ def llt_check(
         )
     if target > 0.0:
         deviations = [abs(q / target - 1.0) for q in q_values]
-        if len(deviations) >= 8:
-            first_q, last_q = _quartiles(deviations)
-            trend_lhs, trend_rhs = max(last_q), max(first_q) + 1e-12
-        else:
-            trend_lhs, trend_rhs = deviations[-1], deviations[0] + 1e-12
+        first_q, last_q = _quartiles(deviations)
+        trend_lhs, trend_rhs = max(last_q), max(first_q) + 1e-12
         checks = [
             _check(
                 "llt-accuracy",

@@ -1,7 +1,7 @@
 """Transfer matrices and their spectral data: pressure, drift, covariance.
 
 For a maximal component ``C_i`` of a coding, the transfer matrix ``M_i(s)``
-lives on the component's mask (all core vertices except the other maximal
+lives on the component's mask (the reachable core minus the other maximal
 components) and has entry ``exp(<s, w(u, v)>)`` on each allowed edge, where
 ``w`` is the weight vector of the edge.  Everything downstream is spectral
 data of this family:
@@ -15,7 +15,8 @@ data of this family:
 Each public function takes ``(coding, weights, ...)``; a ``component``
 argument is an index into ``decompose_components(coding)``.  Every solve
 reads one ``_Component`` record (index, masked vertices, edges and period),
-which ``_component`` builds from a single decomposition.
+which ``_component`` builds from a single decomposition, deriving the mask
+from its components.
 
 Real and complex parameters take different ``_power`` kernels.  Every real
 Perron root (``pressure``, the ``limit_statistics`` stencil, the scan's root
@@ -241,10 +242,19 @@ class _Component(NamedTuple):
 def _component(
     coding: MarkovCoding, weights: WeightAssignment, component: int | None = None
 ) -> _Component:
-    """Maximal component ``component`` (by default the first) of the coding."""
+    """Maximal component ``component`` (by default the first) of the coding,
+    on its mask: the reachable core minus the other maximal components, in
+    core vertex order."""
     decomposition = decompose_components(coding)
-    index = decomposition.maximal_indices[0] if component is None else component
-    mask = decomposition.mask_for(index)
+    maximal = decomposition.maximal_indices
+    index = maximal[0] if component is None else component
+    if index not in maximal:
+        raise InvalidArgumentError(
+            f"component {index} is not maximal; masks exist only for maximal components"
+        )
+    kept = {v for i, comp in enumerate(decomposition.components) for v in comp.vertices
+            if i == index or i not in maximal}
+    mask = tuple(v for v in coding.core_vertices if v in kept)
     position = {v: j for j, v in enumerate(mask)}
     edges = tuple(
         (position[e.source], position[e.target], weights.edge_values[(e.source, e.target)])

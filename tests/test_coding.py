@@ -310,18 +310,22 @@ class TestDecomposition:
         assert comp.period == 1
         assert not decomp.elementary
 
-    def test_free2_mask_keeps_all_core(self, free2, free2_decomp):
-        mask = free2_decomp.mask_for(free2_decomp.maximal_indices[0])
-        assert set(mask) == set(free2.core_vertices)
+    # a maximal component's transfer matrix lives on its mask: the reachable
+    # core minus the other maximal components, in core vertex order
+    def test_free2_mask_keeps_all_core(self, free2, aexp):
+        assert hs.pressure(free2, aexp).vertices == ("a", "A", "b", "B")
+        z2z3 = build_z2z3_coding()
+        assert hs.pressure(z2z3, hs.weights_word_length(z2z3)).vertices == ("s", "t", "T")
 
-    def test_mask_for_non_maximal_rejected(self, mirror_decomp):
+    def test_mask_for_non_maximal_rejected(self, mirror, mirror_hom, mirror_decomp):
         non_maximal = [
             i
             for i, comp in enumerate(mirror_decomp.components)
             if not comp.maximal
         ]
-        with pytest.raises(hs.InvalidArgumentError):
-            mirror_decomp.mask_for(non_maximal[0])
+        message = f"component {non_maximal[0]} is not maximal; masks exist only for maximal"
+        with pytest.raises(hs.InvalidArgumentError, match=message):
+            hs.pressure(mirror, mirror_hom, non_maximal[0])
 
     def test_mirror_two_maximal(self, mirror_decomp):
         decomp = mirror_decomp
@@ -335,13 +339,18 @@ class TestDecomposition:
             frozenset({"a2", "A2", "b2", "B2"}),
         }
 
-    def test_mirror_masks_exclude_other_maximal(self, mirror_decomp):
+    def test_mirror_masks_exclude_other_maximal(self, mirror, mirror_hom, mirror_decomp):
         decomp = mirror_decomp
+        masks = {i: hs.pressure(mirror, mirror_hom, i).vertices for i in decomp.maximal_indices}
+        assert masks == {
+            1: ("a2", "A2", "b2", "B2", "t1", "t2"),
+            2: ("a1", "A1", "b1", "B1", "t1", "t2"),
+        }
         first, second = decomp.maximal_indices
-        mask1 = set(decomp.mask_for(first))
-        assert set(decomp.components[second].vertices).isdisjoint(mask1)
-        assert set(decomp.components[first].vertices) <= mask1
-        assert {"t1", "t2"} <= mask1
+        for own, other in ((first, second), (second, first)):
+            assert set(decomp.components[other].vertices).isdisjoint(masks[own])
+            assert set(decomp.components[own].vertices) <= set(masks[own])
+            assert {"t1", "t2"} <= set(masks[own])
 
     def test_mirror_t_cycle_period_two(self, mirror_decomp):
         decomp = mirror_decomp

@@ -600,3 +600,44 @@ class TestByteBudget:
         with pytest.raises(hs.ResourceError, match="bytes"):
             hs.distribution(free2, abel, 2000)
         assert time.perf_counter() - start < 1.0
+
+
+class TestWorkBudget:
+    # the plan sums digits times kept slots times targets over its levels
+    # as each level's total arrives; level 1 of free:2 already makes 12
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda free2, aexp, abel: hs.distribution(free2, aexp, 8),
+            lambda free2, aexp, abel: interval_count_sweep(free2, aexp, [8], None, [-2], [2]),
+            lambda free2, aexp, abel: weighted_counts(free2, abel, 8, [lambda j, q: 1]),
+        ],
+        ids=["distribution", "interval_count_sweep", "weighted_counts"],
+    )
+    def test_lowered_budget_refuses_before_the_first_level(
+        self, monkeypatch, free2, aexp, abel, run
+    ):
+        def never(plan):
+            raise AssertionError("a DP level ran")
+
+        monkeypatch.setattr(engine, "_WORK_BUDGET", 10)
+        monkeypatch.setattr(engine, "_packed_levels", never)
+        monkeypatch.setattr(engine, "_digit_levels", never)
+        with pytest.raises(hs.ResourceError, match="^level 1 .* or 10-addition budget"):
+            run(free2, aexp, abel)
+
+    def test_long_sweeps_stop_forming_totals_at_the_refused_level(
+        self, monkeypatch, free2, aexp
+    ):
+        levels = []
+
+        def counted(pairs, n_max):
+            for total in hs.coding._path_totals(pairs, n_max):
+                levels.append(total)
+                yield total
+
+        monkeypatch.setattr(engine, "_path_totals", counted)
+        with pytest.raises(hs.ResourceError, match="addition budget"):
+            hs.distribution(free2, aexp, 40000)
+        # about 7e8 additions by level 2000 and 5.7e9 by level 4000
+        assert 2000 < len(levels) < 4000
