@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from functools import partial
 from itertools import permutations
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
@@ -912,6 +913,12 @@ def moment_sweep(
     Lattice weights use integer arithmetic end-to-end (results are ints or
     ``Fraction``); real weights accumulate in floats.  Each vertex carries
     its path count, ``sum phi`` and ``sum phi phi^T``.
+
+    The work is charged against ``_WORK_BUDGET`` before the first level, and
+    an oversized radius raises ``ResourceError``: each level adds
+    ``1 + k + k^2`` sums per edge, each of ``1 + L log2(fan) / 48`` digits
+    at level ``L`` for the largest out-degree ``fan`` (the bound
+    ``sphere_counts`` sizes by), or of one digit for float sums.
     """
     order = _radii(ns)
     if not order:
@@ -920,6 +927,15 @@ def moment_sweep(
     table = weights.edge_values if scale is None else scaled_integer_values(weights, scale)
     k, zero = weights.dim, 0 if scale is not None else 0.0
     transitions = _transitions(coding, table)
+    n, sums = order[-1], len(transitions) * (1 + k + k * k)
+    fan = max(Counter(source for source, _, _ in transitions).values(), default=1)
+    bits = 0.0 if scale is None else math.log2(fan)
+    # the digits of levels 1..n, summed in closed form
+    if (work := sums * (n + bits * n * (n + 1) / (2 * _DIGIT_BITS))) > _WORK_BUDGET:
+        raise ResourceError(
+            f"the moment sums to radius {n} would take about {int(work)} digit "
+            f"additions, over the {_WORK_BUDGET}-addition budget; use a smaller n"
+        )
 
     def fresh(count: int) -> list:
         return [count, [zero] * k, [[zero] * k for _ in range(k)]]

@@ -1,10 +1,10 @@
 """Transfer matrices and their spectral data: pressure, drift, covariance.
 
 For a maximal component ``C_i`` of a coding, the transfer matrix ``M_i(s)``
-lives on the component's mask (the reachable core minus the other maximal
-components) and has entry ``exp(<s, w(u, v)>)`` on each allowed edge, where
-``w`` is the weight vector of the edge.  Everything downstream is spectral
-data of this family:
+lives on the component's own irreducible block (its vertices, in core
+vertex order) and has entry ``exp(<s, w(u, v)>)`` on each allowed edge,
+where ``w`` is the weight vector of the edge.  Everything downstream is
+spectral data of this family:
 
 * pressure ``P(s) = log`` (Perron root of ``M_i(s)``) for real ``s``,
 * drift ``Lambda = grad P(0)`` and covariance ``Sigma = Hess P(0)``, one
@@ -14,24 +14,22 @@ data of this family:
 
 Each public function takes ``(coding, weights, ...)``; a ``component``
 argument is an index into ``decompose_components(coding)``.  Every solve
-reads one ``_Component`` record (index, masked vertices, edges and period),
-which ``_component`` builds from a single decomposition, deriving the mask
-from its components.
+reads one ``_Component`` record (index, block vertices, edges, period and
+root), which ``_component`` builds from a single decomposition.
 
 Real and complex parameters take different ``_power`` kernels.  Every real
-Perron root (``pressure``, the ``limit_statistics`` stencil, the scan's root
-at ``s = 0``, and the points that ``ldt``'s Legendre search visits) comes
-from shifted power iteration in Python floats on ``M(s)`` built entry by
-entry with ``math.exp`` (``_Component.point``); ``_Component.solve`` adds
-the left vector from the transpose.  These paths never import numpy.  A frequency scan stacks ``M(it) = A * exp(itW)`` of a
-scalar weight (0/1 mask ``A``, weight matrix ``W``) over its real
-frequencies ``t``, shape ``(G, d, d)``, refused with ``ResourceError``
-before it would exceed ``coding.BYTE_BUDGET``.  Its complex radii come
-from a dense eigensolver on an aperiodic component and from a small
-orthogonal iteration on a periodic one, all certified by their residuals
-and cross-validated against the measured growth rate of ``||M^200 x||``.
-Derivatives of the pressure are computed both by first-order perturbation
-theory and by central differences, and the two routes must agree.
+Perron root (``pressure``, the ``limit_statistics`` stencil and the points
+of ``ldt``'s Legendre search) comes from shifted power iteration in Python
+floats on ``M(s)`` built entry by entry with ``math.exp``
+(``_Component.point``); ``_Component.solve`` adds the left vector from the
+transpose.  These paths never import numpy.  A frequency scan stacks
+``M(it) = A * exp(itW)`` of a scalar weight (0/1 matrix ``A``, weight
+matrix ``W``) over its real frequencies ``t``, shape ``(G, d, d)``, refused
+with ``ResourceError`` before it would exceed ``coding.BYTE_BUDGET``.  Its
+complex radii come from a dense eigensolver (aperiodic) or a small
+orthogonal iteration (periodic), certified by their residuals and checked
+against the growth rate of ``||M^200 x||``.  Derivatives of the pressure
+come from perturbation theory and from central differences, which agree.
 """
 
 from __future__ import annotations
@@ -66,8 +64,8 @@ class PressureReport(NamedTuple):
     """Perron data of ``M_i(s)`` at a real parameter.
 
     ``value`` is the Perron root ``lambda(s)`` and ``pressure`` its log;
-    ``left``/``right`` are the strictly positive eigenvectors (aligned with
-    ``vertices``), and ``residual`` certifies them.
+    ``left``/``right`` are the eigenvectors on the irreducible block, so
+    strictly positive, aligned with ``vertices``; ``residual`` certifies them.
     """
 
     component: int
@@ -174,13 +172,15 @@ def _non_finite(name: str, coords: Sequence[float]) -> NumericalError:
 
 
 class _Component(NamedTuple):
-    """One maximal component: its index, masked vertex set, edges ``(u, v, w)``
-    (row, column and weight vector) and period."""
+    """One maximal component on its irreducible block: its index, vertices,
+    edges ``(u, v, w)`` (row, column and weight vector), period and the
+    Perron root ``root`` of its 0/1 matrix, ``M(0)``."""
 
     index: int
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int, tuple[float, ...]], ...]
     period: int
+    root: float
 
     def point(self, s: Sequence[float]) -> list[list[float]]:
         """``M(s)`` at one real ``s`` as rows of Python floats; raises
@@ -243,25 +243,24 @@ def _component(
     coding: MarkovCoding, weights: WeightAssignment, component: int | None = None
 ) -> _Component:
     """Maximal component ``component`` (by default the first) of the coding,
-    on its mask: the reachable core minus the other maximal components, in
-    core vertex order."""
+    on its own irreducible block; the vertices (in core vertex order), period
+    and root are the decomposition's."""
     decomposition = decompose_components(coding)
     maximal = decomposition.maximal_indices
     index = maximal[0] if component is None else component
     if index not in maximal:
         raise InvalidArgumentError(
-            f"component {index} is not maximal; masks exist only for maximal components"
+            f"component {index} is not maximal; transfer matrices exist only for "
+            "maximal components"
         )
-    kept = {v for i, comp in enumerate(decomposition.components) for v in comp.vertices
-            if i == index or i not in maximal}
-    mask = tuple(v for v in coding.core_vertices if v in kept)
-    position = {v: j for j, v in enumerate(mask)}
+    block = decomposition.components[index]
+    position = {v: j for j, v in enumerate(block.vertices)}
     edges = tuple(
         (position[e.source], position[e.target], weights.edge_values[(e.source, e.target)])
         for e in coding.edges
         if e.source in position and e.target in position
     )
-    return _Component(index, mask, edges, decomposition.components[index].period)
+    return _Component(index, block.vertices, edges, block.period, block.spectral_radius)
 
 
 def _complex_radii(stack: np.ndarray, period_hint: int) -> list[float]:
@@ -506,11 +505,12 @@ def nonlattice_gap(
 ) -> tuple[GapPoint, ...]:
     """The gap ``e^h - rho(M(it))`` over a grid of frequencies.
 
-    A gap of zero (within 1e-9) at some ``t > 0`` witnesses lattice-type
-    weights; a strictly positive gap over the scanned range supports the
-    non-lattice hypothesis of the local limit theorem.  Every complex
-    radius is cross-validated against the measured power growth rate, so
-    near-tie points (gap below 1e-3) are certified by two methods.
+    ``e^h`` is the decomposition's root of the block ``M(0)``.  A gap of
+    zero (within 1e-9) at some ``t > 0`` witnesses lattice-type weights; a
+    strictly positive gap over the scanned range supports the non-lattice
+    hypothesis of the local limit theorem.  Every complex radius is
+    cross-validated against the measured power growth rate, so near-tie
+    points (gap below 1e-3) are certified by two methods.
 
     Parameters
     ----------
@@ -539,16 +539,15 @@ def nonlattice_gap(
         raise InvalidArgumentError("the non-lattice gap is defined for scalar weights")
     import numpy as np
     comp = _component(coding, weights, component)
-    radius0 = perron_point(comp.point((0.0,)))[0]
     ts = np.asarray(t_grid, dtype=float)
     stack = comp.matrices(ts)
     points = []
     for t, radius in zip(ts.tolist(), _complex_radii(stack, comp.period)):
-        gap = radius0 - radius
+        gap = comp.root - radius
         if gap < -1e-9:
             raise NumericalError(
                 f"complex spectral radius {radius!r} at t={t!r} exceeds the "
-                f"Perron root {radius0!r}; the iteration did not converge"
+                f"Perron root {comp.root!r}; the iteration did not converge"
             )
         points.append(GapPoint(t=t, gap=gap, radius=radius))
     return tuple(points)

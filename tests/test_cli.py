@@ -360,11 +360,11 @@ COMPONENT_PINS = {
     ),
     "mirror-stats-2": (
         ["stats", "--coding", "mirror.json", "--weights", "edges:@skew.json", "--component", "2"],
-        '{"command": "stats", "component": 2, "drift": [0.0], "sigma2": 0.99999999905745918, "covariance": null, "entropy": 1.0986122886681098, "lam": 3.0000000000000004, "degenerate": false, "positive_definite": null, "meta": {"argv": ["stats", "--coding", "mirror.json", "--weights", "edges:@skew.json", "--component", "2"], "version": "1.0.0"}}\n',
+        '{"command": "stats", "component": 2, "drift": [0.0], "sigma2": 0.99999999906041959, "covariance": null, "entropy": 1.0986122886681098, "lam": 3.0, "degenerate": false, "positive_definite": null, "meta": {"argv": ["stats", "--coding", "mirror.json", "--weights", "edges:@skew.json", "--component", "2"], "version": "1.0.0"}}\n',
     ),
     "mirror-pressure-2": (
         ["pressure", "--coding", "mirror.json", "--weights", "edges:@skew.json", "--component", "2"],
-        '{"command": "pressure", "component": 2, "s": [0.0], "value": 3.0000000000000004, "pressure": 1.0986122886681098, "vertices": ["a1", "A1", "b1", "B1", "t1", "t2"], "right": [0.24999999999999481, 0.24999999999999481, 0.24999999999999481, 0.24999999999999481, 1.0351524645125365e-14, 1.0351524645125365e-14], "left": [0.24999999999999481, 0.24999999999999481, 0.24999999999999481, 0.24999999999999481, 1.0351524645125365e-14, 1.0351524645125365e-14], "iterations": 152, "residual": 8.2812197161004647e-14, "meta": {"argv": ["pressure", "--coding", "mirror.json", "--weights", "edges:@skew.json", "--component", "2"], "version": "1.0.0"}}\n',
+        '{"command": "pressure", "component": 2, "s": [0.0], "value": 3.0, "pressure": 1.0986122886681098, "vertices": ["a1", "A1", "b1", "B1"], "right": [0.25, 0.25, 0.25, 0.25], "left": [0.25, 0.25, 0.25, 0.25], "iterations": 2, "residual": 0.0, "meta": {"argv": ["pressure", "--coding", "mirror.json", "--weights", "edges:@skew.json", "--component", "2"], "version": "1.0.0"}}\n',
     ),
 }
 

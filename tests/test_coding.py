@@ -310,8 +310,8 @@ class TestDecomposition:
         assert comp.period == 1
         assert not decomp.elementary
 
-    # a maximal component's transfer matrix lives on its mask: the reachable
-    # core minus the other maximal components, in core vertex order
+    # a maximal component's transfer matrix lives on its own irreducible
+    # block, in core vertex order
     def test_free2_mask_keeps_all_core(self, free2, aexp):
         assert hs.pressure(free2, aexp).vertices == ("a", "A", "b", "B")
         z2z3 = build_z2z3_coding()
@@ -323,7 +323,10 @@ class TestDecomposition:
             for i, comp in enumerate(mirror_decomp.components)
             if not comp.maximal
         ]
-        message = f"component {non_maximal[0]} is not maximal; masks exist only for maximal"
+        message = (
+            f"component {non_maximal[0]} is not maximal; transfer matrices exist only "
+            "for maximal components"
+        )
         with pytest.raises(hs.InvalidArgumentError, match=message):
             hs.pressure(mirror, mirror_hom, non_maximal[0])
 
@@ -341,16 +344,14 @@ class TestDecomposition:
 
     def test_mirror_masks_exclude_other_maximal(self, mirror, mirror_hom, mirror_decomp):
         decomp = mirror_decomp
-        masks = {i: hs.pressure(mirror, mirror_hom, i).vertices for i in decomp.maximal_indices}
-        assert masks == {
-            1: ("a2", "A2", "b2", "B2", "t1", "t2"),
-            2: ("a1", "A1", "b1", "B1", "t1", "t2"),
+        blocks = {i: hs.pressure(mirror, mirror_hom, i).vertices for i in decomp.maximal_indices}
+        assert blocks == {
+            1: ("a2", "A2", "b2", "B2"),
+            2: ("a1", "A1", "b1", "B1"),
         }
-        first, second = decomp.maximal_indices
-        for own, other in ((first, second), (second, first)):
-            assert set(decomp.components[other].vertices).isdisjoint(masks[own])
-            assert set(decomp.components[own].vertices) <= set(masks[own])
-            assert {"t1", "t2"} <= set(masks[own])
+        for i, block in blocks.items():
+            assert block == decomp.components[i].vertices
+            assert {"t1", "t2"}.isdisjoint(block)
 
     def test_mirror_t_cycle_period_two(self, mirror_decomp):
         decomp = mirror_decomp

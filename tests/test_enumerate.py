@@ -7,6 +7,7 @@ import pytest
 
 import hypstat as hs
 import oracles
+from hypstat import enumerate as engine
 
 # [DERIVED] graph-free reduced-word histograms from tests/oracles.py
 AEXP_HIST_N4 = {-4: 1, -3: 8, -2: 18, -1: 16, 0: 22, 1: 16, 2: 18, 3: 8, 4: 1}
@@ -224,6 +225,31 @@ class TestMoments:
                 math.fsum(v * v for v in values), rel=1e-12
             )
             assert md.mean() == (md.first[0] / md.count,)
+
+    # free:2 has 16 edges, so 48 sums per level: one digit each for float
+    # sums, and 1 + 2 L / 48 digits at level L for integer ones (fan 4)
+    def test_lowered_budget_refuses_before_the_first_level(
+        self, monkeypatch, free2, aexp, root_half
+    ):
+        walks = []
+
+        class Walked(list):
+            def __iter__(self):
+                walks.append(1)
+                return super().__iter__()
+
+        transitions = engine._transitions
+        monkeypatch.setattr(engine, "_transitions", lambda *args: Walked(transitions(*args)))
+        monkeypatch.setattr(engine, "_WORK_BUDGET", 1000)
+        assert hs.moment_sweep(free2, aexp, [6])[0].count == 972  # 330 additions
+        assert hs.moment_sweep(free2, root_half, [20])[0].count == 4 * 3**19  # 960
+        walks.clear()
+        with pytest.raises(hs.ResourceError, match="radius 24 would take about 1752 digit"):
+            hs.moment_sweep(free2, aexp, [1, 24])
+        with pytest.raises(hs.ResourceError, match="radius 21 would take about 1008 digit"):
+            hs.moment_sweep(free2, root_half, [21])
+        # each refusal walked the edges once, for the charge, and ran no level
+        assert len(walks) == 2
 
     def test_empty_sphere_mean_rejected(self, free1):
         md = hs.moment_sweep(free1, hs.weights_word_length(free1), [0])[0]

@@ -2,6 +2,7 @@
 
 import cmath
 import inspect
+import itertools
 import math
 import re
 import sys
@@ -42,12 +43,11 @@ class TestTransferMatrix:
         assert perron_point(record.point((0.0,)))[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_mask_excludes_other_maximal(self, mirror, mirror_decomp, mirror_hom):
-        first = mirror_decomp.maximal_indices[0]
-        record = _component(mirror, mirror_hom, first)
-        vertices = record.vertices
-        excluded = set(mirror_decomp.components[mirror_decomp.maximal_indices[1]].vertices)
-        assert excluded.isdisjoint(vertices)
-        assert {"t1", "t2"} <= set(vertices)
+        blocks = {
+            i: _component(mirror, mirror_hom, i).vertices for i in mirror_decomp.maximal_indices
+        }
+        assert blocks == {1: ("a2", "A2", "b2", "B2"), 2: ("a1", "A1", "b1", "B1")}
+        assert all({"t1", "t2"}.isdisjoint(block) for block in blocks.values())
 
     def test_pressure_at_zero_is_entropy(self, free2, free2_decomp, aexp):
         comp = free2_decomp.maximal_indices[0]
@@ -342,6 +342,44 @@ class TestNonlatticeGap:
         )
         assert abs(point.gap) <= 1e-9
         assert point.radius == pytest.approx(3.0, abs=1e-9)
+
+
+class TestTransientBeforeTheComponent:
+    """``*`` enters a radius-2 transient component ``{x, y}`` (a complete
+    graph with loops, weight 0) whose ``x`` feeds the free:2 letter graph;
+    the free:2 block is the one maximal component, and the transient sets
+    none of its numbers."""
+
+    @pytest.fixture(scope="class")
+    def transient(self):
+        letters = ("a", "A", "b", "B")
+        edges = [("*", "x"), *itertools.product("xy", repeat=2), *(("x", u) for u in letters)]
+        edges += [(u, v) for u in letters for v in letters if v != u.swapcase()]
+        coding = hs.load_coding({
+            "generators": [*letters, "x", "y"],
+            "vertices": ["*", "x", "y", *letters],
+            "edges": [{"from": u, "to": v, "label": v} for u, v in edges],
+        })
+        values = {"a": 1, "A": -1}
+        table = {(e.source, e.target): values.get(e.target, 0) for e in coding.edges}
+        return coding, hs.weights_from_edge_table(coding, table)
+
+    def test_gaps_are_free2s(self, transient, free2, aexp):
+        ts = [1.0, 2.0, 3.0]
+        (index,) = hs.decompose_components(transient[0]).maximal_indices
+        points = hs.nonlattice_gap(*transient, index, ts)
+        assert points == hs.nonlattice_gap(free2, aexp, 0, ts)
+        assert points[0].gap == 1.267949192431122  # 3 - sqrt 3
+
+    def test_statistics_are_free2s(self, transient, free2, aexp):
+        stats = hs.limit_statistics(*transient)
+        assert stats == hs.limit_statistics(free2, aexp)
+        assert (stats.lam, stats.sigma2) == (3.0, 0.9999999990604196)
+
+    def test_pressure_vectors_are_positive_on_the_block(self, transient):
+        report = hs.pressure(*transient)
+        assert report.vertices == ("a", "A", "b", "B")
+        assert all(x > 0.0 for x in report.right + report.left)
 
 
 class TestStackBudget:
