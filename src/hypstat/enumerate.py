@@ -43,10 +43,22 @@ bits absorb the incoming sums between carries (every 10 levels on free:2,
 whose targets take 3 edges from targets after level 1), so a level is a few
 numpy slice adds.  The plan's count bits choose the loop at a measured
 crossover (``_PACKED_BITS``).  Either loop builds Python ints only for the
-wanted slots of the wanted levels.  ``weighted_counts`` (the cell masses of
-``mclt``) runs on the planes and builds no distribution: it weights every
-slot of the carried last level by a product of per-axis integer weights and
-dots each digit row with them in ``uint64`` chunks.
+wanted slots of the wanted levels.
+
+``weighted_counts`` (the cell masses of ``mclt``) runs on the planes and
+builds no distribution.  By the Markov property a weighted sum over level
+``n`` is ``sum_v <F_L(v), K_{n-L}(v)>``, ``F_L(v)`` the slot counts of the
+paths to ``v`` at level ``L`` and ``K_j(v)`` the weighted slot sums of the
+continuations of length ``j`` from ``v``.  Digits grow with length, so the
+planes run forward to ``L``, and the same loop runs ``K`` for ``n - L``
+levels from the slot weights on the transposed offset groups (an edge
+``s -> t`` of offset ``o`` read as ``t -> s`` of offset ``step - o``); ``L``
+makes the fewest digit additions over both halves, and ``L = n`` is the
+single forward pass.  Each vertex's two halves are joined exactly: every
+48-bit digit is split into three 16-bit chunks as float64, one matrix
+product per block of at most ``2**21`` slots sums their products to
+integers below ``2**53``, which no summation order or BLAS kernel can
+round, and Python ints recombine the block sums.
 
 A homomorphism is odd under inverting every generator, which permutes the
 coding's vertices (a <-> A on free:2) and sends slot ``s`` of level ``L``
@@ -57,7 +69,10 @@ every target ``t`` and offset ``o``.  Kept windows are widened to their
 mirror hulls, and while every level's kept slots are symmetric, induction
 on ``L`` gives ``state[sigma v] == state[v][:, ::-1]`` exactly, so the
 digit planes compute one target of each pair and read its partner as a
-reversed view.
+reversed view.  A mirror makes the counts ``C`` of level ``n`` symmetric,
+so ``<C, w> = <C, w + w o sigma> / 2``: the backward halves of
+``weighted_counts`` start from the symmetrised weight, inherit the mirror,
+and join each pair once, counted twice.
 """
 
 from __future__ import annotations
@@ -66,7 +81,7 @@ import math
 import operator
 from collections import Counter
 from functools import partial
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .coding import (
@@ -96,11 +111,14 @@ _DIGIT_CEILING = 2**64 - 2**16
 #: time at 2**25.6 bits (scalar n = 200, a plan with no mirror) and 2-3x
 #: the mirrored planes' near 2**27 (2-d n = 80, 28-33 against 10-15 ms),
 #: less than the ~90 ms numpy import they spare; from 2**32 (llt's windowed
-#: sweeps, mclt's 2-d n = 200) they took 6-19x the mirrored planes'
+#: sweeps, the single forward pass of a 2-d n = 200 plan) they took 6-19x
+#: the mirrored planes'.  ``weighted_counts`` runs on the planes alone
 _PACKED_BITS = 2**27
 #: cap on one DP's digit additions (digits times kept slots times targets,
-#: summed over the levels); the largest shipped plan, llt's windowed sweep
-#: on exact-scalar, makes about 1e8
+#: summed over the levels); the largest shipped plans make about 1e8: llt's
+#: windowed sweep on exact-scalar, and mclt's 2-d n = 200 forward plan
+#: (8.0e7), charged before its cell masses split it into a forward half to
+#: level 90 and one backward half per cell (3.6e7 for the default cell)
 _WORK_BUDGET = 2**32
 #: denominator of the default bin width for real scalar weights
 _DEFAULT_BIN_DENOMINATOR = 200
@@ -430,6 +448,16 @@ def _mirror(groups: dict[str, dict[int, list[str]]], step: int) -> dict[str, str
     return sigma if sigma.get(START_VERTEX, START_VERTEX) == START_VERTEX else None
 
 
+def _charge(what: str, live: int, work: int) -> None:
+    """Refuse ``what`` if its live bytes or digit additions are over budget."""
+    if live > BYTE_BUDGET or work > _WORK_BUDGET:
+        raise ResourceError(
+            f"{what} would hold about {live} bytes live after about {work} digit "
+            f"additions, over the {BYTE_BUDGET}-byte or {_WORK_BUDGET}-addition "
+            "budget; use a coarser bin or a smaller n"
+        )
+
+
 def _plan(edges: list, step: int, n_max: int, keep: list | None = None) -> _Plan:
     """Plan levels ``0..n_max``, keeping slots ``keep[L]`` of level ``L`` (or
     their mirror hull) if given; refused at the first level whose digit
@@ -465,12 +493,7 @@ def _plan(edges: list, step: int, n_max: int, keep: list | None = None) -> _Plan
         first, top, width = spans[level]
         size = max(size, digits[level] * width)
         work += digits[level] * (top - first + 1) * len(groups)
-        if (live := 16 * len(groups) * size) > BYTE_BUDGET or work > _WORK_BUDGET:
-            raise ResourceError(
-                f"level {level} of the lattice enumeration would hold about {live} bytes "
-                f"live after about {work} digit additions, over the {BYTE_BUDGET}-byte "
-                f"or {_WORK_BUDGET}-addition budget; use a coarser bin or a smaller n"
-            )
+        _charge(f"level {level} of the lattice enumeration", 16 * len(groups) * size, work)
     field = -(-bits // 8) * 8
     slots = sum(width for *_, width in spans[1:])
     return _Plan(groups, totals, spans, digits, field, field * len(groups) * slots, mirror)
@@ -487,7 +510,14 @@ def _carry(planes: np.ndarray) -> None:
         planes[d] &= _DIGIT_MASK
 
 
-def _digit_levels(plan: _Plan) -> Iterator[tuple[int, int, dict[str, np.ndarray], int]]:
+def _level_size(plan: _Plan) -> int:
+    """Digits times width of the plan's largest level after level 0."""
+    return max((d * w for d, (*_, w) in zip(plan.digits[1:], plan.spans[1:])), default=0)
+
+
+def _digit_levels(
+    plan: _Plan, start: dict[str, np.ndarray] | None = None
+) -> Iterator[tuple[int, int, dict[str, np.ndarray], int]]:
     """Digit-plane lattice DP; yields ``(level, first, state, total)``.
 
     ``state[v]`` is a ``uint64`` array of shape ``(digits, slots)``: column
@@ -496,10 +526,13 @@ def _digit_levels(plan: _Plan) -> Iterator[tuple[int, int, dict[str, np.ndarray]
     carries not yet propagated; ``total`` is ``plan.totals[level]``.  The
     arrays are views of two buffers per computed target, reused every other
     level, and a mirrored target's array is its partner's reversed: read or
-    copy them before advancing.
+    copy them before advancing.  Level 0 is ``start``, carried planes of
+    ``plan.spans[0]``'s width (default: one path at ``"*"``).
     """
     import numpy as np
     groups, spans, digits, mirror = plan.groups, plan.spans, plan.digits, plan.mirror or {}
+    if start is None:
+        start = {START_VERTEX: np.ones((1, 1), np.uint64)}
     # a digit grows at most by the edges from the live sources: the start's
     # at level 1, the targets' after it
     fan = [
@@ -507,22 +540,21 @@ def _digit_levels(plan: _Plan) -> Iterator[tuple[int, int, dict[str, np.ndarray]
             (sum(s in live for ss in g.values() for s in ss) for g in groups.values()),
             default=1,
         )
-        for live in ({START_VERTEX}, groups)
+        for live in (start, groups)
     ]
     if (indegree := max(fan)) >= 2**16:
         raise ResourceError(
             f"a vertex with {indegree} incoming edges could overflow a 64-bit "
             "digit in one level; the exact engine takes in-degrees below 65536"
         )
-    size = max((d * w for d, (*_, w) in zip(digits[1:], spans[1:])), default=0)
+    size = _level_size(plan)
     # one target of each mirrored pair is computed
     buffers = {
         t: (np.empty(size, np.uint64), np.empty(size, np.uint64))
         for t in groups
         if mirror.get(t, t) >= t
     }
-    state = {START_VERTEX: np.ones((1, 1), np.uint64)}
-    bound = 1
+    state, bound = start, max((int(p.max()) for p in start.values()), default=0)
     for level, (first, top, width) in enumerate(spans):
         if level:
             grow = fan[level > 1]
@@ -631,6 +663,139 @@ def _packed_counts(field: int, state: dict[str, int], a: int, b: int) -> tuple[l
     return columns, [counts[i] for i in columns]
 
 
+def _additions(plan: _Plan) -> list[int]:
+    """Digit additions of levels ``1..L`` for every level ``L``, as ``_plan``
+    charges them."""
+    work = [0]
+    for digits, (first, top, _width) in zip(plan.digits[1:], plan.spans[1:]):
+        work.append(work[-1] + digits * (top - first + 1) * len(plan.groups))
+    return work
+
+
+def _levels(plan: _Plan, level: int) -> _Plan:
+    """The plan cut after ``level``."""
+    cut = slice(level + 1)
+    return plan._replace(totals=plan.totals[cut], spans=plan.spans[cut], digits=plan.digits[cut])
+
+
+def _buffer_bytes(plan: _Plan) -> int:
+    """Bytes of the two level buffers per target of ``_digit_levels``."""
+    return 16 * len(plan.groups) * _level_size(plan)
+
+
+def _backward(
+    plan: _Plan, step: int, n: int, levels: int, tops: list[int], ends: set[str]
+) -> list[_Plan]:
+    """Plans of backward halves, one per bound on a slot weight in ``tops``.
+
+    Level 0 holds slot weights of level ``n`` on every vertex of ``ends``.
+    An edge ``s -> t`` of offset ``o`` with ``s`` in ``ends`` becomes
+    ``t -> s`` of offset ``step - o``, so backward slot ``r`` of level ``j``
+    is forward slot ``r - j * step`` of level ``n - j``; level ``j`` keeps
+    slots ``j * step .. n * step``, the ones that can still meet forward
+    level ``n - levels``.  ``totals[j]`` bounds every sum of level ``j``: the
+    top weight times the most paths of length ``j`` from one vertex.  The
+    mirror is ``plan``'s, for slot weights that are their own reverse.
+    """
+    groups: dict[str, dict[int, list[str]]] = {}
+    for target, parts in plan.groups.items():
+        for offset, sources in parts.items():
+            for source in sources:
+                if source in ends:
+                    groups.setdefault(source, {}).setdefault(step - offset, []).append(target)
+    paths, reach = dict.fromkeys(ends, 1), [1]
+    for _ in range(levels):
+        paths = {
+            s: sum(paths.get(t, 0) for ts in parts.values() for t in ts)
+            for s, parts in groups.items()
+        }
+        reach.append(max(paths.values(), default=0))
+    spans = [(0, n * step, n * step + 1)]
+    spans += [(j * step, n * step, (n - j + 2) * step + 1) for j in range(1, levels + 1)]
+    halves = []
+    for top in tops:
+        bits = accumulate(((top * count).bit_length() for count in reach), max)
+        digits = [max(1, -(-b // _DIGIT_BITS)) for b in bits]
+        halves.append(_Plan(groups, [top * c for c in reach], spans, digits, 0, 0, plan.mirror))
+    return halves
+
+
+def _axis_values(w: Callable[[int, int], int], axes: list) -> list[list[int]]:
+    """``w`` at each distinct coordinate of each axis, called once for each.
+
+    ``axes[j]`` is ``(distinct, inverse)``: axis ``j``'s distinct
+    coordinates and every slot's index among them.
+    """
+    values = [
+        [operator.index(w(j, q)) for q in distinct.tolist()]
+        for j, (distinct, _inverse) in enumerate(axes)
+    ]
+    if min(map(min, values)) < 0:
+        raise InvalidArgumentError("axis weights must be nonnegative integers")
+    return values
+
+
+def _slot_weights(values: list[list[int]], axes: list, mirrored: bool, digits: int) -> np.ndarray:
+    """Carried digit planes of one weight on every slot: the product of its
+    axis values, plus that of the mirrored slot on a mirrored plan."""
+    import numpy as np
+    # uint64 holds every product, and a mirrored sum of two, below 2**63
+    dtype = np.uint64 if math.prod(max(max(v), 1) for v in values) < 2**63 else object
+    weight = np.ones(len(axes[0][1]), dtype)
+    for v, (_distinct, inverse) in zip(values, axes):
+        weight = weight * np.array(v, dtype)[inverse]
+    if mirrored:
+        weight = weight + weight[::-1]
+    planes = np.empty((digits, len(weight)), np.uint64)
+    for d, row in enumerate(planes):
+        row[:] = (weight >> _DIGIT_BITS * d) & _DIGIT_MASK
+    return planes
+
+
+#: columns of one exact block of the join: a sum of 2**21 products of two
+#: 16-bit chunks is an integer below 2**53
+_JOIN_BLOCK = 2**21
+#: 16-bit chunks converted to float at once, which keeps the float copies of
+#: the planes small
+_JOIN_CHUNKS = 2**16
+
+
+def _chunks(planes: np.ndarray) -> np.ndarray:
+    """Carried 48-bit digits as float64 rows of 16-bit chunks, row ``i``
+    worth ``2**(16 i)``; the last axis must be contiguous."""
+    import numpy as np
+    digits, width = planes.shape
+    # the little-endian 16-bit words of each digit; the fourth is 0
+    words = planes.astype("<u8", copy=False).view("<u2").reshape(digits, width, 4)
+    out = np.empty((digits, 3, width))
+    for i in range(3):
+        out[:, i] = words[:, :, i]
+    return out.reshape(3 * digits, width)
+
+
+def _join(f: np.ndarray, g: np.ndarray) -> int:
+    """``sum_i f[:, i] . g[:, i]`` of two carried digit planes, exactly.
+
+    Each block of ``_JOIN_BLOCK`` columns is one float64 matrix product of
+    the planes' 16-bit chunks, summed over slices of the block.  Every
+    partial sum of an entry is an integer below ``2**53``, so no summation
+    order, BLAS kernel or CPU can change it, and each block's entries are
+    recombined in Python ints.
+    """
+    width, total = f.shape[1], 0
+    columns = max(1, _JOIN_CHUNKS // (3 * (len(f) + len(g))))
+    for a in range(0, width, _JOIN_BLOCK):
+        end = min(a + _JOIN_BLOCK, width)
+        cuts = [slice(b, min(b + columns, end)) for b in range(a, end, columns)]
+        product = sum(_chunks(f[:, cut]) @ _chunks(g[:, cut]).T for cut in cuts)
+        total += sum(
+            int(x) << 16 * (i + j)
+            for i, row in enumerate(product.tolist())
+            for j, x in enumerate(row)
+        )
+    return total
+
+
 def weighted_counts(
     coding: MarkovCoding,
     weights: WeightAssignment,
@@ -642,55 +807,92 @@ def weighted_counts(
     ``x`` runs over the scaled values of a lattice weight at radius ``n``
     (the ``support_scaled`` of ``distribution``) and ``count(x)`` is its
     exact count.  Each ``w`` in ``axis_weights`` maps an axis ``j`` and a
-    scaled coordinate to a nonnegative integer; it is called once per
-    distinct coordinate of each axis.  Each digit row of the carried planes
-    is dotted with the slot weights in ``uint64`` chunks short enough that
-    no chunk sum reaches ``2**64``; a slot weight too large for even one
-    product raises ``ResourceError``.  Returns ``(sums, total)``, ``total``
-    the path count.
+    scaled coordinate to a nonnegative integer of any size; it is called
+    once per distinct coordinate of each axis.  The sums meet in the
+    middle: the digit planes run forward from ``"*"`` to a level ``L``, one
+    backward half per weight runs from the slot weights of level ``n`` back
+    to ``L``, and each vertex's two halves are joined by one exact inner
+    product (see the module docstring).  ``L`` makes the fewest digit
+    additions, and both halves are charged against ``BYTE_BUDGET`` and
+    ``_WORK_BUDGET`` before the first level.  Returns ``(sums, total)``,
+    ``total`` the path count.
     """
+    return _split_counts(coding, weights, n, axis_weights)
+
+
+def _split_counts(
+    coding: MarkovCoding,
+    weights: WeightAssignment,
+    n: int,
+    axis_weights: Sequence[Callable[[int, int], int]],
+    split: int | None = None,
+) -> tuple[list[int], int]:
+    """``weighted_counts`` joined at level ``split`` (default: the cheapest)."""
     import numpy as np
     if n < 0:
         raise InvalidArgumentError("sphere radius must be >= 0")
     scale = lattice_scale(weights)
     if scale is None:
         raise InvalidArgumentError("weighted counts need lattice weights")
+    if split is not None and not 0 <= split <= n:
+        raise InvalidArgumentError(f"split level {split} is outside 0..{n}")
     table = scaled_integer_values(weights, scale)
     edges, step, decode, *_ = _flatten(_transitions(coding, table), n)
-    for _level, _first, state, total in _digit_levels(_plan(edges, step, n)):
-        pass  # only the last level is read
-    acc = _summed_planes(state, 0, n * step)
-    width = acc.shape[1]
-    if not width:
-        return [0] * len(axis_weights), total
+    plan = _plan(edges, step, n)
+    mirrored = plan.mirror is not None
     # each axis's distinct coordinates, and every slot's index among them
-    axes = [np.unique(q, return_inverse=True) for q in decode(n, np.arange(width))]
-    top = int(acc.max())
-    sums = []
-    for w in axis_weights:
-        values = [
-            [operator.index(w(j, q)) for q in distinct.tolist()]
-            for j, (distinct, _inverse) in enumerate(axes)
-        ]
-        if min(map(min, values)) < 0:
-            raise InvalidArgumentError("axis weights must be nonnegative integers")
-        # a chunk sums at most `chunk` products of a slot weight and a digit
-        largest = math.prod(map(max, values))
-        chunk = (2**64 - 1) // max(largest * top, 1)
-        if chunk < 1:
-            raise ResourceError(
-                f"a slot weight of {largest} times a digit of {top} could "
-                "overflow a 64-bit sum; use smaller axis weights"
-            )
-        slot_weight = np.ones(width, np.uint64)
-        for v, (_distinct, inverse) in zip(values, axes):
-            slot_weight *= np.array(v, np.uint64)[inverse]
-        starts = np.arange(0, width, min(chunk, width))
-        parts = np.add.reduceat(acc * slot_weight, starts, axis=1)
-        sums.append(
-            sum(sum(row) << (_DIGIT_BITS * d) for d, row in enumerate(parts.tolist()))
+    axes = [np.unique(q, return_inverse=True) for q in decode(n, np.arange(n * step + 1))]
+    values = [_axis_values(w, axes) for w in axis_weights]
+    tops = [(1 + mirrored) * math.prod(map(max, v)) for v in values]
+    # "*" is on level 0 alone, so a backward half reaches it only for L = 0
+    low = min(n, 1) if split is None else split
+    ends = set(plan.groups) | ({START_VERTEX} if low == 0 else set())
+    halves = _backward(plan, step, n, n - low, tops, ends)
+    forward = _additions(plan)
+    if split is None:
+        backward = [_additions(half) for half in halves]
+        split = min(
+            range(low, n + 1),
+            key=lambda L: (forward[L] + sum(b[n - L] for b in backward), -L),
         )
-    return sums, total
+    head = _levels(plan, split)
+    tails = [_levels(half, n - split) for half in halves]
+    # the forward buffers, then one backward half at a time: its slot
+    # weights, its buffers and the float products of its joins
+    _charge(
+        f"the lattice enumeration joined at level {split} of {n}",
+        _buffer_bytes(head)
+        + max(
+            (
+                8 * t.digits[0] * (n * step + 1)
+                + _buffer_bytes(t)
+                + 72 * head.digits[-1] * t.digits[-1]
+                for t in tails
+            ),
+            default=0,
+        ),
+        forward[split] + sum(_additions(tail)[-1] for tail in tails),
+    )
+    for _level, _first, state, _total in _digit_levels(head):
+        pass  # only the last level is read
+    # each mirrored pair is joined once and counted twice
+    mirror = plan.mirror or {}
+    joined = {v: 1 + (mirror.get(v, v) != v) for v in state if mirror.get(v, v) >= v}
+    for v in joined:
+        _carry(state[v])
+    sums = []
+    for tail, weight in zip(tails, values):
+        planes = _slot_weights(weight, axes, mirrored, tail.digits[0])
+        for _level, _first, back, _total in _digit_levels(tail, dict.fromkeys(ends, planes)):
+            pass
+        inner = 0
+        for v, times in joined.items():
+            if v in back:
+                _carry(back[v])
+                inner += times * _join(state[v], back[v])
+        # a mirrored plan's counts are symmetric, so its weight was doubled
+        sums.append(inner // 2 if mirrored else inner)
+    return sums, plan.totals[n]
 
 
 # ---------------------------------------------------------------------------
@@ -905,6 +1107,31 @@ def distribution_overcounted(
 # ---------------------------------------------------------------------------
 
 
+def _float_range(transitions: list[tuple[str, str, tuple]], n: int) -> None:
+    """Refuse float moment sums to radius ``n`` that could leave the float range.
+
+    A float sum of level ``L`` is at most the level's path count times
+    ``max(1, L * m)**2``, ``m`` the largest entry of a weight in absolute
+    value; the first level at which that bound reaches ``2**1023`` (half the
+    float range, room for rounding) raises ``ResourceError`` naming its
+    radius.  The path counts are exact ints, formed up to that level.
+    """
+    m = max((abs(x) for *_, vec in transitions for x in vec), default=0.0)
+    paths = {START_VERTEX: 1}
+    for level in range(1, n + 1):
+        nxt: dict[str, int] = {}
+        for source, target, _vec in transitions:
+            if source in paths:
+                nxt[target] = nxt.get(target, 0) + paths[source]
+        paths = nxt
+        if (total := sum(paths.values())) >= 2.0**1023 / max(1.0, level * m) ** 2:
+            raise ResourceError(
+                f"the float moment sums of radius {level} could leave the float "
+                f"range: its {total.bit_length()}-bit path count times ({level} * "
+                f"{m!r})**2 reaches 2**1023; use a smaller n or lattice weights"
+            )
+
+
 def moment_sweep(
     coding: MarkovCoding, weights: WeightAssignment, ns: Sequence[int]
 ) -> list[MomentData]:
@@ -936,6 +1163,8 @@ def moment_sweep(
             f"the moment sums to radius {n} would take about {int(work)} digit "
             f"additions, over the {_WORK_BUDGET}-addition budget; use a smaller n"
         )
+    if scale is None:
+        _float_range(transitions, n)
 
     def fresh(count: int) -> list:
         return [count, [zero] * k, [[zero] * k for _ in range(k)]]

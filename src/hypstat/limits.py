@@ -872,9 +872,11 @@ def mclt_check(
     are two-dimensional lattice, each requested cell's exact proportion is
     compared with the Gaussian rectangle mass (absolute tolerance 0.01,
     continuity-corrected on cell boundaries).  The cell masses at the
-    largest ``n`` are summed on the engine's carried digit planes by
-    ``weighted_counts``, one pass for every cell; Python integers are built
-    only for the final per-digit sums, not for the distribution.  Cells use
+    largest ``n`` are summed on the engine's digit planes by
+    ``weighted_counts``: one forward half to a level ``L`` for every cell
+    and one backward half per cell, joined by exact inner products; Python
+    integers are built only for the joins' chunk sums, not for the
+    distribution.  Cells use
     ``None`` for an infinite bound; the default is the lower quadrant for
     2-d weights and no cell otherwise.
 

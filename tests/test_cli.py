@@ -904,6 +904,13 @@ class TestImports:
         argv = ["llt", "--coding", "free:2", "--weights", "hom:a=1,b=0", "--interval=-0.5,0.5"]
         assert _exit_code_and_loaded(argv) == ["3", "False"]
 
+    def test_float_moment_sums_past_the_float_range_refuse_before_loading_numpy(self):
+        argv = [
+            "averaging", "--coding", "free:2", "--weights",
+            "hom:a=1,b=0.7071067811865476", "--ngrid", "660",
+        ]
+        assert _exit_code_and_loaded(argv) == ["3", "False"]
+
     # a rational is formed only for a quotient that is not whole: sphere
     # means (averaging), value ranges (degeneracy), covariances (mclt) and
     # ldt's tail bounds; on hom:a=1,b=0 the means and ranges are integers,

@@ -251,6 +251,15 @@ class TestMoments:
         # each refusal walked the edges once, for the charge, and ran no level
         assert len(walks) == 2
 
+    def test_float_sums_refuse_the_first_radius_past_the_float_range(self, free2, root_half):
+        # 4 * 3**633 paths times 634**2 passes 2**1023; 4 * 3**632 times
+        # 633**2 does not, and radius 633 keeps its finite sums
+        with pytest.raises(hs.ResourceError, match="sums of radius 634 could leave the float"):
+            hs.moment_sweep(free2, root_half, [1, 660])
+        md = hs.moment_sweep(free2, root_half, [633])[0]
+        assert md.count == 4 * 3**632
+        assert all(map(math.isfinite, [*md.first, *md.second[0]]))
+
     def test_empty_sphere_mean_rejected(self, free1):
         md = hs.moment_sweep(free1, hs.weights_word_length(free1), [0])[0]
         assert md.count == 1

@@ -6,7 +6,10 @@ the engine and compared with the brute-force word walk (n <= 8), with the
 dict-per-vertex DP (``oracles.dict_lattice_counts``, n <= 40), and, for
 interval windows, with the full distribution restricted to each window.
 Weighted counts (``weighted_counts``, the cell sums of ``mclt``) are
-compared with the same sums over the distribution and the word walk.
+compared with the same sums over the distribution and the word walk, joined
+at every split level of the forward and backward halves, on mirrored plans
+with asymmetric weights and on plans without a mirror; the exact float join
+is pinned at its largest chunk sums.
 Fixed cases cover counts of several 48-bit digits with deferred carries,
 offsets with a common factor, and vector lattices whose reduced basis is
 not the coordinate axes.  The engine's two level loops, digit planes and
@@ -23,6 +26,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -41,6 +45,7 @@ from hypstat.enumerate import (
     _packed_levels,
     _plan,
     _round_half_even,
+    _split_counts,
     _transitions,
     interval_count_sweep,
     weighted_counts,
@@ -531,14 +536,45 @@ class TestWindows:
             interval_count_sweep(free2, proj, [3, 4], 0.1, [0], [1])
 
 
+@st.composite
+def split_cases(draw):
+    """A coding and a dyadic edge table of dimension 1 or 2: drawn edge by
+    edge (a plan without a mirror, mostly), or odd under inverting the
+    generators (a mirrored plan), a label without an inverse taking 0."""
+    codings = ("free2", "free3", "mirror", "z2z3")
+    if not draw(st.booleans()):
+        return draw(weight_cases(dims=(1, 2), codings=codings))
+    coding = CODINGS[draw(st.sampled_from(codings))]
+    dim = draw(st.sampled_from((1, 2)))
+    den = draw(st.sampled_from([1, 2, 4]))
+    entry = st.integers(-2, 2).map(lambda k: k / den)
+    labels = {e.label for e in coding.edges}
+    value = {}
+    for label in sorted(labels, key=str.islower, reverse=True):
+        inverse = label.swapcase()
+        if inverse not in labels:
+            value[label] = (0,) * dim
+        elif inverse in value:
+            value[label] = tuple(-x for x in value[inverse])
+        else:
+            value[label] = tuple(draw(entry) for _ in range(dim))
+    table = {
+        (e.source, e.target): value[e.label] if dim > 1 else value[e.label][0]
+        for e in coding.edges
+    }
+    return coding, hs.weights_from_edge_table(coding, table)
+
+
 class TestWeightedCounts:
     @EXAMPLES
     @given(st.data())
     def test_equal_sums_over_the_distribution_and_the_words(self, data):
-        codings = ("free2", "free3", "mirror", "z2z3")
-        coding, weights = data.draw(weight_cases(dims=(2,), codings=codings))
+        coding, weights = data.draw(split_cases())
         n = data.draw(st.integers(0, 12))
-        ws = [data.draw(axis_weights(2)) for _ in range(data.draw(st.integers(1, 3)))]
+        ws = [
+            data.draw(axis_weights(weights.dim))
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
         calls = Counter()
 
         def counted(w):
@@ -554,6 +590,9 @@ class TestWeightedCounts:
         dist = hs.distribution(coding, weights, n)
         assert total == dist.total
         assert sums == [weighted_sum(histogram(dist), w) for w in ws]
+        # every split level joins its two halves to the same sums
+        for split in range(n + 1):
+            assert _split_counts(coding, weights, n, ws, split) == (sums, total)
         if n <= 8:
             scale = dist.scale
             words = Counter(
@@ -563,10 +602,61 @@ class TestWeightedCounts:
             )
             assert sums == [weighted_sum(words, w) for w in ws]
 
+    @pytest.mark.parametrize(
+        "coding, table, mirrored",
+        [
+            ("free2", {"a": (1, 0), "b": (0, 1)}, True),
+            ("free3", {"a": (1, -1), "b": (0, 2), "c": (1, 1)}, True),
+            ("z2z3", {"s": (0, 0), "t": (1, 2), "T": (-1, -2)}, True),
+            ("free2", {"a": (1, 0), "A": (0, 1), "b": (-1, 0), "B": (1, 1)}, False),
+        ],
+        ids=["abel2", "free3", "z2z3", "no-mirror"],
+    )
+    def test_every_split_with_asymmetric_weights(self, coding, table, mirrored):
+        coding = CODINGS[coding]
+
+        def entry(label):
+            if label in table:
+                return table[label]
+            return tuple(-x for x in table[label.swapcase()])
+
+        weights = hs.weights_from_edge_table(
+            coding, {(e.source, e.target): entry(e.label) for e in coding.edges}
+        )
+        n = 7
+        edges, step, *_ = flattened(coding, weights, n)
+        assert (_plan(edges, step, n).mirror is not None) == mirrored
+        # no weight is its own mirror image
+        ws = [
+            lambda j, q: (q % 3) * (j + 1) + (q > 0),
+            lambda j, q: 2**60 * (q < 0) + q * q * j,
+        ]
+        words = Counter(
+            tuple(round(x) for x in value)
+            for length, _word, value in oracles.brute_force_oracle(coding, weights, n)
+            if length == n
+        )
+        expected = [weighted_sum(words, w) for w in ws]
+        dist = hs.distribution(coding, weights, n)
+        assert expected == [weighted_sum(histogram(dist), w) for w in ws]
+        for split in range(n + 1):
+            assert _split_counts(coding, weights, n, ws, split)[0] == expected
+        assert weighted_counts(coding, weights, n, ws)[0] == expected
+
+    @pytest.mark.parametrize("digits", [(1, 1), (2, 1)])
+    def test_the_float_join_at_its_worst_case(self, digits):
+        # every 16-bit chunk is 2**16 - 1, so an entry of a block's product
+        # sums 2**21 products to 2**53 - 2**38 + 2**21, and one column more
+        # starts a second block
+        width = engine._JOIN_BLOCK + 1
+        f, g = (np.full((d, width), 2**48 - 1, np.uint64) for d in digits)
+        top = [2 ** (48 * d) - 1 for d in digits]
+        assert engine._join(f, g) == width * top[0] * top[1]
+        assert engine._join(f[:, :1], g[:, :1]) == top[0] * top[1]
+
     def test_largest_weight_on_five_digit_counts(self):
-        # #W_40 on free:5 has 127 bits, so the sums run over three digits;
-        # a weight of 2**16 times a digit near 2**48 leaves no room for a
-        # second product in a 64-bit chunk sum
+        # #W_40 on free:5 has 127 bits, so the forward half's counts run
+        # over three digits and each join multiplies chunks of all three
         coding = hs.build_free_group_coding(5)
         weights = hs.weights_from_homomorphism(
             coding, {"a": 1, "b": 2, "c": 0, "d": -1, "e": 3}
@@ -588,9 +678,13 @@ class TestWeightedCounts:
             weighted_counts(free2, abel, 6, [lambda j, q: q])
         with pytest.raises(hs.InvalidArgumentError, match="lattice"):
             weighted_counts(free2, proj, 6, [lambda j, q: 1])
-        # digits of #W_60 = 4 * 3**59 reach past 2**24
-        with pytest.raises(hs.ResourceError, match="64-bit"):
-            weighted_counts(free2, abel, 60, [lambda j, q: 2**40])
+        # a slot weight of 2**80 times counts of two digits is summed exactly
+        dist = hs.distribution(free2, abel, 60)
+        ws = [lambda j, q: 2**40]
+        assert weighted_counts(free2, abel, 60, ws) == (
+            [weighted_sum(histogram(dist), w) for w in ws],
+            dist.total,
+        )
 
 
 class TestByteBudget:
@@ -625,6 +719,25 @@ class TestWorkBudget:
         monkeypatch.setattr(engine, "_digit_levels", never)
         with pytest.raises(hs.ResourceError, match="^level 1 .* or 10-addition budget"):
             run(free2, aexp, abel)
+
+    def test_a_backward_half_over_the_budget_refuses_before_the_first_level(
+        self, monkeypatch, free2, abel
+    ):
+        # a slot weight of 2**240 (2**241 mirrored) takes six digits, so the
+        # backward half of a join at level 1 makes more digit additions than
+        # the whole one-digit forward plan, which the lowered budget admits
+        ws = [lambda j, q: 2**120]
+        edges, step, *_ = flattened(free2, abel, 8)
+        monkeypatch.setattr(engine, "_WORK_BUDGET", engine._additions(_plan(edges, step, 8))[-1])
+        # the cheapest join is the single forward pass
+        assert weighted_counts(free2, abel, 8, ws) == ([2**240 * 4 * 3**7], 4 * 3**7)
+
+        def never(plan, start=None):
+            raise AssertionError("a DP level ran")
+
+        monkeypatch.setattr(engine, "_digit_levels", never)
+        with pytest.raises(hs.ResourceError, match="^the lattice enumeration joined at level 1 of 8"):
+            _split_counts(free2, abel, 8, ws, 1)
 
     def test_long_sweeps_stop_forming_totals_at_the_refused_level(
         self, monkeypatch, free2, aexp
