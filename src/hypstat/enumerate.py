@@ -31,48 +31,52 @@ counts stay exact.  A level holds one row of slot counts per vertex, and an
 edge adds its source's row shifted by the edge's offset.
 
 One plan, fixed before the first level, feeds two level loops: per-vertex
-path counts give every level's total (``#W_n``) and so its count bits, and
-``interval_count_sweep``'s windows give the slots each level keeps.  Each
-level is sized as its total arrives, live bytes against ``BYTE_BUDGET`` and
-running digit additions against ``_WORK_BUDGET``, so an oversized request
-raises ``ResourceError`` before any DP level runs.  Small DPs run on packed
-Python ints, one per vertex, of byte-aligned fields wide enough for the
-largest total, so no field carries and numpy is never imported.  Large ones
-run on ``uint64`` digit planes, one row per 48-bit digit, whose 16 spare
-bits absorb the incoming sums between carries (every 10 levels on free:2,
-whose targets take 3 edges from targets after level 1), so a level is a few
-numpy slice adds.  The plan's count bits choose the loop at a measured
-crossover (``_PACKED_BITS``).  Either loop builds Python ints only for the
-wanted slots of the wanted levels.
+path counts give every level's total (``#W_n``) and so its count bits.  A
+distribution's plan sizes each level as its total arrives, live bytes
+against ``BYTE_BUDGET`` and running digit additions against
+``_WORK_BUDGET``, so an oversized request raises ``ResourceError`` before
+any DP level runs.  Small DPs run on packed Python ints, one per vertex, of
+byte-aligned fields wide enough for the largest total, so no field carries
+and numpy is never imported.  Large ones run on ``uint64`` digit planes,
+one row per 48-bit digit, whose 16 spare bits absorb the incoming sums
+between carries (every 10 levels on free:2, whose targets take 3 edges from
+targets after level 1), so a level is a few numpy slice adds.  The plan's
+count bits choose the loop at a measured crossover (``_PACKED_BITS``).
+Either loop builds Python ints only for the nonzero slots of the wanted
+levels.
 
-``weighted_counts`` (the cell masses of ``mclt``) runs on the planes and
-builds no distribution.  By the Markov property a weighted sum over level
-``n`` is ``sum_v <F_L(v), K_{n-L}(v)>``, ``F_L(v)`` the slot counts of the
-paths to ``v`` at level ``L`` and ``K_j(v)`` the weighted slot sums of the
-continuations of length ``j`` from ``v``.  Digits grow with length, so the
-planes run forward to ``L``, and the same loop runs ``K`` for ``n - L``
-levels from the slot weights on the transposed offset groups (an edge
-``s -> t`` of offset ``o`` read as ``t -> s`` of offset ``step - o``); ``L``
-makes the fewest digit additions over both halves, and ``L = n`` is the
-single forward pass.  Each vertex's two halves are joined exactly: every
-48-bit digit is split into three 16-bit chunks as float64, one matrix
-product per block of at most ``2**21`` slots sums their products to
-integers below ``2**53``, which no summation order or BLAS kernel can
-round, and Python ints recombine the block sums.
+Weighted level sums run on the planes and build no distribution: the cell
+masses of ``mclt`` (``weighted_counts``) and the interval counts of ``llt``
+(``_window_counts``) are one join, ``_split_counts``.  By the Markov
+property a weighted sum over level ``n`` is ``sum_v <F_L(v), K_{n-L}(v)>``,
+``F_L(v)`` the slot counts of the paths to ``v`` at level ``L`` and
+``K_j(v)`` the weighted slot sums of the continuations of length ``j`` from
+``v``.  Digits grow with length, so one forward half runs the planes to a
+level ``L`` that every radius shares; a radius ``n <= L`` is joined with
+forward level ``n``, and each radius ``n > L`` runs the same loop for ``K``
+from its slot weights on the transposed offset groups (an edge ``s -> t``
+of offset ``o`` read as ``t -> s`` of offset ``step - o``), keeping only
+the slots that can still reach a weighted one.  ``L`` makes the fewest
+digit additions over all halves, and only those halves are charged.  Each
+vertex's two halves are joined exactly: every 48-bit digit is split into
+three 16-bit chunks as float64, one matrix product per block of at most
+``2**21`` slots sums their products to integers below ``2**53``, which no
+summation order or BLAS kernel can round, and Python ints recombine the
+block sums.
 
 A homomorphism is odd under inverting every generator, which permutes the
 coding's vertices (a <-> A on free:2) and sends slot ``s`` of level ``L``
 to slot ``L * step - s``.  The plan looks for such a mirror in its offsets
 alone: an involution ``sigma`` of the targets, fixing the start, with
 ``groups[sigma t][step - o]`` equal to ``sigma`` of ``groups[t][o]`` for
-every target ``t`` and offset ``o``.  Kept windows are widened to their
-mirror hulls, and while every level's kept slots are symmetric, induction
-on ``L`` gives ``state[sigma v] == state[v][:, ::-1]`` exactly, so the
-digit planes compute one target of each pair and read its partner as a
-reversed view.  A mirror makes the counts ``C`` of level ``n`` symmetric,
-so ``<C, w> = <C, w + w o sigma> / 2``: the backward halves of
-``weighted_counts`` start from the symmetrised weight, inherit the mirror,
-and join each pair once, counted twice.
+every target ``t`` and offset ``o``.  While every level's kept slots are
+symmetric, induction on ``L`` gives ``state[sigma v] == state[v][:, ::-1]``
+exactly, so the digit planes compute one target of each pair and read its
+partner as a reversed view.  A mirror makes the counts ``C`` of level ``n``
+symmetric, so ``<C, w> = <C, w + w o sigma> / 2``: every weight is
+symmetrised on the mirror hull of its slots, so each backward half keeps
+symmetric levels and inherits the mirror, and each pair is joined once,
+counted twice.
 """
 
 from __future__ import annotations
@@ -110,15 +114,16 @@ _DIGIT_CEILING = 2**64 - 2**16
 #: free:2 (2-core x86-64, Python 3.11) packed ints took about the planes'
 #: time at 2**25.6 bits (scalar n = 200, a plan with no mirror) and 2-3x
 #: the mirrored planes' near 2**27 (2-d n = 80, 28-33 against 10-15 ms),
-#: less than the ~90 ms numpy import they spare; from 2**32 (llt's windowed
-#: sweeps, the single forward pass of a 2-d n = 200 plan) they took 6-19x
-#: the mirrored planes'.  ``weighted_counts`` runs on the planes alone
+#: less than the ~90 ms numpy import they spare; from 2**32 (llt's single
+#: forward pass to n = 300, the single forward pass of a 2-d n = 200 plan)
+#: they took 6-19x the mirrored planes'.  The joins of ``_split_counts``
+#: run on the planes alone
 _PACKED_BITS = 2**27
 #: cap on one DP's digit additions (digits times kept slots times targets,
-#: summed over the levels); the largest shipped plans make about 1e8: llt's
-#: windowed sweep on exact-scalar, and mclt's 2-d n = 200 forward plan
-#: (8.0e7), charged before its cell masses split it into a forward half to
-#: level 90 and one backward half per cell (3.6e7 for the default cell)
+#: summed over the levels, and over both halves of a join); the largest
+#: shipped joins make about 4e7: mclt's default cell at n = 200 (a forward
+#: half to level 90 and one backward half, 3.6e7 against 8.0e7 for the
+#: single pass), and llt's window counts at 100:300:100 on exact-scalar
 _WORK_BUDGET = 2**32
 #: denominator of the default bin width for real scalar weights
 _DEFAULT_BIN_DENOMINATOR = 200
@@ -401,9 +406,9 @@ class _Plan(NamedTuple):
     """What both level loops share, fixed before the first level.
 
     ``groups[t][off]`` lists the sources of the edges into ``t`` with offset
-    ``off``; ``totals[L]`` counts every path of level ``L``, pruned or not;
-    ``spans[L]`` is ``(first, top, width)``: the slots level ``L`` keeps and
-    its width before pruning; ``digits[L]`` is the planes' 48-bit digits,
+    ``off``; ``totals[L]`` counts every path of level ``L`` (bounds every
+    sum of it, on a backward half); ``spans[L]`` is ``(first, top,
+    width)``: the slots level ``L`` keeps and its width before pruning; ``digits[L]`` is the planes' 48-bit digits,
     enough for the largest total so far; ``field`` is the packed ints' bits
     per slot, whole bytes that hold the largest total; ``bits`` is ``field``
     times the slots of every target's levels, the count bits of the DP;
@@ -458,45 +463,36 @@ def _charge(what: str, live: int, work: int) -> None:
         )
 
 
-def _plan(edges: list, step: int, n_max: int, keep: list | None = None) -> _Plan:
-    """Plan levels ``0..n_max``, keeping slots ``keep[L]`` of level ``L`` (or
-    their mirror hull) if given; refused at the first level whose digit
-    planes (which outsize packed ints) exceed ``BYTE_BUDGET`` or whose
-    running digit additions exceed ``_WORK_BUDGET``."""
+def _skeleton(edges: list, step: int, n_max: int) -> _Plan:
+    """The plan of levels ``0..n_max`` before any path is counted: every
+    total 1 and every level one digit, each a bound from below."""
     groups: dict[str, dict[int, list[str]]] = {}
     for source, target, offset in edges:
         groups.setdefault(target, {}).setdefault(offset, []).append(source)
-    mirror = _mirror(groups, step)
-    first, top, spans = 0, 0, []
-    for level in range(n_max + 1):
-        if level:
-            top += step
-        width = top - first + 1
-        if keep is not None:
-            a, b = keep[level]
-            if mirror:
-                a, b = min(a, level * step - b), max(b, level * step - a)
-            first = max(first, a)
-            top = max(first - 1, min(top, b))
-        spans.append((first, top, width))
-    # the reversed views are exact on symmetric levels; a window inverted by
-    # two slots or more empties its level and leaves the rest asymmetric
-    if any(a + b != level * step for level, (a, b, _) in enumerate(spans)):
-        mirror = None
-    totals, digits, bits, size, work = [], [], 0, 0, 0
+    spans = [(0, level * step, level * step + 1) for level in range(n_max + 1)]
+    ones = [1] * (n_max + 1)
+    return _Plan(groups, ones, spans, ones, 8, 0, _mirror(groups, step))
+
+
+def _plan(edges: list, step: int, n_max: int, charge: bool = True) -> _Plan:
+    """Plan the single forward pass over levels ``0..n_max``; with ``charge``
+    it is refused at the first level whose digit planes (which outsize
+    packed ints) exceed ``BYTE_BUDGET`` or whose running digit additions
+    exceed ``_WORK_BUDGET``."""
+    plan = _skeleton(edges, step, n_max)
+    targets, spans = len(plan.groups), plan.spans
+    totals, digits, bits, work = [], [], 0, 0
     for level, total in enumerate(_path_totals([(s, t) for s, t, _ in edges], n_max)):
         totals.append(total)
         bits = max(bits, total.bit_length())
         digits.append(-(-bits // _DIGIT_BITS))
-        if not level:
-            continue
-        first, top, width = spans[level]
-        size = max(size, digits[level] * width)
-        work += digits[level] * (top - first + 1) * len(groups)
-        _charge(f"level {level} of the lattice enumeration", 16 * len(groups) * size, work)
+        if level and charge:
+            size = digits[level] * spans[level][2]
+            work += size * targets
+            _charge(f"level {level} of the lattice enumeration", 16 * targets * size, work)
     field = -(-bits // 8) * 8
     slots = sum(width for *_, width in spans[1:])
-    return _Plan(groups, totals, spans, digits, field, field * len(groups) * slots, mirror)
+    return plan._replace(totals=totals, digits=digits, field=field, bits=field * targets * slots)
 
 
 def _carry(planes: np.ndarray) -> None:
@@ -527,7 +523,7 @@ def _digit_levels(
     arrays are views of two buffers per computed target, reused every other
     level, and a mirrored target's array is its partner's reversed: read or
     copy them before advancing.  Level 0 is ``start``, carried planes of
-    ``plan.spans[0]``'s width (default: one path at ``"*"``).
+    the slots ``plan.spans[0]`` keeps (default: one path at ``"*"``).
     """
     import numpy as np
     groups, spans, digits, mirror = plan.groups, plan.spans, plan.digits, plan.mirror or {}
@@ -592,7 +588,7 @@ def _digit_levels(
                 if (partner := mirror.get(target, target)) != target:
                     nxt[partner] = dst[:, ::-1]
             state, bound = nxt, bound * grow
-        drop = first - spans[level - 1][0] if level else first
+        drop = first - spans[level - 1][0] if level else 0
         if drop or top - first + 1 < width:
             state = {v: p[:, drop : drop + top - first + 1] for v, p in state.items()}
         yield level, first, state, plan.totals[level]
@@ -602,12 +598,13 @@ def _packed_levels(plan: _Plan) -> Iterator[tuple[int, int, dict[str, int], int]
     """Packed-int lattice DP; yields ``(level, first, state, total)``.
 
     ``state[v]`` is one Python int whose ``plan.field``-bit field ``i``
-    counts the paths ending at ``v`` in slot ``first + i``, so an edge adds
-    its sources shifted by ``offset * field``.  No sum of fields exceeds
-    the level's total, so no field carries into the next.
+    counts the paths ending at ``v`` in slot ``i``, so an edge adds its
+    sources shifted by ``offset * field``.  No sum of fields exceeds the
+    level's total, so no field carries into the next.  The plan keeps every
+    slot, so ``first`` is 0.
     """
-    field, spans, state = plan.field, plan.spans, {START_VERTEX: 1}
-    for level, (first, top, width) in enumerate(spans):
+    field, state = plan.field, {START_VERTEX: 1}
+    for level, total in enumerate(plan.totals):
         if level:
             rows = {
                 target: sum(
@@ -617,36 +614,22 @@ def _packed_levels(plan: _Plan) -> Iterator[tuple[int, int, dict[str, int], int]
                 for target, parts in plan.groups.items()
             }
             state = {target: x for target, x in rows.items() if x}
-        drop = first - spans[level - 1][0] if level else first
-        if drop or top - first + 1 < width:
-            mask = (1 << (top - first + 1) * field) - 1
-            state = {v: (x >> drop * field) & mask for v, x in state.items()}
-        yield level, first, state, plan.totals[level]
+        yield level, 0, state, total
 
 
-def _summed_planes(state: dict[str, np.ndarray], a: int, b: int) -> np.ndarray:
-    """Columns ``a..b`` summed over the vertices, carried: ``(digits, columns)``.
-
-    Every digit of the result is below ``2**48``: each column counts at
-    most the level's paths, which fit the level's digits.
-    """
+def _slot_counts(state: dict[str, np.ndarray]) -> tuple[list, list]:
+    """Every column summed over the vertices: nonzero columns and counts
+    (each at most the level's paths, so every carried digit is below 2**48)."""
     import numpy as np
     planes = list(state.values())
-    b = min(b, planes[0].shape[1] - 1) if planes else -1
-    if b < a:
-        return np.zeros((1, 0), np.uint64)
-    acc = np.zeros((planes[0].shape[0], b - a + 1), np.uint64)
+    if not planes:
+        return [], []
+    acc = np.zeros(planes[0].shape, np.uint64)
     for plane in planes:
-        part = plane[:, a : b + 1].copy()
+        part = plane.copy()
         _carry(part)
         acc += part
         _carry(acc)
-    return acc
-
-
-def _slot_counts(state: dict[str, np.ndarray], a: int, b: int) -> tuple[list, list]:
-    """Columns ``a..b`` summed over the vertices: nonzero columns and counts."""
-    acc = _summed_planes(state, a, b)
     columns = acc.any(axis=0).nonzero()[0]
     counts = [0] * len(columns)
     for row in acc[::-1, columns].tolist():
@@ -654,10 +637,10 @@ def _slot_counts(state: dict[str, np.ndarray], a: int, b: int) -> tuple[list, li
     return columns.tolist(), counts
 
 
-def _packed_counts(field: int, state: dict[str, int], a: int, b: int) -> tuple[list, list]:
-    """Fields ``a..b`` summed over the vertices: nonzero columns and counts."""
-    size, x = field // 8, sum(state.values()) >> a * field
-    raw = x.to_bytes(-(-x.bit_length() // 8), "little")[: max(b - a + 1, 0) * size]
+def _packed_counts(field: int, state: dict[str, int]) -> tuple[list, list]:
+    """Every field summed over the vertices: nonzero columns and counts."""
+    size, x = field // 8, sum(state.values())
+    raw = x.to_bytes(-(-x.bit_length() // 8), "little")
     counts = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
     columns = [i for i, c in enumerate(counts) if c]
     return columns, [counts[i] for i in columns]
@@ -683,43 +666,6 @@ def _buffer_bytes(plan: _Plan) -> int:
     return 16 * len(plan.groups) * _level_size(plan)
 
 
-def _backward(
-    plan: _Plan, step: int, n: int, levels: int, tops: list[int], ends: set[str]
-) -> list[_Plan]:
-    """Plans of backward halves, one per bound on a slot weight in ``tops``.
-
-    Level 0 holds slot weights of level ``n`` on every vertex of ``ends``.
-    An edge ``s -> t`` of offset ``o`` with ``s`` in ``ends`` becomes
-    ``t -> s`` of offset ``step - o``, so backward slot ``r`` of level ``j``
-    is forward slot ``r - j * step`` of level ``n - j``; level ``j`` keeps
-    slots ``j * step .. n * step``, the ones that can still meet forward
-    level ``n - levels``.  ``totals[j]`` bounds every sum of level ``j``: the
-    top weight times the most paths of length ``j`` from one vertex.  The
-    mirror is ``plan``'s, for slot weights that are their own reverse.
-    """
-    groups: dict[str, dict[int, list[str]]] = {}
-    for target, parts in plan.groups.items():
-        for offset, sources in parts.items():
-            for source in sources:
-                if source in ends:
-                    groups.setdefault(source, {}).setdefault(step - offset, []).append(target)
-    paths, reach = dict.fromkeys(ends, 1), [1]
-    for _ in range(levels):
-        paths = {
-            s: sum(paths.get(t, 0) for ts in parts.values() for t in ts)
-            for s, parts in groups.items()
-        }
-        reach.append(max(paths.values(), default=0))
-    spans = [(0, n * step, n * step + 1)]
-    spans += [(j * step, n * step, (n - j + 2) * step + 1) for j in range(1, levels + 1)]
-    halves = []
-    for top in tops:
-        bits = accumulate(((top * count).bit_length() for count in reach), max)
-        digits = [max(1, -(-b // _DIGIT_BITS)) for b in bits]
-        halves.append(_Plan(groups, [top * c for c in reach], spans, digits, 0, 0, plan.mirror))
-    return halves
-
-
 def _axis_values(w: Callable[[int, int], int], axes: list) -> list[list[int]]:
     """``w`` at each distinct coordinate of each axis, called once for each.
 
@@ -735,21 +681,15 @@ def _axis_values(w: Callable[[int, int], int], axes: list) -> list[list[int]]:
     return values
 
 
-def _slot_weights(values: list[list[int]], axes: list, mirrored: bool, digits: int) -> np.ndarray:
-    """Carried digit planes of one weight on every slot: the product of its
-    axis values, plus that of the mirrored slot on a mirrored plan."""
+def _slot_weights(values: list[list[int]], axes: list) -> np.ndarray:
+    """One weight on every slot: the product of its axis values."""
     import numpy as np
     # uint64 holds every product, and a mirrored sum of two, below 2**63
     dtype = np.uint64 if math.prod(max(max(v), 1) for v in values) < 2**63 else object
     weight = np.ones(len(axes[0][1]), dtype)
     for v, (_distinct, inverse) in zip(values, axes):
         weight = weight * np.array(v, dtype)[inverse]
-    if mirrored:
-        weight = weight + weight[::-1]
-    planes = np.empty((digits, len(weight)), np.uint64)
-    for d, row in enumerate(planes):
-        row[:] = (weight >> _DIGIT_BITS * d) & _DIGIT_MASK
-    return planes
+    return weight
 
 
 #: columns of one exact block of the join: a sum of 2**21 products of two
@@ -796,6 +736,148 @@ def _join(f: np.ndarray, g: np.ndarray) -> int:
     return total
 
 
+def _split_counts(
+    edges: list,
+    step: int,
+    n_max: int,
+    windows: Sequence[tuple[int, int, int]],
+    weigh: Callable[[], list[tuple[int, Callable[[], np.ndarray]]]],
+    split: int | None = None,
+) -> tuple[list[int], list[int]]:
+    """Weighted level sums joined at level ``split`` (default: the cheapest).
+
+    Window ``(n, a, b)`` weighs slots ``a..b`` of level ``n <= n_max``;
+    ``weigh()`` gives each window's ``(top, build)``, and ``build()`` its
+    weights, integers in ``0..top`` (``uint64`` below ``2**63``, or ints).
+    The join is charged twice before its first level: with one digit a level
+    and unit weights, a bound from below before any path is counted or
+    ``weigh`` is called, then as planned.  Returns each window's sum and
+    ``#W_L`` for every level ``L``.
+    """
+    import numpy as np
+    if split is not None and not 0 <= split <= n_max:
+        raise InvalidArgumentError(f"split level {split} is outside 0..{n_max}")
+    plan = _skeleton(edges, step, n_max)
+    mirror, doubled = plan.mirror or {}, 1 + (plan.mirror is not None)
+    # a mirrored level's counts are symmetric, so <C, w> = <C, w + w o sigma>
+    # / 2: each window widens to its mirror hull and each top doubles
+    hulls = [
+        (n, min(a, n * step - b), max(b, n * step - a)) if mirror else (n, a, b)
+        for n, a, b in windows
+    ]
+    # "*" is on level 0 alone, so a backward half reaches it only for L = 0
+    low = min(n_max, 1) if split is None else split
+    ends = set(plan.groups) | ({START_VERTEX} if low == 0 else set())
+    # an edge s -> t of offset o with s in ends read as t -> s of offset step - o
+    groups: dict[str, dict[int, list[str]]] = {}
+    for target, parts in plan.groups.items():
+        for offset, sources in parts.items():
+            for s in sources:
+                if s in ends:
+                    groups.setdefault(s, {}).setdefault(step - offset, []).append(target)
+    # backward slot r of level j is forward slot r - j * step of level n - j,
+    # so level j keeps the slots that can still reach a..b and meet a forward
+    # level; on a symmetric window they are symmetric, so a half keeps the mirror
+    kept = []
+    for n, a, b in hulls:
+        spans = [(a, b, b - a + 1)]
+        for j in range(1, max(n - low, 0) + 1):
+            first, last, _width = spans[-1]
+            spans.append((max(j * step, a), min(n * step, b + j * step), last + step - first + 1))
+        kept.append(spans)
+
+    def charged(plan: _Plan, reach: list[int], tops: Sequence[int], what: str) -> tuple:
+        """``(split, head, tails)`` of ``plan`` joined at ``split`` or at
+        its cheapest level, charged as ``what`` (formatted with the level);
+        ``reach[j]`` bounds the paths of length ``j`` from one vertex."""
+        halves = []
+        for spans, top in zip(kept, tops):
+            bound = [doubled * top * c for c in reach[: len(spans)]]
+            bits = accumulate((x.bit_length() for x in bound), max)
+            digits = [max(1, -(-x // _DIGIT_BITS)) for x in bits]
+            halves.append(_Plan(groups, bound, spans, digits, 0, 0, plan.mirror))
+        forward, level = _additions(plan), split
+        if level is None:
+            backward = [(n, _additions(half)) for (n, *_), half in zip(hulls, halves)]
+            level = min(
+                range(low, n_max + 1),
+                key=lambda L: (forward[L] + sum(b[n - L] for n, b in backward if n > L), -L),
+            )
+        head = _levels(plan, level)
+        tails = [_levels(half, max(n - level, 0)) for (n, *_), half in zip(hulls, halves)]
+        # the forward buffers, then one window at a time: its weights and
+        # their planes, its buffers and the float products of its joins
+        d = head.digits[-1]
+        live = max(
+            (
+                8 * (1 + t.digits[0]) * t.spans[0][2] + _buffer_bytes(t) + 72 * d * t.digits[-1]
+                for t in tails
+            ),
+            default=0,
+        )
+        work = forward[level] + sum(_additions(tail)[-1] for tail in tails)
+        _charge(what.format(level), _buffer_bytes(head) + live, work)
+        return level, head, tails
+
+    ones = [1] * (n_max - low + 1)
+    charged(plan, ones, ones, f"any join of the lattice enumeration to level {n_max}")
+    plan = _plan(edges, step, n_max, charge=False)
+    tops, builds = zip(*weigh()) if hulls else ((), ())
+    paths, reach = dict.fromkeys(ends, 1), [1]
+    for _ in range(n_max - low):
+        paths = {
+            s: sum(paths.get(t, 0) for ts in g.values() for t in ts) for s, g in groups.items()
+        }
+        reach.append(max(paths.values(), default=0))
+    what = f"the lattice enumeration joined at level {{}} of {n_max}"
+    split, head, tails = charged(plan, reach, tops, what)
+
+    def weighed(i: int) -> np.ndarray:
+        """Window ``i``'s weights on its hull, symmetrised on a mirrored
+        plan, as carried digit planes of its half."""
+        (_n, a, b), (_n, first, last) = windows[i], hulls[i]
+        weight = builds[i]()
+        if mirror:
+            hull = np.zeros(last - first + 1, weight.dtype)
+            hull[a - first : b - first + 1] = weight
+            weight = hull + hull[::-1]
+        planes = np.empty((tails[i].digits[0], len(weight)), np.uint64)
+        for d, row in enumerate(planes):
+            row[:] = (weight >> _DIGIT_BITS * d) & _DIGIT_MASK
+        return planes
+
+    def carried(state: dict[str, np.ndarray]) -> dict[str, int]:
+        """The vertices to join, each mirrored pair once and counted twice,
+        with their planes carried."""
+        times = {v: 1 + (mirror.get(v, v) != v) for v in state if mirror.get(v, v) >= v}
+        for v in times:
+            _carry(state[v])
+        return times
+
+    sums = [0] * len(hulls)
+    for level, _first, state, _total in _digit_levels(head):
+        for i, (n, a, b) in enumerate(hulls):
+            if n == level:
+                planes, times = weighed(i), carried(state)
+                sums[i] = sum(t * _join(state[v][:, a : b + 1], planes) for v, t in times.items())
+    times = carried(state)
+    for i, ((n, *_), tail) in enumerate(zip(hulls, tails)):
+        if n <= split:
+            continue
+        start = dict.fromkeys(ends, weighed(i))
+        for _level, _first, back, _total in _digit_levels(tail, start):
+            pass
+        # backward slots of level n - split are forward slots of level split
+        shift, (a, b, _width) = (n - split) * step, tail.spans[-1]
+        for v, t in times.items():
+            if v in back:
+                _carry(back[v])
+                sums[i] += t * _join(state[v][:, a - shift : b - shift + 1], back[v])
+        # the next half's buffers replace this one's
+        del start, back
+    return [s // doubled for s in sums], plan.totals
+
+
 def weighted_counts(
     coding: MarkovCoding,
     weights: WeightAssignment,
@@ -809,90 +891,67 @@ def weighted_counts(
     exact count.  Each ``w`` in ``axis_weights`` maps an axis ``j`` and a
     scaled coordinate to a nonnegative integer of any size; it is called
     once per distinct coordinate of each axis.  The sums meet in the
-    middle: the digit planes run forward from ``"*"`` to a level ``L``, one
-    backward half per weight runs from the slot weights of level ``n`` back
-    to ``L``, and each vertex's two halves are joined by one exact inner
-    product (see the module docstring).  ``L`` makes the fewest digit
-    additions, and both halves are charged against ``BYTE_BUDGET`` and
-    ``_WORK_BUDGET`` before the first level.  Returns ``(sums, total)``,
+    middle (``_split_counts``): a forward half to the level ``L`` of fewest
+    digit additions, and one backward half per weight from level ``n``
+    back to ``L``, charged before either runs.  Returns ``(sums, total)``,
     ``total`` the path count.
     """
-    return _split_counts(coding, weights, n, axis_weights)
-
-
-def _split_counts(
-    coding: MarkovCoding,
-    weights: WeightAssignment,
-    n: int,
-    axis_weights: Sequence[Callable[[int, int], int]],
-    split: int | None = None,
-) -> tuple[list[int], int]:
-    """``weighted_counts`` joined at level ``split`` (default: the cheapest)."""
     import numpy as np
     if n < 0:
         raise InvalidArgumentError("sphere radius must be >= 0")
-    scale = lattice_scale(weights)
-    if scale is None:
+    if lattice_scale(weights) is None:
         raise InvalidArgumentError("weighted counts need lattice weights")
-    if split is not None and not 0 <= split <= n:
-        raise InvalidArgumentError(f"split level {split} is outside 0..{n}")
-    table = scaled_integer_values(weights, scale)
+    table = _edge_table(weights, n, None)[3]
     edges, step, decode, *_ = _flatten(_transitions(coding, table), n)
-    plan = _plan(edges, step, n)
-    mirrored = plan.mirror is not None
-    # each axis's distinct coordinates, and every slot's index among them
-    axes = [np.unique(q, return_inverse=True) for q in decode(n, np.arange(n * step + 1))]
-    values = [_axis_values(w, axes) for w in axis_weights]
-    tops = [(1 + mirrored) * math.prod(map(max, v)) for v in values]
-    # "*" is on level 0 alone, so a backward half reaches it only for L = 0
-    low = min(n, 1) if split is None else split
-    ends = set(plan.groups) | ({START_VERTEX} if low == 0 else set())
-    halves = _backward(plan, step, n, n - low, tops, ends)
-    forward = _additions(plan)
-    if split is None:
-        backward = [_additions(half) for half in halves]
-        split = min(
-            range(low, n + 1),
-            key=lambda L: (forward[L] + sum(b[n - L] for b in backward), -L),
-        )
-    head = _levels(plan, split)
-    tails = [_levels(half, n - split) for half in halves]
-    # the forward buffers, then one backward half at a time: its slot
-    # weights, its buffers and the float products of its joins
-    _charge(
-        f"the lattice enumeration joined at level {split} of {n}",
-        _buffer_bytes(head)
-        + max(
-            (
-                8 * t.digits[0] * (n * step + 1)
-                + _buffer_bytes(t)
-                + 72 * head.digits[-1] * t.digits[-1]
-                for t in tails
-            ),
-            default=0,
-        ),
-        forward[split] + sum(_additions(tail)[-1] for tail in tails),
-    )
-    for _level, _first, state, _total in _digit_levels(head):
-        pass  # only the last level is read
-    # each mirrored pair is joined once and counted twice
-    mirror = plan.mirror or {}
-    joined = {v: 1 + (mirror.get(v, v) != v) for v in state if mirror.get(v, v) >= v}
-    for v in joined:
-        _carry(state[v])
-    sums = []
-    for tail, weight in zip(tails, values):
-        planes = _slot_weights(weight, axes, mirrored, tail.digits[0])
-        for _level, _first, back, _total in _digit_levels(tail, dict.fromkeys(ends, planes)):
-            pass
-        inner = 0
-        for v, times in joined.items():
-            if v in back:
-                _carry(back[v])
-                inner += times * _join(state[v], back[v])
-        # a mirrored plan's counts are symmetric, so its weight was doubled
-        sums.append(inner // 2 if mirrored else inner)
-    return sums, plan.totals[n]
+    # the decoded coordinates of level n and one slot weight
+    _charge(f"the slot weights of level {n}", 8 * (3 + 2 * weights.dim) * (n * step + 1), 0)
+
+    def weigh() -> list[tuple[int, Callable[[], np.ndarray]]]:
+        # each axis's distinct coordinates, and every slot's index among them
+        axes = [np.unique(q, return_inverse=True) for q in decode(n, np.arange(n * step + 1))]
+        values = [_axis_values(w, axes) for w in axis_weights]
+        return [(math.prod(map(max, v)), partial(_slot_weights, v, axes)) for v in values]
+
+    sums, totals = _split_counts(edges, step, n, [(n, 0, n * step)] * len(axis_weights), weigh)
+    return sums, totals[n]
+
+
+def _window_counts(
+    coding: MarkovCoding,
+    weights: WeightAssignment,
+    ns: Sequence[int],
+    bin_width: float | None,
+    lo: Sequence[int],
+    hi: Sequence[int],
+) -> tuple[list[int], list[int]]:
+    """``(counts, totals)``: the words of radius ``ns[i]`` whose scaled value
+    (on ``distribution_sweep``'s lattice for ``bin_width``) is in ``[lo[i],
+    hi[i]]``, and ``#W_n``.  Each window is the 0/1 indicator of its slots,
+    joined by ``_split_counts``.  Scalar weights only.
+    """
+    import numpy as np
+    if weights.dim != 1:
+        raise InvalidArgumentError("interval counts require scalar weights")
+    if not len(ns) == len(set(ns)) == len(lo) == len(hi):
+        raise InvalidArgumentError("need one window per distinct radius")
+    order = _radii(ns)
+    if not order:
+        return [], []
+    table = _edge_table(weights, order[-1], bin_width)[3]
+    edges, step, _decode, origin, basis = _flatten(_transitions(coding, table), order[-1])
+    # slot s of level n holds the value n * origin + s * g
+    g, windows, found = basis[0][0] if basis else 1, [], {}
+    for n, a, b in zip(ns, lo, hi):
+        a, b = max(-((n * origin[0] - a) // g), 0), min((b - n * origin[0]) // g, n * step)
+        if a <= b:
+            found[n] = len(windows)
+            windows.append((n, a, b))
+
+    def weigh() -> list[tuple[int, Callable[[], np.ndarray]]]:
+        return [(1, partial(np.ones, b - a + 1, np.uint64)) for _n, a, b in windows]
+
+    sums, totals = _split_counts(edges, step, order[-1], windows, weigh)
+    return [sums[found[n]] if n in found else 0 for n in ns], [totals[n] for n in ns]
 
 
 # ---------------------------------------------------------------------------
@@ -945,62 +1004,6 @@ def _radii(ns: Sequence[int]) -> list[int]:
     return order
 
 
-def _sweep(
-    coding: MarkovCoding,
-    weights: WeightAssignment,
-    ns: Sequence[int],
-    bin_width: float | None,
-    windows: dict[int, tuple[int, int]] | None = None,
-) -> list[WordDistribution]:
-    """Plan once, run the engine, and decode the sorted distinct radii.
-
-    ``windows`` (scalar weights only) maps each radius to an inclusive
-    scaled window: slots that can reach no remaining window are pruned, and
-    each distribution keeps only its own window.
-    """
-    order = _radii(ns)
-    n_max = order[-1] if order else 1
-    kind, scale, width, table = _edge_table(weights, n_max, bin_width)
-    if not order:
-        return []
-    edges, step, decode, origin, basis = _flatten(_transitions(coding, table), n_max)
-    keep = slots = None
-    if windows is not None:
-        # each window in slots of its level, then the hull of the slots of
-        # level L that can still reach a window
-        low, g = origin[0], basis[0][0] if basis else 1
-        slots = {
-            n: (-((n * low - lo) // g), (hi - n * low) // g)
-            for n, (lo, hi) in windows.items()
-        }
-        keep = []
-        for L in range(n_max + 1):
-            ends = [(a - (n - L) * step, b) for n, (a, b) in slots.items() if n >= L]
-            keep.append((min(e[0] for e in ends), max(e[1] for e in ends)))
-    plan = _plan(edges, step, n_max, keep)
-    if plan.bits <= _PACKED_BITS:
-        levels, slot_counts = _packed_levels(plan), partial(_packed_counts, plan.field)
-    else:
-        levels, slot_counts = _digit_levels(plan), _slot_counts
-    out, wanted = [], set(order)
-    for level, first, state, total in levels:
-        if level not in wanted:
-            continue
-        a, b = 0, level * step
-        if slots is not None:
-            # cut this level's own window out of the reach hull
-            a, b = slots[level]
-        a = max(a - first, 0)
-        columns, counts = slot_counts(state, a, b - first)
-        vec = decode(level, [c + first + a for c in columns])
-        raw = dict(zip(vec[0] if len(vec) == 1 else zip(*vec), counts))
-        support = tuple(sorted(raw))
-        counts = tuple(raw[q] for q in support)
-        dist = (level, weights.dim, kind, support, counts, total, scale, width, 0)
-        out.append(WordDistribution(*dist))
-    return out
-
-
 def distribution_sweep(
     coding: MarkovCoding,
     weights: WeightAssignment,
@@ -1024,32 +1027,29 @@ def distribution_sweep(
     list of WordDistribution
         Sorted by ``n``.
     """
-    return _sweep(coding, weights, ns, bin_width)
-
-
-def interval_count_sweep(
-    coding: MarkovCoding,
-    weights: WeightAssignment,
-    ns: Sequence[int],
-    bin_width: float | None,
-    lo: Sequence[int],
-    hi: Sequence[int],
-) -> list[WordDistribution]:
-    """Distributions cut to one scaled window per radius, one pruned pass.
-
-    Radius ``ns[i]`` keeps the scaled coordinates in ``[lo[i], hi[i]]``
-    (inclusive, on the lattice ``distribution_sweep`` picks for the same
-    ``bin_width``); ``total`` is still the full path count ``#W_n``.  Level
-    by level the engine drops every slot from which no remaining window is
-    reachable, so the work follows the windows, not the whole support.
-    Scalar weights only; sorted by ``n``.
-    """
-    if weights.dim != 1:
-        raise InvalidArgumentError("interval counts require scalar weights")
-    if not len(ns) == len(set(ns)) == len(lo) == len(hi):
-        raise InvalidArgumentError("need one window per distinct radius")
-    windows = {int(n): (int(a), int(b)) for n, a, b in zip(ns, lo, hi)}
-    return _sweep(coding, weights, ns, bin_width, windows=windows)
+    order = _radii(ns)
+    n_max = order[-1] if order else 1
+    kind, scale, width, table = _edge_table(weights, n_max, bin_width)
+    if not order:
+        return []
+    edges, step, decode, *_ = _flatten(_transitions(coding, table), n_max)
+    plan = _plan(edges, step, n_max)
+    if plan.bits <= _PACKED_BITS:
+        levels, slot_counts = _packed_levels(plan), partial(_packed_counts, plan.field)
+    else:
+        levels, slot_counts = _digit_levels(plan), _slot_counts
+    out, wanted = [], set(order)
+    for level, _first, state, total in levels:
+        if level not in wanted:
+            continue
+        columns, counts = slot_counts(state)
+        vec = decode(level, columns)
+        raw = dict(zip(vec[0] if len(vec) == 1 else zip(*vec), counts))
+        support = tuple(sorted(raw))
+        counts = tuple(raw[q] for q in support)
+        dist = (level, weights.dim, kind, support, counts, total, scale, width, 0)
+        out.append(WordDistribution(*dist))
+    return out
 
 
 def distribution(
@@ -1114,17 +1114,13 @@ def _float_range(transitions: list[tuple[str, str, tuple]], n: int) -> None:
     ``max(1, L * m)**2``, ``m`` the largest entry of a weight in absolute
     value; the first level at which that bound reaches ``2**1023`` (half the
     float range, room for rounding) raises ``ResourceError`` naming its
-    radius.  The path counts are exact ints, formed up to that level.
+    radius.  The path counts are ``_path_totals``' exact ints, formed up to
+    that level.
     """
     m = max((abs(x) for *_, vec in transitions for x in vec), default=0.0)
-    paths = {START_VERTEX: 1}
-    for level in range(1, n + 1):
-        nxt: dict[str, int] = {}
-        for source, target, _vec in transitions:
-            if source in paths:
-                nxt[target] = nxt.get(target, 0) + paths[source]
-        paths = nxt
-        if (total := sum(paths.values())) >= 2.0**1023 / max(1.0, level * m) ** 2:
+    pairs = [(source, target) for source, target, _vec in transitions]
+    for level, total in enumerate(_path_totals(pairs, n)):
+        if total >= 2.0**1023 / max(1.0, level * m) ** 2:
             raise ResourceError(
                 f"the float moment sums of radius {level} could leave the float "
                 f"range: its {total.bit_length()}-bit path count times ({level} * "

@@ -37,9 +37,9 @@ from .enumerate import (
     MomentData,
     WordDistribution,
     _exact_div,
+    _window_counts,
     distribution_overcounted,
     distribution_sweep,
-    interval_count_sweep,
     log_weighted_sum_sweep,
     moment_sweep,
     weighted_counts,
@@ -873,12 +873,12 @@ def mclt_check(
     compared with the Gaussian rectangle mass (absolute tolerance 0.01,
     continuity-corrected on cell boundaries).  The cell masses at the
     largest ``n`` are summed on the engine's digit planes by
-    ``weighted_counts``: one forward half to a level ``L`` for every cell
-    and one backward half per cell, joined by exact inner products; Python
-    integers are built only for the joins' chunk sums, not for the
-    distribution.  Cells use
-    ``None`` for an infinite bound; the default is the lower quadrant for
-    2-d weights and no cell otherwise.
+    ``weighted_counts``, the join that also gives ``llt_check`` its counts:
+    one forward half to a level ``L`` for every cell and one backward half
+    per cell, charged by those halves alone and joined by exact inner
+    products; Python integers are built only for the joins' chunk sums.
+    Cells use ``None`` for an infinite bound; the default is the lower
+    quadrant for 2-d weights and no cell otherwise.
 
     Raises
     ------
@@ -1046,9 +1046,10 @@ def llt_check(
 
     Per ``n``: ``q_n = sqrt(n) * count(phi in [a + n tau, b + n tau]) /
     #W_n`` from the binned enumeration (bin at most ``(b - a)/50``), against
-    the target ``L = (b - a) / (sqrt(2 pi) sigma)``; the interval is
-    recentred by ``n`` times the drift ``tau``, so it follows the center of
-    the distribution (with drift 0 it does not move).  Checks:
+    the target ``L = (b - a) / (sqrt(2 pi) sigma)``, every count from one
+    join of the engine (``_window_counts``).  The interval is recentred by
+    ``n`` times the drift ``tau``, so it follows the center of the
+    distribution (with drift 0 it does not move).  Checks:
     ``|q_n / L - 1| <= 0.1`` at the largest ``n`` and the deviation trends
     downward; a zero-length interval checks ``q_n`` against one bin's mass.
 
@@ -1108,29 +1109,31 @@ def llt_check(
     if not width > 0.0:
         raise InvalidArgumentError(f"bin width must be positive, got {width!r}")
 
-    # the interval recentred by n * drift at each n, counted on a window one
-    # slot wider; the float test below decides each slot
+    # the interval recentred by n * drift at each n; bin q is counted if its
+    # value passes lo_n - fuzz <= q * width <= hi_n + fuzz in floats, and the
+    # rounded q * width never falls as q grows, so those bins are one range
     drift = stats.drift[0]
-    intervals = []
+    lo, hi = [], []
     for n in grid:
         lo_n, hi_n = a + n * drift, b + n * drift
-        intervals.append((lo_n, hi_n, 1e-12 * max(1.0, abs(lo_n), abs(hi_n))))
-    lo = [math.floor((x - fuzz) / width) - 1 for x, _, fuzz in intervals]
-    hi = [math.ceil((y + fuzz) / width) + 1 for _, y, fuzz in intervals]
-    dists = interval_count_sweep(coding, weights, grid, width, lo, hi)
+        fuzz = 1e-12 * max(1.0, abs(lo_n), abs(hi_n))
+        first, last = math.floor((lo_n - fuzz) / width) - 1, math.ceil((hi_n + fuzz) / width) + 1
+        while first * width < lo_n - fuzz:
+            first += 1
+        while last * width > hi_n + fuzz:
+            last -= 1
+        lo.append(first)
+        hi.append(last)
+    counts, totals = _window_counts(coding, weights, grid, width, lo, hi)
     target = (b - a) / (math.sqrt(2.0 * math.pi) * sigma)
     rows = []
     q_values = []
-    for dist, (lo_n, hi_n, fuzz) in zip(dists, intervals):
-        count = 0
-        for value, c in zip(dist.support, dist.counts):
-            if lo_n - fuzz <= value <= hi_n + fuzz:
-                count += c
-        q_n = math.sqrt(dist.n) * (count / dist.total)
+    for n, count, total in zip(grid, counts, totals):
+        q_n = math.sqrt(n) * (count / total)
         q_values.append(q_n)
         rows.append(
             {
-                "n": dist.n,
+                "n": n,
                 "observed": q_n,
                 "predicted": target,
                 "residual": q_n - target,

@@ -2,14 +2,15 @@
 
 Random integer and dyadic-rational edge tables of dimension 1 to 3 on
 free:1, free:2, the mirror fixture and a Z/2*Z/3 coding are enumerated by
-the engine and compared with the brute-force word walk (n <= 8), with the
-dict-per-vertex DP (``oracles.dict_lattice_counts``, n <= 40), and, for
-interval windows, with the full distribution restricted to each window.
-Weighted counts (``weighted_counts``, the cell sums of ``mclt``) are
-compared with the same sums over the distribution and the word walk, joined
-at every split level of the forward and backward halves, on mirrored plans
-with asymmetric weights and on plans without a mirror; the exact float join
-is pinned at its largest chunk sums.
+the engine and compared with the brute-force word walk (n <= 8) and with
+the dict-per-vertex DP (``oracles.dict_lattice_counts``, n <= 40).
+Weighted counts (``weighted_counts``, the cell sums of ``mclt``) and window
+counts (``_window_counts``, the interval counts of ``llt``) come from one
+join of forward and backward halves; they are compared with the same
+sums over the distribution and the word walk, joined at every split level,
+on mirrored plans with asymmetric weights and windows and on plans without
+a mirror, and each join is charged by its halves alone; the exact float
+join is pinned at its largest chunk sums.
 Fixed cases cover counts of several 48-bit digits with deferred carries,
 offsets with a common factor, and vector lattices whose reduced basis is
 not the coordinate axes.  The engine's two level loops, digit planes and
@@ -24,7 +25,9 @@ missed on named codings and weights.
 import math
 import time
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -38,16 +41,17 @@ from hypstat import enumerate as engine
 from hypstat.enumerate import (
     _DIGIT_BITS,
     _PACKED_BITS,
+    _additions,
     _digit_levels,
-    _slot_counts,
     _edge_table,
     _flatten,
     _packed_levels,
     _plan,
     _round_half_even,
+    _slot_counts,
     _split_counts,
     _transitions,
-    interval_count_sweep,
+    _window_counts,
     weighted_counts,
 )
 
@@ -81,6 +85,14 @@ def weight_cases(
 
 def histogram(dist):
     return dict(zip(dist.support_scaled, dist.counts))
+
+
+@contextmanager
+def joined_at(split):
+    """Every join of ``_split_counts`` made at level ``split``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_split_counts", partial(_split_counts, split=split))
+        yield
 
 
 @st.composite
@@ -164,8 +176,8 @@ class TestAgainstOracles:
 @st.composite
 def engine_plans(draw):
     """A plan of a random coding: a start vertex and one to four others
-    joined by random edges, a scalar lattice, binned real, 2-d or 3-d edge
-    table flattened as ``_sweep`` flattens it, and random kept windows."""
+    joined by random edges, and a scalar lattice, binned real, 2-d or 3-d
+    edge table flattened as ``distribution_sweep`` flattens it."""
     names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
     candidates = [(s, t) for s in [hs.START_VERTEX, *names] for t in names]
     pairs = draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True))
@@ -183,13 +195,7 @@ def engine_plans(draw):
     # lattice tables ignore the bin width
     table = _edge_table(weights, n_max, 0.25)[3]
     engine_edges, step, *_ = _flatten(_transitions(coding, table), n_max)
-    keep = None
-    if draw(st.booleans()):
-        keep = []
-        for level in range(n_max + 1):
-            lo = draw(st.integers(-2, level * step + 2))
-            keep.append((lo, lo + draw(st.integers(-1, level * step + 2))))
-    return _plan(engine_edges, step, n_max, keep)
+    return _plan(engine_edges, step, n_max)
 
 
 def vertex_slots(state, width, field=None):
@@ -231,21 +237,22 @@ class TestLevelLoops:
         for name in ("_digit_levels", "_packed_levels"):
             loop = getattr(engine, name)
 
-            def spy(plan, loop=loop, name=name):
+            def spy(plan, *start, loop=loop, name=name):
                 ran.append(name)
-                return loop(plan)
+                return loop(plan, *start)
 
             monkeypatch.setattr(engine, name, spy)
         # dist at n = 40 and the 2-d dist at n = 60 run below the limit
         hs.distribution(free2, hs.weights_from_homomorphism(free2, {"a": 1, "b": 0}), 40)
         hs.distribution(free2, abel, 60)
         assert ran == ["_packed_levels"] * 2
-        # llt's windowed sweep to n = 300 runs above it
+        # llt's window counts to n = 300 run on the planes: a forward half
+        # to the join level and the backward halves of n = 200 and 300
         ran.clear()
         beta = hs.weights_from_homomorphism(free2, {"a": 1, "b": 1 / math.sqrt(2)})
         stats = hs.limit_statistics(free2, beta)
         hs.llt_check(free2, beta, stats, -0.5, 0.5, [100, 200, 300])
-        assert ran == ["_digit_levels"]
+        assert ran == ["_digit_levels"] * 3
         # mclt's cell masses run on the planes; at n = 200 their plan is
         # above the limit too
         edges, step, *_ = flattened(free2, abel, 200)
@@ -256,8 +263,8 @@ class TestLevelLoops:
 def mirrored_plans(draw):
     """A plan whose offsets have a mirror: vertex pairs ``v``/``w`` and fixed
     points ``f``, each drawn edge joined by its mirror with the negated
-    value (an edge that is its own mirror has value 0), scalar, 2-d or 3-d
-    integer values, and random kept windows."""
+    value (an edge that is its own mirror has value 0), and scalar, 2-d or
+    3-d integer values."""
     sigma = {hs.START_VERTEX: hs.START_VERTEX}
     for i in range(draw(st.integers(1, 2))):
         sigma[f"v{i}"], sigma[f"w{i}"] = f"w{i}", f"v{i}"
@@ -275,14 +282,7 @@ def mirrored_plans(draw):
             table[s, t], table[image] = value, tuple(-x for x in value)
     n_max = draw(st.integers(0, 24 if dim == 1 else 6))
     edges, step, *_ = _flatten([(s, t, v) for (s, t), v in table.items()], n_max)
-    keep = None
-    if draw(st.booleans()):
-        keep = []
-        for level in range(n_max + 1):
-            lo = draw(st.integers(-2, level * step + 2))
-            # a window inverted by two slots or more hulls to an asymmetric level
-            keep.append((lo, lo + draw(st.integers(-3, level * step + 2))))
-    return _plan(edges, step, n_max, keep)
+    return _plan(edges, step, n_max)
 
 
 class TestMirror:
@@ -339,9 +339,6 @@ class TestMirror:
 
         edges, step = edges_of(table)
         assert _plan(edges, step, 10).mirror == mirror
-        # a window inverted by two slots or more leaves its level asymmetric
-        keep = [(0, level * step) for level in range(10)] + [(10 * step, 0)]
-        assert _plan(edges, step, 10, keep).mirror is None
         # one edge value moved breaks the mirror
         key = coding.edges[-1].source, coding.edges[-1].target
         moved = {**table, key: (table[key][0] + 1, *table[key][1:])}
@@ -352,17 +349,21 @@ class TestMirror:
         stats = hs.limit_statistics(free2, beta)
         mirrors, loop = [], engine._digit_levels
 
-        def spy(plan):
-            mirrors.append(plan.mirror)
-            return loop(plan)
+        def spy(plan, *start):
+            mirrors[-1].append(plan.mirror)
+            return loop(plan, *start)
 
         monkeypatch.setattr(engine, "_digit_levels", spy)
         rows = []
         for found in (engine._mirror, lambda groups, step: None):
             monkeypatch.setattr(engine, "_mirror", found)
+            mirrors.append([])
             report = hs.llt_check(free2, beta, stats, -0.3, 0.7, [100, 200, 300])
             rows.append(report.rows)
-        assert mirrors[0] is not None and mirrors[1] is None
+        # the forward half and the backward halves of n = 200 and 300, each
+        # mirrored on the symmetric hull of its window or run whole
+        assert len(mirrors[0]) == len(mirrors[1]) == 3
+        assert None not in mirrors[0] and mirrors[1] == [None] * 3
         assert rows[0] == rows[1]
 
 
@@ -391,7 +392,7 @@ class TestDigitPlanes:
         for level, _first, state, total in _digit_levels(_plan(edges, step, n)):
             done.append(level)
         assert sorted(carried) == levels
-        assert sum(_slot_counts(state, 0, n * step)[1]) == total
+        assert sum(_slot_counts(state)[1]) == total
 
     def test_free5_carries_every_five_levels_to_forty(self):
         # in-degree 9, so carries are propagated every 5 levels (9**5 digit
@@ -424,12 +425,9 @@ class TestDigitPlanes:
         ns = [4, 9, 15]
         full = hs.distribution_sweep(free2, weights, ns)
         for lo, hi in [(0, 0), (1, 1), (-5, 6), (-3, -2), (2, 2 + g)]:
-            cut = interval_count_sweep(free2, weights, ns, None, [lo] * 3, [hi] * 3)
-            for whole, part in zip(full, cut):
-                assert histogram(part) == {
-                    q: c for q, c in histogram(whole).items() if lo <= q <= hi
-                }
-                assert part.total == whole.total
+            counts, totals = _window_counts(free2, weights, ns, None, [lo] * 3, [hi] * 3)
+            assert counts == [window_sum(whole, lo, hi) for whole in full]
+            assert totals == [whole.total for whole in full]
 
     @pytest.mark.parametrize(
         "table, n, rank, box",
@@ -479,6 +477,11 @@ class TestReducedBasisRounding:
         assert _round_half_even(p, q) == round(Fraction(p, q)) == k + k % 2
 
 
+def window_sum(dist, lo, hi):
+    """The counts of a scalar distribution's scaled values in ``lo..hi``."""
+    return sum(c for q, c in histogram(dist).items() if lo <= q <= hi)
+
+
 class TestWindows:
     @EXAMPLES
     @given(st.data())
@@ -490,20 +493,30 @@ class TestWindows:
         reach = max(abs(q) for d in full for q in d.support_scaled) + 3
         lo = [data.draw(st.integers(-reach, reach)) for _ in ns]
         hi = [a + data.draw(st.integers(-2, reach)) for a in lo]
-        cut = interval_count_sweep(coding, weights, ns, 0.25, lo, hi)
-        windows = dict(zip(ns, zip(lo, hi)))
-        assert [d.n for d in cut] == [d.n for d in full]
-        for whole, part in zip(full, cut):
-            a, b = windows[whole.n]
-            assert histogram(part) == {
-                q: c for q, c in histogram(whole).items() if a <= q <= b
-            }
-            assert (part.total, part.kind, part.scale, part.bin_width) == (
-                whole.total,
-                whole.kind,
-                whole.scale,
-                whole.bin_width,
-            )
+        counts, totals = _window_counts(coding, weights, ns, 0.25, lo, hi)
+        # one count and one total per radius, in the order of ns
+        dists = {d.n: d for d in full}
+        assert counts == [window_sum(dists[n], a, b) for n, a, b in zip(ns, lo, hi)]
+        assert totals == [dists[n].total for n in ns]
+
+    @EXAMPLES
+    @given(st.data())
+    def test_every_split_equals_the_window_sums(self, data):
+        # lattice and binned weights, mirrored plans or not, windows that
+        # need not be symmetric, and every split level, so radii fall on
+        # both sides of it
+        coding, weights = data.draw(split_cases(dims=(1,), real=True))
+        ns = data.draw(st.lists(st.integers(0, 10), min_size=1, max_size=3, unique=True))
+        full = {d.n: d for d in hs.distribution_sweep(coding, weights, ns, bin_width=0.25)}
+        reach = max(abs(q) for d in full.values() for q in d.support_scaled) + 2
+        lo = [data.draw(st.integers(-reach, reach)) for _ in ns]
+        hi = [a + data.draw(st.integers(-1, reach)) for a in lo]
+        expected = [window_sum(full[n], a, b) for n, a, b in zip(ns, lo, hi)]
+        totals = [full[n].total for n in ns]
+        assert _window_counts(coding, weights, ns, 0.25, lo, hi) == (expected, totals)
+        for split in range(max(ns) + 1):
+            with joined_at(split):
+                assert _window_counts(coding, weights, ns, 0.25, lo, hi) == (expected, totals)
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -521,33 +534,36 @@ class TestWindows:
         ns = [3, 7, 12]
         width = 0.5
         full = hs.distribution_sweep(free2, weights, ns, width)
-        cut = interval_count_sweep(free2, weights, ns, width, [lo] * 3, [hi] * 3)
+        counts, totals = _window_counts(free2, weights, ns, width, [lo] * 3, [hi] * 3)
         assert max(full[-1].support_scaled) == 36
-        for whole, part in zip(full, cut):
-            assert histogram(part) == {
-                q: c for q, c in histogram(whole).items() if lo <= q <= hi
-            }
-            assert part.total == whole.total == 4 * 3 ** (whole.n - 1)
+        assert counts == [window_sum(whole, lo, hi) for whole in full]
+        assert totals == [4 * 3 ** (n - 1) for n in ns]
 
     def test_rejects_vector_weights_and_missing_windows(self, free2, abel, proj):
-        with pytest.raises(hs.InvalidArgumentError):
-            interval_count_sweep(free2, abel, [3], None, [0], [1])
-        with pytest.raises(hs.InvalidArgumentError):
-            interval_count_sweep(free2, proj, [3, 4], 0.1, [0], [1])
+        with pytest.raises(hs.InvalidArgumentError, match="scalar"):
+            _window_counts(free2, abel, [3], None, [0], [1])
+        with pytest.raises(hs.InvalidArgumentError, match="one window per distinct radius"):
+            _window_counts(free2, proj, [3, 4], 0.1, [0], [1])
+        with pytest.raises(hs.InvalidArgumentError, match="one window per distinct radius"):
+            _window_counts(free2, proj, [3, 3], 0.1, [0, 0], [1, 1])
 
 
 @st.composite
-def split_cases(draw):
-    """A coding and a dyadic edge table of dimension 1 or 2: drawn edge by
-    edge (a plan without a mirror, mostly), or odd under inverting the
-    generators (a mirrored plan), a label without an inverse taking 0."""
+def split_cases(draw, dims=(1, 2), real=False):
+    """A coding and a dyadic (or, scalar with ``real``, irrational) edge
+    table: drawn edge by edge (a plan without a mirror, mostly), or odd
+    under inverting the generators (a mirrored plan), a label without an
+    inverse taking 0."""
     codings = ("free2", "free3", "mirror", "z2z3")
     if not draw(st.booleans()):
-        return draw(weight_cases(dims=(1, 2), codings=codings))
+        return draw(weight_cases(dims=dims, real=real, codings=codings))
     coding = CODINGS[draw(st.sampled_from(codings))]
-    dim = draw(st.sampled_from((1, 2)))
-    den = draw(st.sampled_from([1, 2, 4]))
-    entry = st.integers(-2, 2).map(lambda k: k / den)
+    dim = draw(st.sampled_from(dims))
+    if real and draw(st.booleans()):
+        entry = st.integers(-2, 2).map(lambda k: k * math.sqrt(2) / 2)
+    else:
+        den = draw(st.sampled_from([1, 2, 4]))
+        entry = st.integers(-2, 2).map(lambda k: k / den)
     labels = {e.label for e in coding.edges}
     value = {}
     for label in sorted(labels, key=str.islower, reverse=True):
@@ -592,7 +608,8 @@ class TestWeightedCounts:
         assert sums == [weighted_sum(histogram(dist), w) for w in ws]
         # every split level joins its two halves to the same sums
         for split in range(n + 1):
-            assert _split_counts(coding, weights, n, ws, split) == (sums, total)
+            with joined_at(split):
+                assert weighted_counts(coding, weights, n, ws) == (sums, total)
         if n <= 8:
             scale = dist.scale
             words = Counter(
@@ -640,7 +657,8 @@ class TestWeightedCounts:
         dist = hs.distribution(coding, weights, n)
         assert expected == [weighted_sum(histogram(dist), w) for w in ws]
         for split in range(n + 1):
-            assert _split_counts(coding, weights, n, ws, split)[0] == expected
+            with joined_at(split):
+                assert weighted_counts(coding, weights, n, ws)[0] == expected
         assert weighted_counts(coding, weights, n, ws)[0] == expected
 
     @pytest.mark.parametrize("digits", [(1, 1), (2, 1)])
@@ -697,28 +715,71 @@ class TestByteBudget:
 
 
 class TestWorkBudget:
-    # the plan sums digits times kept slots times targets over its levels
-    # as each level's total arrives; level 1 of free:2 already makes 12
+    # a distribution's plan sums digits times slots times targets over its
+    # levels as each level's total arrives, and level 1 of free:2 already
+    # makes 12; a join is first charged with one digit a level, before any
+    # path is counted
     @pytest.mark.parametrize(
-        "run",
+        "run, refusal",
         [
-            lambda free2, aexp, abel: hs.distribution(free2, aexp, 8),
-            lambda free2, aexp, abel: interval_count_sweep(free2, aexp, [8], None, [-2], [2]),
-            lambda free2, aexp, abel: weighted_counts(free2, abel, 8, [lambda j, q: 1]),
+            (lambda free2, aexp, abel: hs.distribution(free2, aexp, 8), "level 1"),
+            (
+                lambda free2, aexp, abel: _window_counts(free2, aexp, [8], None, [-2], [2]),
+                "any join of the lattice enumeration to level 8",
+            ),
+            (
+                lambda free2, aexp, abel: weighted_counts(free2, abel, 8, [lambda j, q: 1]),
+                "any join of the lattice enumeration to level 8",
+            ),
         ],
-        ids=["distribution", "interval_count_sweep", "weighted_counts"],
+        ids=["distribution", "window_counts", "weighted_counts"],
     )
     def test_lowered_budget_refuses_before_the_first_level(
-        self, monkeypatch, free2, aexp, abel, run
+        self, monkeypatch, free2, aexp, abel, run, refusal
     ):
-        def never(plan):
+        def never(plan, start=None):
             raise AssertionError("a DP level ran")
 
         monkeypatch.setattr(engine, "_WORK_BUDGET", 10)
         monkeypatch.setattr(engine, "_packed_levels", never)
         monkeypatch.setattr(engine, "_digit_levels", never)
-        with pytest.raises(hs.ResourceError, match="^level 1 .* or 10-addition budget"):
+        with pytest.raises(hs.ResourceError, match=f"^{refusal} .* or 10-addition budget"):
             run(free2, aexp, abel)
+
+    @pytest.mark.parametrize("counts", ["weighted_counts", "window_counts"])
+    def test_a_join_is_charged_by_its_halves(self, monkeypatch, free2, abel, root_half, counts):
+        # the single forward pass makes more digit additions than the
+        # cheapest join; a budget between the two admits the join
+        if counts == "weighted_counts":
+            n, weights, table = 24, abel, _edge_table(abel, 24, None)[3]
+
+            def run():
+                return weighted_counts(free2, abel, n, [lambda j, q: 1 + (q > 0)])
+        else:
+            n, weights, table = 40, root_half, _edge_table(root_half, 40, 0.1)[3]
+
+            def run():
+                return _window_counts(free2, root_half, [20, n], 0.1, [-3, -5], [4, 5])
+
+        edges, step, *_ = _flatten(_transitions(free2, table), n)
+        single = _additions(_plan(edges, step, n))[-1]
+        charges, charge = [], engine._charge
+        monkeypatch.setattr(
+            engine, "_charge", lambda *args: (charges.append(args), charge(*args))[1]
+        )
+        expected = run()
+        joined = charges[-1][2]
+        assert 0 < joined < single
+        monkeypatch.setattr(engine, "_WORK_BUDGET", joined)
+        assert run() == expected
+
+        def never(plan, start=None):
+            raise AssertionError("a DP level ran")
+
+        monkeypatch.setattr(engine, "_WORK_BUDGET", joined - 1)
+        monkeypatch.setattr(engine, "_digit_levels", never)
+        with pytest.raises(hs.ResourceError, match=f"join.* {joined - 1}-addition budget"):
+            run()
 
     def test_a_backward_half_over_the_budget_refuses_before_the_first_level(
         self, monkeypatch, free2, abel
@@ -737,7 +798,8 @@ class TestWorkBudget:
 
         monkeypatch.setattr(engine, "_digit_levels", never)
         with pytest.raises(hs.ResourceError, match="^the lattice enumeration joined at level 1 of 8"):
-            _split_counts(free2, abel, 8, ws, 1)
+            with joined_at(1):
+                weighted_counts(free2, abel, 8, ws)
 
     def test_long_sweeps_stop_forming_totals_at_the_refused_level(
         self, monkeypatch, free2, aexp
