@@ -23,12 +23,14 @@ value, exact on the ``1/scale`` lattice or rounded once onto a bin.
 One engine enumerates every lattice, scalar or vector.  Values are
 enumerated in a reduced basis of the lattice their offsets span (an echelon
 basis, pairwise Lagrange-Gauss reduced, then changed while a move lowers
-the slots of a level; for scalar weights it is the gcd of the offsets), and
-coordinates in that basis are flattened with strides into slots, so no
-coordinate carries into the next and the abelianization of free:2 fills its
-box exactly.  Every change of basis is integer and unimodular, so the
-counts stay exact.  A level holds one row of slot counts per vertex, and an
-edge adds its source's row shifted by the edge's offset.
+the slots of a level; for scalar weights it is the gcd of the offsets).
+Level ``L`` spans ``0..L * range_i`` on reduced axis ``i``, ``range_i`` the
+spread of the offsets' coordinates, and the abelianization of free:2 fills
+that box exactly.  Coordinates are flattened into slots with the strides of
+level ``n_max``'s box, so no coordinate carries into the next; ``decode``
+reads values off the slots.  Every change of basis is integer and
+unimodular, so the counts stay exact.  A level holds one box of counts per
+vertex, and an edge adds its source's box shifted by the edge's offset.
 
 One plan, fixed before the first level, feeds two level loops: per-vertex
 path counts give every level's total (``#W_n``) and so its count bits.  A
@@ -37,13 +39,16 @@ against ``BYTE_BUDGET`` and running digit additions against
 ``_WORK_BUDGET``, so an oversized request raises ``ResourceError`` before
 any DP level runs.  Small DPs run on packed Python ints, one per vertex, of
 byte-aligned fields wide enough for the largest total, so no field carries
-and numpy is never imported.  Large ones run on ``uint64`` digit planes,
-one row per 48-bit digit, whose 16 spare bits absorb the incoming sums
-between carries (every 10 levels on free:2, whose targets take 3 edges from
-targets after level 1), so a level is a few numpy slice adds.  The plan's
-count bits choose the loop at a measured crossover (``_PACKED_BITS``).
-Either loop builds Python ints only for the nonzero slots of the wanted
-levels.
+and numpy is never imported; a field holds each flattened slot.  Large
+ones run on ``uint64`` digit planes, one box per 48-bit digit, whose 16
+spare bits absorb the incoming sums between carries (every 10 levels on
+free:2, whose targets take 3 edges from targets after level 1), so a level
+is a few numpy slice adds.  The planes hold each level on its own box, so a
+vector lattice keeps no gaps between the rows that ``n_max``'s strides
+leave at lower levels; a scalar lattice's box is one slice of slots.  The
+plan's count bits, on the flattened slots, choose the loop at a measured
+crossover (``_PACKED_BITS``).  Either loop builds Python ints only for the
+nonzero slots of the wanted levels.
 
 Weighted level sums run on the planes and build no distribution: the cell
 masses of ``mclt`` (``weighted_counts``) and the interval counts of ``llt``
@@ -56,21 +61,23 @@ level ``L`` that every radius shares; a radius ``n <= L`` is joined with
 forward level ``n``, and each radius ``n > L`` runs the same loop for ``K``
 from its slot weights on the transposed offset groups (an edge ``s -> t``
 of offset ``o`` read as ``t -> s`` of offset ``step - o``), keeping only
-the slots that can still reach a weighted one.  ``L`` makes the fewest
-digit additions over all halves, and only those halves are charged.  Each
-vertex's two halves are joined exactly: every 48-bit digit is split into
-three 16-bit chunks as float64, one matrix product per block of at most
-``2**21`` slots sums their products to integers below ``2**53``, which no
-summation order or BLAS kernel can round, and Python ints recombine the
+the slots that can still reach a weighted one: on a vector lattice,
+backward level ``j`` holds forward level ``n - j``'s box.  ``L`` makes the
+fewest digit additions over all halves, and only those halves are charged.
+Each vertex's two halves are joined exactly: every 48-bit digit is split
+into three 16-bit chunks as float64, one matrix product per block of at
+most ``2**21`` slots sums their products to integers below ``2**53``, which
+no summation order or BLAS kernel can round, and Python ints recombine the
 block sums.
 
 A homomorphism is odd under inverting every generator, which permutes the
 coding's vertices (a <-> A on free:2) and sends slot ``s`` of level ``L``
-to slot ``L * step - s``.  The plan looks for such a mirror in its offsets
-alone: an involution ``sigma`` of the targets, fixing the start, with
-``groups[sigma t][step - o]`` equal to ``sigma`` of ``groups[t][o]`` for
-every target ``t`` and offset ``o``.  While every level's kept slots are
-symmetric, induction on ``L`` gives ``state[sigma v] == state[v][:, ::-1]``
+to slot ``L * step - s``, which reflects every axis of the level's box.
+The plan looks for such a mirror in its offsets alone: an involution
+``sigma`` of the targets, fixing the start, with ``groups[sigma t][step -
+o]`` equal to ``sigma`` of ``groups[t][o]`` for every target ``t`` and
+offset ``o``.  While every level's kept slots are symmetric, induction on
+``L`` gives ``state[sigma v]`` as ``state[v]`` reversed on every box axis,
 exactly, so the digit planes compute one target of each pair and read its
 partner as a reversed view.  A mirror makes the counts ``C`` of level ``n``
 symmetric, so ``<C, w> = <C, w + w o sigma> / 2``: every weight is
@@ -110,20 +117,21 @@ _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 #: carries are propagated before a level could push a digit past this (one
 #: carry pass then adds at most 2**16 - 1 to a digit without overflow)
 _DIGIT_CEILING = 2**64 - 2**16
-#: largest ``_Plan.bits`` run on packed ints instead of digit planes.  On
-#: free:2 (2-core x86-64, Python 3.11) packed ints took about the planes'
-#: time at 2**25.6 bits (scalar n = 200, a plan with no mirror) and 2-3x
-#: the mirrored planes' near 2**27 (2-d n = 80, 28-33 against 10-15 ms),
-#: less than the ~90 ms numpy import they spare; from 2**32 (llt's single
-#: forward pass to n = 300, the single forward pass of a 2-d n = 200 plan)
-#: they took 6-19x the mirrored planes'.  The joins of ``_split_counts``
-#: run on the planes alone
+#: largest ``_Plan.bits`` run on packed ints instead of digit planes (the
+#: bits count the flattened slots packed ints hold).  On free:2 (2-core
+#: x86-64, Python 3.11) packed ints took about the planes' time at 2**25.6
+#: bits (scalar n = 200, a plan with no mirror, 8 against 8-12 ms) and 2-3x
+#: the mirrored box planes' at 2**27 (2-d n = 80, 22-29 against 9-14 ms),
+#: less than the ~90 ms numpy import they spare; at 2**32.3 (the single
+#: forward pass of a 2-d n = 200 plan) they took 5x the box planes' (734
+#: against 142 ms).  The joins of ``_split_counts`` run on the planes alone
 _PACKED_BITS = 2**27
-#: cap on one DP's digit additions (digits times kept slots times targets,
+#: cap on one DP's digit additions (digits times kept cells times targets,
 #: summed over the levels, and over both halves of a join); the largest
-#: shipped joins make about 4e7: mclt's default cell at n = 200 (a forward
-#: half to level 90 and one backward half, 3.6e7 against 8.0e7 for the
-#: single pass), and llt's window counts at 100:300:100 on exact-scalar
+#: shipped joins make a few 1e7: mclt's default cell at n = 200 (a forward
+#: half to level 90 and one backward half on their boxes, 2.2e7 against
+#: 6.0e7 for the single pass), and llt's window counts at 100:300:100 on
+#: exact-scalar
 _WORK_BUDGET = 2**32
 #: denominator of the default bin width for real scalar weights
 _DEFAULT_BIN_DENOMINATOR = 200
@@ -344,30 +352,71 @@ def _reduced_basis(diffs: list[list[int]], k: int, n_max: int):
     return basis, coords
 
 
+class _Box(NamedTuple):
+    """The flattened value lattice's box: reduced axis ``i`` has stride
+    ``strides[i]`` and offsets ``0..ranges[i]``, so level ``L`` holds
+    coordinates ``0..L * ranges[i]`` on it.  A slot's coordinates are read
+    off the strides from the top axis down, which holds for every slot
+    whose coordinates stay inside level ``n_max``'s box."""
+
+    strides: tuple[int, ...]
+    ranges: tuple[int, ...]
+
+    @property
+    def step(self) -> int:
+        """The slot of level 1's top corner, which bounds every offset."""
+        return sum(s * r for s, r in zip(self.strides, self.ranges))
+
+    def corner(self, slot: int) -> list[int]:
+        """The coordinates of ``slot`` on each axis."""
+        coords = []
+        for stride in reversed(self.strides):
+            c, slot = divmod(slot, stride)
+            coords.append(c)
+        return coords[::-1]
+
+    def extents(self, first: int, top: int) -> tuple[int, ...]:
+        """Each axis's extent in the box of slots ``first..top`` (its lowest
+        and highest corners)."""
+        lows, highs = self.corner(first), self.corner(top)
+        return tuple(b - a + 1 for a, b in zip(lows, highs))
+
+    def cells(self, first: int, top: int) -> int:
+        """The cells of ``extents``' box."""
+        return math.prod(self.extents(first, top))
+
+    def region(self, origin: int, first: int, top: int) -> tuple[slice, ...]:
+        """The box of slots ``first..top`` in an array whose cell 0 is slot
+        ``origin``, with the planes' axis order: reduced axis 0 last."""
+        base, lows, highs = self.corner(origin), self.corner(first), self.corner(top)
+        return tuple(slice(a - o, b - o + 1) for o, a, b in zip(base, lows, highs))[::-1]
+
+
 def _flatten(transitions: Sequence[tuple[str, str, tuple[int, ...]]], n_max: int):
-    """``(edges, step, decode, origin, basis)`` of the flattened value lattice.
+    """``(edges, box, decode, origin, basis)`` of the flattened value lattice.
 
     The offsets ``v_e - v_0`` from the first edge's value have coordinates
     ``c_e`` in the basis ``b_i`` of ``_reduced_basis`` (rank ``r``, so the
-    box is ``r``-dimensional).  A value at level ``L`` is ``L * origin +
-    sum_i k_i b_i``, ``origin = v_0 + sum_i low_i b_i``, ``low_i = min_e
-    c_ei``, ``0 <= k_i <= L * (high_i - low_i)``.  An edge's offset is
-    ``sum_i (c_ei - low_i) * stride_i``, the strides multiplying the spans
-    ``n_max * (high_i - low_i) + 1``; ``step`` bounds the offsets, and
-    ``decode(level, slots)`` decodes slots to one array of exact scaled
-    values per axis: ``int64`` when no value of the level can overflow it,
-    Python ints otherwise.
+    box is ``r``-dimensional; rank 0 gets one axis of range 0).  A value at
+    level ``L`` is ``L * origin + sum_i k_i b_i``, ``origin = v_0 + sum_i
+    low_i b_i``, ``low_i = min_e c_ei``, ``0 <= k_i <= L * (high_i -
+    low_i)``.  An edge's offset is ``sum_i (c_ei - low_i) * stride_i``, the
+    strides multiplying the spans ``n_max * (high_i - low_i) + 1``; ``box``
+    holds the strides and ranges, and ``decode(level, slots)`` decodes slots
+    to one array of exact scaled values per axis: ``int64`` when no value
+    of the level can overflow it, Python ints otherwise.
     """
     k = len(transitions[0][2]) if transitions else 1
     v0 = transitions[0][2] if transitions else (0,) * k
     diffs = [[a - b for a, b in zip(vec, v0)] for *_, vec in transitions]
     basis, coords = _reduced_basis(diffs, k, n_max)
-    axes, stride, step = [], 1, 0
+    axes, ranges, stride = [], [], 1
     for i in range(len(basis)):
         low, high = min(c[i] for c in coords), max(c[i] for c in coords)
         axes.append((low, stride, n_max * (high - low) + 1))
-        step += (high - low) * stride
+        ranges.append(high - low)
         stride *= axes[-1][2]
+    box = _Box(tuple(s for _low, s, _span in axes) or (1,), tuple(ranges) or (0,))
     origin = [
         v0[t] + sum(low * b[t] for (low, *_), b in zip(axes, basis)) for t in range(k)
     ]
@@ -399,7 +448,7 @@ def _flatten(transitions: Sequence[tuple[str, str, tuple[int, ...]]], n_max: int
                 vec[t] += ks * b[t]
         return vec
 
-    return edges, step, decode, origin, basis
+    return edges, box, decode, origin, basis
 
 
 class _Plan(NamedTuple):
@@ -408,12 +457,14 @@ class _Plan(NamedTuple):
     ``groups[t][off]`` lists the sources of the edges into ``t`` with offset
     ``off``; ``totals[L]`` counts every path of level ``L`` (bounds every
     sum of it, on a backward half); ``spans[L]`` is ``(first, top,
-    width)``: the slots level ``L`` keeps and its width before pruning; ``digits[L]`` is the planes' 48-bit digits,
-    enough for the largest total so far; ``field`` is the packed ints' bits
-    per slot, whole bytes that hold the largest total; ``bits`` is ``field``
-    times the slots of every target's levels, the count bits of the DP;
-    ``mirror`` maps each target to its partner under the plan's mirror (see
-    the module docstring), or is None.
+    width)``: level ``L`` keeps the box of slots ``first..top`` (on a scalar
+    lattice, the slots themselves), of ``width`` cells;
+    ``digits[L]`` is the planes' 48-bit digits, enough for the largest total
+    so far; ``field`` is the packed ints' bits per slot, whole bytes that
+    hold the largest total; ``bits`` is ``field`` times the flattened slots
+    of every target's levels, the count bits of the packed loop; ``mirror``
+    maps each target to its partner under the plan's mirror (see the module
+    docstring), or is None; ``box`` is the lattice's box.
     """
 
     groups: dict[str, dict[int, list[str]]]
@@ -423,15 +474,17 @@ class _Plan(NamedTuple):
     field: int
     bits: int
     mirror: dict[str, str] | None
+    box: _Box
 
 
 def _mirror(groups: dict[str, dict[int, list[str]]], step: int) -> dict[str, str] | None:
     """The mirror of the offset groups, or None if none is found.
 
     A target's partner is the one target whose offsets and source counts
-    are its own reflected (``o -> step - o``); an ambiguous or missing
-    partner gives None, and so does a pairing whose sources do not map
-    onto the partner's as multisets.  Non-targets map to themselves.
+    are its own reflected (``o -> step - o``, which reflects the offset on
+    every axis of the box); an ambiguous or missing partner gives None, and
+    so does a pairing whose sources do not map onto the partner's as
+    multisets.  Non-targets map to themselves.
     """
     def signature(target: str, reflect: bool = False) -> tuple:
         parts = groups[target].items()
@@ -463,23 +516,24 @@ def _charge(what: str, live: int, work: int) -> None:
         )
 
 
-def _skeleton(edges: list, step: int, n_max: int) -> _Plan:
+def _skeleton(edges: list, box: _Box, n_max: int) -> _Plan:
     """The plan of levels ``0..n_max`` before any path is counted: every
     total 1 and every level one digit, each a bound from below."""
     groups: dict[str, dict[int, list[str]]] = {}
     for source, target, offset in edges:
         groups.setdefault(target, {}).setdefault(offset, []).append(source)
-    spans = [(0, level * step, level * step + 1) for level in range(n_max + 1)]
+    step = box.step
+    spans = [(0, level * step, box.cells(0, level * step)) for level in range(n_max + 1)]
     ones = [1] * (n_max + 1)
-    return _Plan(groups, ones, spans, ones, 8, 0, _mirror(groups, step))
+    return _Plan(groups, ones, spans, ones, 8, 0, _mirror(groups, step), box)
 
 
-def _plan(edges: list, step: int, n_max: int, charge: bool = True) -> _Plan:
+def _plan(edges: list, box: _Box, n_max: int, charge: bool = True) -> _Plan:
     """Plan the single forward pass over levels ``0..n_max``; with ``charge``
     it is refused at the first level whose digit planes (which outsize
     packed ints) exceed ``BYTE_BUDGET`` or whose running digit additions
     exceed ``_WORK_BUDGET``."""
-    plan = _skeleton(edges, step, n_max)
+    plan = _skeleton(edges, box, n_max)
     targets, spans = len(plan.groups), plan.spans
     totals, digits, bits, work = [], [], 0, 0
     for level, total in enumerate(_path_totals([(s, t) for s, t, _ in edges], n_max)):
@@ -491,15 +545,17 @@ def _plan(edges: list, step: int, n_max: int, charge: bool = True) -> _Plan:
             work += size * targets
             _charge(f"level {level} of the lattice enumeration", 16 * targets * size, work)
     field = -(-bits // 8) * 8
-    slots = sum(width for *_, width in spans[1:])
+    # packed ints hold levels 1..n_max on their flattened slots
+    slots = n_max + box.step * n_max * (n_max + 1) // 2
     return plan._replace(totals=totals, digits=digits, field=field, bits=field * targets * slots)
 
 
 def _carry(planes: np.ndarray) -> None:
     """Propagate carries in place, so every digit but the top is below 2**48.
 
-    The top digit needs no mask: the planes have enough digits for every
-    count they hold, so nothing carries out of it.
+    ``planes[d]`` is digit ``d`` of every cell.  The top digit needs no
+    mask: the planes have enough digits for every count they hold, so
+    nothing carries out of it.
     """
     for d in range(len(planes) - 1):
         planes[d + 1] += planes[d] >> _DIGIT_BITS
@@ -516,19 +572,24 @@ def _digit_levels(
 ) -> Iterator[tuple[int, int, dict[str, np.ndarray], int]]:
     """Digit-plane lattice DP; yields ``(level, first, state, total)``.
 
-    ``state[v]`` is a ``uint64`` array of shape ``(digits, slots)``: column
-    ``i`` counts the paths ending at ``v`` in slot ``first + i`` (slot 0 is
-    the level's least reachable value) as ``sum_d state[v][d, i] << 48 d``,
-    carries not yet propagated; ``total`` is ``plan.totals[level]``.  The
+    ``state[v]`` is a ``uint64`` array of shape ``(digits, *extents)``, the
+    extents of the level's box with reduced axis 0 last: cell ``c`` counts
+    the paths ending at ``v`` in the slot of coordinates ``corner(first) +
+    c`` as ``sum_d state[v][d][c] << 48 d``, carries not yet propagated
+    (``first`` is the level's lowest slot: 0 on a forward plan); ``total``
+    is ``plan.totals[level]``.  A level is computed on the box
+    ``plan.spans`` keeps: each offset group adds the part of its sources
+    that lands in it, so a scalar lattice runs on one slice of slots.  The
     arrays are views of two buffers per computed target, reused every other
-    level, and a mirrored target's array is its partner's reversed: read or
-    copy them before advancing.  Level 0 is ``start``, carried planes of
-    the slots ``plan.spans[0]`` keeps (default: one path at ``"*"``).
+    level, and a mirrored target's array is its partner's reversed on every
+    axis: read or copy them before advancing.  Level 0 is ``start``, carried planes of the box
+    ``plan.spans[0]`` keeps (default: one path at ``"*"``).
     """
     import numpy as np
-    groups, spans, digits, mirror = plan.groups, plan.spans, plan.digits, plan.mirror or {}
+    groups, spans, digits, box = plan.groups, plan.spans, plan.digits, plan.box
+    mirror, axes = plan.mirror or {}, len(box.ranges)
     if start is None:
-        start = {START_VERTEX: np.ones((1, 1), np.uint64)}
+        start = {START_VERTEX: np.ones((1,) * (1 + axes), np.uint64)}
     # a digit grows at most by the edges from the live sources: the start's
     # at level 1, the targets' after it
     fan = [
@@ -550,7 +611,11 @@ def _digit_levels(
         for t in groups
         if mirror.get(t, t) >= t
     }
+    # each offset's coordinates, in the planes' axis order
+    at = {off: box.corner(off)[::-1] for parts in groups.values() for off in parts}
+    flip = (slice(None),) + (slice(None, None, -1),) * axes
     state, bound = start, max((int(p.max()) for p in start.values()), default=0)
+    low = box.corner(spans[0][0])
     for level, (first, top, width) in enumerate(spans):
         if level:
             grow = fan[level > 1]
@@ -558,7 +623,33 @@ def _digit_levels(
                 for v in buffers.keys() & state.keys():
                     _carry(state[v])
                 bound = _DIGIT_MASK
-            rows, nxt = digits[level], {}
+            rows, nxt, cuts = digits[level], {}, {}
+            last, low, high = low, box.corner(first), box.corner(top)
+            shape = (rows, *(b - a + 1 for a, b in zip(low[::-1], high[::-1])))
+            # a source's cell c lands on cell c + moved + offset of the level
+            moved = [a - b for a, b in zip(last[::-1], low[::-1])]
+
+            def cut(off: int, srcs: list[np.ndarray]) -> tuple[list, tuple, list]:
+                """``(rest, into, parts)`` of offset ``off`` at this level:
+                the parts of the level its first group leaves zero, the box
+                of the level it adds to and the boxes of ``srcs`` it reads,
+                each of that box's shape, maybe empty."""
+                if off not in cuts:
+                    height, *extents = srcs[0].shape
+                    rest, into, take, whole = [], (), (slice(None),), True
+                    for m, o, e, size in zip(moved, at[off], extents, shape[1:]):
+                        a = max(0, m + o)
+                        b = max(a, min(size, e + m + o))
+                        rest.append((slice(None), *into, slice(a)))
+                        rest.append((slice(None), *into, slice(b, None)))
+                        into += (slice(a, b),)
+                        take += (slice(a - m - o, b - m - o),)
+                        whole = whole and b - a == e
+                    rest.append((slice(height, None), *into))
+                    cuts[off] = rest, (slice(height), *into), take, whole
+                rest, into, take, whole = cuts[off]
+                return rest, into, srcs if whole else [src[take] for src in srcs]
+
             for target, (even, odd) in buffers.items():
                 live = [
                     (off, srcs)
@@ -567,30 +658,25 @@ def _digit_levels(
                 ]
                 if not live:
                     continue
-                dst = (odd if level % 2 else even)[: rows * width].reshape(rows, width)
-                # the first offset group writes its region and the rest of
-                # dst is zeroed: one pass fewer than zeroing it all first
+                dst = (odd if level % 2 else even)[: rows * width].reshape(shape)
+                # the first offset group writes its box and the rest of dst
+                # is zeroed: one pass fewer than zeroing it all first
                 (off, srcs), *others = live
-                height, w = srcs[0].shape
-                dst[:, :off] = 0
-                dst[:, off + w :] = 0
-                dst[height:, off : off + w] = 0
-                region = dst[:height, off : off + w]
-                if len(srcs) == 1:
-                    np.copyto(region, srcs[0])
+                rest, into, parts = cut(off, srcs)
+                for part in rest:
+                    dst[part] = 0
+                if len(parts) == 1:
+                    np.copyto(dst[into], parts[0])
                 else:
-                    np.add(srcs[0], srcs[1], out=region)
-                for off, more in [(off, srcs[2:]), *others]:
-                    region = dst[:height, off : off + w]
+                    np.add(parts[0], parts[1], out=dst[into])
+                for _rest, into, more in [(rest, into, parts[2:]), *(cut(*g) for g in others)]:
+                    view = dst[into]
                     for src in more:
-                        region += src
+                        view += src
                 nxt[target] = dst
                 if (partner := mirror.get(target, target)) != target:
-                    nxt[partner] = dst[:, ::-1]
+                    nxt[partner] = dst[flip]
             state, bound = nxt, bound * grow
-        drop = first - spans[level - 1][0] if level else 0
-        if drop or top - first + 1 < width:
-            state = {v: p[:, drop : drop + top - first + 1] for v, p in state.items()}
         yield level, first, state, plan.totals[level]
 
 
@@ -598,10 +684,10 @@ def _packed_levels(plan: _Plan) -> Iterator[tuple[int, int, dict[str, int], int]
     """Packed-int lattice DP; yields ``(level, first, state, total)``.
 
     ``state[v]`` is one Python int whose ``plan.field``-bit field ``i``
-    counts the paths ending at ``v`` in slot ``i``, so an edge adds its
-    sources shifted by ``offset * field``.  No sum of fields exceeds the
-    level's total, so no field carries into the next.  The plan keeps every
-    slot, so ``first`` is 0.
+    counts the paths ending at ``v`` in flattened slot ``i``, so an edge
+    adds its sources shifted by ``offset * field``.  No sum of fields
+    exceeds the level's total, so no field carries into the next.  The plan
+    keeps every slot, so ``first`` is 0.
     """
     field, state = plan.field, {START_VERTEX: 1}
     for level, total in enumerate(plan.totals):
@@ -617,9 +703,10 @@ def _packed_levels(plan: _Plan) -> Iterator[tuple[int, int, dict[str, int], int]
         yield level, 0, state, total
 
 
-def _slot_counts(state: dict[str, np.ndarray]) -> tuple[list, list]:
-    """Every column summed over the vertices: nonzero columns and counts
-    (each at most the level's paths, so every carried digit is below 2**48)."""
+def _slot_counts(box: _Box, state: dict[str, np.ndarray]) -> tuple[list, list]:
+    """Every cell of a forward level summed over the vertices: the nonzero
+    cells' flattened slots, which ``decode`` reads, and their counts (each
+    at most the level's paths, so every carried digit is below 2**48)."""
     import numpy as np
     planes = list(state.values())
     if not planes:
@@ -630,9 +717,12 @@ def _slot_counts(state: dict[str, np.ndarray]) -> tuple[list, list]:
         _carry(part)
         acc += part
         _carry(acc)
-    columns = acc.any(axis=0).nonzero()[0]
-    counts = [0] * len(columns)
-    for row in acc[::-1, columns].tolist():
+    acc = acc.reshape(len(acc), -1)
+    cells = acc.any(axis=0).nonzero()[0]
+    coords = np.unravel_index(cells, planes[0].shape[1:])
+    columns = sum(c * s for c, s in zip(coords, box.strides[::-1]))
+    counts = [0] * len(cells)
+    for row in acc[::-1, cells].tolist():
         counts = [(c << _DIGIT_BITS) + d for c, d in zip(counts, row)]
     return columns.tolist(), counts
 
@@ -650,8 +740,8 @@ def _additions(plan: _Plan) -> list[int]:
     """Digit additions of levels ``1..L`` for every level ``L``, as ``_plan``
     charges them."""
     work = [0]
-    for digits, (first, top, _width) in zip(plan.digits[1:], plan.spans[1:]):
-        work.append(work[-1] + digits * (top - first + 1) * len(plan.groups))
+    for digits, (*_, width) in zip(plan.digits[1:], plan.spans[1:]):
+        work.append(work[-1] + digits * width * len(plan.groups))
     return work
 
 
@@ -666,29 +756,42 @@ def _buffer_bytes(plan: _Plan) -> int:
     return 16 * len(plan.groups) * _level_size(plan)
 
 
-def _axis_values(w: Callable[[int, int], int], axes: list) -> list[list[int]]:
-    """``w`` at each distinct coordinate of each axis, called once for each.
+def _axis_index(form: Sequence[int], extents: Sequence[int]) -> np.ndarray:
+    """``sum_i form[i] * k_i`` less its least value on every cell ``k`` of
+    the box of ``extents[i]`` on reduced axis ``i``, as an array in the
+    planes' axis order (reduced axis 0 last)."""
+    import numpy as np
+    index = np.zeros(extents[::-1], np.int64)
+    for i, (c, e) in enumerate(zip(form, extents)):
+        shape = [1] * len(extents)
+        shape[-1 - i] = e
+        index += (c * np.arange(e) - min(0, c * (e - 1))).reshape(shape)
+    return index
 
-    ``axes[j]`` is ``(distinct, inverse)``: axis ``j``'s distinct
-    coordinates and every slot's index among them.
-    """
-    values = [
-        [operator.index(w(j, q)) for q in distinct.tolist()]
-        for j, (distinct, _inverse) in enumerate(axes)
-    ]
+
+def _axis_values(w: Callable[[int, int], int], coordinates: list[list[int]]) -> list[list[int]]:
+    """``w`` at each of each axis's distinct coordinates, called once for each."""
+    values = [[operator.index(w(j, q)) for q in qs] for j, qs in enumerate(coordinates)]
     if min(map(min, values)) < 0:
         raise InvalidArgumentError("axis weights must be nonnegative integers")
     return values
 
 
-def _slot_weights(values: list[list[int]], axes: list) -> np.ndarray:
-    """One weight on every slot: the product of its axis values."""
+def _slot_weights(values: list[list[int]], axes: list, extents: list[int]) -> np.ndarray:
+    """One weight on every cell of a box: the product of its axis values.
+
+    ``axes[j]`` is ``(form, positions, size)``: axis ``j``'s ``_axis_index``
+    form, the index of each of its distinct coordinates and the index's
+    span.
+    """
     import numpy as np
     # uint64 holds every product, and a mirrored sum of two, below 2**63
     dtype = np.uint64 if math.prod(max(max(v), 1) for v in values) < 2**63 else object
-    weight = np.ones(len(axes[0][1]), dtype)
-    for v, (_distinct, inverse) in zip(values, axes):
-        weight = weight * np.array(v, dtype)[inverse]
+    weight = 1
+    for v, (form, positions, size) in zip(values, axes):
+        table = np.zeros(size, dtype)
+        table[positions] = v
+        weight = table[_axis_index(form, extents)] * weight
     return weight
 
 
@@ -714,14 +817,17 @@ def _chunks(planes: np.ndarray) -> np.ndarray:
 
 
 def _join(f: np.ndarray, g: np.ndarray) -> int:
-    """``sum_i f[:, i] . g[:, i]`` of two carried digit planes, exactly.
+    """``sum_c f[:, c] . g[:, c]`` over the cells of two carried digit
+    planes of one box, exactly.
 
-    Each block of ``_JOIN_BLOCK`` columns is one float64 matrix product of
-    the planes' 16-bit chunks, summed over slices of the block.  Every
-    partial sum of an entry is an integer below ``2**53``, so no summation
-    order, BLAS kernel or CPU can change it, and each block's entries are
-    recombined in Python ints.
+    Each plane becomes one row of cells per digit (a contiguous copy unless
+    its cells already are).  Each block of ``_JOIN_BLOCK`` cells is one
+    float64 matrix product of the planes' 16-bit chunks, summed over slices
+    of the block.  Every partial sum of an entry is an integer below
+    ``2**53``, so no summation order, BLAS kernel or CPU can change it, and
+    each block's entries are recombined in Python ints.
     """
+    f, g = f.reshape(len(f), -1), g.reshape(len(g), -1)
     width, total = f.shape[1], 0
     columns = max(1, _JOIN_CHUNKS // (3 * (len(f) + len(g))))
     for a in range(0, width, _JOIN_BLOCK):
@@ -738,7 +844,7 @@ def _join(f: np.ndarray, g: np.ndarray) -> int:
 
 def _split_counts(
     edges: list,
-    step: int,
+    box: _Box,
     n_max: int,
     windows: Sequence[tuple[int, int, int]],
     weigh: Callable[[], list[tuple[int, Callable[[], np.ndarray]]]],
@@ -746,18 +852,19 @@ def _split_counts(
 ) -> tuple[list[int], list[int]]:
     """Weighted level sums joined at level ``split`` (default: the cheapest).
 
-    Window ``(n, a, b)`` weighs slots ``a..b`` of level ``n <= n_max``;
-    ``weigh()`` gives each window's ``(top, build)``, and ``build()`` its
-    weights, integers in ``0..top`` (``uint64`` below ``2**63``, or ints).
-    The join is charged twice before its first level: with one digit a level
-    and unit weights, a bound from below before any path is counted or
-    ``weigh`` is called, then as planned.  Returns each window's sum and
-    ``#W_L`` for every level ``L``.
+    Window ``(n, a, b)`` weighs the box of slots ``a..b`` of level ``n <=
+    n_max`` (on a lattice of rank 2 or more, a whole level: ``a = 0`` and
+    ``b = n * step``); ``weigh()`` gives each window's ``(top, build)``, and
+    ``build()`` its weights on the box's cells, integers in ``0..top``
+    (``uint64`` below ``2**63``, or ints).  The join is charged twice before
+    its first level: with one digit a level and unit weights, a bound from
+    below before any path is counted or ``weigh`` is called, then as
+    planned.  Returns each window's sum and ``#W_L`` for every level ``L``.
     """
     import numpy as np
     if split is not None and not 0 <= split <= n_max:
         raise InvalidArgumentError(f"split level {split} is outside 0..{n_max}")
-    plan = _skeleton(edges, step, n_max)
+    plan, step = _skeleton(edges, box, n_max), box.step
     mirror, doubled = plan.mirror or {}, 1 + (plan.mirror is not None)
     # a mirrored level's counts are symmetric, so <C, w> = <C, w + w o sigma>
     # / 2: each window widens to its mirror hull and each top doubles
@@ -777,13 +884,14 @@ def _split_counts(
                     groups.setdefault(s, {}).setdefault(step - offset, []).append(target)
     # backward slot r of level j is forward slot r - j * step of level n - j,
     # so level j keeps the slots that can still reach a..b and meet a forward
-    # level; on a symmetric window they are symmetric, so a half keeps the mirror
+    # level (a whole level's box meets forward level n - j's box); on a
+    # symmetric window they are symmetric, so a half keeps the mirror
     kept = []
     for n, a, b in hulls:
-        spans = [(a, b, b - a + 1)]
-        for j in range(1, max(n - low, 0) + 1):
-            first, last, _width = spans[-1]
-            spans.append((max(j * step, a), min(n * step, b + j * step), last + step - first + 1))
+        spans = []
+        for j in range(max(n - low, 0) + 1):
+            first, last = max(j * step, a), min(n * step, b + j * step)
+            spans.append((first, last, box.cells(first, last)))
         kept.append(spans)
 
     def charged(plan: _Plan, reach: list[int], tops: Sequence[int], what: str) -> tuple:
@@ -795,7 +903,7 @@ def _split_counts(
             bound = [doubled * top * c for c in reach[: len(spans)]]
             bits = accumulate((x.bit_length() for x in bound), max)
             digits = [max(1, -(-x // _DIGIT_BITS)) for x in bits]
-            halves.append(_Plan(groups, bound, spans, digits, 0, 0, plan.mirror))
+            halves.append(_Plan(groups, bound, spans, digits, 0, 0, plan.mirror, box))
         forward, level = _additions(plan), split
         if level is None:
             backward = [(n, _additions(half)) for (n, *_), half in zip(hulls, halves)]
@@ -821,7 +929,7 @@ def _split_counts(
 
     ones = [1] * (n_max - low + 1)
     charged(plan, ones, ones, f"any join of the lattice enumeration to level {n_max}")
-    plan = _plan(edges, step, n_max, charge=False)
+    plan = _plan(edges, box, n_max, charge=False)
     tops, builds = zip(*weigh()) if hulls else ((), ())
     paths, reach = dict.fromkeys(ends, 1), [1]
     for _ in range(n_max - low):
@@ -838,10 +946,10 @@ def _split_counts(
         (_n, a, b), (_n, first, last) = windows[i], hulls[i]
         weight = builds[i]()
         if mirror:
-            hull = np.zeros(last - first + 1, weight.dtype)
-            hull[a - first : b - first + 1] = weight
-            weight = hull + hull[::-1]
-        planes = np.empty((tails[i].digits[0], len(weight)), np.uint64)
+            hull = np.zeros(box.extents(first, last)[::-1], weight.dtype)
+            hull[box.region(first, a, b)] = weight
+            weight = hull + hull[(slice(None, None, -1),) * hull.ndim]
+        planes = np.empty((tails[i].digits[0], *weight.shape), np.uint64)
         for d, row in enumerate(planes):
             row[:] = (weight >> _DIGIT_BITS * d) & _DIGIT_MASK
         return planes
@@ -859,7 +967,8 @@ def _split_counts(
         for i, (n, a, b) in enumerate(hulls):
             if n == level:
                 planes, times = weighed(i), carried(state)
-                sums[i] = sum(t * _join(state[v][:, a : b + 1], planes) for v, t in times.items())
+                cut = (slice(None), *box.region(0, a, b))
+                sums[i] = sum(t * _join(state[v][cut], planes) for v, t in times.items())
     times = carried(state)
     for i, ((n, *_), tail) in enumerate(zip(hulls, tails)):
         if n <= split:
@@ -869,10 +978,11 @@ def _split_counts(
             pass
         # backward slots of level n - split are forward slots of level split
         shift, (a, b, _width) = (n - split) * step, tail.spans[-1]
+        cut = (slice(None), *box.region(0, a - shift, b - shift))
         for v, t in times.items():
             if v in back:
                 _carry(back[v])
-                sums[i] += t * _join(state[v][:, a - shift : b - shift + 1], back[v])
+                sums[i] += t * _join(state[v][cut], back[v])
         # the next half's buffers replace this one's
         del start, back
     return [s // doubled for s in sums], plan.totals
@@ -890,11 +1000,11 @@ def weighted_counts(
     (the ``support_scaled`` of ``distribution``) and ``count(x)`` is its
     exact count.  Each ``w`` in ``axis_weights`` maps an axis ``j`` and a
     scaled coordinate to a nonnegative integer of any size; it is called
-    once per distinct coordinate of each axis.  The sums meet in the
-    middle (``_split_counts``): a forward half to the level ``L`` of fewest
-    digit additions, and one backward half per weight from level ``n``
-    back to ``L``, charged before either runs.  Returns ``(sums, total)``,
-    ``total`` the path count.
+    once per distinct coordinate of each axis on level ``n``'s box.  The
+    sums meet in the middle (``_split_counts``): a forward half to the
+    level ``L`` of fewest digit additions, and one backward half per weight
+    from level ``n`` back to ``L``, charged before either runs.  Returns
+    ``(sums, total)``, ``total`` the path count.
     """
     import numpy as np
     if n < 0:
@@ -902,17 +1012,27 @@ def weighted_counts(
     if lattice_scale(weights) is None:
         raise InvalidArgumentError("weighted counts need lattice weights")
     table = _edge_table(weights, n, None)[3]
-    edges, step, decode, *_ = _flatten(_transitions(coding, table), n)
-    # the decoded coordinates of level n and one slot weight
-    _charge(f"the slot weights of level {n}", 8 * (3 + 2 * weights.dim) * (n * step + 1), 0)
+    edges, box, _decode, origin, basis = _flatten(_transitions(coding, table), n)
+    extents = box.extents(0, n * box.step)
 
     def weigh() -> list[tuple[int, Callable[[], np.ndarray]]]:
-        # each axis's distinct coordinates, and every slot's index among them
-        axes = [np.unique(q, return_inverse=True) for q in decode(n, np.arange(n * step + 1))]
-        values = [_axis_values(w, axes) for w in axis_weights]
-        return [(math.prod(map(max, v)), partial(_slot_weights, v, axes)) for v in values]
+        # axis j's coordinate on cell k of level n's box is n * origin_j +
+        # sum_i k_i b_ij, that is low + g * index for the _axis_index of
+        # form = b_.j / g; the indices its cells hit give its coordinates
+        axes, coordinates = [], []
+        for j, o in enumerate(origin):
+            g = math.gcd(*(b[j] for b in basis)) or 1
+            form = [b[j] // g for b in basis]
+            hits = np.bincount(_axis_index(form, extents).ravel())
+            positions = hits.nonzero()[0]
+            axes.append((form, positions, len(hits)))
+            low = n * o + g * sum(min(0, c * (e - 1)) for c, e in zip(form, extents))
+            coordinates.append([low + g * t for t in positions.tolist()])
+        values = [_axis_values(w, coordinates) for w in axis_weights]
+        return [(math.prod(map(max, v)), partial(_slot_weights, v, axes, extents)) for v in values]
 
-    sums, totals = _split_counts(edges, step, n, [(n, 0, n * step)] * len(axis_weights), weigh)
+    windows = [(n, 0, n * box.step)] * len(axis_weights)
+    sums, totals = _split_counts(edges, box, n, windows, weigh)
     return sums, totals[n]
 
 
@@ -938,9 +1058,9 @@ def _window_counts(
     if not order:
         return [], []
     table = _edge_table(weights, order[-1], bin_width)[3]
-    edges, step, _decode, origin, basis = _flatten(_transitions(coding, table), order[-1])
+    edges, box, _decode, origin, basis = _flatten(_transitions(coding, table), order[-1])
     # slot s of level n holds the value n * origin + s * g
-    g, windows, found = basis[0][0] if basis else 1, [], {}
+    g, step, windows, found = basis[0][0] if basis else 1, box.step, [], {}
     for n, a, b in zip(ns, lo, hi):
         a, b = max(-((n * origin[0] - a) // g), 0), min((b - n * origin[0]) // g, n * step)
         if a <= b:
@@ -950,7 +1070,7 @@ def _window_counts(
     def weigh() -> list[tuple[int, Callable[[], np.ndarray]]]:
         return [(1, partial(np.ones, b - a + 1, np.uint64)) for _n, a, b in windows]
 
-    sums, totals = _split_counts(edges, step, order[-1], windows, weigh)
+    sums, totals = _split_counts(edges, box, order[-1], windows, weigh)
     return [sums[found[n]] if n in found else 0 for n in ns], [totals[n] for n in ns]
 
 
@@ -1032,12 +1152,12 @@ def distribution_sweep(
     kind, scale, width, table = _edge_table(weights, n_max, bin_width)
     if not order:
         return []
-    edges, step, decode, *_ = _flatten(_transitions(coding, table), n_max)
-    plan = _plan(edges, step, n_max)
+    edges, box, decode, *_ = _flatten(_transitions(coding, table), n_max)
+    plan = _plan(edges, box, n_max)
     if plan.bits <= _PACKED_BITS:
         levels, slot_counts = _packed_levels(plan), partial(_packed_counts, plan.field)
     else:
-        levels, slot_counts = _digit_levels(plan), _slot_counts
+        levels, slot_counts = _digit_levels(plan), partial(_slot_counts, box)
     out, wanted = [], set(order)
     for level, _first, state, total in levels:
         if level not in wanted:

@@ -24,6 +24,7 @@ missed on named codings and weights.
 
 import math
 import time
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -113,7 +114,7 @@ def weighted_sum(histogram, w):
 
 
 def flattened(coding, weights, n_max):
-    """The engine's ``(edges, step, decode, origin, basis)`` for a lattice weight."""
+    """The engine's ``(edges, box, decode, origin, basis)`` for a lattice weight."""
     return _flatten(_transitions(coding, _edge_table(weights, n_max, None)[3]), n_max)
 
 
@@ -194,19 +195,23 @@ def engine_plans(draw):
     n_max = draw(st.integers(0, 32 if dim == 1 else 8))
     # lattice tables ignore the bin width
     table = _edge_table(weights, n_max, 0.25)[3]
-    engine_edges, step, *_ = _flatten(_transitions(coding, table), n_max)
-    return _plan(engine_edges, step, n_max)
+    engine_edges, box, *_ = _flatten(_transitions(coding, table), n_max)
+    return _plan(engine_edges, box, n_max)
 
 
-def vertex_slots(state, width, field=None):
-    """Each vertex's exact count in every slot of the level, all-zero
-    vertices left out: digit planes without ``field``, packed ints with it."""
+def vertex_slots(state, width, field=None, box=None):
+    """Each vertex's exact count in every flattened slot of a forward level,
+    all-zero vertices left out: digit planes on ``box``'s cells without
+    ``field``, packed ints with it."""
     out = {}
     for vertex, x in state.items():
         if field is None:
+            cells = [0] * x[0].size
+            for row in x.reshape(len(x), -1)[::-1].tolist():
+                cells = [(c << _DIGIT_BITS) + d for c, d in zip(cells, row)]
             counts = [0] * width
-            for row in x[::-1].tolist():
-                counts = [(c << _DIGIT_BITS) + d for c, d in zip(counts, row)]
+            for cell, count in zip(np.ndindex(x.shape[1:]), cells):
+                counts[sum(i * s for i, s in zip(cell, box.strides[::-1]))] = count
         else:
             assert x >> (width * field) == 0
             raw, size = x.to_bytes(width * field // 8, "little"), field // 8
@@ -227,7 +232,7 @@ class TestLevelLoops:
         for (level, first, planes, total), packed, (_, top, _w) in levels:
             assert (level, first, total) == (packed[0], packed[1], packed[3])
             width = top - first + 1
-            expected = vertex_slots(planes, width)
+            expected = vertex_slots(planes, width, box=plan.box)
             assert vertex_slots(packed[2], width, plan.field) == expected
             seen += 1
         assert seen == len(plan.spans)
@@ -255,8 +260,8 @@ class TestLevelLoops:
         assert ran == ["_digit_levels"] * 3
         # mclt's cell masses run on the planes; at n = 200 their plan is
         # above the limit too
-        edges, step, *_ = flattened(free2, abel, 200)
-        assert _plan(edges, step, 200).bits > _PACKED_BITS
+        edges, box, *_ = flattened(free2, abel, 200)
+        assert _plan(edges, box, 200).bits > _PACKED_BITS
 
 
 @st.composite
@@ -281,8 +286,8 @@ def mirrored_plans(draw):
                 value = draw(st.tuples(*[st.integers(-2, 2)] * dim))
             table[s, t], table[image] = value, tuple(-x for x in value)
     n_max = draw(st.integers(0, 24 if dim == 1 else 6))
-    edges, step, *_ = _flatten([(s, t, v) for (s, t), v in table.items()], n_max)
-    return _plan(edges, step, n_max)
+    edges, box, *_ = _flatten([(s, t, v) for (s, t), v in table.items()], n_max)
+    return _plan(edges, box, n_max)
 
 
 class TestMirror:
@@ -299,8 +304,8 @@ class TestMirror:
         for (level, first, planes, total), plain, packed, (_, top, _w) in levels:
             assert (level, first, total) == plain[:2] + plain[3:] == packed[:2] + packed[3:]
             width = top - first + 1
-            expected = vertex_slots(plain[2], width)
-            assert vertex_slots(planes, width) == expected
+            expected = vertex_slots(plain[2], width, box=plan.box)
+            assert vertex_slots(planes, width, box=plan.box) == expected
             assert vertex_slots(packed[2], width, plan.field) == expected
             seen += 1
         assert seen == len(plan.spans)
@@ -337,8 +342,8 @@ class TestMirror:
             values = _edge_table(weights, 10, 0.01)[3]
             return _flatten(_transitions(coding, values), 10)[:2]
 
-        edges, step = edges_of(table)
-        assert _plan(edges, step, 10).mirror == mirror
+        edges, box = edges_of(table)
+        assert _plan(edges, box, 10).mirror == mirror
         # one edge value moved breaks the mirror
         key = coding.edges[-1].source, coding.edges[-1].target
         moved = {**table, key: (table[key][0] + 1, *table[key][1:])}
@@ -383,16 +388,16 @@ class TestDigitPlanes:
     def test_carry_levels(self, monkeypatch, table, n, levels):
         coding = hs.build_free_group_coding(len(table))
         weights = hs.weights_from_homomorphism(coding, table)
-        edges, step, *_ = flattened(coding, weights, n)
+        edges, box, *_ = flattened(coding, weights, n)
         done, carried, carry = [], set(), engine._carry
         # a carry made while level L is computed finds L levels done
         monkeypatch.setattr(
             engine, "_carry", lambda planes: (carried.add(len(done)), carry(planes))
         )
-        for level, _first, state, total in _digit_levels(_plan(edges, step, n)):
+        for level, _first, state, total in _digit_levels(_plan(edges, box, n)):
             done.append(level)
         assert sorted(carried) == levels
-        assert sum(_slot_counts(state)[1]) == total
+        assert sum(_slot_counts(box, state)[1]) == total
 
     def test_free5_carries_every_five_levels_to_forty(self):
         # in-degree 9, so carries are propagated every 5 levels (9**5 digit
@@ -403,8 +408,8 @@ class TestDigitPlanes:
         )
         dists = assert_equal_to_dict_oracle(coding, weights, {7, 23, 40})
         assert max(dists[-1].counts).bit_length() > 2 * 48
-        edges, step, *_ = flattened(coding, weights, 40)
-        levels = _digit_levels(_plan(edges, step, 40))
+        edges, box, *_ = flattened(coding, weights, 40)
+        levels = _digit_levels(_plan(edges, box, 40))
         top = max(int(p.max()) for *_, state, _t in levels for p in state.values())
         # deferred carries leave digits above 2**48 between propagations
         assert top >= 2**48
@@ -446,9 +451,9 @@ class TestDigitPlanes:
         weights = hs.weights_from_homomorphism(coding, table)
         dists = assert_equal_to_dict_oracle(coding, weights, {n // 3, n})
         # a rank-r lattice gets an r-dimensional box
-        _edges, step, _decode, _origin, basis = flattened(coding, weights, n)
+        _edges, flat, _decode, _origin, basis = flattened(coding, weights, n)
         assert len(basis) == rank
-        assert n * step + 1 == box
+        assert n * flat.step + 1 == box
         if len(table) == 2:
             # the box holds exactly the reachable values, and the counts
             # pass 2**53, so no float sum could hold them exactly
@@ -456,8 +461,8 @@ class TestDigitPlanes:
             assert max(dists[-1].counts) > 2**53
 
     def test_abelianization_fills_its_box_at_two_hundred(self, free2, abel):
-        _edges, step, _decode, _origin, basis = flattened(free2, abel, 200)
-        assert 200 * step + 1 == 201**2 == 40401
+        _edges, box, _decode, _origin, basis = flattened(free2, abel, 200)
+        assert 200 * box.step + 1 == 201**2 == 40401
         assert sorted(map(abs, basis[0])) == sorted(map(abs, basis[1])) == [1, 1]
 
 
@@ -641,8 +646,8 @@ class TestWeightedCounts:
             coding, {(e.source, e.target): entry(e.label) for e in coding.edges}
         )
         n = 7
-        edges, step, *_ = flattened(coding, weights, n)
-        assert (_plan(edges, step, n).mirror is not None) == mirrored
+        edges, box, *_ = flattened(coding, weights, n)
+        assert (_plan(edges, box, n).mirror is not None) == mirrored
         # no weight is its own mirror image
         ws = [
             lambda j, q: (q % 3) * (j + 1) + (q > 0),
@@ -705,6 +710,137 @@ class TestWeightedCounts:
         )
 
 
+BOX_CASES = [
+    ("free2", {"a": (1, 0), "b": (0, 1)}, 12),
+    ("free3", {"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1)}, 7),
+    # no mirror: t and T are not each other's negatives
+    ("z2z3", {"s": (1, 0), "t": (0, 1), "T": (1, 1)}, 12),
+]
+
+
+def box_weights(coding, table):
+    """Weights from one value per label, its inverse label taking the
+    negated value when the table does not name it."""
+    def entry(label):
+        if label in table:
+            return table[label]
+        return tuple(-x for x in table[label.swapcase()])
+
+    return hs.weights_from_edge_table(
+        coding, {(e.source, e.target): entry(e.label) for e in coding.edges}
+    )
+
+
+def lattice_oracle(coding, weights, ns):
+    """``oracles.dict_lattice_counts`` on the weight's scaled edge values."""
+    table = hs.scaled_integer_values(weights, hs.lattice_scale(weights))
+    edges = [(e.source, e.target, table[(e.source, e.target)]) for e in coding.edges]
+    return oracles.dict_lattice_counts(edges, hs.START_VERTEX, ns)
+
+
+class TestBoxPlanes:
+    @pytest.mark.parametrize(
+        "coding, table, n", BOX_CASES, ids=["abel2", "abel3", "z2z3-no-mirror"]
+    )
+    def test_every_split_equals_the_dict_oracle(self, coding, table, n):
+        coding = CODINGS[coding]
+        weights = box_weights(coding, table)
+        edges, box, *_ = flattened(coding, weights, n)
+        assert len(box.ranges) == weights.dim
+        assert (_plan(edges, box, n).mirror is None) == (coding is CODINGS["z2z3"])
+        ws = [lambda j, q: q % 3 + j, lambda j, q: 2**50 * (q > 0) + 1]
+        expected = [weighted_sum(lattice_oracle(coding, weights, {n})[n], w) for w in ws]
+        assert weighted_counts(coding, weights, n, ws)[0] == expected
+        for split in range(n + 1):
+            with joined_at(split):
+                assert weighted_counts(coding, weights, n, ws)[0] == expected
+
+    @pytest.mark.parametrize(
+        "coding, table, n", BOX_CASES, ids=["abel2", "abel3", "z2z3-no-mirror"]
+    )
+    def test_planes_equal_the_oracle_and_packed_ints(self, monkeypatch, coding, table, n):
+        coding = CODINGS[coding]
+        weights = box_weights(coding, table)
+        ns = {n // 2, n}
+        packed = assert_equal_to_dict_oracle(coding, weights, ns)
+        shapes, loop = {}, engine._digit_levels
+
+        def spy(plan, *start):
+            for level, first, state, total in loop(plan, *start):
+                shapes[level] = {p.shape[1:] for p in state.values()}
+                yield level, first, state, total
+
+        monkeypatch.setattr(engine, "_PACKED_BITS", 0)
+        monkeypatch.setattr(engine, "_digit_levels", spy)
+        assert assert_equal_to_dict_oracle(coding, weights, ns) == packed
+        # every level runs on its own box, reduced axis 0 last
+        box = flattened(coding, weights, n)[1]
+        for level, found in shapes.items():
+            assert found <= {tuple(level * r + 1 for r in box.ranges[::-1])}
+
+
+class TestSlotWeights:
+    @pytest.mark.parametrize(
+        "coding, table, n",
+        [
+            *BOX_CASES,
+            # a rank-one lattice in two dimensions, and one whose reduced
+            # basis is not the coordinate axes
+            ("free2", {"a": (1, 2), "b": (2, 4)}, 9),
+            ("free3", {"a": (1, -1), "b": (0, 2), "c": (1, 1)}, 8),
+        ],
+        ids=["abel2", "abel3", "z2z3-no-mirror", "rank-one", "free3-skew"],
+    )
+    def test_each_axis_weight_is_called_once_per_distinct_coordinate(self, coding, table, n):
+        coding = CODINGS[coding]
+        weights = box_weights(coding, table)
+        _edges, box, decode, *_ = flattened(coding, weights, n)
+        # level n's box holds flattened slots 0..n * step
+        distinct = {
+            (j, q) for j, axis in enumerate(decode(n, np.arange(n * box.step + 1)))
+            for q in axis.tolist()
+        }
+        calls = Counter()
+
+        def w(j, q):
+            calls[j, q] += 1
+            return (q % 4) * (j + 1)
+
+        expected = weighted_sum(lattice_oracle(coding, weights, {n})[n], w)
+        calls.clear()
+        assert weighted_counts(coding, weights, n, [w])[0] == [expected]
+        assert set(calls) == distinct
+        assert set(calls.values()) == {1}
+
+    def test_the_slot_weights_stay_small(self, monkeypatch, free2, abel):
+        # the default cell of mclt at n = 200: twice the membership of the
+        # lower quadrant, with the boundary counted once
+        def quadrant(j, q):
+            return 2 * (q < 0) + (q == 0)
+
+        charges, charge = [], engine._charge
+        monkeypatch.setattr(
+            engine, "_charge", lambda *args: (charges.append(args[0]), charge(*args))[1]
+        )
+        expected = weighted_counts(free2, abel, 200, [quadrant])
+        assert expected[0][0] == expected[1]
+        # the join is charged as before; the weights are built on the box,
+        # so they take no charge of their own
+        assert [what.split(" level")[0] for what in charges] == [
+            "any join of the lattice enumeration to",
+            "the lattice enumeration joined at",
+        ]
+        tracemalloc.start()
+        try:
+            assert weighted_counts(free2, abel, 200, [quadrant]) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 3.0 MB measured with the box planes (5.1 MB with the slots of
+        # n_max's strides and the decoded level), plus 10%
+        assert peak < 3.3e6
+
+
 class TestByteBudget:
     def test_oversized_masses_are_refused_before_allocating(self, free2, abel):
         # 2001**2 slots of 67 digits for each of four targets, about 17 GB
@@ -761,8 +897,8 @@ class TestWorkBudget:
             def run():
                 return _window_counts(free2, root_half, [20, n], 0.1, [-3, -5], [4, 5])
 
-        edges, step, *_ = _flatten(_transitions(free2, table), n)
-        single = _additions(_plan(edges, step, n))[-1]
+        edges, box, *_ = _flatten(_transitions(free2, table), n)
+        single = _additions(_plan(edges, box, n))[-1]
         charges, charge = [], engine._charge
         monkeypatch.setattr(
             engine, "_charge", lambda *args: (charges.append(args), charge(*args))[1]
@@ -788,8 +924,8 @@ class TestWorkBudget:
         # backward half of a join at level 1 makes more digit additions than
         # the whole one-digit forward plan, which the lowered budget admits
         ws = [lambda j, q: 2**120]
-        edges, step, *_ = flattened(free2, abel, 8)
-        monkeypatch.setattr(engine, "_WORK_BUDGET", engine._additions(_plan(edges, step, 8))[-1])
+        edges, box, *_ = flattened(free2, abel, 8)
+        monkeypatch.setattr(engine, "_WORK_BUDGET", engine._additions(_plan(edges, box, 8))[-1])
         # the cheapest join is the single forward pass
         assert weighted_counts(free2, abel, 8, ws) == ([2**240 * 4 * 3**7], 4 * 3**7)
 
