@@ -13,8 +13,12 @@ formed at report time.  Three value models are supported:
   lattice (round half to even), then enumerated exactly on that lattice,
   so the result is exactly the distribution of a perturbed weight within
   ``n * bin / 2`` of the true one;
-* moment accumulation - first and second moments are computed by an exact
-  sum recurrence without materializing the distribution.
+* moment accumulation - first and second moments of every weight are
+  exact integer sums of its values scaled by the least common denominator
+  of its floats (a power of two for a real weight), by a sum recurrence
+  that materializes no distribution.
+
+No dynamic-programming pass accumulates floats.
 
 One edge filter, ``_transitions``, lists the edges every DP walks, and one
 edge table, ``_edge_table``, gives the distributions each edge's integer
@@ -103,7 +107,7 @@ from .coding import (
     decompose_components,
 )
 from .errors import InvalidArgumentError, ResourceError
-from .weights import WeightAssignment, lattice_scale, scaled_integer_values
+from .weights import WeightAssignment, _denominator, lattice_scale, scaled_integer_values
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -146,8 +150,8 @@ class MomentData(NamedTuple):
     """Exact moment sums over one sphere.
 
     ``first[j] = sum phi_j`` and ``second[j][l] = sum phi_j phi_l`` over all
-    ``count`` elements; entries are ``int``/``Fraction`` for lattice weights
-    and ``float`` for real ones.
+    ``count`` elements, exact ``int`` or ``Fraction`` entries for every
+    weight.
     """
 
     n: int
@@ -157,15 +161,13 @@ class MomentData(NamedTuple):
     second: tuple[tuple, ...]
 
     def mean(self) -> tuple:
-        """Exact mean vector (``Fraction`` entries for lattice weights)."""
+        """Exact mean vector (``int`` or ``Fraction`` entries)."""
         if self.count == 0:
             raise InvalidArgumentError(f"sphere {self.n} is empty")
         return tuple(_exact_div(x, self.count) for x in self.first)
 
 
-def _exact_div(x: object, d: int) -> object:
-    if isinstance(x, float):
-        return x / d
+def _exact_div(x: int | Fraction, d: int) -> int | Fraction:
     if isinstance(x, int) and x % d == 0:
         return x // d
     from fractions import Fraction
@@ -233,18 +235,15 @@ class WordDistribution(NamedTuple):
 
     def moments(self) -> MomentData:
         """Exact moment sums computed from the support and counts."""
-        k = self.dim
+        k, unit = self.dim, self.exact_value(1)
         vecs = self.support_scaled if k > 1 else [(q,) for q in self.support_scaled]
         rows = list(zip(vecs, self.counts))
         first = [sum(c * v[j] for v, c in rows) for j in range(k)]
         second = [[sum(c * v[j] * v[l] for v, c in rows) for l in range(k)] for j in range(k)]
-        if self.kind == "exact-lattice":
-            first = [_exact_div(x, self.scale) for x in first]
-            second = [[_exact_div(x, self.scale**2) for x in row] for row in second]
-        else:
-            width = self.bin_width
-            first = [float(x) * width for x in first]
-            second = [[float(x) * width * width for x in row] for row in second]
+        # the scaled sums times the unit and its square
+        num, den = unit.numerator, unit.denominator
+        first = [_exact_div(x * num, den) for x in first]
+        second = [[_exact_div(x * num * num, den * den) for x in row] for row in second]
         return MomentData(self.n, k, self.total, tuple(first), tuple(map(tuple, second)))
 
 
@@ -402,9 +401,8 @@ def _flatten(transitions: Sequence[tuple[str, str, tuple[int, ...]]], n_max: int
     low_i b_i``, ``low_i = min_e c_ei``, ``0 <= k_i <= L * (high_i -
     low_i)``.  An edge's offset is ``sum_i (c_ei - low_i) * stride_i``, the
     strides multiplying the spans ``n_max * (high_i - low_i) + 1``; ``box``
-    holds the strides and ranges, and ``decode(level, slots)`` decodes slots
-    to one array of exact scaled values per axis: ``int64`` when no value
-    of the level can overflow it, Python ints otherwise.
+    holds the strides and ranges, and ``decode(level, slots)`` decodes a
+    list of slots to one list of exact scaled values per axis.
     """
     k = len(transitions[0][2]) if transitions else 1
     v0 = transitions[0][2] if transitions else (0,) * k
@@ -425,27 +423,12 @@ def _flatten(transitions: Sequence[tuple[str, str, tuple[int, ...]]], n_max: int
         for (source, target, _vec), c in zip(transitions, coords)
     ]
 
-    def decode(level: int, slots):
-        """Exact scaled values per axis: lists of ints for a list of slots;
-        for an integer array, ``int64`` arrays or, if they could overflow, ints."""
-        if isinstance(slots, list):
-            vec = [[level * o] * len(slots) for o in origin]
-            for (_low, s, span), b in zip(axes, basis):
-                ks = [x // s % span for x in slots]
-                vec = [[v + k * bt for v, k in zip(row, ks)] for row, bt in zip(vec, b)]
-            return vec
-        import numpy as np
-        # the largest |value| the level can hold on any axis
-        bound = max(
-            level * abs(o) + sum(span * abs(b[t]) for (*_, span), b in zip(axes, basis))
-            for t, o in enumerate(origin)
-        )
-        dtype = np.int64 if bound < 2**63 else object
-        vec = [np.full(len(slots), level * o, dtype=dtype) for o in origin]
+    def decode(level: int, slots: list[int]) -> list[list[int]]:
+        """Exact scaled values of the slots, one list per axis."""
+        vec = [[level * o] * len(slots) for o in origin]
         for (_low, s, span), b in zip(axes, basis):
-            ks = ((slots // s) % span).astype(dtype)
-            for t in range(k):
-                vec[t] += ks * b[t]
+            ks = [x // s % span for x in slots]
+            vec = [[v + k * bt for v, k in zip(row, ks)] for row, bt in zip(vec, b)]
         return vec
 
     return edges, box, decode, origin, basis
@@ -1227,63 +1210,41 @@ def distribution_overcounted(
 # ---------------------------------------------------------------------------
 
 
-def _float_range(transitions: list[tuple[str, str, tuple]], n: int) -> None:
-    """Refuse float moment sums to radius ``n`` that could leave the float range.
-
-    A float sum of level ``L`` is at most the level's path count times
-    ``max(1, L * m)**2``, ``m`` the largest entry of a weight in absolute
-    value; the first level at which that bound reaches ``2**1023`` (half the
-    float range, room for rounding) raises ``ResourceError`` naming its
-    radius.  The path counts are ``_path_totals``' exact ints, formed up to
-    that level.
-    """
-    m = max((abs(x) for *_, vec in transitions for x in vec), default=0.0)
-    pairs = [(source, target) for source, target, _vec in transitions]
-    for level, total in enumerate(_path_totals(pairs, n)):
-        if total >= 2.0**1023 / max(1.0, level * m) ** 2:
-            raise ResourceError(
-                f"the float moment sums of radius {level} could leave the float "
-                f"range: its {total.bit_length()}-bit path count times ({level} * "
-                f"{m!r})**2 reaches 2**1023; use a smaller n or lattice weights"
-            )
-
-
 def moment_sweep(
     coding: MarkovCoding, weights: WeightAssignment, ns: Sequence[int]
 ) -> list[MomentData]:
     """Exact moment sums at several radii by one accumulation pass.
 
-    Lattice weights use integer arithmetic end-to-end (results are ints or
-    ``Fraction``); real weights accumulate in floats.  Each vertex carries
-    its path count, ``sum phi`` and ``sum phi phi^T``.
+    Every weight runs on exact integers: its values times the least common
+    denominator of its floats (``x.as_integer_ratio()``, a power of two
+    for a real weight), so results are ints or ``Fraction``.  Each vertex
+    carries its path count, ``sum phi`` and ``sum phi phi^T``.
 
     The work is charged against ``_WORK_BUDGET`` before the first level, and
     an oversized radius raises ``ResourceError``: each level adds
-    ``1 + k + k^2`` sums per edge, each of ``1 + L log2(fan) / 48`` digits
-    at level ``L`` for the largest out-degree ``fan`` (the bound
-    ``sphere_counts`` sizes by), or of one digit for float sums.
+    ``1 + k + k^2`` sums per edge, each of ``1 + (L log2(fan) + 2 log2(m))
+    / 48`` digits at level ``L`` for the largest out-degree ``fan`` (the
+    bound ``sphere_counts`` sizes by) and the largest scaled value ``m``.
     """
     order = _radii(ns)
     if not order:
         return []
-    scale = lattice_scale(weights)
-    table = weights.edge_values if scale is None else scaled_integer_values(weights, scale)
-    k, zero = weights.dim, 0 if scale is not None else 0.0
-    transitions = _transitions(coding, table)
+    scale = _denominator(weights)
+    table = scaled_integer_values(weights, scale)
+    k, transitions = weights.dim, _transitions(coding, table)
     n, sums = order[-1], len(transitions) * (1 + k + k * k)
     fan = max(Counter(source for source, _, _ in transitions).values(), default=1)
-    bits = 0.0 if scale is None else math.log2(fan)
+    top = max([1, *(abs(x) for vec in table.values() for x in vec)])
     # the digits of levels 1..n, summed in closed form
-    if (work := sums * (n + bits * n * (n + 1) / (2 * _DIGIT_BITS))) > _WORK_BUDGET:
+    bits = math.log2(fan) * n * (n + 1) / 2 + 2 * math.log2(top) * n
+    if (work := sums * (n + bits / _DIGIT_BITS)) > _WORK_BUDGET:
         raise ResourceError(
             f"the moment sums to radius {n} would take about {int(work)} digit "
             f"additions, over the {_WORK_BUDGET}-addition budget; use a smaller n"
         )
-    if scale is None:
-        _float_range(transitions, n)
 
     def fresh(count: int) -> list:
-        return [count, [zero] * k, [[zero] * k for _ in range(k)]]
+        return [count, [0] * k, [[0] * k for _ in range(k)]]
 
     state, results, wanted = {START_VERTEX: fresh(1)}, [], set(order)
     for level in range(order[-1] + 1):
@@ -1311,62 +1272,10 @@ def moment_sweep(
                     first[j] += s1[j]
                     for l in range(k):
                         second[j][l] += s2[j][l]
-            if scale is not None:
-                first = [_exact_div(x, scale) for x in first]
-                second = [[_exact_div(x, scale**2) for x in row] for row in second]
-            second = tuple(map(tuple, second))
+            first = [_exact_div(x, scale) for x in first]
+            second = tuple(tuple(_exact_div(x, scale**2) for x in row) for row in second)
             results.append(MomentData(level, k, count, tuple(first), second))
     return results
-
-
-# ---------------------------------------------------------------------------
-# Weighted sums (partition functions)
-# ---------------------------------------------------------------------------
-
-
-def log_weighted_sum_sweep(
-    coding: MarkovCoding, weights: WeightAssignment, t: float, ns: Sequence[int]
-) -> list[float]:
-    """``log sum_{W_n} exp(t phi)`` at several radii, one rescaled DP pass.
-
-    Scalar weights only; accumulation is float64 with per-level rescaling,
-    so results carry relative error of order ``n * 1e-15``.
-    """
-    if weights.dim != 1:
-        raise InvalidArgumentError("weighted sums require scalar weights")
-    order = _radii(ns)
-    if not order:
-        return []
-    transitions = [
-        (source, target, math.exp(t * vec[0]))
-        for source, target, vec in _transitions(coding, weights.edge_values)
-    ]
-    state: dict[str, float] = {START_VERTEX: 1.0}
-    log_scale = 0.0
-    wanted = set(order)
-    out: dict[int, float] = {}
-    if order[0] == 0:
-        out[0] = 0.0
-    for level in range(1, order[-1] + 1):
-        nxt: dict[str, float] = {}
-        for source, target, f in transitions:
-            a = state.get(source)
-            if a is not None:
-                nxt[target] = nxt.get(target, 0.0) + a * f
-        peak = max(nxt.values(), default=0.0)
-        if peak == 0.0:
-            for n in order:
-                if n >= level:
-                    out[n] = -math.inf
-            break
-        if not (1e-100 < peak < 1e100):
-            for v in nxt:
-                nxt[v] /= peak
-            log_scale += math.log(peak)
-        state = nxt
-        if level in wanted:
-            out[level] = math.log(sum(state.values())) + log_scale
-    return [out[n] for n in order]
 
 
 # ---------------------------------------------------------------------------

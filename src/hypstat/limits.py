@@ -40,7 +40,6 @@ from .enumerate import (
     _window_counts,
     distribution_overcounted,
     distribution_sweep,
-    log_weighted_sum_sweep,
     moment_sweep,
     weighted_counts,
 )
@@ -574,6 +573,21 @@ def _tail_counts(dist: WordDistribution, lo: Fraction, hi: Fraction) -> tuple[in
     return sum(dist.counts[above:]), sum(dist.counts[:below])
 
 
+def _log_partitions(dist: WordDistribution, ts: Sequence[float]) -> list[float]:
+    """``log W(t, n) = log sum_q c_q exp(t q unit)`` over the sphere's exact
+    law for each ``t``: one log-sum-exp shifted by its largest term, on the
+    counts' logs taken once (``-inf`` on an empty sphere)."""
+    if not dist.counts:
+        return [-math.inf] * len(ts)
+    unit, logs, out = float(dist.exact_value(1)), list(map(math.log, dist.counts)), []
+    for t in ts:
+        step = t * unit
+        terms = [x + step * q for x, q in zip(logs, dist.support_scaled)]
+        top = max(terms)
+        out.append(top + math.log(sum([math.exp(x - top) for x in terms])))
+    return out
+
+
 def ldt_rate(
     coding: MarkovCoding,
     weights: WeightAssignment,
@@ -595,7 +609,9 @@ def ldt_rate(
 
     * the exact finite-``n`` exponential Chebyshev inequality
       ``p_n <= exp(-n t (drift + eps)) W(t, n) / #W_n`` (per tail, at the
-      grid-optimal ``t``) holds pointwise for every grid ``n``;
+      grid-optimal ``t``) holds pointwise for every grid ``n``, with the
+      partition function ``W(t, n)`` read off the same sphere law as
+      ``p_n`` (for a binned real weight, the binned law);
     * the fitted envelope ``p_n <= C exp(-n I)`` holds pointwise, with
       ``C`` calibrated at the smallest grid ``n`` with positive tail;
     * ``r_n`` converges toward the positive rate: ``|r_n - I|`` shrinks
@@ -658,33 +674,29 @@ def ldt_rate(
     from fractions import Fraction
     eps_f = Fraction(epsilon)
     drift_f = Fraction(drift)
+    dists = distribution_sweep(coding, weights, grid)
     tails = [
         (d.n, *_tail_counts(d, d.n * (drift_f - eps_f), d.n * (drift_f + eps_f)), d.total)
-        for d in distribution_sweep(coding, weights, grid)
+        for d in dists
     ]
     # the rate of the tails that carry mass; an epsilon beyond the reachable
     # range leaves every tail empty, and then there is no rate
     masses = [r for r, i in ((rate_plus, 1), (rate_minus, 2)) if any(t[i] for t in tails)]
     rate = min(masses) if masses else None
 
-    log_w = [(None, None)] * len(tails)
-    if rate is not None:
-        log_w = zip(
-            log_weighted_sum_sweep(coding, weights, t_plus, grid),
-            log_weighted_sum_sweep(coding, weights, -t_minus, grid),
-        )
     rows = []
     worst_exact = -math.inf
     worst_fitted = -math.inf
     fit_log_c = None
     rates: list[float] = []
-    for (n, plus, minus, total), (lwp, lwm) in zip(tails, log_w):
+    for dist, (n, plus, minus, total) in zip(dists, tails):
         tail = plus + minus
         r_n = None
         if tail > 0:
             log_total = math.log(total)
-            bound_plus = lwp - log_total - n * t_plus * (drift + epsilon)
-            bound_minus = lwm - log_total + n * t_minus * (drift - epsilon)
+            log_plus, log_minus = _log_partitions(dist, (t_plus, -t_minus))
+            bound_plus = log_plus - log_total - n * t_plus * (drift + epsilon)
+            bound_minus = log_minus - log_total + n * t_minus * (drift - epsilon)
             bound_log = _log_sum_exp(bound_plus, bound_minus)
             log_p = math.log(tail) - log_total
             r_n = -log_p / n
@@ -793,7 +805,7 @@ def _empirical_covariance(md: MomentData) -> list[list[float]]:
     means = md.mean()
     for j in range(k):
         for l in range(k):
-            # exact for lattice moments (ints and Fractions); real ones are floats
+            # exact: the moments are ints and Fractions
             value = float(_exact_div(md.second[j][l], md.count) - means[j] * means[l])
             cov[j][l] = value / md.n
     return cov

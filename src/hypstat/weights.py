@@ -207,22 +207,22 @@ def weights_from_edge_table(
     return WeightAssignment(dim=dim if dim is not None else 1, edge_values=edge_values)
 
 
+def _denominator(weights: WeightAssignment) -> int:
+    """The smallest positive integer ``q`` such that every entry times ``q``
+    is an integer, exactly in binary floating point (a power of two)."""
+    ratios = (x.as_integer_ratio() for vec in weights.edge_values.values() for x in vec)
+    return math.lcm(*(denominator for _, denominator in ratios))
+
+
 def lattice_scale(weights: WeightAssignment) -> int | None:
     """Least common denominator putting all weight entries on a lattice.
 
-    Returns the smallest positive integer ``q`` such that every entry times
-    ``q`` is an integer (exactly, in binary floating point), or ``None``
-    when no such ``q`` up to the guard exists; irrational or generic float
-    entries are honestly treated as non-lattice.
+    Returns ``_denominator(weights)``, or ``None`` when it exceeds the
+    guard, which bounds the slots of an enumeration; irrational or generic
+    float entries are honestly treated as non-lattice.
     """
-    q = 1
-    for vec in weights.edge_values.values():
-        for x in vec:
-            _, denominator = x.as_integer_ratio()
-            q = q * denominator // math.gcd(q, denominator)
-            if q > LATTICE_DENOMINATOR_GUARD:
-                return None
-    return q
+    q = _denominator(weights)
+    return q if q <= LATTICE_DENOMINATOR_GUARD else None
 
 
 def scaled_integer_values(

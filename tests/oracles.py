@@ -12,8 +12,9 @@ the derived constants that the test modules freeze as literals:
 
 Test modules import only the cheap recomputation helpers (word histograms
 on small spheres, the word walk of ``brute_force_oracle`` over any coding,
-the path-by-path injectivity check of ``validate_by_paths``, and the path
-count of ``count_avoiding_maximal``); every expensive or floating-point
+the path-by-path injectivity check of ``validate_by_paths``, the path
+count of ``count_avoiding_maximal`` and the float partition-function
+recurrence of ``log_weighted_sums``); every expensive or floating-point
 result is frozen.
 """
 
@@ -149,6 +150,36 @@ def count_avoiding_maximal(coding, decomposition, n):
                     step[edge.target] += count
         counts = step
     return sum(counts.values())
+
+
+def log_weighted_sums(coding, weights, t, ns):
+    """``log sum_{W_n} exp(t phi)`` for each radius of ``ns``, scalar weights.
+
+    A float recurrence over coding paths with no distribution: each vertex
+    carries the sum of ``exp(t phi)`` over the paths ending at it, and a
+    level is rescaled by its largest entry once that leaves
+    ``(1e-100, 1e100)``, so the result carries relative error of order
+    ``n * 1e-15``.  An empty sphere gives ``-inf``.
+    """
+    factors = []
+    for edge in coding.edges:
+        (value,) = weights.edge_values[(edge.source, edge.target)]
+        factors.append((edge.source, edge.target, math.exp(t * value)))
+    state, log_scale, out = {hs.START_VERTEX: 1.0}, 0.0, {}
+    for level in range(max(ns) + 1):
+        if level:
+            nxt = {}
+            for source, target, f in factors:
+                if source in state:
+                    nxt[target] = nxt.get(target, 0.0) + state[source] * f
+            peak = max(nxt.values(), default=0.0)
+            if peak and not 1e-100 < peak < 1e100:
+                nxt = {v: x / peak for v, x in nxt.items()}
+                log_scale += math.log(peak)
+            state = nxt
+        total = sum(state.values())
+        out[level] = math.log(total) + log_scale if total else -math.inf
+    return [out[n] for n in ns]
 
 
 #: cap on total words enumerated by the brute-force oracle

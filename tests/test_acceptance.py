@@ -175,8 +175,8 @@ def test_criterion_06_large_deviations(free2, aexp, aexp_stats,
     # Exact exponential Chebyshev bound at every single n, not just the grid.
     grid_all = range(1, 201)
     dists = hs.distribution_sweep(free2, aexp, grid_all)
-    log_plus = hs.log_weighted_sum_sweep(free2, aexp, t_plus, grid_all)
-    log_minus = hs.log_weighted_sum_sweep(free2, aexp, -t_minus, grid_all)
+    log_plus = oracles.log_weighted_sums(free2, aexp, t_plus, grid_all)
+    log_minus = oracles.log_weighted_sums(free2, aexp, -t_minus, grid_all)
     worst = -math.inf
     for dist, lp, lm in zip(dists, log_plus, log_minus):
         n = dist.n

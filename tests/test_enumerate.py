@@ -7,7 +7,9 @@ import pytest
 
 import hypstat as hs
 import oracles
+from conftest import build_z2z3_coding, target_letter_weights
 from hypstat import enumerate as engine
+from hypstat import limits
 
 # [DERIVED] graph-free reduced-word histograms from tests/oracles.py
 AEXP_HIST_N4 = {-4: 1, -3: 8, -2: 18, -1: 16, 0: 22, 1: 16, 2: 18, 3: 8, 4: 1}
@@ -208,26 +210,25 @@ class TestMoments:
         assert md.first == from_dist.first
         assert md.second == from_dist.second
 
-    def test_real_weights_accumulate_floats(self, free2, root_half):
+    def test_real_weight_sums_equal_the_brute_force_fractions(self, free2, root_half):
+        # each brute-force word's value, summed letter by letter in Fractions
+        letter = {
+            e.label: Fraction(root_half.edge_values[(e.source, e.target)][0])
+            for e in free2.edges
+        }
         words = oracles.brute_force_oracle(free2, root_half, 8)
         sweep = hs.moment_sweep(free2, root_half, range(9))
         assert [md.n for md in sweep] == list(range(9))
         for md in sweep:
-            values = [value[0] for n, _word, value in words if n == md.n]
+            values = [sum(map(letter.get, word), Fraction(0)) for n, word, _ in words if n == md.n]
             assert md.count == len(values)
-            # the first sum cancels to 0 by symmetry, so it is compared on
-            # the scale of the sum of its absolute terms
-            scale = math.fsum(map(abs, values))
-            assert md.first[0] == pytest.approx(
-                math.fsum(values), rel=1e-12, abs=1e-12 * scale
-            )
-            assert md.second[0][0] == pytest.approx(
-                math.fsum(v * v for v in values), rel=1e-12
-            )
-            assert md.mean() == (md.first[0] / md.count,)
+            assert md.first == (sum(values),)
+            assert md.second == ((sum(v * v for v in values),),)
+            assert md.mean() == (sum(values) / len(values),)
 
-    # free:2 has 16 edges, so 48 sums per level: one digit each for float
-    # sums, and 1 + 2 L / 48 digits at level L for integer ones (fan 4)
+    # free:2 has 16 edges, so 48 sums per level, of 1 + (2 L + 2 log2 m) / 48
+    # digits at level L (fan 4) for the largest scaled value m: 1 on aexp,
+    # 2**53 on root_half, whose b is an odd multiple of 2**-53
     def test_lowered_budget_refuses_before_the_first_level(
         self, monkeypatch, free2, aexp, root_half
     ):
@@ -242,23 +243,23 @@ class TestMoments:
         monkeypatch.setattr(engine, "_transitions", lambda *args: Walked(transitions(*args)))
         monkeypatch.setattr(engine, "_WORK_BUDGET", 1000)
         assert hs.moment_sweep(free2, aexp, [6])[0].count == 972  # 330 additions
-        assert hs.moment_sweep(free2, root_half, [20])[0].count == 4 * 3**19  # 960
+        assert hs.moment_sweep(free2, root_half, [6])[0].count == 4 * 3**5  # 966
         walks.clear()
         with pytest.raises(hs.ResourceError, match="radius 24 would take about 1752 digit"):
             hs.moment_sweep(free2, aexp, [1, 24])
-        with pytest.raises(hs.ResourceError, match="radius 21 would take about 1008 digit"):
-            hs.moment_sweep(free2, root_half, [21])
+        with pytest.raises(hs.ResourceError, match="radius 7 would take about 1134 digit"):
+            hs.moment_sweep(free2, root_half, [7])
         # each refusal walked the edges once, for the charge, and ran no level
         assert len(walks) == 2
 
-    def test_float_sums_refuse_the_first_radius_past_the_float_range(self, free2, root_half):
-        # 4 * 3**633 paths times 634**2 passes 2**1023; 4 * 3**632 times
-        # 633**2 does not, and radius 633 keeps its finite sums
-        with pytest.raises(hs.ResourceError, match="sums of radius 634 could leave the float"):
-            hs.moment_sweep(free2, root_half, [1, 660])
-        md = hs.moment_sweep(free2, root_half, [633])[0]
-        assert md.count == 4 * 3**632
-        assert all(map(math.isfinite, [*md.first, *md.second[0]]))
+    def test_radius_660_returns_exact_finite_means(self, free2, root_half):
+        # the float sums of radius 634 could leave the float range; the
+        # integer sums have no such radius
+        md = hs.moment_sweep(free2, root_half, [1, 660])[-1]
+        assert md.count == 4 * 3**659
+        assert md.mean() == (0,)
+        # E phi^2 / n tends to sigma^2 = 3/2, and is finite as a float
+        assert float(md.second[0][0] / md.count) / 660 == pytest.approx(1.5, abs=0.01)
 
     def test_empty_sphere_mean_rejected(self, free1):
         md = hs.moment_sweep(free1, hs.weights_word_length(free1), [0])[0]
@@ -269,9 +270,11 @@ class TestMoments:
 
 
 class TestWeightedSums:
+    # the float recurrence of tests/oracles.py, the independent reference
+    # for ldt's log W(t, n)
     def test_log_sweep_matches_direct(self, free2, aexp):
         t = 0.8
-        logs = hs.log_weighted_sum_sweep(free2, aexp, t, [2, 4, 6])
+        logs = oracles.log_weighted_sums(free2, aexp, t, [2, 4, 6])
         dists = hs.distribution_sweep(free2, aexp, [2, 4, 6])
         for log_value, dist in zip(logs, dists):
             direct = sum(
@@ -282,8 +285,26 @@ class TestWeightedSums:
     def test_log_sweep_at_radius_zero_and_past_the_last_sphere(self, one_edge):
         # the only word is x, so every sphere past radius 1 is empty
         w = hs.weights_from_homomorphism(one_edge, {"x": 3})
-        logs = hs.log_weighted_sum_sweep(one_edge, w, 0.5, [0, 1, 2, 5])
+        logs = oracles.log_weighted_sums(one_edge, w, 0.5, [0, 1, 2, 5])
         assert logs == [0.0, 1.5, -math.inf, -math.inf]
+        dists = hs.distribution_sweep(one_edge, w, [0, 1, 2, 5])
+        assert [limits._log_partitions(d, [0.5])[0] for d in dists] == logs
+
+    # the period-2 Z/2 * Z/3 coding with the t-exponent, and the mirror
+    # coding, whose two maximal components share the spheres
+    @pytest.mark.parametrize("case", ["free2", "z2z3", "mirror"])
+    def test_ldt_log_partition_matches_the_recurrence(self, case, free2, aexp, mirror, mirror_hom):
+        if case == "z2z3":
+            coding = build_z2z3_coding()
+            weights = target_letter_weights(coding, {"s": 0, "t": 1, "T": -1})
+        else:
+            coding, weights = {"free2": (free2, aexp), "mirror": (mirror, mirror_hom)}[case]
+        ns = [1, 2, 7, 30, 99, 100]
+        dists = hs.distribution_sweep(coding, weights, ns)
+        ts = (0.8, -0.35, 2.0)
+        expected = [oracles.log_weighted_sums(coding, weights, t, ns) for t in ts]
+        for dist, logs in zip(dists, zip(*expected)):
+            assert limits._log_partitions(dist, ts) == pytest.approx(logs, rel=1e-12)
 
 
 class TestLatticeMasses2d:

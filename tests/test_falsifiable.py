@@ -1,9 +1,10 @@
 """Fault injection: every check must be able to fail.
 
-Each row runs one checker twice on one input: once with the statistics that
-``limit_statistics`` computes, and once with one of them made wrong through
-``LimitStatistics._replace``.  The named check must pass on the first run and
-fail on the second.  A strict xfail row names a check that does not yet see
+Each row runs one checker twice on one input: once as it is, and once with
+a fault: one of the statistics that ``limit_statistics`` computes made wrong
+through ``LimitStatistics._replace``, or a helper of the checker patched to
+a wrong one.  The named check must pass on the first run and fail on the
+second.  A strict xfail row names a check that does not yet see
 its fault.
 """
 
@@ -29,21 +30,40 @@ def free2_case(a, b):
 
 def drift_plus(delta):
     """The first drift coordinate moved by ``delta``."""
-    return lambda stats: stats._replace(drift=(stats.drift[0] + delta, *stats.drift[1:]))
+    return lambda stats, _patch: stats._replace(drift=(stats.drift[0] + delta, *stats.drift[1:]))
 
 
 def drift_plus_sigmas(times):
     """A scalar drift moved by ``times`` standard deviations."""
-    return lambda stats: stats._replace(
+    return lambda stats, _patch: stats._replace(
         drift=(stats.drift[0] + times * math.sqrt(stats.sigma2),)
     )
 
 
 def covariance_times(factor):
     """Every covariance entry times ``factor``."""
-    return lambda stats: stats._replace(
+    return lambda stats, _patch: stats._replace(
         covariance=tuple(tuple(x * factor for x in row) for row in stats.covariance)
     )
+
+
+def largest_term_dropped(stats, monkeypatch):
+    """``ldt``'s partition function W(t, n) without its largest term."""
+    exact = hs.limits._log_partitions
+
+    def understated(dist, ts):
+        out = []
+        for t in ts:
+            terms = [math.log(c) + t * v for v, c in zip(dist.support, dist.counts)]
+            i = terms.index(max(terms))
+            support, counts = list(dist.support_scaled), list(dist.counts)
+            del support[i], counts[i]
+            cut = dist._replace(support_scaled=tuple(support), counts=tuple(counts))
+            out += exact(cut, [t])
+        return out
+
+    monkeypatch.setattr(hs.limits, "_log_partitions", understated)
+    return stats
 
 
 def averaging(coding, weights, stats):
@@ -54,9 +74,9 @@ def clt(coding, weights, stats):
     return hs.clt_distance(coding, weights, stats, [16, 36, 64, 100, 144, 196])
 
 
-def ldt(coding, weights, stats):
+def ldt(coding, weights, stats, epsilon=0.4):
     return hs.ldt_rate(
-        coding, weights, stats, 0.4, range(10, 201, 10), [k / 100 for k in range(201)]
+        coding, weights, stats, epsilon, range(10, 201, 10), [k / 100 for k in range(201)]
     )
 
 
@@ -91,6 +111,13 @@ ROWS = [
     ),
     # |r_200 / I - 1| = 0.276 against 0.25
     pytest.param((1, 0), ldt, drift_plus_sigmas(0.1), "rate-close", id="ldt-drift+0.1sigma"),
+    # no drift or sigma^2 fault breaks an exact inequality, so W(t, n) is
+    # understated: near the edge of the range the largest term carries W,
+    # and log p_n minus the bound goes from -0.884 to +0.528
+    pytest.param(
+        (1, 1), functools.partial(ldt, epsilon=0.95), largest_term_dropped,
+        "chernoff-pointwise-exact", id="ldt-chernoff-w-largest-term-dropped",
+    ),
     # entrywise relative deviation 0.0943 against 0.05
     pytest.param(
         ABELIAN, mclt, covariance_times(1.1), "covariance-agreement", id="mclt-sigmax1.1"
@@ -119,7 +146,7 @@ def verdict(report, name):
 
 
 @pytest.mark.parametrize("values, checker, fault, name", ROWS)
-def test_check_fails_under_its_fault(values, checker, fault, name):
+def test_check_fails_under_its_fault(values, checker, fault, name, monkeypatch):
     coding, weights, stats = free2_case(*values)
     assert verdict(checker(coding, weights, stats), name)
-    assert not verdict(checker(coding, weights, fault(stats)), name)
+    assert not verdict(checker(coding, weights, fault(stats, monkeypatch)), name)

@@ -797,8 +797,8 @@ class TestSlotWeights:
         _edges, box, decode, *_ = flattened(coding, weights, n)
         # level n's box holds flattened slots 0..n * step
         distinct = {
-            (j, q) for j, axis in enumerate(decode(n, np.arange(n * box.step + 1)))
-            for q in axis.tolist()
+            (j, q) for j, axis in enumerate(decode(n, list(range(n * box.step + 1))))
+            for q in axis
         }
         calls = Counter()
 

@@ -177,14 +177,15 @@ class TestAveraging:
         with pytest.raises(hs.InvalidArgumentError):
             hs.averaging_table(free2, aexp, aexp_stats, [])
 
-    def test_real_weight_means_are_floats(self, free2, root_half, root_half_stats):
+    def test_real_weight_means_print_exactly(self, free2, root_half, root_half_stats):
         grid = [10, 20, 30, 40]
         report = hs.averaging_table(free2, root_half, root_half_stats, grid)
         assert report.passed
-        # the mean of a homomorphism is 0; its float sums cancel to rounding
+        # the mean of a homomorphism is 0, and the integer sums cancel exactly
         for row, md in zip(report.rows, hs.moment_sweep(free2, root_half, grid)):
-            assert row["mean"] == str(md.first[0] / md.count)
-            assert abs(row["observed"]) < 1e-15
+            assert md.mean() == (0,)
+            assert row["mean"] == "0"
+            assert row["observed"] == 0.0
 
     @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=12))
     def test_median_has_the_bits_of_statistics_median(self, residuals):
@@ -494,7 +495,8 @@ class TestMclt:
         stats = hs.limit_statistics(free2, weights)
         assert np.allclose(stats.covariance, np.diag([1.0, 1.0, 0.25]), atol=1e-8)
         md = hs.moment_sweep(free2, weights, [10])[0]
-        assert isinstance(md.second[2][2], float)
+        # the sums of sqrt(2)**2 are exact, on the 2**-104 lattice
+        assert isinstance(md.second[2][2], Fraction)
         report = hs.mclt_check(free2, weights, stats, [10, 20, 40])
         assert report.passed
         assert [c["name"] for c in report.checks] == [
